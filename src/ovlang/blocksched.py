@@ -1,27 +1,24 @@
 """Block-level execution: validity-interference between transaction
 contracts, conflict-graph construction, mining, and validator re-execution.
 
-Transactions in a block run against one shared heap. Each runs as a single
-top-level transaction whose contract is the target method's contract with
-this bound to the target location. Two transactions may run in either order
-only when their contracts do not interfere; the executor therefore grants
-the machine to the lowest-indexed ready transaction, which makes the
-observable results (statuses, hash, counters) a pure function of the block
-and independent of worker count.
+Transactions in a block run against one shared heap. Each runs once, as a
+single top-level transaction whose contract is the target method's contract
+with this bound to the target location. Two transactions may run in either
+order only when their contracts do not interfere, so index order honours
+every conflict graph. The miner, the validator and the serial oracle share
+one path (`_prepare`, then `_execute`), which makes the observable results
+(statuses, hash, counters) a pure function of the block and the order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from . import ast
 from .ast import Contract, CtxLoc, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, substitute, subtrees_intersect
 from .runtime import FailureValue, Loc, Machine
-from .typecheck import ClassTable
-
-MINER_RETRY_BUDGET = 1
 
 
 @dataclass
@@ -39,13 +36,10 @@ class Sct:
 class Block:
     deploys: list  # of {"id","class","args"}
     txns: list     # of {"target","method","args"}
-    workers: int = 1
-    seed: int = 0
 
 
 @dataclass
 class MinedBlock:
-    block: Block
     edges: list
     status: list
     final_state_hash: str
@@ -86,6 +80,9 @@ def parse_block(data: dict) -> Block:
     """Validate the block JSON shape. Schema problems raise ValueError."""
     if not isinstance(data, dict):
         raise ValueError("block must be a JSON object")
+    unknown = sorted(set(data) - {"deploy", "txns"})
+    if unknown:
+        raise ValueError("unknown block fields: " + ", ".join(unknown))
     deploys = data.get("deploy", [])
     txns = data.get("txns", [])
     if not isinstance(deploys, list) or not isinstance(txns, list):
@@ -106,14 +103,7 @@ def parse_block(data: dict) -> Block:
         if not isinstance(t["target"], str) or not isinstance(t["method"], str):
             raise ValueError("txn target and method must be strings")
         _check_args(t.get("args", []))
-    workers = data.get("workers", 1)
-    seed = data.get("seed", 0)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
-    return Block(deploys=list(deploys), txns=list(txns),
-                 workers=workers, seed=seed)
+    return Block(deploys=list(deploys), txns=list(txns))
 
 
 def _check_args(args) -> None:
@@ -170,15 +160,14 @@ def _deploy(machine: Machine, deploys: list) -> dict[str, int]:
     return targets
 
 
-def _bind_scts(table: ClassTable, machine: Machine, targets: dict,
-               txns: list) -> list[Sct]:
+def _bind_scts(machine: Machine, targets: dict, txns: list) -> list[Sct]:
     scts = []
     for i, t in enumerate(txns):
         if t["target"] not in targets:
             raise OvError("E-TARGET", f"txn {i}: unknown target {t['target']}")
         loc = targets[t["target"]]
         obj = machine.heap[loc]
-        hit = table.find_method(obj.class_name, t["method"])
+        hit = machine.table.find_method(obj.class_name, t["method"])
         if hit is None:
             raise OvError("E-TARGET",
                           f"txn {i}: {obj.class_name} has no method "
@@ -197,51 +186,46 @@ def _bind_scts(table: ClassTable, machine: Machine, targets: dict,
     return scts
 
 
-def _execute_sct(machine: Machine, sct: Sct, retries: int) -> str:
+def _prepare(program: ast.Program, block: Block) -> tuple[Machine, list[Sct]]:
+    """A fresh machine with the block's deploys run and its txns bound."""
+    machine = Machine(_library(program))
+    targets = _deploy(machine, block.deploys)
+    return machine, _bind_scts(machine, targets, block.txns)
+
+
+def _execute_sct(machine: Machine, sct: Sct) -> str:
+    """Run one transaction. Its status is whether its own top-level frame
+    committed: a contained inner abort whose failure value the method
+    returns still leaves the transaction committed."""
     expr = ast.Atomic(sct.contract,
                       ast.Call(ast.Var("__target"), sct.method,
                                [ast.Const(a) for a in sct.args]))
-    attempts = retries + 1
-    val = None
-    for _ in range(attempts):
-        val = machine.run_expression(expr, {"__target": Loc(sct.loc),
-                                            "#ctx": {}})
-        if not isinstance(val, FailureValue):
-            return "committed"
+    commits = machine.root_commits
+    val = machine.run_expression(expr, {"__target": Loc(sct.loc),
+                                        "#ctx": {}})
+    if machine.root_commits > commits:
+        return "committed"
     assert isinstance(val, FailureValue)
     return f"aborted:{val.code}"
 
 
-def _run_block(program: ast.Program, block: Block, order: list[int],
-               retries: int) -> tuple[Machine, dict, list[Sct]]:
-    machine = Machine(_library(program))
-    targets = _deploy(machine, block.deploys)
-    scts = _bind_scts(machine.table, machine, targets, block.txns)
+def _execute(machine: Machine, scts: list[Sct],
+             order: Iterable[int]) -> list[str]:
+    """Run the transactions one at a time in `order`; statuses by index."""
     for i in order:
-        scts[i].status = _execute_sct(machine, scts[i], retries)
-    return machine, targets, scts
+        scts[i].status = _execute_sct(machine, scts[i])
+    return [s.status for s in scts]
 
 
-def mine_block(program: ast.Program, block: Block,
-               workers: Optional[int] = None,
-               seed: Optional[int] = None) -> MinedBlock:
-    """Execute a block and report its conflict graph, statuses, and final
-    state. Results are identical for every worker count and seed: the
-    machine is granted to the lowest-indexed ready transaction, and with
-    every lower-indexed conflict already finished that is always the next
-    index in order."""
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be positive")
-    machine = Machine(_library(program))
-    targets = _deploy(machine, block.deploys)
-    scts = _bind_scts(machine.table, machine, targets, block.txns)
+def mine_block(program: ast.Program, block: Block) -> MinedBlock:
+    """Execute a block in index order and report its conflict graph,
+    statuses, and final state."""
+    machine, scts = _prepare(program, block)
     edges = build_conflict_graph(scts, machine.tree)
-    for sct in scts:
-        sct.status = _execute_sct(machine, sct, MINER_RETRY_BUDGET)
+    status = _execute(machine, scts, range(len(scts)))
     return MinedBlock(
-        block=block,
         edges=edges,
-        status=[s.status for s in scts],
+        status=status,
         final_state_hash=machine.state_hash(),
         pre_checks=machine.pre_checks,
         post_checks=machine.post_checks,
@@ -253,9 +237,7 @@ def validate_block(program: ast.Program, mined: MinedBlock,
     """Re-execute the block on a fresh heap, honoring the miner's graph,
     and check the miner's claims. A real conflict edge missing from the
     miner's graph is a protocol violation (E-BG-MISMATCH)."""
-    machine = Machine(_library(program))
-    targets = _deploy(machine, block.deploys)
-    scts = _bind_scts(machine.table, machine, targets, block.txns)
+    machine, scts = _prepare(program, block)
     real_edges = set(build_conflict_graph(scts, machine.tree))
     miner_edges = {tuple(e) for e in mined.edges}
     missing = sorted(real_edges - miner_edges)
@@ -264,9 +246,7 @@ def validate_block(program: ast.Program, mined: MinedBlock,
                       "miner's graph omits conflicting pairs: " +
                       ", ".join(str(list(e)) for e in missing))
     # execution honors the union graph; index order satisfies any graph
-    for sct in scts:
-        sct.status = _execute_sct(machine, sct, MINER_RETRY_BUDGET)
-    statuses = [s.status for s in scts]
+    statuses = _execute(machine, scts, range(len(scts)))
     h = machine.state_hash()
     hash_ok = h == mined.final_state_hash
     status_ok = statuses == list(mined.status)
@@ -283,11 +263,12 @@ def validate_block(program: ast.Program, mined: MinedBlock,
 def serial_execute(program: ast.Program, block: Block,
                    order: Optional[list[int]] = None) -> tuple[str, list]:
     """Oracle: run the block's transactions one at a time in the given
-    index order (no retries) and return (state hash, statuses)."""
+    index order and return (state hash, statuses)."""
     n = len(block.txns)
     if order is None:
         order = list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the txn indices")
-    machine, _targets, scts = _run_block(program, block, list(order), 0)
-    return machine.state_hash(), [s.status for s in scts]
+    machine, scts = _prepare(program, block)
+    statuses = _execute(machine, scts, order)
+    return machine.state_hash(), statuses

@@ -49,54 +49,48 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_checked(path: str, as_json: bool) -> ast.Program | None:
-    """Parse + desugar + typecheck; print diagnostics; core program or None."""
+def _load_checked(path: str, as_json: bool
+                  ) -> tuple[ast.Program, ast.Program] | None:
+    """Parse + desugar + typecheck; print diagnostics; (surface, core) or
+    None. The surface tree is kept for the transpiler, so compound
+    assignments survive."""
     src = _read(path)
     diags = Diagnostics()
-    program = None
+    loaded = None
     try:
         program, pdiags = parse_program(src)
         diags.extend(pdiags)
-    except OvError as err:
-        diags.items.append(err.diagnostic)
-    core = None
-    if program is not None:
         core = desugar(program)
         diags.extend(check_program(core))
+        loaded = (program, core)
+    except OvError as err:
+        diags.items.append(err.diagnostic)
     _emit_diags(diags, as_json)
-    return None if diags.has_errors() else core
+    return None if diags.has_errors() else loaded
 
 
 def cmd_check(args) -> int:
     worst = EXIT_OK
     for path in args.files:
         try:
-            src = _read(path)
+            loaded = _load_checked(path, args.json)
         except OSError as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_IO
-        diags = Diagnostics()
-        try:
-            program, pdiags = parse_program(src)
-            diags.extend(pdiags)
-            diags.extend(check_program(desugar(program)))
-        except OvError as err:
-            diags.items.append(err.diagnostic)
-        _emit_diags(diags, args.json)
-        if diags.has_errors():
+        if loaded is None:
             worst = EXIT_DIAG
     return worst
 
 
 def cmd_run(args) -> int:
     try:
-        core = _load_checked(args.file, args.json)
+        loaded = _load_checked(args.file, args.json)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    if core is None:
+    if loaded is None:
         return EXIT_DIAG
-    machine = Machine(core, seed=args.seed, naive=args.naive)
+    machine = Machine(loaded[1], seed=args.seed, naive=args.naive)
     try:
         report = machine.run(fuel=args.fuel)
     except OvError as err:
@@ -118,14 +112,13 @@ def cmd_run(args) -> int:
 
 def cmd_transpile(args) -> int:
     try:
-        core = _load_checked(args.file, False)
+        loaded = _load_checked(args.file, False)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    if core is None:
+    if loaded is None:
         return EXIT_DIAG
-    # emit from the surface tree so compound assignments survive
-    surface, _ = parse_program(_read(args.file))
+    surface = loaded[0]
     cfg = tp.EmitterConfig(style=args.style)
     try:
         files = tp.transpile_program(surface, cfg)
@@ -144,7 +137,7 @@ def cmd_transpile(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        core = _load_checked(args.program, False)
+        loaded = _load_checked(args.program, False)
         raw = json.loads(_read(args.block))
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -152,17 +145,14 @@ def cmd_simulate(args) -> int:
     except json.JSONDecodeError as err:
         print(f"error: block is not valid JSON: {err}", file=sys.stderr)
         return EXIT_IO
-    if core is None:
+    if loaded is None:
         return EXIT_DIAG
+    core = loaded[1]
     try:
         block = blocksched.parse_block(raw)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    if args.workers is not None:
-        block.workers = args.workers
-    if args.seed is not None:
-        block.seed = args.seed
     try:
         mined = blocksched.mine_block(core, block)
         validation = blocksched.validate_block(core, mined, block)
@@ -206,18 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="mine and validate a transaction block")
     p.add_argument("program")
     p.add_argument("block")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fuel", 1) <= 0 or (getattr(args, "workers", None) or 1) <= 0:
-        print("error: fuel/workers must be positive", file=sys.stderr)
+    if getattr(args, "fuel", 1) <= 0:
+        print("error: fuel must be positive", file=sys.stderr)
         return EXIT_IO
-    if getattr(args, "seed", 0) is not None and getattr(args, "seed", 0) < 0:
+    if getattr(args, "seed", 0) < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return EXIT_IO
     return args.func(args)

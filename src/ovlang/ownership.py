@@ -151,11 +151,6 @@ class OwnershipTree:
     def remove(self, loc: int) -> None:
         del self.owners[loc]
 
-    def owner_of(self, loc: int) -> Optional[int]:
-        if loc not in self.owners:
-            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
-        return self.owners[loc]
-
     def ancestors(self, loc: int) -> list[int]:
         """The ownership chain from loc (inclusive) up to a top-owned root."""
         if loc not in self.owners:

@@ -141,6 +141,7 @@ class Machine:
         self.pre_checks = 0
         self.post_checks = 0
         self.invariant_evals = 0
+        self.root_commits = 0  # frames committed straight into a root frame
         self.events: list[dict] = []
         self.failures: list[dict] = []
         self.steps = 0
@@ -386,6 +387,7 @@ class Machine:
             parent.events.extend(frame.events)
         if len(thread.frames) == 1:
             self.alpha = None
+            self.root_commits += 1
         return None
 
     def _abort(self, thread: Thread) -> None:
@@ -515,11 +517,6 @@ class Machine:
         blob = "".join(parts) + "|valid=" + ",".join(
             str(i) for i in sorted(self.sigma))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def check_quiescent(self) -> bool:
-        """Debug oracle: every member of the valid set satisfies its
-        invariant right now (counters deliberately not restored)."""
-        return all(self.eval_invariant(loc) for loc in sorted(self.sigma))
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:

@@ -119,30 +119,6 @@ def _contains_exist(t: ast.TypeExpr) -> bool:
         isinstance(a, CtxExist) for a in t.args)
 
 
-def subtype(table: ClassTable, t1: ast.TypeExpr, t2: ast.TypeExpr) -> bool:
-    """Nominal subtyping with exact context arguments (no variance)."""
-    if t1 == t2:
-        return True
-    if not isinstance(t1, ast.ClassType) or not isinstance(t2, ast.ClassType):
-        return False
-    # walk t1's superclass chain, substituting context arguments
-    cur: Optional[ast.ClassType] = t1
-    seen: set[str] = set()
-    while cur is not None and cur.name not in seen:
-        seen.add(cur.name)
-        if cur.name == t2.name:
-            return cur == t2
-        decl = table.get(cur.name)
-        if decl is None or decl.superclass is None:
-            return False
-        if len(decl.ctx_params) != len(cur.args):
-            return False
-        cur = substitute(decl.superclass, decl.ctx_params, cur.args, EXIST)
-        # this never appears in extends clauses of well-formed classes, so
-        # the this-image above is irrelevant; EXIST keeps errors loud.
-    return False
-
-
 def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
              diags: Diagnostics, line: int = 0, col: int = 0,
              what: str = "value") -> bool:

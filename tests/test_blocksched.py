@@ -5,9 +5,9 @@ import random
 import pytest
 
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
-from ovlang.blocksched import (Block, MinedBlock, build_conflict_graph,
-                               interferes, mine_block, parse_block,
-                               serial_execute, validate_block)
+from ovlang.blocksched import (Block, MinedBlock, _execute, _prepare,
+                               build_conflict_graph, interferes, mine_block,
+                               parse_block, serial_execute, validate_block)
 from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
 
@@ -25,9 +25,8 @@ def flat_tree(n: int) -> OwnershipTree:
     return tree
 
 
-def block_of(deploys, txns, workers=1, seed=0) -> Block:
-    return parse_block({"deploy": deploys, "txns": txns,
-                        "workers": workers, "seed": seed})
+def block_of(deploys, txns) -> Block:
+    return parse_block({"deploy": deploys, "txns": txns})
 
 
 def accounts(n, amount=100):
@@ -136,15 +135,6 @@ class TestMine:
         h, _ = serial_execute(PROGRAM, b)
         assert mine_block(PROGRAM, b).final_state_hash == h
 
-    def test_worker_count_never_matters(self):
-        b = block_of(accounts(2, amount=10),
-                     [{"target": "a0", "method": "deposit", "args": [1]},
-                      {"target": "a0", "method": "withdraw", "args": [4]},
-                      {"target": "a1", "method": "deposit", "args": [2]}])
-        outs = [mine_block(PROGRAM, b, workers=w).to_json()
-                for w in (1, 2, 4)]
-        assert outs[0] == outs[1] == outs[2]
-
     def test_unknown_target(self):
         b = block_of(accounts(1),
                      [{"target": "zz", "method": "deposit", "args": [1]}])
@@ -187,7 +177,7 @@ class TestValidate:
     def test_rejects_tampered_hash(self):
         b = self.block()
         mined = mine_block(PROGRAM, b)
-        forged = MinedBlock(mined.block, mined.edges, mined.status,
+        forged = MinedBlock(mined.edges, mined.status,
                             "0" * 64, mined.pre_checks, mined.post_checks)
         rep = validate_block(PROGRAM, forged, b)
         assert not rep.accepted and not rep.hash_matches
@@ -195,7 +185,7 @@ class TestValidate:
     def test_rejects_tampered_status(self):
         b = self.block()
         mined = mine_block(PROGRAM, b)
-        forged = MinedBlock(mined.block, mined.edges,
+        forged = MinedBlock(mined.edges,
                             ["aborted:R-POST-FAIL"] + mined.status[1:],
                             mined.final_state_hash,
                             mined.pre_checks, mined.post_checks)
@@ -206,7 +196,7 @@ class TestValidate:
         b = self.block()
         mined = mine_block(PROGRAM, b)
         assert mined.edges, "fixture must conflict"
-        forged = MinedBlock(mined.block, mined.edges[1:], mined.status,
+        forged = MinedBlock(mined.edges[1:], mined.status,
                             mined.final_state_hash,
                             mined.pre_checks, mined.post_checks)
         with pytest.raises(OvError) as exc:
@@ -216,7 +206,7 @@ class TestValidate:
     def test_extra_edges_tolerated(self):
         b = self.block()
         mined = mine_block(PROGRAM, b)
-        padded = MinedBlock(mined.block, mined.edges + [(1, 2)], mined.status,
+        padded = MinedBlock(mined.edges + [(1, 2)], mined.status,
                             mined.final_state_hash,
                             mined.pre_checks, mined.post_checks)
         assert validate_block(PROGRAM, padded, b).accepted
@@ -248,10 +238,81 @@ class TestSerialOracle:
             serial_execute(PROGRAM, b, [1])
 
 
+HOLDER = check_clean("""\
+class Box[o] {
+    int v = 0;
+}
+
+class Holder[o] {
+    Box<this> b = null;
+
+    void make(int x) <this,this> {
+        b = new Box<this>();
+        require(x > 0);
+    }
+}
+""")
+
+OUTER = check_clean("""\
+class Inner[o] {
+    int v = 0;
+    inv v >= 0;
+
+    void dec(int x) <this,this> {
+        v -= x;
+    }
+}
+
+class Outer[o] {
+    Inner<this> i = new Inner<this>();
+    int n = 0;
+
+    void go(int x) <this,this> {
+        n += 1;
+        atomic i.dec(x);
+    }
+}
+""")
+
+
+class TestOnePath:
+    """Miner, validator and serial oracle run each transaction once and
+    end in the same state."""
+
+    def agree(self, program, b):
+        mined = mine_block(program, b)
+        rep = validate_block(program, mined, b)
+        h, statuses = serial_execute(program, b)
+        assert rep.accepted
+        assert mined.final_state_hash == rep.final_state_hash == h
+        assert mined.status == rep.status == statuses
+        return mined
+
+    def test_aborted_allocation_does_not_shift_later_locations(self):
+        b = block_of([{"id": "h0", "class": "Holder"},
+                      {"id": "h1", "class": "Holder"}],
+                     [{"target": "h0", "method": "make", "args": [0]},
+                      {"target": "h1", "method": "make", "args": [1]}])
+        mined = self.agree(HOLDER, b)
+        assert mined.status == ["aborted:R-REQUIRE", "committed"]
+
+    def test_contained_abort_leaves_the_txn_committed(self):
+        b = block_of([{"id": "o", "class": "Outer"}],
+                     [{"target": "o", "method": "go", "args": [5]}])
+        mined = self.agree(OUTER, b)
+        assert mined.status == ["committed"]
+        machine, scts = _prepare(OUTER, b)
+        assert _execute(machine, scts, [0]) == ["committed"]
+        outer = machine.heap[scts[0].loc]
+        assert outer.fields["n"] == 1
+        assert machine.heap[outer.fields["i"].index].fields["v"] == 0
+        assert machine.state_hash() == mined.final_state_hash
+
+
 class TestParseBlock:
     def test_defaults(self):
-        b = parse_block({"deploy": [], "txns": []})
-        assert b.workers == 1 and b.seed == 0
+        b = parse_block({})
+        assert b.deploys == [] and b.txns == []
 
     @pytest.mark.parametrize("data", [
         [],
@@ -264,6 +325,8 @@ class TestParseBlock:
         {"deploy": [], "txns": [], "workers": True},
         {"deploy": [], "txns": [], "seed": "x"},
         {"deploy": [{"id": "a", "class": "C", "args": ["str"]}], "txns": []},
+        {"deploy": [], "txns": [], "workers": 2},
+        {"deploy": [], "txns": [], "gas": 1},
     ])
     def test_schema_violations(self, data):
         with pytest.raises(ValueError):

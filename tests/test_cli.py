@@ -155,9 +155,9 @@ class TestSimulate:
         assert out["validation"]["accepted"] is True
 
     def test_repeat_runs_identical(self, capsys):
-        main(["simulate", BANK, CONFLICT, "--workers", "1"])
+        main(["simulate", BANK, CONFLICT])
         first = capsys.readouterr().out
-        main(["simulate", BANK, CONFLICT, "--workers", "4"])
+        main(["simulate", BANK, CONFLICT])
         assert capsys.readouterr().out == first
 
     def test_malformed_json(self, capsys, tmp_path):
@@ -169,6 +169,17 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"deploy": [{"id": "a"}], "txns": []}))
         assert main(["simulate", BANK, str(bad)]) == 2
+
+    def test_unknown_block_field(self, capsys, tmp_path):
+        blk = tmp_path / "b.json"
+        blk.write_text(json.dumps({"deploy": [], "txns": [], "workers": 2}))
+        assert main(["simulate", BANK, str(blk)]) == 2
+        assert "unknown block fields: workers" in capsys.readouterr().err
+
+    def test_workers_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", BANK, CONFLICT, "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_target(self, capsys, tmp_path):
         blk = tmp_path / "b.json"
