@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import ast
-from .ast import Contract, CtxLoc, CtxTop
+from .ast import Contract, CtxBot, CtxLoc, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, substitute, subtrees_intersect
 from .runtime import FailureValue, Loc, Machine
@@ -123,12 +123,40 @@ def interferes(d1: Contract, d2: Contract, tree: OwnershipTree) -> bool:
 
 
 def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
-    edges = []
-    for i in range(len(scts)):
-        for j in range(i + 1, len(scts)):
-            if interferes(scts[i].contract, scts[j].contract, tree):
-                edges.append((i, j))
-    return edges
+    """The interfering pairs (i, j), i < j, in sorted order.
+
+    Two location contexts meet iff one lies on the other's ancestor chain,
+    so candidates come from buckets over the deployed tree: `writers[a]`
+    holds the transactions whose invalidity is l_a, `under[a]` those whose
+    invalidity lies in subtree(a). A context l_x meets the invalidity of
+    every transaction in `under[x]` and in `writers[a]` for each strict
+    ancestor a of x. A transaction with a context that is neither Bot nor
+    a location is paired with every other one. `interferes`, the one
+    definition of interference, confirms each candidate."""
+    writers: dict[int, list[int]] = {}
+    under: dict[int, list[int]] = {}
+    located: list[tuple[int, set[int]]] = []
+    pairs: set[tuple[int, int]] = set()
+    for i, sct in enumerate(scts):
+        d = sct.contract
+        ctxs = (d.validity, d.invalidity)
+        if not all(isinstance(k, (CtxLoc, CtxBot)) for k in ctxs):
+            pairs.update((min(i, j), max(i, j))
+                         for j in range(len(scts)) if j != i)
+            continue
+        located.append((i, {k.index for k in ctxs if isinstance(k, CtxLoc)}))
+        if isinstance(d.invalidity, CtxLoc):
+            writers.setdefault(d.invalidity.index, []).append(i)
+            for a in tree.ancestors(d.invalidity.index):
+                under.setdefault(a, []).append(i)
+    for j, locs in located:
+        for x in locs:
+            hits = list(under.get(x, ()))
+            for a in tree.ancestors(x)[1:]:
+                hits.extend(writers.get(a, ()))
+            pairs.update((min(i, j), max(i, j)) for i in hits if i != j)
+    return [(i, j) for i, j in sorted(pairs)
+            if interferes(scts[i].contract, scts[j].contract, tree)]
 
 
 def _library(program: ast.Program) -> ast.Program:

@@ -4,6 +4,10 @@ runtime ownership tree.
 A context denotes the subtree of the ownership tree rooted at it: Top is the
 whole tree, Bot the empty set, This the current object, a parameter whatever
 it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
+
+The runtime tree keeps each location's owner and, beside it, the children
+each location owns directly, so a subtree is enumerated by walking only that
+subtree, and the live set is read from the tree rather than from the heap.
 """
 from __future__ import annotations
 
@@ -137,19 +141,31 @@ def owner_bound(t: ast.TypeExpr) -> Context:
 
 
 class OwnershipTree:
-    """which-owns-which at runtime; owner None means owned by top."""
+    """which-owns-which at runtime; owner None means owned by top. `owners`
+    holds the live locations in allocation order; `children` maps each of
+    them to the locations it owns directly."""
 
     def __init__(self) -> None:
         self.owners: dict[int, Optional[int]] = {}
+        self.children: dict[int, set[int]] = {}
 
     def add(self, loc: int, owner: Optional[int]) -> None:
         assert loc not in self.owners
         if owner is not None and owner not in self.owners:
             raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
         self.owners[loc] = owner
+        self.children[loc] = set()
+        if owner is not None:
+            self.children[owner].add(loc)
 
     def remove(self, loc: int) -> None:
-        del self.owners[loc]
+        """Drop a leaf: aborts remove created objects newest first, so a
+        location's children are always gone before it."""
+        assert not self.children[loc], f"l{loc} still owns objects"
+        owner = self.owners.pop(loc)
+        del self.children[loc]
+        if owner is not None:
+            self.children[owner].remove(loc)
 
     def ancestors(self, loc: int) -> list[int]:
         """The ownership chain from loc (inclusive) up to a top-owned root."""
@@ -182,7 +198,16 @@ class OwnershipTree:
         if isinstance(k, CtxTop):
             return set(self.owners)
         assert isinstance(k, CtxLoc), f"unresolved context {k}"
-        return {l for l in self.owners if self.runtime_inside(l, k)}
+        root = k.index
+        if root not in self.owners:
+            raise OvError("E-DANGLING", f"location l{root} is not in the heap")
+        out = set()
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            out.add(cur)
+            stack.extend(self.children[cur])
+        return out
 
 
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:

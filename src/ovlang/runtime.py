@@ -3,9 +3,10 @@
 Machine state: a lock flag, a heap, the set of locations currently known
 valid, per-thread frame stacks, and a thread list reduced by deterministic
 round-robin interleaving. Transactions nest linearly; each keeps a write
-log, a creation list, and a valid-set snapshot so aborts restore exactly
-the pre-transaction state. Constructors run as implicit <bot,this>
-transactions whose commit revalidates everything they created.
+log, a creation list, and a mark into the machine's undo log of valid-set
+changes, so aborts restore exactly the pre-transaction state. Constructors
+run as implicit <bot,this> transactions whose commit revalidates everything
+they created.
 """
 from __future__ import annotations
 
@@ -53,16 +54,15 @@ class ObjectRec:
 
 class Frame:
     __slots__ = ("kind", "contract", "log", "created", "created_set",
-                 "sigma_snapshot", "events")
+                 "sigma_mark", "events")
 
-    def __init__(self, kind: str, contract: Contract,
-                 sigma_snapshot: set[int]):
+    def __init__(self, kind: str, contract: Contract, sigma_mark: int):
         self.kind = kind  # "root" | "txn" | "ctor"
         self.contract = contract
         self.log: list[tuple[int, str, Value]] = []
         self.created: list[int] = []
         self.created_set: set[int] = set()
-        self.sigma_snapshot = sigma_snapshot
+        self.sigma_mark = sigma_mark  # length of Machine.sigma_log at begin
         self.events: list[dict] = []
 
 
@@ -83,7 +83,7 @@ class Thread:
         self.control: tuple = ("expr", expr)
         self.env = env
         self.konts: list[tuple] = []
-        self.frames: list[Frame] = [Frame("root", ROOT_CONTRACT, set())]
+        self.frames: list[Frame] = [Frame("root", ROOT_CONTRACT, 0)]
         self.done = False
         self.failure: Optional[FailureValue] = None
 
@@ -133,6 +133,10 @@ class Machine:
         self.table = ClassTable(program)
         self.heap: list[Optional[ObjectRec]] = []
         self.sigma: set[int] = set()
+        # membership changes to sigma, as (loc, added), since the outermost
+        # begin; one log serves every thread, since alpha admits one thread
+        # at a time into a transaction
+        self.sigma_log: list[tuple[int, bool]] = []
         self.tree = OwnershipTree()
         self.threads: list[Thread] = []
         self.cursor = seed
@@ -234,13 +238,13 @@ class Machine:
 
     # -- heap / valid set ------------------------------------------------------
     def dom(self) -> list[int]:
-        return [i for i, o in enumerate(self.heap) if o is not None]
+        return list(self.tree.owners)
 
     def _subtree(self, k) -> set[int]:
         if isinstance(k, CtxBot):
             return set()
         if isinstance(k, CtxTop):
-            return set(self.dom())
+            return set(self.tree.owners)
         if isinstance(k, CtxLoc):
             return self.tree.runtime_subtree(k)
         raise OvError("E-STUCK", f"no subtree for context {k}")
@@ -296,14 +300,24 @@ class Machine:
         except (OvError, ZeroDivisionError, TypeError):
             raise _InvFail from None
 
+    def _mark_valid(self, loc: int) -> None:
+        if loc not in self.sigma:
+            self.sigma.add(loc)
+            self.sigma_log.append((loc, True))
+
+    def _mark_invalid(self, loc: int) -> None:
+        if loc in self.sigma:
+            self.sigma.remove(loc)
+            self.sigma_log.append((loc, False))
+
     def assert_valid(self, loc: int) -> bool:
         members = sorted(self.tree.runtime_subtree(CtxLoc(loc)))
         result = True
         for m in members:
             if self.eval_invariant(m):
-                self.sigma.add(m)
+                self._mark_valid(m)
             else:
-                self.sigma.discard(m)
+                self._mark_invalid(m)
                 result = False
         return result
 
@@ -324,17 +338,19 @@ class Machine:
             frame.log.append((loc, fname, obj.fields.get(fname)))
         obj.fields[fname] = value
         for anc in self.tree.ancestors(loc):
-            self.sigma.discard(anc)
+            self._mark_invalid(anc)
         return None
 
     # -- transactions -----------------------------------------------------------
     def _begin(self, thread: Thread, kind: str,
                contract: Contract) -> Optional[FailureValue]:
         parent = thread.frames[-1]
-        # snapshot before the pre-checks: an abort must restore the exact
+        if parent.kind == "root":
+            self.sigma_log.clear()
+        # mark before the pre-checks: an abort must restore the exact
         # pre-begin state hash, so validity knowledge recovered at begin
         # may not outlive the transaction
-        snapshot = set(self.sigma)
+        mark = len(self.sigma_log)
         sub_v = self._subtree(contract.validity)
         p_inv = parent.contract.invalidity
         if isinstance(p_inv, CtxTop):
@@ -351,10 +367,10 @@ class Machine:
             if not self.naive:
                 self.pre_checks += 1
             if self.eval_invariant(loc):
-                self.sigma.add(loc)
+                self._mark_valid(loc)
             else:
                 return FailureValue("R-PRE-FAIL", "Validity fails pre-check")
-        thread.frames.append(Frame(kind, contract, snapshot))
+        thread.frames.append(Frame(kind, contract, mark))
         if len(thread.frames) == 2:
             self.alpha = thread.tid
         return None
@@ -375,7 +391,8 @@ class Machine:
         if not ok:
             self._abort(thread)
             return FailureValue("R-POST-FAIL", "Validity fails post-check")
-        self.sigma |= reval
+        for loc in reval:
+            self._mark_valid(loc)
         thread.frames.pop()
         parent = thread.frames[-1]
         parent.log.extend(frame.log)
@@ -399,8 +416,13 @@ class Machine:
         for loc in reversed(frame.created):
             self.heap[loc] = None
             self.tree.remove(loc)
-        self.sigma.clear()
-        self.sigma |= frame.sigma_snapshot
+        log = self.sigma_log
+        while len(log) > frame.sigma_mark:
+            loc, added = log.pop()
+            if added:
+                self.sigma.remove(loc)
+            else:
+                self.sigma.add(loc)
         if len(thread.frames) == 1:
             self.alpha = None
 
@@ -493,6 +515,7 @@ class Machine:
                 raise OvError("E-FUEL", f"step budget of {fuel} exhausted")
             self._reduce(t)
             steps += 1
+            self.steps += 1
         val = t.control[1]
         return val
 

@@ -235,6 +235,66 @@ def test_aborted_transactions_restore_state_hash():
         assert isinstance(out, FailureValue), trial
         assert out.code == "R-POST-FAIL", trial
         assert m.state_hash() == before, trial
+
+    def deployed(program, cls, *args):
+        m = Machine(program)
+        locs = [m.run_expression(ast.New(ast.ClassType(cls, [TOP]),
+                                         [ast.Const(a)])) for a in args]
+        return m, locs, {f"o{i}": loc for i, loc in enumerate(locs)}
+
+    def call(var, method, *args):
+        return ast.Call(ast.Var(var), method, [ast.Const(a) for a in args])
+
+    def run(m, d, body, env):
+        return m.run_expression(ast.Atomic(d, body), {**env, "#ctx": {}})
+
+    # an outer abort undoes a nested atomic that committed, and the
+    # validity its own pre-check recovered
+    m, (a0, a1), env = deployed(core, "Account", 10, 10)
+    m.sigma.discard(a0.index)
+    before = m.state_hash()
+    inner = ast.Atomic(Contract(CtxLoc(a0.index), CtxLoc(a0.index)),
+                       call("o0", "deposit", 5))
+    out = run(m, Contract(TOP, TOP),
+              ast.Seq(inner, call("o1", "withdraw", 50)), env)
+    assert out.code == "R-POST-FAIL"
+    assert a0.index not in m.sigma and m.state_hash() == before
+
+    # an aborted allocation takes its object's valid-set entry with it
+    nest = check_clean(NEST_SRC)
+    m, (h,), env = deployed(nest, "Holder", 1)
+    before = m.state_hash()
+    out = run(m, Contract(CtxLoc(h.index), CtxLoc(h.index)),
+              call("o0", "make", 5), env)
+    assert out.code == "R-REQUIRE"
+    assert m.dom() == [h.index] and h.index + 1 not in m.sigma
+    assert m.state_hash() == before
+
+    # validity recovered by a pre-check goes when the body aborts
+    m, (a0,), env = deployed(core, "Account", 10)
+    m.sigma.discard(a0.index)
+    before = m.state_hash()
+    out = run(m, Contract(CtxLoc(a0.index), CtxLoc(a0.index)),
+              ast.Seq(call("o0", "deposit", 1), ast.Require(ast.Const(False))),
+              env)
+    assert out.code == "R-REQUIRE"
+    assert a0.index not in m.sigma and m.state_hash() == before
+
+    # a failed pre-check pushes no frame: the validity it recovered before
+    # failing stays, also through a later abort
+    m, (a0, a1), env = deployed(core, "Account", 10, 10)
+    m.heap[a1.index].fields["amount"] = -1
+    m.sigma.difference_update({a0.index, a1.index})
+    before = m.state_hash()
+    out = run(m, Contract(TOP, TOP), call("o0", "deposit", 1), env)
+    assert out.code == "R-PRE-FAIL"
+    assert a0.index in m.sigma and a1.index not in m.sigma
+    kept = m.state_hash()
+    assert kept != before
+    out = run(m, Contract(CtxLoc(a0.index), CtxLoc(a0.index)),
+              call("o0", "withdraw", 50), env)
+    assert out.code == "R-POST-FAIL"
+    assert m.state_hash() == kept
     assert time.monotonic() - t0 < 10.0
 
 

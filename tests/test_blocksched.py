@@ -1,11 +1,13 @@
 """Block execution: interference, conflict graphs, miner, validator."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from ovlang import blocksched
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
-from ovlang.blocksched import (Block, MinedBlock, _execute, _prepare,
+from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
                                parse_block, serial_execute, validate_block)
 from ovlang.diagnostics import OvError
@@ -109,6 +111,95 @@ class TestGraph:
         assert mined.edges == [] and mined.status == []
 
 
+def all_pairs(scts, tree):
+    """The reference graph: every pair, in index order, through interferes."""
+    return [(i, j) for i in range(len(scts)) for j in range(i + 1, len(scts))
+            if interferes(scts[i].contract, scts[j].contract, tree)]
+
+
+def random_forest(rng):
+    """A forest of 3 to 30 locations whose first three form a chain, so it
+    is at least three deep; returns the tree and its locations."""
+    n = rng.randrange(3, 31)
+    tree = OwnershipTree()
+    for i in range(n):
+        owner = i - 1 if 0 < i < 3 else rng.choice([None] + list(range(i)))
+        tree.add(i, owner)
+    return tree, list(range(n))
+
+
+class TestConflictGraphOracle:
+    def test_candidate_pairs_match_all_pairs(self):
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(600):
+            tree, locs = random_forest(rng)
+            # few hot locations, so several transactions share each one
+            hot = rng.sample(locs, rng.randrange(1, min(len(locs), 6) + 1))
+            pool = ([TOP, BOT] * rng.randrange(0, 2)
+                    + [BOT] + [CtxLoc(i) for i in hot] * 3)
+            scts = [Sct(index=i, target="", method="", args=[],
+                        contract=Contract(rng.choice(pool), rng.choice(pool)))
+                    for i in range(rng.randrange(0, 25))]
+            want = all_pairs(scts, tree)
+            assert build_conflict_graph(scts, tree) == want
+            checked += len(want)
+        assert checked > 1000  # the forests really produced edges
+
+    def test_top_context_pairs_with_everyone(self):
+        tree, _ = random_forest(random.Random(2))
+        scts = [Sct(index=i, target="", method="", args=[], contract=d)
+                for i, d in enumerate([Contract(CtxLoc(2), CtxLoc(2)),
+                                       Contract(TOP, BOT),
+                                       Contract(BOT, CtxLoc(0)),
+                                       Contract(CtxLoc(1), BOT)])]
+        # the Top reader meets both writers but not the other reader
+        assert build_conflict_graph(scts, tree) == all_pairs(scts, tree) == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+
+
+def bank_txns(rng, n):
+    """n deposit, withdraw and balance calls on random accounts of n."""
+    txns = []
+    for _ in range(n):
+        method = rng.choice(("deposit", "withdraw", "balance"))
+        args = [] if method == "balance" else [rng.randrange(1, 80)]
+        txns.append({"target": f"a{rng.randrange(n)}", "method": method,
+                     "args": args})
+    return txns
+
+
+class TestLinearWork:
+    """Mining a sparse block does work linear in its transactions and
+    edges: no all-pairs interference loop, no heap-wide subtree scans."""
+
+    def test_call_counts_stay_linear(self, monkeypatch):
+        n = 2000
+        txns = bank_txns(random.Random(5), n)
+        writes = Counter(t["target"] for t in txns if t["method"] != "balance")
+        reads = Counter(t["target"] for t in txns if t["method"] == "balance")
+        # pairs on one account with at least one writer
+        edges = sum(w * (w - 1) // 2 + w * reads[a] for a, w in writes.items())
+        calls = Counter()
+
+        def counted(name, fn, bound):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                # fail at once rather than after a quadratic run
+                assert calls[name] <= bound, f"{name}: over {bound} calls"
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(blocksched, "interferes",
+                            counted("interferes", interferes, 2 * (n + edges)))
+        monkeypatch.setattr(OwnershipTree, "runtime_inside",
+                            counted("runtime_inside",
+                                    OwnershipTree.runtime_inside, 4 * n))
+        mined = mine_block(PROGRAM, block_of(accounts(n), txns))
+        assert len(mined.edges) == edges
+        assert calls["interferes"] >= edges  # the counter really counted
+
+
 class TestMine:
     def test_statuses_and_abort_isolation(self):
         b = block_of(accounts(2, amount=10),
@@ -129,6 +220,15 @@ class TestMine:
         h, statuses = serial_execute(PROGRAM, b)
         assert mined.final_state_hash == h
         assert mined.status == statuses
+
+    def test_machine_counts_block_steps(self):
+        b = block_of(accounts(2),
+                     [{"target": "a0", "method": "deposit", "args": [5]}])
+        machine, scts = _prepare(PROGRAM, b)
+        deployed = machine.steps
+        assert deployed > 0
+        _execute(machine, scts, [0])
+        assert machine.steps > deployed
 
     def test_empty_block_hashes_deployed_heap(self):
         b = block_of(accounts(1), [])

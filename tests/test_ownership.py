@@ -171,6 +171,34 @@ class TestTree:
         tree.remove(1)
         assert tree.runtime_subtree(CtxLoc(0)) == {0}
 
+    def test_removed_root_is_dangling(self):
+        tree = build_tree({0: None, 1: None})
+        tree.remove(1)
+        with pytest.raises(OvError) as exc:
+            tree.runtime_subtree(CtxLoc(1))
+        assert exc.value.code == "E-DANGLING"
+
+    def test_random_add_remove_matches_enumeration(self):
+        # locations are never reused, and only leaves are removed, as the
+        # runtime does when an abort drops the objects it created
+        rng = random.Random(23)
+        for _ in range(150):
+            tree, owners, fresh = OwnershipTree(), {}, 0
+            for _step in range(rng.randrange(1, 40)):
+                leaves = sorted(set(owners) - set(owners.values()))
+                if leaves and rng.random() < 0.35:
+                    loc = rng.choice(leaves)
+                    tree.remove(loc)
+                    del owners[loc]
+                else:
+                    owner = rng.choice([None] + sorted(owners))
+                    tree.add(fresh, owner)
+                    owners[fresh] = owner
+                    fresh += 1
+                for k in [CtxTop(), CtxBot()] + [CtxLoc(i) for i in owners]:
+                    assert tree.runtime_subtree(k) == \
+                        enumerate_subtree(owners, k)
+
 
 class TestSubtreesIntersect:
     def test_siblings_disjoint(self):
