@@ -230,6 +230,18 @@ class PrimOp(Expr):
     args: list[Expr] = field(default_factory=list)
 
 
+# Binary operator precedence, loosest to tightest; every level is
+# left-associative. The parser, the printer and the Solidity emitter all read
+# this one table (Solidity orders this subset the same way).
+BINARY_PREC = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+
 @dataclass
 class Seq(Expr):
     first: Expr = field(default_factory=Expr)

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the OV dialect.
+"""Recursive-descent parser for the OV dialect; binary operators are parsed
+by precedence climbing over ast.BINARY_PREC.
 
 parse_program normalizes surface contracts as it goes: an invalidity written
 as `top` means "pre-check only" and is rewritten to `bot` with a
@@ -52,12 +53,6 @@ class Parser:
         t = self.peek()
         want = what or f"'{kind}'"
         raise ParseFail(f"expected {want}, found {t.text or 'end of input'!r}", t)
-
-    def save(self) -> int:
-        return self.i
-
-    def restore(self, mark: int) -> None:
-        self.i = mark
 
     # -- program ------------------------------------------------------------
     def program(self) -> ast.Program:
@@ -117,7 +112,7 @@ class Parser:
     def member(self, decl: ast.ClassDecl) -> None:
         tok = self.peek()
         if self.accept("inv"):
-            e = self.expr()
+            e = self.assign()
             self.expect(";")
             decl.invariants.append(e)
             return
@@ -145,7 +140,7 @@ class Parser:
         else:
             init = None
             if self.accept("="):
-                init = self.expr()
+                init = self.assign()
             self.expect(";")
             decl.fields.append(ast.FieldDecl(ty, name, init, is_final,
                                              line=tok.line, col=tok.col))
@@ -177,7 +172,7 @@ class Parser:
         name = self.expect("id", "type name").text
         args: list[ast.Context] = []
         if self.at("<"):
-            mark = self.save()
+            mark = self.i
             try:
                 self.next()
                 args.append(self.context())
@@ -186,7 +181,7 @@ class Parser:
                 self.expect(">")
             except ParseFail:
                 # `x < y` in an expression position, not a generic type
-                self.restore(mark)
+                self.i = mark
                 args = []
         return ast.ClassType(name, args, line=tok.line, col=tok.col)
 
@@ -236,7 +231,7 @@ class Parser:
     def stmt(self) -> ast.Expr:
         tok = self.peek()
         if self.accept("return"):
-            e = self.expr()
+            e = self.assign()
             self.expect(";")
             return ast.Return(e, line=tok.line, col=tok.col)
         if self.accept("throw"):
@@ -245,13 +240,13 @@ class Parser:
         if self.accept("var"):
             name = self.expect("id", "variable name").text
             self.expect("=")
-            init = self.expr()
+            init = self.assign()
             self.expect(";")
             return ast.Let(name, None, init, line=tok.line, col=tok.col)
         decl = self.try_local_decl()
         if decl is not None:
             return decl
-        e = self.expr()
+        e = self.assign()
         # an atomic-with-block statement needs no trailing semicolon
         if not (isinstance(e, ast.Atomic) and isinstance(e.body, ast.Block)
                 and not self.at(";")):
@@ -263,29 +258,26 @@ class Parser:
     def try_local_decl(self) -> ast.Let | None:
         if self.peek().kind not in BASE_TYPES and not self.at("id"):
             return None
-        mark = self.save()
+        mark = self.i
         try:
             tok = self.peek()
             ty = self.type_expr()
             name = self.expect("id").text
             if self.accept("="):
-                init = self.expr()
+                init = self.assign()
             else:
                 init = default_init(ty)
             self.expect(";")
             return ast.Let(name, ty, init, line=tok.line, col=tok.col)
         except ParseFail:
-            self.restore(mark)
+            self.i = mark
             return None
 
     # -- expressions ----------------------------------------------------------
-    def expr(self) -> ast.Expr:
-        return self.assign()
-
     def assign(self) -> ast.Expr:
-        lhs = self.or_expr()
+        lhs = self.binary()
         tok = self.peek()
-        if self.at("="):
+        if tok.kind == "=":
             self.next()
             value = self.assign()
             if isinstance(lhs, ast.Var):
@@ -294,57 +286,26 @@ class Parser:
                 return ast.FieldSet(lhs.receiver, lhs.field_name, value,
                                     line=tok.line, col=tok.col)
             raise ParseFail("assignment target must be a variable or field", tok)
-        for op_tok in ("+=", "-=", "*=", "/=", "%="):
-            if self.at(op_tok):
-                self.next()
-                value = self.assign()
-                if not isinstance(lhs, (ast.Var, ast.FieldGet)):
-                    raise ParseFail("assignment target must be a variable or field", tok)
-                return ast.OpAssign(lhs, op_tok[0], value, line=tok.line, col=tok.col)
+        if tok.kind in ("+=", "-=", "*=", "/=", "%="):
+            self.next()
+            value = self.assign()
+            if not isinstance(lhs, (ast.Var, ast.FieldGet)):
+                raise ParseFail("assignment target must be a variable or field", tok)
+            return ast.OpAssign(lhs, tok.kind[0], value, line=tok.line, col=tok.col)
         return lhs
 
-    def or_expr(self) -> ast.Expr:
-        e = self.and_expr()
-        while self.at("||"):
-            tok = self.next()
-            e = ast.PrimOp("||", [e, self.and_expr()], line=tok.line, col=tok.col)
-        return e
-
-    def and_expr(self) -> ast.Expr:
-        e = self.equality()
-        while self.at("&&"):
-            tok = self.next()
-            e = ast.PrimOp("&&", [e, self.equality()], line=tok.line, col=tok.col)
-        return e
-
-    def equality(self) -> ast.Expr:
-        e = self.relational()
-        while self.at("==") or self.at("!="):
-            tok = self.next()
-            e = ast.PrimOp(tok.kind, [e, self.relational()], line=tok.line, col=tok.col)
-        return e
-
-    def relational(self) -> ast.Expr:
-        e = self.additive()
-        while self.peek().kind in ("<", "<=", ">", ">="):
-            tok = self.next()
-            e = ast.PrimOp(tok.kind, [e, self.additive()], line=tok.line, col=tok.col)
-        return e
-
-    def additive(self) -> ast.Expr:
-        e = self.multiplicative()
-        while self.at("+") or self.at("-"):
-            tok = self.next()
-            e = ast.PrimOp(tok.kind, [e, self.multiplicative()],
-                           line=tok.line, col=tok.col)
-        return e
-
-    def multiplicative(self) -> ast.Expr:
+    def binary(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing over ast.BINARY_PREC: parse operators that bind
+        at least as tightly as min_prec; every level is left-associative."""
         e = self.unary()
-        while self.peek().kind in ("*", "/", "%"):
-            tok = self.next()
-            e = ast.PrimOp(tok.kind, [e, self.unary()], line=tok.line, col=tok.col)
-        return e
+        while True:
+            tok = self.peek()
+            prec = ast.BINARY_PREC.get(tok.kind, 0)
+            if prec < min_prec:
+                return e
+            self.next()
+            e = ast.PrimOp(tok.kind, [e, self.binary(prec + 1)],
+                           line=tok.line, col=tok.col)
 
     def unary(self) -> ast.Expr:
         tok = self.peek()
@@ -370,9 +331,9 @@ class Parser:
         self.expect("(")
         args: list[ast.Expr] = []
         if not self.at(")"):
-            args.append(self.expr())
+            args.append(self.assign())
             while self.accept(","):
-                args.append(self.expr())
+                args.append(self.assign())
         self.expect(")")
         return args
 
@@ -391,7 +352,7 @@ class Parser:
         if self.accept("this"):
             return ast.This(line=tok.line, col=tok.col)
         if self.accept("("):
-            e = self.expr()
+            e = self.assign()
             self.expect(")")
             return e
         if self.at("{"):
@@ -412,15 +373,15 @@ class Parser:
             contract = None
             if self.at("<"):
                 contract = self.contract()
-            body = self.block() if self.at("{") else self.expr()
+            body = self.block() if self.at("{") else self.assign()
             return ast.Atomic(contract, body, line=tok.line, col=tok.col)
         if self.accept("fork"):
-            return ast.Fork(self.expr(), line=tok.line, col=tok.col)
+            return ast.Fork(self.assign(), line=tok.line, col=tok.col)
         if self.accept("valid"):
             return ast.Valid(self.unary(), line=tok.line, col=tok.col)
         if self.accept("require"):
             self.expect("(")
-            cond = self.expr()
+            cond = self.assign()
             self.expect(")")
             return ast.Require(cond, line=tok.line, col=tok.col)
         if self.accept("emit"):

@@ -9,14 +9,7 @@ from . import ast
 
 IND = "    "
 
-# precedence levels; higher binds tighter
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
+# levels above ast.BINARY_PREC's; higher binds tighter
 _UNARY = 7
 _POSTFIX = 8
 _ATOM = 9
@@ -28,7 +21,7 @@ def _prec(e: ast.Expr) -> int:
     if isinstance(e, ast.PrimOp):
         if len(e.args) == 1:
             return _UNARY
-        return _PREC[e.op]
+        return ast.BINARY_PREC[e.op]
     if isinstance(e, (ast.FieldGet, ast.Call)):
         return _POSTFIX
     if isinstance(e, (ast.Atomic, ast.Fork, ast.Valid)):
@@ -68,7 +61,7 @@ def _fmt(e: ast.Expr) -> str:
     if isinstance(e, ast.PrimOp):
         if len(e.args) == 1:
             return f"{e.op}{fmt_expr(e.args[0], _UNARY)}"
-        p = _PREC[e.op]
+        p = ast.BINARY_PREC[e.op]
         lhs = fmt_expr(e.args[0], p)
         rhs = fmt_expr(e.args[1], p + 1)
         return f"{lhs} {e.op} {rhs}"
@@ -117,12 +110,6 @@ def _braced_chain(e: ast.Expr, depth: int) -> str:
     return "{\n" + "\n".join(lines) + f"\n{pad}}}"
 
 
-def _body(e: ast.Expr, depth: int) -> str:
-    lines = [_stmt(s, depth + 1) for s in _chain(e)]
-    pad = IND * depth
-    return "{\n" + "\n".join(lines) + f"\n{pad}}}"
-
-
 def _params(ps: list[ast.Param]) -> str:
     return ", ".join(f"{p.type} {p.name}" for p in ps)
 
@@ -144,13 +131,13 @@ def pretty_print(p: ast.Program) -> str:
             out.append(f"{IND}{fin}{f.type} {f.name}{init};")
         for c in cls.ctors:
             out.append(f"{IND}{cls.name}({_params(c.params)}) "
-                       + _body(c.body, 1))
+                       + _braced_chain(c.body, 1))
         for m in cls.methods:
             out.append(f"{IND}{m.return_type} {m.name}({_params(m.params)}) "
-                       f"{m.contract} " + _body(m.body, 1))
+                       f"{m.contract} " + _braced_chain(m.body, 1))
         out.append("}")
         out.append("")
     if p.main is not None:
-        out.append("main " + _body(p.main, 0))
+        out.append("main " + _braced_chain(p.main, 0))
         out.append("")
     return "\n".join(out)

@@ -181,9 +181,10 @@ class Machine:
                 out[f.name] = None
         return out
 
-    def _ctx_bindings(self, obj: ObjectRec) -> dict:
-        """Parameter name -> runtime context, across the superclass chain
-        (nearest declaration wins on a name collision)."""
+    def _class_chain(self, obj: ObjectRec) -> list[tuple[ast.ClassDecl, list]]:
+        """(class, runtime context arguments) up the object's superclass
+        chain, nearest first. The owner args[0] is the image of `this`; the
+        walk stops at a cycle or at an arity mismatch."""
         pairs: list[tuple[ast.ClassDecl, list]] = []
         cls = self.table.get(obj.class_name)
         args = list(obj.ctx_args)
@@ -196,26 +197,23 @@ class Machine:
             sup = substitute(cls.superclass, cls.ctx_params, args, args[0])
             cls = self.table.get(sup.name)
             args = list(sup.args)
+        return pairs
+
+    def _ctx_bindings(self, obj: ObjectRec) -> dict:
+        """Parameter name -> runtime context, across the superclass chain
+        (nearest declaration wins on a name collision)."""
         merged: dict = {}
-        for cls, args in reversed(pairs):
+        for cls, args in reversed(self._class_chain(obj)):
             merged.update(zip(cls.ctx_params, args))
         return merged
 
     def _args_at(self, obj: ObjectRec, ancestor: str) -> list:
         """The object's runtime context arguments viewed at a superclass."""
-        cls = self.table.get(obj.class_name)
-        args = list(obj.ctx_args)
-        seen: set[str] = set()
-        while cls is not None and cls.name not in seen:
-            seen.add(cls.name)
+        chain = self._class_chain(obj)
+        for cls, args in chain:
             if cls.name == ancestor:
                 return args
-            if cls.superclass is None or len(cls.ctx_params) != len(args):
-                break
-            sup = substitute(cls.superclass, cls.ctx_params, args, args[0])
-            cls = self.table.get(sup.name)
-            args = list(sup.args)
-        return args
+        return chain[-1][1] if chain else list(obj.ctx_args)
 
     def _resolve_ctx(self, k, env: dict):
         if isinstance(k, CtxThis):

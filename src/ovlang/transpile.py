@@ -17,6 +17,8 @@ from .diagnostics import OvError
 IND = "    "
 
 PRAGMA = "pragma solidity >=0.5.16 <0.7.0;"
+# emitted contracts import the support bundle from the parent directory
+IMPORT_PREFIX = "../"
 
 STYLE_OVVALIDITY = "ovvalidity"
 STYLE_PRE_POST = "pre-post"
@@ -25,8 +27,6 @@ STYLE_PRE_POST = "pre-post"
 @dataclass
 class EmitterConfig:
     style: str = STYLE_OVVALIDITY
-    pragma: str = PRAGMA
-    import_prefix: str = "../"
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ interface OVValidity {
 """
 
 
-def bundle_api(cfg: EmitterConfig | None = None) -> dict[str, str]:
+def bundle_api() -> dict[str, str]:
     """The three support files every emitted contract imports from."""
     return {
         "Ownable.sol": OWNABLE_SOL,
@@ -206,15 +206,7 @@ def _modifier_text(d: ast.Contract, style: str) -> str:
 # ---------------------------------------------------------------------------
 # Expression / statement emission
 
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY = 7
-_ATOM = 9
+_UNARY = 7  # above every level of ast.BINARY_PREC
 
 
 def _reject(e: ast.Expr, why: str) -> OvError:
@@ -236,7 +228,7 @@ def _expr(e: ast.Expr, min_prec: int = 0) -> str:
         if len(e.args) == 1:
             text = f"{e.op}{_expr(e.args[0], _UNARY)}"
             return f"({text})" if _UNARY < min_prec else text
-        p = _PREC[e.op]
+        p = ast.BINARY_PREC[e.op]
         text = f"{_expr(e.args[0], p)} {e.op} {_expr(e.args[1], p + 1)}"
         return f"({text})" if p < min_prec else text
     if isinstance(e, ast.Call):
@@ -301,7 +293,8 @@ def emit_is_valid(c: ast.ClassDecl) -> str:
     if not c.invariants:
         body = "true"
     else:
-        body = " && ".join(_expr(inv, _PREC["&&"]) for inv in c.invariants)
+        body = " && ".join(_expr(inv, ast.BINARY_PREC["&&"])
+                           for inv in c.invariants)
     return (f"{IND}function isValid() external view returns (bool) {{\n"
             f"{IND}{IND}return {body};\n"
             f"{IND}}}\n")
@@ -350,10 +343,10 @@ def transpile_class(c: ast.ClassDecl, cfg: EmitterConfig | None = None) -> str:
     _check_class_shape(c)
     validity_iface = "Validity" if cfg.style == STYLE_PRE_POST else "OVValidity"
     out = [
-        cfg.pragma,
+        PRAGMA,
         "",
-        f"import '{cfg.import_prefix}Ownable.sol';",
-        f"import '{cfg.import_prefix}{validity_iface}.sol';",
+        f"import '{IMPORT_PREFIX}Ownable.sol';",
+        f"import '{IMPORT_PREFIX}{validity_iface}.sol';",
         "",
         f"contract {contract_name(c, cfg)} is Ownable, {validity_iface} {{",
     ]
@@ -380,7 +373,7 @@ def transpile_class(c: ast.ClassDecl, cfg: EmitterConfig | None = None) -> str:
 def transpile_program(p: ast.Program, cfg: EmitterConfig | None = None) -> dict[str, str]:
     """File name -> contents for every class plus the support bundle."""
     cfg = cfg or EmitterConfig()
-    files = dict(bundle_api(cfg))
+    files = bundle_api()
     for c in p.classes:
         files[f"{contract_name(c, cfg)}.sol"] = transpile_class(c, cfg)
     return files

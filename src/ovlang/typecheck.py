@@ -119,6 +119,26 @@ def _contains_exist(t: ast.TypeExpr) -> bool:
         isinstance(a, CtxExist) for a in t.args)
 
 
+def _instance_at(table: ClassTable, t: ast.ClassType,
+                 name: str) -> Optional[ast.ClassType]:
+    """The instance of t's superclass chain at class `name`, or None.
+    `this` in a superclass's arguments becomes EXIST; the walk stops at a
+    cycle or at an arity mismatch."""
+    cur: Optional[ast.ClassType] = t
+    seen: set[str] = set()
+    while cur is not None and cur.name not in seen:
+        seen.add(cur.name)
+        if cur.name == name:
+            return cur
+        decl = table.get(cur.name)
+        if decl is None or decl.superclass is None:
+            break
+        if len(decl.ctx_params) != len(cur.args):
+            break
+        cur = substitute(decl.superclass, decl.ctx_params, cur.args, EXIST)
+    return None
+
+
 def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
              diags: Diagnostics, line: int = 0, col: int = 0,
              what: str = "value") -> bool:
@@ -132,25 +152,10 @@ def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
     if isinstance(t1, ast.NullType) and isinstance(t2, ast.ClassType):
         return True
     if isinstance(t1, ast.ClassType) and isinstance(t2, ast.ClassType):
-        # find the superclass-chain instance of t1 at t2's class
-        cur: Optional[ast.ClassType] = t1
-        seen: set[str] = set()
-        while cur is not None and cur.name not in seen:
-            seen.add(cur.name)
-            if cur.name == t2.name:
-                if len(cur.args) == len(t2.args) and all(
-                        abstracts(env.ctx, a, b)
-                        for a, b in zip(cur.args, t2.args)):
-                    return True
-                diags.add("E-TYPE", f"cannot bind {t1} where {t2} is expected",
-                          line, col)
-                return False
-            decl = env.table.get(cur.name)
-            if decl is None or decl.superclass is None:
-                break
-            if len(decl.ctx_params) != len(cur.args):
-                break
-            cur = substitute(decl.superclass, decl.ctx_params, cur.args, EXIST)
+        inst = _instance_at(env.table, t1, t2.name)
+        if inst is not None and len(inst.args) == len(t2.args) and all(
+                abstracts(env.ctx, a, b) for a, b in zip(inst.args, t2.args)):
+            return True
         diags.add("E-TYPE", f"cannot bind {t1} where {t2} is expected", line, col)
         return False
     if type(t1) is type(t2):
@@ -334,19 +339,8 @@ class Checker:
     def _chain_args(self, env: TypeEnv, t: ast.ClassType,
                     ancestor: str) -> list[Context]:
         """Context arguments of t viewed at the (super)class `ancestor`."""
-        cur: Optional[ast.ClassType] = t
-        seen: set[str] = set()
-        while cur is not None and cur.name not in seen:
-            seen.add(cur.name)
-            if cur.name == ancestor:
-                return cur.args
-            decl = env.table.get(cur.name)
-            if decl is None or decl.superclass is None:
-                break
-            if len(decl.ctx_params) != len(cur.args):
-                break
-            cur = substitute(decl.superclass, decl.ctx_params, cur.args, EXIST)
-        return t.args
+        inst = _instance_at(env.table, t, ancestor)
+        return t.args if inst is None else inst.args
 
     def _field_set(self, env: TypeEnv, e: ast.FieldSet) -> ast.TypeExpr:
         rt = self.type_expr(env, e.receiver)

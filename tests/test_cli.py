@@ -35,6 +35,11 @@ class TestCheck:
         assert main(["check", str(NEGATIVE / "effect_raw_write.ov")]) == 1
         assert "E-EFFECT" in capsys.readouterr().err
 
+    def test_deeply_nested_parentheses(self, tmp_path):
+        src = tmp_path / "deep.ov"
+        src.write_text("main { var x = " + "(" * 120 + "1" + ")" * 120 + "; }")
+        assert main(["check", str(src)]) == 0
+
     def test_parse_error(self, capsys):
         assert main(["check", str(NEGATIVE / "parse_error.ov")]) == 1
         assert "E-PARSE" in capsys.readouterr().err

@@ -90,6 +90,44 @@ def test_operator_precedence():
         ast.Const(1), ast.PrimOp("*", [ast.Const(2), ast.Const(3)])])
 
 
+def parse_expr(text: str) -> ast.Expr:
+    p, _ = parse_program(f"main {{ var x = {text}; }}")
+    return p.main.stmts[0].init
+
+
+@pytest.mark.parametrize("loose,tight", [
+    ("||", "&&"), ("&&", "=="), ("==", "<"), ("!=", ">="), ("<=", "+"),
+    (">", "-"), ("+", "*"), ("-", "/"), ("+", "%"),
+])
+def test_precedence_levels(loose, tight):
+    # the Solidity order of these operators, loosest to tightest
+    a, b, c = ast.Var("a"), ast.Var("b"), ast.Var("c")
+    assert parse_expr(f"a {loose} b {tight} c") == ast.PrimOp(
+        loose, [a, ast.PrimOp(tight, [b, c])])
+    assert parse_expr(f"a {tight} b {loose} c") == ast.PrimOp(
+        loose, [ast.PrimOp(tight, [a, b]), c])
+
+
+def test_valid_binds_at_unary_level():
+    a, b = ast.Var("a"), ast.Var("b")
+    assert parse_expr("valid a && b") == ast.PrimOp("&&", [ast.Valid(a), b])
+    assert parse_expr("valid a.f") == ast.Valid(ast.FieldGet(a, "f"))
+
+
+def test_operators_keep_their_token_positions():
+    p, _ = parse_program("main {\n  var x = a -\n    b * c - d || !e;\n}")
+    alt = p.main.stmts[0].init
+    assert (alt.op, alt.line, alt.col) == ("||", 3, 15)
+    outer = alt.args[0]
+    assert (outer.op, outer.line, outer.col) == ("-", 3, 11)
+    inner = outer.args[0]
+    assert (inner.op, inner.line, inner.col) == ("-", 2, 13)
+    mul = inner.args[1]
+    assert (mul.op, mul.line, mul.col) == ("*", 3, 7)
+    neg = alt.args[1]
+    assert (neg.op, neg.line, neg.col) == ("!", 3, 18)
+
+
 def test_compound_assignment_survives_parsing():
     p, _ = parse_program(ACCOUNT)
     stmt = p.classes[0].methods[0].body.stmts[0]

@@ -1,4 +1,6 @@
 """Printing core programs back to parseable text."""
+import random
+
 import pytest
 
 from ovlang import ast
@@ -83,3 +85,39 @@ main {
     printed = pretty_print(core)
     assert "atomic c.a();" in printed
     assert roundtrip(core) == core
+
+
+def _random_expr(rng: random.Random, depth: int) -> ast.Expr:
+    """A random expression over every operator in ast.BINARY_PREC, unary
+    `!`/`-`, `valid`, field reads and calls, with Const/Var/This leaves."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ast.Const(rng.choice([0, 7, 42, True, False, None]))
+        if kind == 1:
+            return ast.Var(rng.choice("abc"))
+        return ast.This()
+    kind = rng.randrange(6)
+    sub = depth - 1
+    if kind <= 1:
+        op = rng.choice(sorted(ast.BINARY_PREC))
+        return ast.PrimOp(op, [_random_expr(rng, sub), _random_expr(rng, sub)])
+    if kind == 2:
+        return ast.PrimOp(rng.choice("!-"), [_random_expr(rng, sub)])
+    if kind == 3:
+        return ast.Valid(_random_expr(rng, sub))
+    if kind == 4:
+        return ast.FieldGet(_random_expr(rng, sub), rng.choice("fg"))
+    args = [_random_expr(rng, sub) for _ in range(rng.randrange(3))]
+    return ast.Call(_random_expr(rng, sub), "m", args)
+
+
+def test_random_expressions_reparse_to_the_same_tree():
+    # every precedence level and left-associativity, against the one table
+    # the parser and the printer share
+    rng = random.Random(20260105)
+    for _ in range(2000):
+        e = _random_expr(rng, rng.randint(1, 5))
+        text = fmt_expr(e)
+        p, _ = parse_program(f"main {{ var x = {text}; }}")
+        assert p.main.stmts[0].init == e, text
