@@ -18,7 +18,10 @@ from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, substitute, subtrees_intersect
-from .runtime import FailureValue, Loc, Machine
+from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine
+
+# interpreter steps one transaction may take before it aborts as R-GAS
+TXN_STEPS = DEFAULT_FUEL
 
 
 @dataclass
@@ -224,13 +227,19 @@ def _prepare(program: ast.Program, block: Block) -> tuple[Machine, list[Sct]]:
 def _execute_sct(machine: Machine, sct: Sct) -> str:
     """Run one transaction. Its status is whether its own top-level frame
     committed: a contained inner abort whose failure value the method
-    returns still leaves the transaction committed."""
+    returns still leaves the transaction committed. A transaction that
+    runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on."""
     expr = ast.Atomic(sct.contract,
                       ast.Call(ast.Var("__target"), sct.method,
                                [ast.Const(a) for a in sct.args]))
     commits = machine.root_commits
-    val = machine.run_expression(expr, {"__target": Loc(sct.loc),
-                                        "#ctx": {}})
+    try:
+        val = machine.run_expression(expr, {"__target": Loc(sct.loc),
+                                            "#ctx": {}}, fuel=TXN_STEPS)
+    except OvError as err:
+        if err.code != "E-FUEL":
+            raise
+        return "aborted:R-GAS"
     if machine.root_commits > commits:
         return "committed"
     assert isinstance(val, FailureValue)

@@ -1,7 +1,9 @@
 """Command-line driver: check, run, transpile, simulate.
 
 Exit codes: 0 success, 1 diagnostics / validity failure / validator
-mismatch, 2 I/O or schema trouble, 3 fuel exhaustion.
+mismatch, 2 I/O or schema trouble, or an error no command reports itself
+(input nested past Python's recursion limit, a stuck run), 3 fuel
+exhaustion.
 """
 from __future__ import annotations
 
@@ -208,7 +210,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return EXIT_IO
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        err = OvError("E-DEPTH", "input nests too deeply to process")
+    except OvError as exc:
+        err = exc
+    _emit_diags(Diagnostics([err.diagnostic]), getattr(args, "json", False))
+    return EXIT_IO
 
 
 if __name__ == "__main__":

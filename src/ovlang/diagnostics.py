@@ -26,6 +26,7 @@ ERROR_CODES = {
     "E-TRANSPILE-EXPR": "expression not expressible in the target",
     "E-STUCK": "no reduction rule applies",
     "E-FUEL": "fuel exhausted",
+    "E-DEPTH": "input nests past the recursion limit",
 }
 WARNING_CODES = {
     "W-TOP-INVALIDITY": "invalidity position `top` normalized to `bot`",

@@ -29,12 +29,17 @@ class Parser:
         self.diags = diags
 
     # -- token plumbing -----------------------------------------------------
+    # `next` never moves past the final eof token, so the current token is
+    # always toks[i]; only a look-ahead needs clamping.
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        if ahead:
+            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        if ahead:
+            return self.peek(ahead).kind == kind
+        return self.toks[self.i].kind == kind
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -309,14 +314,20 @@ class Parser:
 
     def unary(self) -> ast.Expr:
         tok = self.peek()
-        if self.accept("!"):
-            return ast.PrimOp("!", [self.unary()], line=tok.line, col=tok.col)
-        if self.accept("-"):
-            return ast.PrimOp("-", [self.unary()], line=tok.line, col=tok.col)
+        if tok.kind in ("!", "-"):
+            self.next()
+            return ast.PrimOp(tok.kind, [self.unary()], line=tok.line,
+                              col=tok.col)
         return self.postfix()
 
     def postfix(self) -> ast.Expr:
-        e = self.primary()
+        # the primary expression's rule is called from here, not through a
+        # `primary` method, so each nesting level costs no extra frame
+        tok = self.peek()
+        rule = _PRIMARY.get(tok.kind)
+        if rule is None:
+            raise ParseFail(f"unexpected {tok.text or 'end of input'!r} in expression", tok)
+        e = rule(self, tok)
         while self.at("."):
             self.next()
             name = self.expect("id", "member name").text
@@ -337,65 +348,98 @@ class Parser:
         self.expect(")")
         return args
 
-    def primary(self) -> ast.Expr:
-        tok = self.peek()
-        if self.at("num"):
-            self.next()
-            lex = tok.text if ("e" in tok.text or "E" in tok.text) else None
-            return ast.Const(num_value(tok.text), lex, line=tok.line, col=tok.col)
-        if self.accept("true"):
-            return ast.Const(True, line=tok.line, col=tok.col)
-        if self.accept("false"):
-            return ast.Const(False, line=tok.line, col=tok.col)
-        if self.accept("null"):
-            return ast.Const(None, line=tok.line, col=tok.col)
-        if self.accept("this"):
-            return ast.This(line=tok.line, col=tok.col)
-        if self.accept("("):
-            e = self.assign()
-            self.expect(")")
-            return e
-        if self.at("{"):
-            # block expression: value is the last statement's value
-            return self.block()
-        if self.accept("new"):
-            name = self.expect("id", "class name").text
-            args: list[ast.Context] = []
-            if self.accept("<"):
+    # -- primary expressions: one rule per leading token kind, in _PRIMARY ----
+    def _num(self, tok: Token) -> ast.Expr:
+        self.next()
+        lex = tok.text if ("e" in tok.text or "E" in tok.text) else None
+        return ast.Const(num_value(tok.text), lex, line=tok.line, col=tok.col)
+
+    def _literal(self, tok: Token) -> ast.Expr:
+        self.next()
+        return ast.Const(_LITERALS[tok.kind], line=tok.line, col=tok.col)
+
+    def _this(self, tok: Token) -> ast.Expr:
+        self.next()
+        return ast.This(line=tok.line, col=tok.col)
+
+    def _paren(self, tok: Token) -> ast.Expr:
+        self.next()
+        e = self.assign()
+        self.expect(")")
+        return e
+
+    def _block_expr(self, tok: Token) -> ast.Expr:
+        # block expression: value is the last statement's value
+        return self.block()
+
+    def _new(self, tok: Token) -> ast.Expr:
+        self.next()
+        name = self.expect("id", "class name").text
+        args: list[ast.Context] = []
+        if self.accept("<"):
+            args.append(self.context())
+            while self.accept(","):
                 args.append(self.context())
-                while self.accept(","):
-                    args.append(self.context())
-                self.expect(">")
-            ty = ast.ClassType(name, args, line=tok.line, col=tok.col)
-            call_args = self.arg_list()
-            return ast.New(ty, call_args, line=tok.line, col=tok.col)
-        if self.accept("atomic"):
-            contract = None
-            if self.at("<"):
-                contract = self.contract()
-            body = self.block() if self.at("{") else self.assign()
-            return ast.Atomic(contract, body, line=tok.line, col=tok.col)
-        if self.accept("fork"):
-            return ast.Fork(self.assign(), line=tok.line, col=tok.col)
-        if self.accept("valid"):
-            return ast.Valid(self.unary(), line=tok.line, col=tok.col)
-        if self.accept("require"):
-            self.expect("(")
-            cond = self.assign()
-            self.expect(")")
-            return ast.Require(cond, line=tok.line, col=tok.col)
-        if self.accept("emit"):
-            name = self.expect("id", "event name").text
+            self.expect(">")
+        ty = ast.ClassType(name, args, line=tok.line, col=tok.col)
+        call_args = self.arg_list()
+        return ast.New(ty, call_args, line=tok.line, col=tok.col)
+
+    def _atomic(self, tok: Token) -> ast.Expr:
+        self.next()
+        contract = None
+        if self.at("<"):
+            contract = self.contract()
+        body = self.block() if self.at("{") else self.assign()
+        return ast.Atomic(contract, body, line=tok.line, col=tok.col)
+
+    def _fork(self, tok: Token) -> ast.Expr:
+        self.next()
+        return ast.Fork(self.assign(), line=tok.line, col=tok.col)
+
+    def _valid(self, tok: Token) -> ast.Expr:
+        self.next()
+        return ast.Valid(self.unary(), line=tok.line, col=tok.col)
+
+    def _require(self, tok: Token) -> ast.Expr:
+        self.next()
+        self.expect("(")
+        cond = self.assign()
+        self.expect(")")
+        return ast.Require(cond, line=tok.line, col=tok.col)
+
+    def _emit(self, tok: Token) -> ast.Expr:
+        self.next()
+        name = self.expect("id", "event name").text
+        args = self.arg_list()
+        return ast.EmitEvent(name, args, line=tok.line, col=tok.col)
+
+    def _name(self, tok: Token) -> ast.Expr:
+        self.next()
+        if self.at("("):
             args = self.arg_list()
-            return ast.EmitEvent(name, args, line=tok.line, col=tok.col)
-        if self.at("id"):
-            self.next()
-            if self.at("("):
-                args = self.arg_list()
-                return ast.Call(ast.This(line=tok.line, col=tok.col), tok.text, args,
-                                line=tok.line, col=tok.col)
-            return ast.Var(tok.text, line=tok.line, col=tok.col)
-        raise ParseFail(f"unexpected {tok.text or 'end of input'!r} in expression", tok)
+            return ast.Call(ast.This(line=tok.line, col=tok.col), tok.text, args,
+                            line=tok.line, col=tok.col)
+        return ast.Var(tok.text, line=tok.line, col=tok.col)
+
+
+_LITERALS = {"true": True, "false": False, "null": None}
+_PRIMARY = {
+    "num": Parser._num,
+    "true": Parser._literal,
+    "false": Parser._literal,
+    "null": Parser._literal,
+    "this": Parser._this,
+    "(": Parser._paren,
+    "{": Parser._block_expr,
+    "new": Parser._new,
+    "atomic": Parser._atomic,
+    "fork": Parser._fork,
+    "valid": Parser._valid,
+    "require": Parser._require,
+    "emit": Parser._emit,
+    "id": Parser._name,
+}
 
 
 def default_init(ty: ast.TypeExpr) -> ast.Expr:

@@ -7,6 +7,16 @@ log, a creation list, and a mark into the machine's undo log of valid-set
 changes, so aborts restore exactly the pre-transaction state. Constructors
 run as implicit <bot,this> transactions whose commit revalidates everything
 they created.
+
+`Machine._reduce` is the one step function, behind both `Machine.step`
+(whole programs) and `Machine.run_expression` (deploys and block
+transactions). A thread's control holds an expression or a value. An
+expression is reduced by the rule `_EXPR_RULES` maps its node class to; a
+value goes to the rule `_KONT_RULES` maps the innermost continuation's tag
+to. Both tables are built once, below the Machine class; a node class or
+tag with no rule is E-STUCK. Class metadata (superclass chains, fields,
+method lookups, default field values, an object's context bindings) is
+worked out once and kept.
 """
 from __future__ import annotations
 
@@ -44,12 +54,14 @@ Value = Union[int, bool, None, Loc, FailureValue]
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "ctx_args", "fields")
+    __slots__ = ("class_name", "ctx_args", "fields", "bindings")
 
     def __init__(self, class_name: str, ctx_args: list, fields: dict):
         self.class_name = class_name
         self.ctx_args = ctx_args  # runtime contexts, one per class parameter
         self.fields = fields
+        # Machine._ctx_bindings, kept: ctx_args never change after allocation
+        self.bindings: Optional[dict] = None
 
 
 class Frame:
@@ -70,7 +82,7 @@ ROOT_CONTRACT = Contract(CtxTop(), CtxTop())
 
 # continuation tags that consume their incoming value: a failure value
 # arriving here aborts the enclosing transaction (or kills the thread)
-_STRICT = {"bind", "assign", "fget", "fset_recv", "fset_val", "call_recv",
+_STRICT = {"bind", "fget", "fset_recv", "fset_val", "call_recv",
            "call_args", "new_args", "prim", "andor", "valid", "require",
            "emit", "atom_recv", "atomfs_recv"}
 
@@ -150,6 +162,7 @@ class Machine:
         self.failures: list[dict] = []
         self.steps = 0
         self._ctor_exprs: dict[str, ast.Expr] = {}
+        self._field_defaults: dict[str, dict[str, Value]] = {}
         if program.main is not None:
             self.threads.append(Thread(0, program.main, {"#ctx": {}}))
 
@@ -171,15 +184,18 @@ class Machine:
         return expr
 
     def _default_fields(self, class_name: str) -> dict:
-        out: dict[str, Value] = {}
-        for _cls, f in self.table.fields_of(class_name):
-            if isinstance(f.type, ast.BoolType):
-                out[f.name] = False
-            elif isinstance(f.type, ast.IntType):
-                out[f.name] = 0
-            else:
-                out[f.name] = None
-        return out
+        """A fresh copy of the class's default field values."""
+        template = self._field_defaults.get(class_name)
+        if template is None:
+            template = self._field_defaults[class_name] = {}
+            for _cls, f in self.table.fields_of(class_name):
+                if isinstance(f.type, ast.BoolType):
+                    template[f.name] = False
+                elif isinstance(f.type, ast.IntType):
+                    template[f.name] = 0
+                else:
+                    template[f.name] = None
+        return dict(template)
 
     def _class_chain(self, obj: ObjectRec) -> list[tuple[ast.ClassDecl, list]]:
         """(class, runtime context arguments) up the object's superclass
@@ -201,11 +217,14 @@ class Machine:
 
     def _ctx_bindings(self, obj: ObjectRec) -> dict:
         """Parameter name -> runtime context, across the superclass chain
-        (nearest declaration wins on a name collision)."""
-        merged: dict = {}
-        for cls, args in reversed(self._class_chain(obj)):
-            merged.update(zip(cls.ctx_params, args))
-        return merged
+        (nearest declaration wins on a name collision). Computed once per
+        object; callers share the dict and must not change it."""
+        if obj.bindings is None:
+            merged: dict = {}
+            for cls, args in reversed(self._class_chain(obj)):
+                merged.update(zip(cls.ctx_params, args))
+            obj.bindings = merged
+        return obj.bindings
 
     def _args_at(self, obj: ObjectRec, ancestor: str) -> list:
         """The object's runtime context arguments viewed at a superclass."""
@@ -505,17 +524,24 @@ class Machine:
                        fuel: int = DEFAULT_FUEL) -> Value:
         """Reduce one expression on a private thread to completion. Used for
         deployments and block transactions; the heap and counters are shared
-        with the machine."""
+        with the machine. Past `fuel` steps every transaction the expression
+        opened is aborted and E-FUEL raised."""
         t = Thread(-1, expr, dict(env) if env else {"#ctx": {}})
+        reduce = self._reduce
         steps = 0
-        while not t.done:
-            if steps >= fuel:
-                raise OvError("E-FUEL", f"step budget of {fuel} exhausted")
-            self._reduce(t)
-            steps += 1
-            self.steps += 1
-        val = t.control[1]
-        return val
+        try:
+            while not t.done:
+                if steps >= fuel:
+                    # a runaway expression leaves no trace: undo every open
+                    # transaction of its thread before giving up
+                    while len(t.frames) > 1:
+                        self._abort(t)
+                    raise OvError("E-FUEL", f"step budget of {fuel} exhausted")
+                reduce(t)
+                steps += 1
+        finally:
+            self.steps += steps
+        return t.control[1]
 
     def state_hash(self) -> str:
         parts: list[str] = []
@@ -541,78 +567,88 @@ class Machine:
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:
-        tag = t.control[0]
+        """One step of thread t. An expression in control reduces by the rule
+        _EXPR_RULES holds for its node class; a value is consumed by the rule
+        _KONT_RULES holds for the tag of the innermost continuation."""
+        tag, x = t.control
         if tag == "expr":
-            self._reduce_expr(t, t.control[1])
-        else:
-            self._reduce_val(t, t.control[1])
+            rule = _EXPR_RULES.get(type(x))
+            if rule is None:
+                raise OvError("E-STUCK", f"no reduction for {type(x).__name__}",
+                              x.line, x.col)
+            rule(self, t, x)
+            return
+        if not t.konts:
+            t.done = True
+            if isinstance(x, FailureValue):
+                t.failure = x
+                self.failures.append({"code": x.code, "msg": x.msg,
+                                      "thread": t.tid})
+            return
+        k = t.konts.pop()
+        if isinstance(x, FailureValue) and k[0] in _STRICT:
+            self._signal(t, x)
+            return
+        rule = _KONT_RULES.get(k[0])
+        if rule is None:
+            raise OvError("E-STUCK", f"unknown continuation {k[0]}")
+        rule(self, t, x, k)
 
-    def _reduce_expr(self, t: Thread, e: ast.Expr) -> None:
-        if isinstance(e, ast.Const):
-            t.control = ("val", e.value)
-        elif isinstance(e, ast.Var):
-            if e.name not in t.env:
-                raise OvError("E-STUCK", f"unbound variable {e.name}",
-                              e.line, e.col)
-            t.control = ("val", t.env[e.name])
-        elif isinstance(e, ast.This):
-            t.control = ("val", t.env.get("this"))
-        elif isinstance(e, ast.Seq):
-            t.konts.append(("seq", e.second))
-            t.control = ("expr", e.first)
-        elif isinstance(e, ast.Let):
-            t.konts.append(("bind", e.name))
-            t.control = ("expr", e.init)
-        elif isinstance(e, ast.Assign):
-            t.konts.append(("assign", e.name))
-            t.control = ("expr", e.value)
-        elif isinstance(e, ast.FieldGet):
-            t.konts.append(("fget", e.field_name, e))
-            t.control = ("expr", e.receiver)
-        elif isinstance(e, ast.FieldSet):
-            t.konts.append(("fset_recv", e.field_name, e.value, e))
-            t.control = ("expr", e.receiver)
-        elif isinstance(e, ast.Call):
-            t.konts.append(("call_recv", e.method, list(e.args), e))
-            t.control = ("expr", e.receiver)
-        elif isinstance(e, ast.New):
-            if e.args:
-                t.konts.append(("new_args", e.type, [], list(e.args[1:]), e))
-                t.control = ("expr", e.args[0])
-            else:
-                self._do_new(t, e.type, [], e)
-        elif isinstance(e, ast.PrimOp):
-            if e.op in ("&&", "||"):
-                t.konts.append(("andor", e.op, e.args[1]))
-                t.control = ("expr", e.args[0])
-            else:
-                t.konts.append(("prim", e.op, [], list(e.args[1:]), e))
-                t.control = ("expr", e.args[0])
-        elif isinstance(e, ast.Atomic):
-            self._enter_atomic(t, e)
-        elif isinstance(e, ast.Fork):
-            nt = Thread(len(self.threads), e.body, dict(t.env))
-            self.threads.append(nt)
-            t.control = ("val", None)
-        elif isinstance(e, ast.Valid):
-            t.konts.append(("valid", e))
-            t.control = ("expr", e.value)
-        elif isinstance(e, ast.Require):
-            t.konts.append(("require", e))
-            t.control = ("expr", e.cond)
-        elif isinstance(e, ast.EmitEvent):
-            if e.args:
-                t.konts.append(("emit", e.name, [], list(e.args[1:])))
-                t.control = ("expr", e.args[0])
-            else:
-                self._emit(t, e.name, [])
-                t.control = ("val", None)
-        else:
-            raise OvError("E-STUCK",
-                          f"no reduction for {type(e).__name__}",
+    # -- expression rules: (thread, node) ----------------------------------------
+    # The argument continuations (call_args, new_args, prim, emit) hold the
+    # node's own argument list and the values gathered so far; the count of
+    # gathered values is the index of the next argument.
+    def _x_const(self, t: Thread, e: ast.Const) -> None:
+        t.control = ("val", e.value)
+
+    def _x_var(self, t: Thread, e: ast.Var) -> None:
+        if e.name not in t.env:
+            raise OvError("E-STUCK", f"unbound variable {e.name}",
                           e.line, e.col)
+        t.control = ("val", t.env[e.name])
 
-    def _enter_atomic(self, t: Thread, e: ast.Atomic) -> None:
+    def _x_this(self, t: Thread, e: ast.This) -> None:
+        t.control = ("val", t.env.get("this"))
+
+    def _x_seq(self, t: Thread, e: ast.Seq) -> None:
+        t.konts.append(("seq", e.second))
+        t.control = ("expr", e.first)
+
+    def _x_let(self, t: Thread, e: ast.Let) -> None:
+        t.konts.append(("bind", e.name))
+        t.control = ("expr", e.init)
+
+    def _x_assign(self, t: Thread, e: ast.Assign) -> None:
+        t.konts.append(("bind", e.name))
+        t.control = ("expr", e.value)
+
+    def _x_field_get(self, t: Thread, e: ast.FieldGet) -> None:
+        t.konts.append(("fget", e.field_name, e))
+        t.control = ("expr", e.receiver)
+
+    def _x_field_set(self, t: Thread, e: ast.FieldSet) -> None:
+        t.konts.append(("fset_recv", e.field_name, e.value, e))
+        t.control = ("expr", e.receiver)
+
+    def _x_call(self, t: Thread, e: ast.Call) -> None:
+        t.konts.append(("call_recv", e.method, e.args, e))
+        t.control = ("expr", e.receiver)
+
+    def _x_new(self, t: Thread, e: ast.New) -> None:
+        if e.args:
+            t.konts.append(("new_args", e.type, [], e.args, e))
+            t.control = ("expr", e.args[0])
+        else:
+            self._do_new(t, e.type, [], e)
+
+    def _x_prim(self, t: Thread, e: ast.PrimOp) -> None:
+        if e.op in ("&&", "||"):
+            t.konts.append(("andor", e.op, e.args[1]))
+        else:
+            t.konts.append(("prim", e.op, [], e.args, e))
+        t.control = ("expr", e.args[0])
+
+    def _x_atomic(self, t: Thread, e: ast.Atomic) -> None:
         if e.deduced and isinstance(e.body, ast.Call):
             t.konts.append(("atom_recv", e))
             t.control = ("expr", e.body.receiver)
@@ -630,6 +666,26 @@ class Machine:
             return
         t.konts.append(("commit", t.env))
         t.control = ("expr", e.body)
+
+    def _x_fork(self, t: Thread, e: ast.Fork) -> None:
+        self.threads.append(Thread(len(self.threads), e.body, dict(t.env)))
+        t.control = ("val", None)
+
+    def _x_valid(self, t: Thread, e: ast.Valid) -> None:
+        t.konts.append(("valid", e))
+        t.control = ("expr", e.value)
+
+    def _x_require(self, t: Thread, e: ast.Require) -> None:
+        t.konts.append(("require", e))
+        t.control = ("expr", e.cond)
+
+    def _x_emit(self, t: Thread, e: ast.EmitEvent) -> None:
+        if e.args:
+            t.konts.append(("emit", e.name, [], e.args))
+            t.control = ("expr", e.args[0])
+        else:
+            self._emit(t, e.name, [])
+            t.control = ("val", None)
 
     def _invoke(self, t: Thread, loc: int, method: str, args: list,
                 node: ast.Expr) -> None:
@@ -699,125 +755,15 @@ class Machine:
         else:
             frame.events.append(event)
 
-    def _reduce_val(self, t: Thread, v: Value) -> None:
-        if not t.konts:
-            t.done = True
-            if isinstance(v, FailureValue):
-                t.failure = v
-                self.failures.append({"code": v.code, "msg": v.msg,
-                                      "thread": t.tid})
-            return
-        k = t.konts.pop()
-        tag = k[0]
-        if isinstance(v, FailureValue) and tag in _STRICT:
-            self._signal(t, v)
-            return
-        if tag == "seq":
-            if isinstance(v, FailureValue):
-                t.control = ("val", v)
-            else:
-                t.control = ("expr", k[1])
-        elif tag == "bind":
-            t.env[k[1]] = v
-            t.control = ("val", None)
-        elif tag == "assign":
-            t.env[k[1]] = v
-            t.control = ("val", None)
-        elif tag == "fget":
-            self._k_fget(t, v, k)
-        elif tag == "fset_recv":
-            self._k_fset_recv(t, v, k)
-        elif tag == "fset_val":
-            fv = self.write_field(t, k[1], k[2], v)
-            if fv is not None:
-                self._signal(t, fv)
-            else:
-                t.control = ("val", None)
-        elif tag == "call_recv":
-            self._k_call_recv(t, v, k)
-        elif tag == "call_args":
-            _, loc, method, done, remaining, node = k
-            done.append(v)
-            if remaining:
-                t.konts.append(("call_args", loc, method, done,
-                                remaining[1:], node))
-                t.control = ("expr", remaining[0])
-            else:
-                self._invoke(t, loc, method, done, node)
-        elif tag == "new_args":
-            _, typ, done, remaining, node = k
-            done.append(v)
-            if remaining:
-                t.konts.append(("new_args", typ, done, remaining[1:], node))
-                t.control = ("expr", remaining[0])
-            else:
-                self._do_new(t, typ, done, node)
-        elif tag == "prim":
-            _, op, done, remaining, node = k
-            done.append(v)
-            if remaining:
-                t.konts.append(("prim", op, done, remaining[1:], node))
-                t.control = ("expr", remaining[0])
-            else:
-                self._k_prim(t, op, done, node)
-        elif tag == "andor":
-            _, op, right = k
-            if not isinstance(v, bool):
-                raise OvError("E-STUCK", f"{op} on a non-boolean")
-            if (op == "&&" and v is False) or (op == "||" and v is True):
-                t.control = ("val", v)
-            else:
-                t.control = ("expr", right)
-        elif tag == "valid":
-            if v is None:
-                t.control = ("val", False)
-            elif isinstance(v, Loc):
-                if v.index >= len(self.heap) or self.heap[v.index] is None:
-                    self._signal(t, FailureValue(
-                        "E-DANGLING", f"valid on a removed object l{v.index}"))
-                else:
-                    t.control = ("val", self.assert_valid(v.index))
-            else:
-                raise OvError("E-STUCK", "valid on a non-object")
-        elif tag == "require":
-            if v is True:
-                t.control = ("val", True)
-            elif v is False:
-                self._signal(t, FailureValue("R-REQUIRE", "requirement failed"))
-            else:
-                raise OvError("E-STUCK", "require on a non-boolean")
-        elif tag == "emit":
-            _, name, done, remaining = k
-            done.append(v)
-            if remaining:
-                t.konts.append(("emit", name, done, remaining[1:]))
-                t.control = ("expr", remaining[0])
-            else:
-                self._emit(t, name, done)
-                t.control = ("val", None)
-        elif tag == "ret":
-            _, saved_env, recv_loc = k
-            if self.naive and self.heap[recv_loc] is not None:
-                self.post_checks += len(
-                    self.tree.runtime_subtree(CtxLoc(recv_loc)))
-            t.env = saved_env
-            t.control = ("val", v)
-        elif tag == "commit":
-            fv = self._commit(t)
-            t.env = k[1]
-            t.control = ("val", v if fv is None else fv)
-        elif tag == "ctor":
-            fv = self._commit(t)
-            t.env = k[1]
-            t.control = ("val", Loc(k[2]) if fv is None else fv)
-        elif tag == "atom_recv":
-            self._k_atom_recv(t, v, k)
-        elif tag == "atomfs_recv":
-            self._k_atomfs_recv(t, v, k)
-        else:
-            raise OvError("E-STUCK", f"unknown continuation {tag}")
+    # -- continuation rules: (thread, incoming value, continuation) ---------------
+    def _k_seq(self, t: Thread, v: Value, k: tuple) -> None:
+        t.control = ("val", v) if isinstance(v, FailureValue) \
+            else ("expr", k[1])
 
-    # -- continuation helpers ---------------------------------------------------
+    def _k_bind(self, t: Thread, v: Value, k: tuple) -> None:
+        t.env[k[1]] = v
+        t.control = ("val", None)
+
     def _k_fget(self, t: Thread, v: Value, k: tuple) -> None:
         _, fname, node = k
         if v is None:
@@ -847,6 +793,13 @@ class Machine:
         t.konts.append(("fset_val", v.index, fname, node))
         t.control = ("expr", value_expr)
 
+    def _k_fset_val(self, t: Thread, v: Value, k: tuple) -> None:
+        fv = self.write_field(t, k[1], k[2], v)
+        if fv is not None:
+            self._signal(t, fv)
+        else:
+            t.control = ("val", None)
+
     def _k_call_recv(self, t: Thread, v: Value, k: tuple) -> None:
         _, method, args, node = k
         if v is None:
@@ -856,19 +809,100 @@ class Machine:
             raise OvError("E-STUCK", "call on a non-object",
                           node.line, node.col)
         if args:
-            t.konts.append(("call_args", v.index, method, [], args[1:], node))
+            t.konts.append(("call_args", v.index, method, [], args, node))
             t.control = ("expr", args[0])
         else:
             self._invoke(t, v.index, method, [], node)
 
-    def _k_prim(self, t: Thread, op: str, vals: list, node: ast.Expr) -> None:
+    def _k_call_args(self, t: Thread, v: Value, k: tuple) -> None:
+        _, loc, method, done, args, node = k
+        done.append(v)
+        if len(done) < len(args):
+            t.konts.append(k)
+            t.control = ("expr", args[len(done)])
+        else:
+            self._invoke(t, loc, method, done, node)
+
+    def _k_new_args(self, t: Thread, v: Value, k: tuple) -> None:
+        _, typ, done, args, node = k
+        done.append(v)
+        if len(done) < len(args):
+            t.konts.append(k)
+            t.control = ("expr", args[len(done)])
+        else:
+            self._do_new(t, typ, done, node)
+
+    def _k_prim(self, t: Thread, v: Value, k: tuple) -> None:
+        _, op, done, args, node = k
+        done.append(v)
+        if len(done) < len(args):
+            t.konts.append(k)
+            t.control = ("expr", args[len(done)])
+            return
         try:
-            t.control = ("val", _apply_op(op, vals))
+            t.control = ("val", _apply_op(op, done))
         except ZeroDivisionError:
             self._signal(t, FailureValue("R-DIV0", "division by zero"))
         except TypeError:
             raise OvError("E-STUCK", f"operator {op} on unexpected operands",
                           node.line, node.col) from None
+
+    def _k_andor(self, t: Thread, v: Value, k: tuple) -> None:
+        _, op, right = k
+        if not isinstance(v, bool):
+            raise OvError("E-STUCK", f"{op} on a non-boolean")
+        if (op == "&&" and v is False) or (op == "||" and v is True):
+            t.control = ("val", v)
+        else:
+            t.control = ("expr", right)
+
+    def _k_valid(self, t: Thread, v: Value, k: tuple) -> None:
+        if v is None:
+            t.control = ("val", False)
+        elif isinstance(v, Loc):
+            if v.index >= len(self.heap) or self.heap[v.index] is None:
+                self._signal(t, FailureValue(
+                    "E-DANGLING", f"valid on a removed object l{v.index}"))
+            else:
+                t.control = ("val", self.assert_valid(v.index))
+        else:
+            raise OvError("E-STUCK", "valid on a non-object")
+
+    def _k_require(self, t: Thread, v: Value, k: tuple) -> None:
+        if v is True:
+            t.control = ("val", True)
+        elif v is False:
+            self._signal(t, FailureValue("R-REQUIRE", "requirement failed"))
+        else:
+            raise OvError("E-STUCK", "require on a non-boolean")
+
+    def _k_emit(self, t: Thread, v: Value, k: tuple) -> None:
+        _, name, done, args = k
+        done.append(v)
+        if len(done) < len(args):
+            t.konts.append(k)
+            t.control = ("expr", args[len(done)])
+        else:
+            self._emit(t, name, done)
+            t.control = ("val", None)
+
+    def _k_ret(self, t: Thread, v: Value, k: tuple) -> None:
+        _, saved_env, recv_loc = k
+        if self.naive and self.heap[recv_loc] is not None:
+            self.post_checks += len(
+                self.tree.runtime_subtree(CtxLoc(recv_loc)))
+        t.env = saved_env
+        t.control = ("val", v)
+
+    def _k_commit(self, t: Thread, v: Value, k: tuple) -> None:
+        fv = self._commit(t)
+        t.env = k[1]
+        t.control = ("val", v if fv is None else fv)
+
+    def _k_ctor(self, t: Thread, v: Value, k: tuple) -> None:
+        fv = self._commit(t)
+        t.env = k[1]
+        t.control = ("val", Loc(k[2]) if fv is None else fv)
 
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
         node: ast.Atomic = k[1]
@@ -899,7 +933,7 @@ class Machine:
         t.konts.append(("commit", t.env))
         if call.args:
             t.konts.append(("call_args", v.index, call.method, [],
-                            list(call.args[1:]), node))
+                            call.args, node))
             t.control = ("expr", call.args[0])
         else:
             self._invoke(t, v.index, call.method, [], node)
@@ -919,6 +953,48 @@ class Machine:
         t.konts.append(("commit", t.env))
         t.konts.append(("fset_val", v.index, fname, node))
         t.control = ("expr", value_expr)
+
+
+# The reduction rules, built once. Surface-only nodes (Block, Return, Throw,
+# OpAssign) have no rule: desugaring removes them, and meeting one is E-STUCK.
+_EXPR_RULES = {
+    ast.Const: Machine._x_const,
+    ast.Var: Machine._x_var,
+    ast.This: Machine._x_this,
+    ast.Seq: Machine._x_seq,
+    ast.Let: Machine._x_let,
+    ast.Assign: Machine._x_assign,
+    ast.FieldGet: Machine._x_field_get,
+    ast.FieldSet: Machine._x_field_set,
+    ast.Call: Machine._x_call,
+    ast.New: Machine._x_new,
+    ast.PrimOp: Machine._x_prim,
+    ast.Atomic: Machine._x_atomic,
+    ast.Fork: Machine._x_fork,
+    ast.Valid: Machine._x_valid,
+    ast.Require: Machine._x_require,
+    ast.EmitEvent: Machine._x_emit,
+}
+_KONT_RULES = {
+    "seq": Machine._k_seq,
+    "bind": Machine._k_bind,
+    "fget": Machine._k_fget,
+    "fset_recv": Machine._k_fset_recv,
+    "fset_val": Machine._k_fset_val,
+    "call_recv": Machine._k_call_recv,
+    "call_args": Machine._k_call_args,
+    "new_args": Machine._k_new_args,
+    "prim": Machine._k_prim,
+    "andor": Machine._k_andor,
+    "valid": Machine._k_valid,
+    "require": Machine._k_require,
+    "emit": Machine._k_emit,
+    "ret": Machine._k_ret,
+    "commit": Machine._k_commit,
+    "ctor": Machine._k_ctor,
+    "atom_recv": Machine._k_atom_recv,
+    "atomfs_recv": Machine._k_atomfs_recv,
+}
 
 
 def _apply_op(op: str, vals: list) -> Value:

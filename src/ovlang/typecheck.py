@@ -20,19 +20,32 @@ CTOR_CONTRACT = Contract(CtxBot(), CtxThis())
 
 
 class ClassTable:
-    """Classes by name with superclass-chain lookups."""
+    """Classes by name with superclass-chain lookups. Each lookup is worked
+    out once per class (and method name) and kept; results are tuples, so
+    no caller can change what later callers see."""
 
     def __init__(self, program: ast.Program):
         self.program = program
         self.classes: dict[str, ast.ClassDecl] = {}
         for c in program.classes:
             self.classes.setdefault(c.name, c)
+        self._chains: dict[str, tuple[ast.ClassDecl, ...]] = {}
+        self._fields: dict[str, tuple[tuple[ast.ClassDecl, ast.FieldDecl], ...]] = {}
+        self._methods: dict[tuple[str, str],
+                            Optional[tuple[ast.ClassDecl, ast.MethodDecl]]] = {}
 
     def get(self, name: str) -> Optional[ast.ClassDecl]:
         return self.classes.get(name)
 
-    def chain(self, name: str) -> list[ast.ClassDecl]:
+    def chain(self, name: str) -> tuple[ast.ClassDecl, ...]:
         """The class and its superclasses, nearest first; cycles cut off."""
+        hit = self._chains.get(name)
+        if hit is None:
+            hit = self._chains[name] = self._walk(name)
+        return hit
+
+    def _walk(self, name: str) -> tuple[ast.ClassDecl, ...]:
+        """The superclass walk behind `chain`, uncached."""
         out: list[ast.ClassDecl] = []
         seen: set[str] = set()
         cur = self.get(name)
@@ -40,15 +53,17 @@ class ClassTable:
             seen.add(cur.name)
             out.append(cur)
             cur = self.get(cur.superclass.name) if cur.superclass else None
-        return out
+        return tuple(out)
 
-    def fields_of(self, name: str) -> list[tuple[ast.ClassDecl, ast.FieldDecl]]:
+    def fields_of(self, name: str
+                  ) -> tuple[tuple[ast.ClassDecl, ast.FieldDecl], ...]:
         """Declaration order: superclass fields first."""
-        out: list[tuple[ast.ClassDecl, ast.FieldDecl]] = []
-        for cls in reversed(self.chain(name)):
-            for f in cls.fields:
-                out.append((cls, f))
-        return out
+        hit = self._fields.get(name)
+        if hit is None:
+            hit = self._fields[name] = tuple(
+                (cls, f) for cls in reversed(self.chain(name))
+                for f in cls.fields)
+        return hit
 
     def find_field(self, name: str, fname: str) -> Optional[tuple[ast.ClassDecl, ast.FieldDecl]]:
         for cls in self.chain(name):
@@ -58,11 +73,12 @@ class ClassTable:
         return None
 
     def find_method(self, name: str, mname: str) -> Optional[tuple[ast.ClassDecl, ast.MethodDecl]]:
-        for cls in self.chain(name):
-            for m in cls.methods:
-                if m.name == mname:
-                    return cls, m
-        return None
+        key = (name, mname)
+        if key not in self._methods:
+            self._methods[key] = next(
+                ((cls, m) for cls in self.chain(name) for m in cls.methods
+                 if m.name == mname), None)
+        return self._methods[key]
 
     def ctor_of(self, name: str) -> Optional[ast.CtorDecl]:
         cls = self.get(name)

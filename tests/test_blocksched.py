@@ -12,6 +12,7 @@ from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                parse_block, serial_execute, validate_block)
 from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
+from ovlang.typecheck import ClassTable
 
 from conftest import CORPUS, check_clean
 
@@ -198,6 +199,62 @@ class TestLinearWork:
         mined = mine_block(PROGRAM, block_of(accounts(n), txns))
         assert len(mined.edges) == edges
         assert calls["interferes"] >= edges  # the counter really counted
+
+
+    def test_superclass_walks_once_per_class(self, monkeypatch):
+        # a 500-account block evaluates thousands of invariants, looks up
+        # a method per call and lists fields per hash; each class's
+        # superclass chain must still be walked once per machine
+        walks = Counter()
+        walk = ClassTable._walk
+
+        def counted(table, name):
+            walks[(table, name)] += 1
+            assert walks[(table, name)] <= 1, f"{name} walked twice"
+            return walk(table, name)
+
+        monkeypatch.setattr(ClassTable, "_walk", counted)
+        txns = bank_txns(random.Random(7), 500)
+        mined = mine_block(PROGRAM, block_of(accounts(500), txns))
+        assert len(mined.status) == 500
+        assert {name for _table, name in walks} >= {"Account"}
+
+
+class TestRunaway:
+    SRC = (CORPUS / "bank.ov").read_text(encoding="utf-8").split("main {")[0] \
+        + """
+class Spinner[o] {
+    int n = 0;
+    inv n >= 0;
+
+    void spin() <this,this> {
+        n += 1;
+        atomic <this,this> {
+            n += 1;
+            spin();
+        }
+    }
+}
+"""
+    DEPLOY = [{"id": "a", "class": "Account", "args": [1]},
+              {"id": "s", "class": "Spinner"}]
+
+    def test_runaway_transaction_aborts_alone(self, monkeypatch):
+        monkeypatch.setattr(blocksched, "TXN_STEPS", 20_000)
+        program = check_clean(self.SRC)
+        deposit = [{"target": "a", "method": "deposit", "args": [2]},
+                   {"target": "a", "method": "deposit", "args": [3]}]
+        spin = {"target": "s", "method": "spin"}
+        b = block_of(self.DEPLOY, [deposit[0], spin, deposit[1]])
+        mined = mine_block(program, b)
+        assert mined.status == ["committed", "aborted:R-GAS", "committed"]
+        report = validate_block(program, mined, b)
+        assert report.accepted
+        assert serial_execute(program, b) == (mined.final_state_hash,
+                                              mined.status)
+        # the spin left no trace: same state as the block without it
+        without = mine_block(program, block_of(self.DEPLOY, deposit))
+        assert mined.final_state_hash == without.final_state_hash
 
 
 class TestMine:

@@ -1,9 +1,14 @@
 """Driver behavior: exit codes, output shapes, option handling."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ovlang.cli import main
+from ovlang.diagnostics import OvError
+from ovlang.runtime import Machine
 
 from conftest import CORPUS, GOLDENS, NEGATIVE
 
@@ -39,6 +44,20 @@ class TestCheck:
         src = tmp_path / "deep.ov"
         src.write_text("main { var x = " + "(" * 120 + "1" + ")" * 120 + "; }")
         assert main(["check", str(src)]) == 0
+
+    def test_deep_operator_chain_exits_2(self, tmp_path):
+        # the left-nested PrimOp chain is as deep as it is long, past
+        # Python's recursion limit in the checker
+        src = tmp_path / "long.ov"
+        src.write_text("main { var x = " + " + ".join(["1"] * 400) + "; }")
+        env = dict(os.environ, OV_COLOR="0", PYTHONPATH=os.pathsep.join(
+            [str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ovlang.cli", "check", str(src)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error E-DEPTH:") == 1
 
     def test_parse_error(self, capsys):
         assert main(["check", str(NEGATIVE / "parse_error.ov")]) == 1
@@ -103,6 +122,15 @@ class TestRun:
 
     def test_rejects_negative_seed(self, capsys):
         assert main(["run", "--seed", "-1", BANK]) == 2
+
+    def test_runtime_error_exits_2(self, capsys, monkeypatch):
+        def stuck(self, fuel):
+            raise OvError("E-STUCK", "no reduction for Block")
+
+        monkeypatch.setattr(Machine, "run", stuck)
+        assert main(["run", BANK]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "0:0: error E-STUCK: no reduction for Block"
 
     def test_diagnostics_block_running(self, capsys):
         assert main(["run", str(NEGATIVE / "need_contract.ov")]) == 1

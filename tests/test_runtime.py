@@ -1,11 +1,14 @@
 """Transactional interpreter: counters, rollback, failure flow, reports."""
 import pytest
 
-from ovlang import ast
+from ovlang import ast, runtime
+from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
-from ovlang.runtime import FailureValue, Loc, Machine
+from ovlang.parser import parse_program
+from ovlang.runtime import FailureValue, Loc, Machine, Thread
 
-from conftest import RUNNABLE_FILES, check_clean, run_source
+from conftest import (CORPUS, POSITIVE_FILES, RUNNABLE_FILES, check_clean,
+                      run_source)
 
 ACCOUNT = """\
 class Account[o] {
@@ -338,3 +341,184 @@ def test_corpus_counter_dominance(path):
     assert (direct.pre_checks + direct.post_checks
             <= naive.pre_checks + naive.post_checks)
     assert direct.state_hash == naive.state_hash
+
+
+# What every corpus run reports, pinned: state hash, (pre, post, evals)
+# counters in both modes, events and reduction steps. A change to any
+# reduction rule that alters behaviour or step counts shows here.
+PINNED_RUNS = {
+    'auction.ov': {
+        'state_hash': 'a4b7434ec94bf17928b81be12266eb70dd1ca56814e900ba809c43201b1b8431',
+        'checks': (0, 11, 11),
+        'naive_checks': (12, 17),
+        'events': [{'name': 'AuctionEnded', 'args': [9]}],
+        'steps': 161,
+    },
+    'ballot.ov': {
+        'state_hash': 'b785b271e17394187410a0c980d7fabaf8176a7cfcb0a8f3ffa6c4365bb55afe',
+        'checks': (0, 19, 19),
+        'naive_checks': (20, 31),
+        'events': [],
+        'steps': 271,
+    },
+    'bank.ov': {
+        'state_hash': '744b1c74037beea8f1bdc7359ffbcef3e0213f653ba5057713d34fa4199b9ea7',
+        'checks': (1, 9, 10),
+        'naive_checks': (20, 25),
+        'events': [],
+        'steps': 153,
+    },
+    'overdraw.ov': {
+        'state_hash': '3f9a4c8a156adce9fe878fcf90d08d956e2924408935f017887447209ae3d3a7',
+        'checks': (0, 2, 2),
+        'naive_checks': (1, 3),
+        'events': [],
+        'steps': 38,
+    },
+    'purchase.ov': {
+        'state_hash': 'b1ead4ade6db159df700d1bb937538799b7494b014b1f0337550ca821eb30c74',
+        'checks': (0, 4, 4),
+        'naive_checks': (4, 6),
+        'events': [{'name': 'PurchaseConfirmed', 'args': []}, {'name': 'ItemReceived', 'args': []}],
+        'steps': 77,
+    },
+    'spawn.ov': {
+        'state_hash': '5c4e91e7ea2727dd1e2aed3093734e0b8262ac270ce48d22c152ad74ef494e1f',
+        'checks': (0, 5, 5),
+        'naive_checks': (7, 9),
+        'events': [],
+        'steps': 80,
+    },
+    'token.ov': {
+        'state_hash': '484018295c0013519f8e00253dd36480ade1c037ee13ceb51496673d5fe3d1aa',
+        'checks': (0, 4, 4),
+        'naive_checks': (7, 9),
+        'events': [{'name': 'Transfer', 'args': [30]}, {'name': 'Approval', 'args': [5]}],
+        'steps': 183,
+    },
+}
+
+# the thread reduced at each step of corpus/spawn.ov (thread ids)
+SPAWN_SCHEDULE = ("0000000000000000101011111111111111012020222222222222220200"
+                  "0000000000000000000000")
+
+
+@pytest.mark.parametrize("path", RUNNABLE_FILES, ids=lambda p: p.name)
+def test_corpus_runs_are_pinned(path):
+    core = check_clean(path.read_text(encoding="utf-8"))
+    m = Machine(core)
+    rep = m.run()
+    naive = Machine(core, naive=True).run()
+    assert {
+        "state_hash": rep.state_hash,
+        "checks": (rep.pre_checks, rep.post_checks, rep.invariant_evals),
+        "naive_checks": (naive.pre_checks, naive.post_checks),
+        "events": rep.events,
+        "steps": m.steps,
+    } == PINNED_RUNS[path.name]
+
+
+def test_round_robin_schedule_is_pinned(monkeypatch):
+    order = []
+    reduce = Machine._reduce
+
+    def recorded(self, t):
+        order.append(t.tid)
+        reduce(self, t)
+
+    monkeypatch.setattr(Machine, "_reduce", recorded)
+    Machine(check_clean((CORPUS / "spawn.ov").read_text(encoding="utf-8"))
+            ).run()
+    assert "".join(map(str, order)) == SPAWN_SCHEDULE
+
+
+class TestRuleTables:
+    SURFACE = (ast.OpAssign, ast.Block, ast.Return, ast.Throw)
+
+    @staticmethod
+    def _expr_classes():
+        return {c for c in vars(ast).values()
+                if isinstance(c, type) and issubclass(c, ast.Expr)
+                and c is not ast.Expr}
+
+    def test_every_core_node_has_a_rule(self):
+        core = self._expr_classes() - set(self.SURFACE)
+        assert core <= set(runtime._EXPR_RULES)
+        # and the desugared corpus meets no node class outside the table
+        seen = set()
+
+        def walk(x):
+            if isinstance(x, ast.Node):
+                seen.add(type(x))
+                for v in vars(x).values():
+                    walk(v)
+            elif isinstance(x, list):
+                for v in x:
+                    walk(v)
+
+        for path in POSITIVE_FILES:
+            walk(desugar(parse_program(path.read_text(encoding="utf-8"))[0]))
+        assert {c for c in seen if issubclass(c, ast.Expr)} <= set(
+            runtime._EXPR_RULES)
+
+    @pytest.mark.parametrize("node", [
+        ast.OpAssign(ast.Var("x"), "+", ast.Const(1)),
+        ast.Block([ast.Const(1)]),
+        ast.Return(ast.Const(1)),
+        ast.Throw(),
+    ], ids=lambda n: type(n).__name__)
+    def test_surface_nodes_are_stuck(self, node):
+        m = machine_for(CELL)
+        with pytest.raises(OvError) as exc:
+            m.run_expression(node, {"x": 0, "#ctx": {}})
+        assert exc.value.code == "E-STUCK"
+        assert type(node).__name__ in exc.value.msg
+
+    def test_unknown_continuation_is_stuck(self):
+        m = machine_for(CELL)
+        t = Thread(-1, ast.Const(1), {"#ctx": {}})
+        t.konts.append(("no-such-tag",))
+        m._reduce(t)
+        with pytest.raises(OvError) as exc:
+            m._reduce(t)
+        assert exc.value.code == "E-STUCK"
+
+
+class TestRunaway:
+    def test_fuel_aborts_every_open_frame(self):
+        src = CELL + """class Spin[o] {
+    int n = 0;
+    inv n >= 0;
+
+    void spin() <this,this> {
+        n += 1;
+        atomic <this,this> {
+            n += 1;
+            spin();
+        }
+    }
+}
+"""
+        m = machine_for(src)
+        cell = m.run_expression(ast.New(ast.ClassType("Cell", [ast.CtxTop()]),
+                                        []))
+        spin = m.run_expression(ast.New(ast.ClassType("Spin", [ast.CtxTop()]),
+                                        []))
+        before = m.state_hash()
+        steps = m.steps
+        call = ast.Atomic(ast.Contract(ast.CtxLoc(spin.index),
+                                       ast.CtxLoc(spin.index)),
+                          ast.Call(ast.Var("s"), "spin", []))
+        with pytest.raises(OvError) as exc:
+            m.run_expression(call, {"s": spin, "#ctx": {}}, fuel=500)
+        assert exc.value.code == "E-FUEL"
+        assert m.steps == steps + 500
+        assert m.state_hash() == before
+        assert m.alpha is None
+        # the machine stays usable
+        m.run_expression(ast.Atomic(ast.Contract(ast.CtxLoc(cell.index),
+                                                 ast.CtxLoc(cell.index)),
+                                    ast.Call(ast.Var("c"), "set",
+                                             [ast.Const(4)])),
+                         {"c": cell, "#ctx": {}})
+        assert m.heap[cell.index].fields["v"] == 4
