@@ -309,6 +309,36 @@ def is_value(e: Expr) -> bool:
     return isinstance(e, (Const, Var, This))
 
 
+# The sub-expressions of each expression class, in field order, built once.
+_CHILDREN = {
+    Const: lambda e: (),
+    Var: lambda e: (),
+    This: lambda e: (),
+    Throw: lambda e: (),
+    New: lambda e: e.args,
+    Assign: lambda e: (e.value,),
+    FieldGet: lambda e: (e.receiver,),
+    FieldSet: lambda e: (e.receiver, e.value),
+    OpAssign: lambda e: (e.target, e.value),
+    Call: lambda e: (e.receiver, *e.args),
+    PrimOp: lambda e: e.args,
+    Seq: lambda e: (e.first, e.second),
+    Let: lambda e: (e.init,),
+    Atomic: lambda e: (e.body,),
+    Fork: lambda e: (e.body,),
+    Valid: lambda e: (e.value,),
+    Require: lambda e: (e.cond,),
+    EmitEvent: lambda e: e.args,
+    Return: lambda e: (e.value,),
+    Block: lambda e: e.stmts,
+}
+
+
+def children(e: Expr):
+    """The direct sub-expressions of e, in field order."""
+    return _CHILDREN[type(e)](e)
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 

@@ -202,8 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # One argument parser per process, built on the first call: parse_args
+    # keeps no state between calls, and building the tree costs more than
+    # checking a small program.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if getattr(args, "fuel", 1) <= 0:
         print("error: fuel must be positive", file=sys.stderr)
         return EXIT_IO

@@ -12,19 +12,37 @@ from . import ast
 
 
 class _Scope:
-    """Names visible to identifier resolution while lowering one body."""
+    """Names visible to identifier resolution while lowering one body. The
+    names bound by parameters and enclosing lets are counted, so a
+    shadowing declaration and its end are one increment and one decrement:
+    one scope serves the whole body, and a chain of lets copies nothing."""
 
-    def __init__(self, fields: set[str], bound: set[str]):
+    def __init__(self, fields: set[str], params: list[str]):
         self.fields = fields
-        self.bound = set(bound)
+        self.bound: dict[str, int] = {}
+        for name in params:
+            self.bind(name)
 
-    def child(self) -> "_Scope":
-        return _Scope(self.fields, self.bound)
+    def bind(self, name: str) -> None:
+        self.bound[name] = self.bound.get(name, 0) + 1
+
+    def unbind(self, names: list[str]) -> None:
+        bound = self.bound
+        for name in names:
+            left = bound[name] - 1
+            if left:
+                bound[name] = left
+            else:
+                del bound[name]
+
+    def is_field(self, name: str) -> bool:
+        """A bare name that no local declaration shadows names a field."""
+        return name not in self.bound and name in self.fields
 
 
 class _Lowerer:
-    def __init__(self, fields: set[str], used_names: set[str]):
-        self.fields = fields
+    def __init__(self, scope: _Scope, used_names: set[str]):
+        self.scope = scope
         self.used = used_names
         self.counter = 0
 
@@ -37,25 +55,47 @@ class _Lowerer:
                 return name
 
     # -- statement chains ---------------------------------------------------
-    def block(self, stmts: list[ast.Expr], scope: _Scope) -> ast.Expr:
-        if not stmts:
+    # Both walk the chain in a loop, so a block's length costs no recursion;
+    # each let is in scope from the next statement to the end of the chain.
+    def block(self, stmts: list[ast.Expr]) -> ast.Expr:
+        lowered: list[ast.Expr] = []
+        names: list[str] = []
+        for stmt in stmts:
+            if isinstance(stmt, ast.Return):
+                # the parser only lets return appear in tail position
+                lowered.append(self.expr(stmt.value))
+                break
+            if isinstance(stmt, ast.Let):
+                lowered.append(self._let(stmt))
+                self.scope.bind(stmt.name)
+                names.append(stmt.name)
+            else:
+                lowered.append(self.expr(stmt))
+        self.scope.unbind(names)
+        if not lowered:
             return ast.Const(None)
-        head, rest = stmts[0], stmts[1:]
-        if isinstance(head, ast.Let):
-            init = self.expr(head.init, scope)
-            scope = scope.child()
-            scope.bound.add(head.name)
-            lowered = ast.Let(head.name, head.type, init,
-                              line=head.line, col=head.col)
-        elif isinstance(head, ast.Return):
-            # the parser only lets return appear in tail position
-            return self.expr(head.value, scope)
-        else:
-            lowered = self.expr(head, scope)
-        if not rest:
-            return lowered
-        tail = self.block(rest, scope)
-        return ast.Seq(lowered, tail, line=lowered.line, col=lowered.col)
+        tail = lowered[-1]
+        for head in reversed(lowered[:-1]):
+            tail = ast.Seq(head, tail, line=head.line, col=head.col)
+        return tail
+
+    def _seq(self, e: ast.Seq) -> ast.Expr:
+        links: list[tuple[ast.Seq, ast.Expr]] = []
+        names: list[str] = []
+        while isinstance(e, ast.Seq):
+            first = e.first
+            if isinstance(first, ast.Let):
+                links.append((e, self._let(first)))
+                self.scope.bind(first.name)
+                names.append(first.name)
+            else:
+                links.append((e, self.expr(first)))
+            e = e.second
+        tail = self.expr(e)
+        self.scope.unbind(names)
+        for node, head in reversed(links):
+            tail = ast.Seq(head, tail, line=node.line, col=node.col)
+        return tail
 
     # -- expressions ----------------------------------------------------------
     def hoist(self, e: ast.Expr, build) -> ast.Expr:
@@ -67,82 +107,86 @@ class _Lowerer:
         return ast.Seq(ast.Let(tmp, None, e, line=e.line, col=e.col),
                        build(var), line=e.line, col=e.col)
 
-    def expr(self, e: ast.Expr, scope: _Scope) -> ast.Expr:
-        if isinstance(e, ast.Const):
-            return e
-        if isinstance(e, ast.This):
-            return e
-        if isinstance(e, ast.Var):
-            if e.name not in scope.bound and e.name in self.fields:
-                return ast.FieldGet(ast.This(line=e.line, col=e.col), e.name,
-                                    line=e.line, col=e.col)
-            return e
-        if isinstance(e, ast.Block):
-            return self.block(e.stmts, scope.child())
-        if isinstance(e, ast.Return):
-            return self.expr(e.value, scope)
-        if isinstance(e, ast.Throw):
-            return ast.Require(ast.Const(False), line=e.line, col=e.col)
-        if isinstance(e, ast.OpAssign):
-            return self.op_assign(e, scope)
-        if isinstance(e, ast.Assign):
-            value = self.expr(e.value, scope)
-            if e.name not in scope.bound and e.name in self.fields:
-                return ast.FieldSet(ast.This(line=e.line, col=e.col), e.name,
-                                    value, line=e.line, col=e.col)
-            return ast.Assign(e.name, value, line=e.line, col=e.col)
-        if isinstance(e, ast.FieldGet):
-            return ast.FieldGet(self.expr(e.receiver, scope), e.field_name,
-                                line=e.line, col=e.col)
-        if isinstance(e, ast.FieldSet):
-            return ast.FieldSet(self.expr(e.receiver, scope), e.field_name,
-                                self.expr(e.value, scope),
-                                line=e.line, col=e.col)
-        if isinstance(e, ast.Call):
-            return ast.Call(self.expr(e.receiver, scope), e.method,
-                            [self.expr(a, scope) for a in e.args],
-                            line=e.line, col=e.col)
-        if isinstance(e, ast.New):
-            return ast.New(e.type, [self.expr(a, scope) for a in e.args],
-                           line=e.line, col=e.col)
-        if isinstance(e, ast.PrimOp):
-            return ast.PrimOp(e.op, [self.expr(a, scope) for a in e.args],
-                              line=e.line, col=e.col)
-        if isinstance(e, ast.Seq):
-            first = (ast.Let(e.first.name, e.first.type,
-                             self.expr(e.first.init, scope),
-                             line=e.first.line, col=e.first.col)
-                     if isinstance(e.first, ast.Let) else self.expr(e.first, scope))
-            scope2 = scope
-            if isinstance(e.first, ast.Let):
-                scope2 = scope.child()
-                scope2.bound.add(e.first.name)
-            return ast.Seq(first, self.expr(e.second, scope2),
-                           line=e.line, col=e.col)
-        if isinstance(e, ast.Let):
-            # a Let outside a Seq/Block (e.g. trailing statement)
-            return ast.Let(e.name, e.type, self.expr(e.init, scope),
-                           line=e.line, col=e.col)
-        if isinstance(e, ast.Atomic):
-            return ast.Atomic(e.contract, self.expr(e.body, scope.child()),
-                              line=e.line, col=e.col)
-        if isinstance(e, ast.Fork):
-            return ast.Fork(self.expr(e.body, scope.child()),
-                            line=e.line, col=e.col)
-        if isinstance(e, ast.Valid):
-            return ast.Valid(self.expr(e.value, scope), line=e.line, col=e.col)
-        if isinstance(e, ast.Require):
-            return ast.Require(self.expr(e.cond, scope), line=e.line, col=e.col)
-        if isinstance(e, ast.EmitEvent):
-            return ast.EmitEvent(e.name, [self.expr(a, scope) for a in e.args],
-                                 line=e.line, col=e.col)
-        raise AssertionError(f"unhandled expression {type(e).__name__}")
+    def expr(self, e: ast.Expr) -> ast.Expr:
+        rule = _LOWER_RULES.get(type(e))
+        if rule is None:
+            raise AssertionError(f"unhandled expression {type(e).__name__}")
+        return rule(self, e)
 
-    def op_assign(self, e: ast.OpAssign, scope: _Scope) -> ast.Expr:
-        value = self.expr(e.value, scope)
+    def _args(self, args: list[ast.Expr]) -> list[ast.Expr]:
+        return [self.expr(a) for a in args]
+
+    # -- one rule per node class: (lowerer, node) -> core node ----------------
+    def _same(self, e: ast.Expr) -> ast.Expr:
+        return e
+
+    def _var(self, e: ast.Var) -> ast.Expr:
+        if self.scope.is_field(e.name):
+            return ast.FieldGet(ast.This(line=e.line, col=e.col), e.name,
+                                line=e.line, col=e.col)
+        return e
+
+    def _block(self, e: ast.Block) -> ast.Expr:
+        return self.block(e.stmts)
+
+    def _return(self, e: ast.Return) -> ast.Expr:
+        return self.expr(e.value)
+
+    def _throw(self, e: ast.Throw) -> ast.Expr:
+        return ast.Require(ast.Const(False), line=e.line, col=e.col)
+
+    def _assign(self, e: ast.Assign) -> ast.Expr:
+        value = self.expr(e.value)
+        if self.scope.is_field(e.name):
+            return ast.FieldSet(ast.This(line=e.line, col=e.col), e.name,
+                                value, line=e.line, col=e.col)
+        return ast.Assign(e.name, value, line=e.line, col=e.col)
+
+    def _field_get(self, e: ast.FieldGet) -> ast.Expr:
+        return ast.FieldGet(self.expr(e.receiver), e.field_name,
+                            line=e.line, col=e.col)
+
+    def _field_set(self, e: ast.FieldSet) -> ast.Expr:
+        return ast.FieldSet(self.expr(e.receiver), e.field_name,
+                            self.expr(e.value), line=e.line, col=e.col)
+
+    def _call(self, e: ast.Call) -> ast.Expr:
+        return ast.Call(self.expr(e.receiver), e.method, self._args(e.args),
+                        line=e.line, col=e.col)
+
+    def _new(self, e: ast.New) -> ast.Expr:
+        return ast.New(e.type, self._args(e.args), line=e.line, col=e.col)
+
+    def _prim(self, e: ast.PrimOp) -> ast.Expr:
+        return ast.PrimOp(e.op, self._args(e.args), line=e.line, col=e.col)
+
+    def _let(self, e: ast.Let) -> ast.Let:
+        # binds nothing: a chain binds the name over the rest of the chain
+        return ast.Let(e.name, e.type, self.expr(e.init),
+                       line=e.line, col=e.col)
+
+    def _atomic(self, e: ast.Atomic) -> ast.Expr:
+        return ast.Atomic(e.contract, self.expr(e.body),
+                          line=e.line, col=e.col)
+
+    def _fork(self, e: ast.Fork) -> ast.Expr:
+        return ast.Fork(self.expr(e.body), line=e.line, col=e.col)
+
+    def _valid(self, e: ast.Valid) -> ast.Expr:
+        return ast.Valid(self.expr(e.value), line=e.line, col=e.col)
+
+    def _require(self, e: ast.Require) -> ast.Expr:
+        return ast.Require(self.expr(e.cond), line=e.line, col=e.col)
+
+    def _emit(self, e: ast.EmitEvent) -> ast.Expr:
+        return ast.EmitEvent(e.name, self._args(e.args),
+                             line=e.line, col=e.col)
+
+    def _op_assign(self, e: ast.OpAssign) -> ast.Expr:
+        value = self.expr(e.value)
         target = e.target
         if isinstance(target, ast.Var):
-            if target.name not in scope.bound and target.name in self.fields:
+            if self.scope.is_field(target.name):
                 this = ast.This(line=target.line, col=target.col)
                 read = ast.FieldGet(this, target.name, line=e.line, col=e.col)
                 combined = ast.PrimOp(e.op, [read, value], line=e.line, col=e.col)
@@ -152,7 +196,7 @@ class _Lowerer:
             combined = ast.PrimOp(e.op, [read, value], line=e.line, col=e.col)
             return ast.Assign(target.name, combined, line=e.line, col=e.col)
         assert isinstance(target, ast.FieldGet)
-        recv = self.expr(target.receiver, scope)
+        recv = self.expr(target.receiver)
 
         def build(v: ast.Expr) -> ast.Expr:
             read = ast.FieldGet(v, target.field_name, line=e.line, col=e.col)
@@ -163,20 +207,40 @@ class _Lowerer:
         return self.hoist(recv, build)
 
 
+# The lowering rules, built once: node class -> rule.
+_LOWER_RULES = {
+    ast.Const: _Lowerer._same,
+    ast.This: _Lowerer._same,
+    ast.Var: _Lowerer._var,
+    ast.Block: _Lowerer._block,
+    ast.Return: _Lowerer._return,
+    ast.Throw: _Lowerer._throw,
+    ast.OpAssign: _Lowerer._op_assign,
+    ast.Assign: _Lowerer._assign,
+    ast.FieldGet: _Lowerer._field_get,
+    ast.FieldSet: _Lowerer._field_set,
+    ast.Call: _Lowerer._call,
+    ast.New: _Lowerer._new,
+    ast.PrimOp: _Lowerer._prim,
+    ast.Seq: _Lowerer._seq,
+    ast.Let: _Lowerer._let,
+    ast.Atomic: _Lowerer._atomic,
+    ast.Fork: _Lowerer._fork,
+    ast.Valid: _Lowerer._valid,
+    ast.Require: _Lowerer._require,
+    ast.EmitEvent: _Lowerer._emit,
+}
+
+
 def _collect_names(e: ast.Expr, acc: set[str]) -> None:
-    if isinstance(e, ast.Var):
-        acc.add(e.name)
-    elif isinstance(e, ast.Let):
-        acc.add(e.name)
-        _collect_names(e.init, acc)
-    else:
-        for attr in vars(e).values():
-            if isinstance(attr, ast.Expr):
-                _collect_names(attr, acc)
-            elif isinstance(attr, list):
-                for item in attr:
-                    if isinstance(item, ast.Expr):
-                        _collect_names(item, acc)
+    """Every name a Var reads or a Let declares anywhere in e, so that
+    fresh temporaries avoid them."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is ast.Var or type(x) is ast.Let:
+            acc.add(x.name)
+        stack.extend(ast.children(x))
 
 
 def _class_fields(p: ast.Program, cls: ast.ClassDecl) -> set[str]:
@@ -193,11 +257,7 @@ def _class_fields(p: ast.Program, cls: ast.ClassDecl) -> set[str]:
 def _lower_body(body: ast.Expr, fields: set[str], params: list[str]) -> ast.Expr:
     used: set[str] = set(params)
     _collect_names(body, used)
-    lw = _Lowerer(fields, used)
-    scope = _Scope(fields, set(params))
-    if isinstance(body, ast.Block):
-        return lw.block(body.stmts, scope)
-    return lw.expr(body, scope)
+    return _Lowerer(_Scope(fields, params), used).expr(body)
 
 
 def desugar(p: ast.Program) -> ast.Program:

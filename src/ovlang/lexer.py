@@ -1,4 +1,12 @@
-"""Tokenizer for .ov source text."""
+"""Tokenizer for .ov source text.
+
+One `finditer` pass over the source. Every match is the whitespace and
+comment before a token, skipped so that they make no object, followed by
+one of: a newline, an operator, a word, a number, the end of input, or
+any other character, which is an error. A newline is its own alternative,
+so the line is a running count and the column is measured from the start
+of the current line; no matched text is rescanned for newlines.
+"""
 from __future__ import annotations
 
 import re
@@ -13,21 +21,28 @@ KEYWORDS = {
     "public", "private", "var", "top", "bot",
 }
 
-# Longest match first.
+# The alternatives start with disjoint characters; operators are longest
+# match first.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<num>[0-9]+(?:[eE][0-9]+)?)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><<|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=
-      |[{}()\[\]<>,;.=!+\-*/%])
+    [ \t\r]*(?://[^\n]*)?
+    (?: (?P<nl>\n)
+      | (?P<op><<|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=
+          |[{}()\[\]<>,;.=!+\-*/%])
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<num>[0-9]+(?:[eE][0-9]+)?)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# A word's kind: a keyword is its own kind, any other word is "id".
+_KIND = {kw: kw for kw in KEYWORDS}
 
-@dataclass
+
+@dataclass(slots=True)
 class Token:
     kind: str  # 'num', 'id', keyword text, or operator text
     text: str
@@ -40,31 +55,31 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    pos = 0
+    append = toks.append
+    kind_of = _KIND.get
     line = 1
-    col = 1
-    n = len(src)
-    while pos < n:
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise OvError("E-PARSE", f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup == "num":
-            toks.append(Token("num", text, line, col))
-        elif m.lastgroup == "id":
-            kind = text if text in KEYWORDS else "id"
-            toks.append(Token(kind, text, line, col))
-        elif m.lastgroup == "op":
-            toks.append(Token(text, text, line, col))
-        # whitespace and comments are dropped
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(src):
+        group = m.lastgroup
+        if group == "nl":
+            line += 1
+            line_start = m.end()
+            continue
+        if group == "eof":
+            break
+        text = m.group(group)
+        col = m.start(group) - line_start + 1
+        if group == "op":
+            kind = text
+        elif group == "id":
+            kind = kind_of(text, "id")
+        elif group == "num":
+            kind = "num"
         else:
-            col += len(text)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+            raise OvError("E-PARSE", f"unexpected character {text!r}",
+                          line, col)
+        append(Token(kind, text, line, col))
+    append(Token("eof", "", line, len(src) - line_start + 1))
     return toks
 
 

@@ -14,9 +14,11 @@ transactions). A thread's control holds an expression or a value. An
 expression is reduced by the rule `_EXPR_RULES` maps its node class to; a
 value goes to the rule `_KONT_RULES` maps the innermost continuation's tag
 to. Both tables are built once, below the Machine class; a node class or
-tag with no rule is E-STUCK. Class metadata (superclass chains, fields,
-method lookups, default field values, an object's context bindings) is
-worked out once and kept.
+tag with no rule is E-STUCK. Invariant clauses are evaluated apart from
+the step function, through a third table, `_PURE_RULES`; a node class
+with no rule there makes the invariant false. Class metadata (superclass
+chains, fields, method lookups, default field values, an object's context
+bindings) is worked out once and kept.
 """
 from __future__ import annotations
 
@@ -281,23 +283,30 @@ class Machine:
         return True
 
     def _eval_pure(self, e: ast.Expr, this_loc: int) -> Value:
-        if isinstance(e, ast.Const):
-            return e.value
-        if isinstance(e, ast.This):
-            return Loc(this_loc)
-        if isinstance(e, ast.FieldGet):
-            recv = self._eval_pure(e.receiver, this_loc)
-            if not isinstance(recv, Loc):
-                raise _InvFail
-            obj = self.heap[recv.index] if recv.index < len(self.heap) else None
-            if obj is None or e.field_name not in obj.fields:
-                raise _InvFail
-            return obj.fields[e.field_name]
-        if isinstance(e, ast.PrimOp):
-            return self._eval_pure_op(e, this_loc)
-        raise _InvFail
+        """Value of an invariant clause (or part of one) at object this_loc,
+        by the rule _PURE_RULES holds for the node class. A node with no
+        rule, like a failed read, makes the invariant false (_InvFail)."""
+        rule = _PURE_RULES.get(type(e))
+        if rule is None:
+            raise _InvFail
+        return rule(self, e, this_loc)
 
-    def _eval_pure_op(self, e: ast.PrimOp, this_loc: int) -> Value:
+    def _p_const(self, e: ast.Const, this_loc: int) -> Value:
+        return e.value
+
+    def _p_this(self, e: ast.This, this_loc: int) -> Value:
+        return Loc(this_loc)
+
+    def _p_field_get(self, e: ast.FieldGet, this_loc: int) -> Value:
+        recv = self._eval_pure(e.receiver, this_loc)
+        if not isinstance(recv, Loc):
+            raise _InvFail
+        obj = self.heap[recv.index] if recv.index < len(self.heap) else None
+        if obj is None or e.field_name not in obj.fields:
+            raise _InvFail
+        return obj.fields[e.field_name]
+
+    def _p_prim(self, e: ast.PrimOp, this_loc: int) -> Value:
         op = e.op
         if op in ("&&", "||"):
             left = self._eval_pure(e.args[0], this_loc)
@@ -974,6 +983,13 @@ _EXPR_RULES = {
     ast.Valid: Machine._x_valid,
     ast.Require: Machine._x_require,
     ast.EmitEvent: Machine._x_emit,
+}
+# The invariant rules: a clause that typechecks holds no other node class.
+_PURE_RULES = {
+    ast.Const: Machine._p_const,
+    ast.This: Machine._p_this,
+    ast.FieldGet: Machine._p_field_get,
+    ast.PrimOp: Machine._p_prim,
 }
 _KONT_RULES = {
     "seq": Machine._k_seq,

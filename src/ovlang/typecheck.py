@@ -96,12 +96,24 @@ class TypeEnv:
     vars: dict[str, ast.TypeExpr] = field(default_factory=dict)
     fork_ok: bool = False
 
-    def child(self, **overrides) -> "TypeEnv":
-        merged = dict(table=self.table, ctx=self.ctx, this_type=self.this_type,
-                      frame=self.frame, vars=dict(self.vars),
-                      fork_ok=self.fork_ok)
-        merged.update(overrides)
-        return TypeEnv(**merged)
+    def child(self, *, frame: Optional[Contract] = None,
+              fork_ok: Optional[bool] = None,
+              vars: Optional[dict[str, ast.TypeExpr]] = None) -> "TypeEnv":
+        """A copy with the given fields replaced. `vars` is shared unless
+        replaced: a let binds in it, and its chain unbinds it at the end."""
+        return TypeEnv(self.table, self.ctx, self.this_type,
+                       self.frame if frame is None else frame,
+                       self.vars if vars is None else vars,
+                       self.fork_ok if fork_ok is None else fork_ok)
+
+    def unbind(self, undo: list[tuple[str, Optional[ast.TypeExpr]]]) -> None:
+        """Undoes the bindings Checker._bind_let made, last first: each
+        entry is a name and the binding it hid, or None."""
+        for name, hidden in reversed(undo):
+            if hidden is None:
+                del self.vars[name]
+            else:
+                self.vars[name] = hidden
 
     def origin_ctx(self) -> Context:
         """The context mutating calls must originate from: this inside a
@@ -243,83 +255,99 @@ class Checker:
 
     # -- main entry ----------------------------------------------------------
     def type_expr(self, env: TypeEnv, e: ast.Expr) -> ast.TypeExpr:
-        if isinstance(e, ast.Const):
-            if e.value is None:
-                return ast.NULL_T
-            if isinstance(e.value, bool):
-                return ast.BOOL
-            return ast.INT
-        if isinstance(e, ast.Var):
-            t = env.vars.get(e.name)
-            if t is None:
-                self.diags.add("E-TYPE", f"unknown variable {e.name}",
-                               e.line, e.col)
-                return ast.VOID
-            return t
-        if isinstance(e, ast.This):
-            if env.this_type is None:
-                self.diags.add("E-TYPE", "this is not available in main",
-                               e.line, e.col)
-                return ast.VOID
-            return env.this_type
-        if isinstance(e, ast.Seq):
-            if isinstance(e.first, ast.Let):
-                env = self._bind_let(env, e.first)
-            else:
-                self.type_expr(env, e.first)
-            return self.type_expr(env, e.second)
-        if isinstance(e, ast.Let):
-            self._bind_let(env, e)
-            return ast.VOID
-        if isinstance(e, ast.Assign):
-            t = env.vars.get(e.name)
-            if t is None:
-                self.diags.add("E-TYPE", f"unknown variable {e.name}",
-                               e.line, e.col)
-                self.type_expr(env, e.value)
-                return ast.VOID
-            vt = self.type_expr(env, e.value)
-            bindable(env, vt, t, self.diags, e.line, e.col, "assignment")
-            return ast.VOID
-        if isinstance(e, ast.FieldGet):
-            return self._field_get(env, e)
-        if isinstance(e, ast.FieldSet):
-            return self._field_set(env, e)
-        if isinstance(e, ast.Call):
-            return self._call(env, e)
-        if isinstance(e, ast.New):
-            return self._new(env, e)
-        if isinstance(e, ast.PrimOp):
-            return self._prim(env, e)
-        if isinstance(e, ast.Atomic):
-            return self._atomic(env, e)
-        if isinstance(e, ast.Fork):
-            if not env.fork_ok:
-                self.diags.add("E-FORK-IN-ATOMIC",
-                               "fork is only allowed at top level",
-                               e.line, e.col)
-            body_env = env.child(frame=TOP_TOP, fork_ok=True)
-            self.type_expr(body_env, e.body)
-            return ast.VOID
-        if isinstance(e, ast.Valid):
-            t = self.type_expr(env, e.value)
-            if not isinstance(t, (ast.ClassType, ast.NullType)):
-                self.diags.add("E-TYPE", "valid needs an object", e.line, e.col)
-            return ast.BOOL
-        if isinstance(e, ast.Require):
-            t = self.type_expr(env, e.cond)
-            if not isinstance(t, ast.BoolType):
-                self.diags.add("E-TYPE", "require needs a bool condition",
-                               e.line, e.col)
-            return ast.BOOL
-        if isinstance(e, ast.EmitEvent):
-            for a in e.args:
-                self.type_expr(env, a)
-            return ast.VOID
-        raise AssertionError(f"not core form: {type(e).__name__}")
+        rule = _TYPE_RULES.get(type(e))
+        if rule is None:
+            raise AssertionError(f"not core form: {type(e).__name__}")
+        return rule(self, env, e)
 
-    def _bind_let(self, env: TypeEnv, e: ast.Let) -> TypeEnv:
+    # -- one rule per node class: (checker, env, node) -> type ----------------
+    def _const(self, env: TypeEnv, e: ast.Const) -> ast.TypeExpr:
+        if e.value is None:
+            return ast.NULL_T
+        if isinstance(e.value, bool):
+            return ast.BOOL
+        return ast.INT
+
+    def _var(self, env: TypeEnv, e: ast.Var) -> ast.TypeExpr:
+        t = env.vars.get(e.name)
+        if t is None:
+            self.diags.add("E-TYPE", f"unknown variable {e.name}",
+                           e.line, e.col)
+            return ast.VOID
+        return t
+
+    def _this(self, env: TypeEnv, e: ast.This) -> ast.TypeExpr:
+        if env.this_type is None:
+            self.diags.add("E-TYPE", "this is not available in main",
+                           e.line, e.col)
+            return ast.VOID
+        return env.this_type
+
+    def _seq(self, env: TypeEnv, e: ast.Seq) -> ast.TypeExpr:
+        """The chain is walked in a loop, so its length costs no recursion.
+        Each let binds in env.vars from the next link to the chain's end,
+        where the bindings it hid come back."""
+        undo: list[tuple[str, Optional[ast.TypeExpr]]] = []
+        try:
+            while isinstance(e, ast.Seq):
+                if isinstance(e.first, ast.Let):
+                    undo.append(self._bind_let(env, e.first))
+                else:
+                    self.type_expr(env, e.first)
+                e = e.second
+            return self.type_expr(env, e)
+        finally:
+            env.unbind(undo)
+
+    def _let(self, env: TypeEnv, e: ast.Let) -> ast.TypeExpr:
+        # a Let outside a Seq scopes over nothing
+        env.unbind([self._bind_let(env, e)])
+        return ast.VOID
+
+    def _assign(self, env: TypeEnv, e: ast.Assign) -> ast.TypeExpr:
+        t = env.vars.get(e.name)
+        if t is None:
+            self.diags.add("E-TYPE", f"unknown variable {e.name}",
+                           e.line, e.col)
+            self.type_expr(env, e.value)
+            return ast.VOID
+        vt = self.type_expr(env, e.value)
+        bindable(env, vt, t, self.diags, e.line, e.col, "assignment")
+        return ast.VOID
+
+    def _fork(self, env: TypeEnv, e: ast.Fork) -> ast.TypeExpr:
+        if not env.fork_ok:
+            self.diags.add("E-FORK-IN-ATOMIC",
+                           "fork is only allowed at top level",
+                           e.line, e.col)
+        body_env = env.child(frame=TOP_TOP, fork_ok=True)
+        self.type_expr(body_env, e.body)
+        return ast.VOID
+
+    def _valid(self, env: TypeEnv, e: ast.Valid) -> ast.TypeExpr:
+        t = self.type_expr(env, e.value)
+        if not isinstance(t, (ast.ClassType, ast.NullType)):
+            self.diags.add("E-TYPE", "valid needs an object", e.line, e.col)
+        return ast.BOOL
+
+    def _require(self, env: TypeEnv, e: ast.Require) -> ast.TypeExpr:
+        t = self.type_expr(env, e.cond)
+        if not isinstance(t, ast.BoolType):
+            self.diags.add("E-TYPE", "require needs a bool condition",
+                           e.line, e.col)
+        return ast.BOOL
+
+    def _emit(self, env: TypeEnv, e: ast.EmitEvent) -> ast.TypeExpr:
+        for a in e.args:
+            self.type_expr(env, a)
+        return ast.VOID
+
+    def _bind_let(self, env: TypeEnv, e: ast.Let
+                  ) -> tuple[str, Optional[ast.TypeExpr]]:
+        """Binds e's name in env.vars; returns the name and the binding it
+        hides (None if none), for TypeEnv.unbind."""
         it = self.type_expr(env, e.init)
+        hidden = env.vars.get(e.name)
         if e.name in env.vars:
             self.diags.add("E-TYPE", f"variable {e.name} is already declared",
                            e.line, e.col)
@@ -329,9 +357,8 @@ class Checker:
             check_type(env, e.type, self.diags)
             bindable(env, it, e.type, self.diags, e.line, e.col, "declaration")
             declared = e.type
-        env2 = env.child()
-        env2.vars[e.name] = declared
-        return env2
+        env.vars[e.name] = declared
+        return e.name, hidden
 
     def _field_get(self, env: TypeEnv, e: ast.FieldGet) -> ast.TypeExpr:
         rt = self.type_expr(env, e.receiver)
@@ -517,7 +544,7 @@ class Checker:
         """Contract of a bare atomic expression: a call takes the callee's
         substituted contract, a field write takes <bot, owner of target>."""
         if isinstance(e, ast.Call):
-            rt = self.type_expr(env.child(), e.receiver)
+            rt = self.type_expr(env, e.receiver)
             if isinstance(rt, ast.ClassType):
                 decl = env.table.get(rt.name)
                 if decl is not None:
@@ -532,7 +559,7 @@ class Checker:
                           "cannot deduce a contract for this call",
                           e.line, e.col)
         if isinstance(e, ast.FieldSet):
-            rt = self.type_expr(env.child(), e.receiver)
+            rt = self.type_expr(env, e.receiver)
             if isinstance(rt, ast.ClassType):
                 return Contract(BOT, self._target_owner_ctx(e.receiver, rt),
                                 line=e.line, col=e.col)
@@ -564,12 +591,34 @@ class Checker:
         return self.type_expr(body_env, e.body)
 
 
+# The typing rules, built once: node class -> rule. Surface-only nodes
+# (Block, Return, Throw, OpAssign) have none: desugaring removes them.
+_TYPE_RULES = {
+    ast.Const: Checker._const,
+    ast.Var: Checker._var,
+    ast.This: Checker._this,
+    ast.Seq: Checker._seq,
+    ast.Let: Checker._let,
+    ast.Assign: Checker._assign,
+    ast.FieldGet: Checker._field_get,
+    ast.FieldSet: Checker._field_set,
+    ast.Call: Checker._call,
+    ast.New: Checker._new,
+    ast.PrimOp: Checker._prim,
+    ast.Atomic: Checker._atomic,
+    ast.Fork: Checker._fork,
+    ast.Valid: Checker._valid,
+    ast.Require: Checker._require,
+    ast.EmitEvent: Checker._emit,
+}
+
+
 # ---------------------------------------------------------------------------
 # Declaration-level checks
 
 def _params_env(base: TypeEnv, params: list[ast.Param],
                 diags: Diagnostics) -> TypeEnv:
-    env = base.child()
+    env = base.child(vars=dict(base.vars))
     seen: set[str] = set()
     for p in params:
         if p.name in seen:
@@ -592,13 +641,8 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
                       f"invariant clauses cannot contain "
                       f"{type(x).__name__.lower()} expressions", x.line, x.col)
             return
-        for attr in vars(x).values():
-            if isinstance(attr, ast.Expr):
-                pure(attr)
-            elif isinstance(attr, list):
-                for item in attr:
-                    if isinstance(item, ast.Expr):
-                        pure(item)
+        for sub in ast.children(x):
+            pure(sub)
 
     def owned_path(x: ast.Expr) -> None:
         """Field reads may only step through chains of this-owned fields."""
@@ -608,7 +652,7 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
                 return
             if isinstance(recv, ast.FieldGet):
                 owned_path(recv)
-                rt = checker.type_expr(env.child(), recv)
+                rt = checker.type_expr(env, recv)
                 if isinstance(rt, ast.ClassType):
                     try:
                         if owner_bound(rt) == THIS:
@@ -623,13 +667,8 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
                       "invariant field paths must start at this",
                       x.line, x.col)
             return
-        for attr in vars(x).values():
-            if isinstance(attr, ast.Expr):
-                owned_path(attr)
-            elif isinstance(attr, list):
-                for item in attr:
-                    if isinstance(item, ast.Expr):
-                        owned_path(item)
+        for sub in ast.children(x):
+            owned_path(sub)
 
     before = len(diags)
     pure(e)

@@ -10,7 +10,7 @@ from ovlang.cli import main
 from ovlang.diagnostics import OvError
 from ovlang.runtime import Machine
 
-from conftest import CORPUS, GOLDENS, NEGATIVE
+from conftest import CORPUS, GOLDENS, NEGATIVE, run_source
 
 BANK = str(CORPUS / "bank.ov")
 ACCOUNT = str(CORPUS / "account.ov")
@@ -134,6 +134,62 @@ class TestRun:
 
     def test_diagnostics_block_running(self, capsys):
         assert main(["run", str(NEGATIVE / "need_contract.ov")]) == 1
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; no call's options
+    may reach the next call."""
+
+    def test_json_then_text(self, capsys):
+        bad = str(NEGATIVE / "effect_raw_write.ov")
+        assert main(["check", "--json", bad]) == 1
+        first = capsys.readouterr()
+        assert json.loads(first.out.splitlines()[0])["code"] == "E-EFFECT"
+        assert first.err == ""
+        assert main(["check", bad]) == 1
+        second = capsys.readouterr()
+        assert second.out == ""
+        assert "error E-EFFECT:" in second.err
+
+    def test_naive_then_directed(self, capsys):
+        directed = run_source((CORPUS / "bank.ov").read_text(encoding="utf-8"))
+        assert main(["run", "--json", "--naive", BANK]) == 0
+        naive = json.loads(capsys.readouterr().out)
+        assert main(["run", "--json", BANK]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["pre_checks"], rep["post_checks"]) == (
+            directed.pre_checks, directed.post_checks)
+        assert naive["pre_checks"] + naive["post_checks"] > \
+            rep["pre_checks"] + rep["post_checks"]
+
+    def test_bad_fuel_then_default(self, capsys):
+        assert main(["run", "--fuel", "0", BANK]) == 2
+        assert "fuel must be positive" in capsys.readouterr().err
+        assert main(["run", BANK]) == 0
+        assert "lemma3: True" in capsys.readouterr().out
+
+
+class TestFlatBlocks:
+    """A block's length is not nesting: only nesting can reach E-DEPTH."""
+
+    LONG_MAIN = "main {\n" + "".join(
+        f"    int x{i} = {i};\n" for i in range(5000)) + "}\n"
+    LONG_METHOD = (
+        "class Box[o] {\n    int v;\n    void fill() <this,this> {\n"
+        + "".join(f"        v = {i};\n" for i in range(2000))
+        + "    }\n}\n"
+        "main {\n    Box<top> b = new Box<top>();\n    atomic b.fill();\n}\n")
+
+    @pytest.mark.parametrize("which", ["LONG_MAIN", "LONG_METHOD"])
+    @pytest.mark.parametrize("command", ["check", "run", "transpile"])
+    def test_long_block_exits_0(self, which, command, tmp_path, capsys):
+        src = tmp_path / "long.ov"
+        src.write_text(getattr(self, which))
+        argv = [command, str(src)]
+        if command == "transpile":
+            argv += ["-o", str(tmp_path / "sol")]
+        assert main(argv) == 0
+        assert "E-DEPTH" not in capsys.readouterr().err
 
 
 class TestTranspile:

@@ -1,7 +1,13 @@
 """Lowering to core form: name resolution, statement chains, expansions."""
+import importlib
+from collections import Counter
+
 from ovlang import ast
 from ovlang.desugar import desugar
 from ovlang.parser import parse_program
+
+# the package's `desugar` attribute is the function, not the module
+desugar_module = importlib.import_module("ovlang.desugar")
 
 
 def lower(src: str) -> ast.Program:
@@ -36,6 +42,23 @@ class C[o] {
     body = method_body(p, "C", "m")
     assert body == ast.Seq(ast.Let("v", ast.IntType(), ast.Const(3)),
                            ast.Var("v"))
+
+
+def test_shadowing_ends_with_its_block():
+    p = lower("""\
+class C[o] {
+    int v;
+    void m() <this,this> {
+        { int v = 3; v = 4; };
+        v = 5;
+    }
+}
+""")
+    this = ast.This()
+    assert method_body(p, "C", "m") == ast.Seq(
+        ast.Seq(ast.Let("v", ast.IntType(), ast.Const(3)),
+                ast.Assign("v", ast.Const(4))),
+        ast.FieldSet(this, "v", ast.Const(5)))
 
 
 def test_params_shadow_fields():
@@ -136,3 +159,27 @@ main {
 """
     once = lower(src)
     assert desugar(once) == once
+
+
+class TestLinearWork:
+    """Lowering a block does work linear in its length: one scope serves a
+    whole body, so no let or nested block copies the names in scope."""
+
+    def test_lets_copy_no_scope(self, monkeypatch):
+        n = 300
+        src = "main {\n" + "".join(
+            f"    int x{i} = {i};\n    fork {{ int y{i} = x{i}; }};\n"
+            for i in range(n)) + "}\n"
+        surface, _ = parse_program(src)
+        copied = Counter()
+        init = desugar_module._Scope.__init__
+
+        def counted(self, fields, names):
+            copied["scopes"] += 1
+            copied["names"] += len(names)
+            init(self, fields, names)
+
+        monkeypatch.setattr(desugar_module._Scope, "__init__", counted)
+        desugar(surface)
+        assert copied["scopes"] >= 1  # the counter really counted
+        assert copied["names"] <= n, f"{copied['names']} names copied"

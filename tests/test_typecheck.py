@@ -1,13 +1,16 @@
 """Static checking: contracts, effects, ownership rules, diagnostics."""
+from collections import Counter
+
 import pytest
 
 from ovlang import ast
 from ovlang.ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
+from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
 from ovlang.ownership import ContextEnv
 from ovlang.parser import parse_program
 from ovlang.transpile import transpile_program
-from ovlang.typecheck import check_program, subcontract
+from ovlang.typecheck import TypeEnv, check_program, subcontract
 
 from conftest import (NEGATIVE_FILES, POSITIVE_FILES, compile_source,
                       expected_code)
@@ -286,3 +289,58 @@ class TestContextWf:
     def test_second_ctor_rejected(self):
         src = "class C[o] { int v; C() { } C(int x) { } }"
         assert "E-TYPE" in error_codes(src)
+
+
+class TestLetScope:
+    def test_binding_ends_with_its_block(self):
+        _, diags = compile_source("main { { int a = 1; a = 2; }; int b = a; }")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable a"),
+            ("E-TYPE", "cannot bind void where int is expected")]
+
+    def test_redeclaration_hides_until_block_end(self):
+        _, diags = compile_source(
+            "main { int a = 1; { bool a = true; bool c = a; }; int b = a; }")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "variable a is already declared")]
+
+
+    def test_parameters_stay_in_their_method(self):
+        _, diags = compile_source("""\
+class C[o] {
+    int v;
+    void a(int x) <this,this> { v = x; }
+    void b() <this,this> { int x = 1; v = x; }
+    int c() <this,bot> { return x; }
+}
+""")
+        assert [(d.code, d.msg, d.line) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable x", 5),
+            ("E-TYPE", "cannot bind void where int is expected", 5)]
+
+
+class TestLinearWork:
+    """Checking a block does work linear in its length: the lets of a chain
+    bind in one shared variable map, which no let, atomic or fork copies."""
+
+    def test_lets_copy_no_env(self, monkeypatch):
+        n = 300
+        surface, _ = parse_program("main {\n" + "".join(
+            f"    int x{i} = {i};\n    fork {{ int y{i} = x{i}; }};\n"
+            for i in range(n)) + "}\n")
+        core = desugar(surface)
+        seen = {}  # id -> the map itself, kept alive so ids stay distinct
+        copied = Counter()
+        init = TypeEnv.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            copied["envs"] += 1
+            if id(self.vars) not in seen:
+                seen[id(self.vars)] = self.vars
+                copied["entries"] += len(self.vars)
+
+        monkeypatch.setattr(TypeEnv, "__init__", counted)
+        assert not check_program(core).has_errors()
+        assert copied["envs"] >= 1  # the counter really counted
+        assert copied["entries"] <= n, f"{copied['entries']} entries copied"
