@@ -143,10 +143,20 @@ class ClassType(TypeExpr):
         return f"{self.name}<{','.join(str(a) for a in self.args)}>"
 
 
+@dataclass
+class ErrorType(TypeExpr):
+    """Type of an expression whose fault is already reported, such as an
+    unknown name. It binds anywhere, so each fault is reported once."""
+
+    def __str__(self) -> str:
+        return "<error>"
+
+
 INT = IntType()
 BOOL = BoolType()
 VOID = VoidType()
 NULL_T = NullType()
+ERROR_T = ErrorType()
 
 
 # ---------------------------------------------------------------------------

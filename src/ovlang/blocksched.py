@@ -150,12 +150,12 @@ def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
         located.append((i, {k.index for k in ctxs if isinstance(k, CtxLoc)}))
         if isinstance(d.invalidity, CtxLoc):
             writers.setdefault(d.invalidity.index, []).append(i)
-            for a in tree.ancestors(d.invalidity.index):
+            for a in tree.chain(d.invalidity.index):
                 under.setdefault(a, []).append(i)
     for j, locs in located:
         for x in locs:
             hits = list(under.get(x, ()))
-            for a in tree.ancestors(x)[1:]:
+            for a in tree.chain(x)[1:]:
                 hits.extend(writers.get(a, ()))
             pairs.update((min(i, j), max(i, j)) for i in hits if i != j)
     return [(i, j) for i, j in sorted(pairs)
@@ -169,14 +169,20 @@ def _library(program: ast.Program) -> ast.Program:
 def _deploy(machine: Machine, deploys: list) -> dict[str, int]:
     """Run the deploy list serially; returns id -> location."""
     targets: dict[str, int] = {}
+    # class name -> (top-owned type, constructor arity), once per class
+    classes: dict[str, tuple[ast.ClassType, int]] = {}
     for d in deploys:
         cname = d["class"]
-        decl = machine.table.get(cname)
-        if decl is None:
-            raise ValueError(f"deploy {d['id']}: unknown class {cname}")
-        typ = ast.ClassType(cname, [CtxTop()] * len(decl.ctx_params))
-        ctor = machine.table.ctor_of(cname)
-        expected = len(ctor.params) if ctor else 0
+        known = classes.get(cname)
+        if known is None:
+            decl = machine.table.get(cname)
+            if decl is None:
+                raise ValueError(f"deploy {d['id']}: unknown class {cname}")
+            ctor = machine.table.ctor_of(cname)
+            known = classes[cname] = (
+                ast.ClassType(cname, [CtxTop()] * len(decl.ctx_params)),
+                len(ctor.params) if ctor else 0)
+        typ, expected = known
         args = d.get("args", [])
         if len(args) != expected:
             raise ValueError(

@@ -70,7 +70,14 @@ class _Lowerer:
                 self.scope.bind(stmt.name)
                 names.append(stmt.name)
             else:
-                lowered.append(self.expr(stmt))
+                low = self.expr(stmt)
+                if isinstance(low, ast.Let):
+                    # a nested block of one let: a bare Let would scope
+                    # over the rest of this chain, so the block gets a tail
+                    low = ast.Seq(low, ast.Const(None, line=low.line,
+                                                 col=low.col),
+                                  line=low.line, col=low.col)
+                lowered.append(low)
         self.scope.unbind(names)
         if not lowered:
             return ast.Const(None)

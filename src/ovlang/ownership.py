@@ -5,9 +5,11 @@ A context denotes the subtree of the ownership tree rooted at it: Top is the
 whole tree, Bot the empty set, This the current object, a parameter whatever
 it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
 
-The runtime tree keeps each location's owner and, beside it, the children
-each location owns directly, so a subtree is enumerated by walking only that
-subtree, and the live set is read from the tree rather than from the heap.
+The runtime tree keeps each location's ancestor chain and, beside it, the
+children each location owns directly. "subtree(k1) meets subtree(k2)" is a
+membership test on a stored chain, a subtree is enumerated by walking only
+that subtree, and the live set is read from the tree rather than from the
+heap.
 """
 from __future__ import annotations
 
@@ -141,65 +143,68 @@ def owner_bound(t: ast.TypeExpr) -> Context:
 
 
 class OwnershipTree:
-    """which-owns-which at runtime; owner None means owned by top. `owners`
-    holds the live locations in allocation order; `children` maps each of
-    them to the locations it owns directly."""
+    """which-owns-which at runtime. `chains` holds the live locations in
+    allocation order, each with its ancestor chain: the location itself,
+    its owner, and so on up to a top-owned root. `children` maps each of
+    them to the locations it owns directly.
+
+    Ownership is fixed at allocation and only leaves are removed, so a
+    chain, built once from the owner's chain, never goes stale."""
 
     def __init__(self) -> None:
-        self.owners: dict[int, Optional[int]] = {}
+        self.chains: dict[int, tuple[int, ...]] = {}
         self.children: dict[int, set[int]] = {}
 
     def add(self, loc: int, owner: Optional[int]) -> None:
-        assert loc not in self.owners
-        if owner is not None and owner not in self.owners:
-            raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
-        self.owners[loc] = owner
-        self.children[loc] = set()
-        if owner is not None:
+        assert loc not in self.chains
+        if owner is None:
+            self.chains[loc] = (loc,)
+        else:
+            up = self.chains.get(owner)
+            if up is None:
+                raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
+            self.chains[loc] = (loc,) + up
             self.children[owner].add(loc)
+        self.children[loc] = set()
 
     def remove(self, loc: int) -> None:
         """Drop a leaf: aborts remove created objects newest first, so a
         location's children are always gone before it."""
         assert not self.children[loc], f"l{loc} still owns objects"
-        owner = self.owners.pop(loc)
+        chain = self.chains.pop(loc)
         del self.children[loc]
-        if owner is not None:
-            self.children[owner].remove(loc)
+        if len(chain) > 1:
+            self.children[chain[1]].remove(loc)
+
+    def chain(self, loc: int) -> tuple[int, ...]:
+        """The ownership chain from loc (inclusive) up to a top-owned root."""
+        chain = self.chains.get(loc)
+        if chain is None:
+            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
+        return chain
 
     def ancestors(self, loc: int) -> list[int]:
-        """The ownership chain from loc (inclusive) up to a top-owned root."""
-        if loc not in self.owners:
-            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
-        chain = [loc]
-        cur = self.owners[loc]
-        while cur is not None:
-            chain.append(cur)
-            cur = self.owners[cur]
-        return chain
+        return list(self.chain(loc))
 
     def runtime_inside(self, loc: int, k: Context) -> bool:
         """Is loc within the subtree rooted at k? Reflexive at locations."""
         if isinstance(k, CtxTop):
-            if loc not in self.owners:
-                raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
+            self.chain(loc)  # E-DANGLING on an unknown location
             return True
         if isinstance(k, CtxBot):
             return False
         assert isinstance(k, CtxLoc), f"unresolved context {k}"
-        root = k.index
-        if root not in self.owners:
-            raise OvError("E-DANGLING", f"location l{root} is not in the heap")
-        return root in self.ancestors(loc)
+        self.chain(k.index)  # E-DANGLING on a removed root
+        return k.index in self.chain(loc)
 
     def runtime_subtree(self, k: Context) -> set[int]:
         if isinstance(k, CtxBot):
             return set()
         if isinstance(k, CtxTop):
-            return set(self.owners)
+            return set(self.chains)
         assert isinstance(k, CtxLoc), f"unresolved context {k}"
         root = k.index
-        if root not in self.owners:
+        if root not in self.chains:
             raise OvError("E-DANGLING", f"location l{root} is not in the heap")
         out = set()
         stack = [root]
@@ -213,11 +218,13 @@ class OwnershipTree:
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:
     """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts:
     empty for Bot; Top meets anything non-Bot; two locations meet iff one
-    lies inside the other."""
+    lies on the other's ancestor chain."""
     if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
         return False
     if isinstance(k1, CtxTop) or isinstance(k2, CtxTop):
         return True
     assert isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc)
-    return (tree.runtime_inside(k1.index, k2)
-            or tree.runtime_inside(k2.index, k1))
+    # a chain holds only live locations, so either test that succeeds
+    # has seen both locations live
+    return (k2.index in tree.chain(k1.index)
+            or k1.index in tree.chain(k2.index))

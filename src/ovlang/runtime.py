@@ -2,11 +2,13 @@
 
 Machine state: a lock flag, a heap, the set of locations currently known
 valid, per-thread frame stacks, and a thread list reduced by deterministic
-round-robin interleaving. Transactions nest linearly; each keeps a write
-log, a creation list, and a mark into the machine's undo log of valid-set
-changes, so aborts restore exactly the pre-transaction state. Constructors
-run as implicit <bot,this> transactions whose commit revalidates everything
-they created.
+round-robin interleaving over the threads still live. Transactions nest
+linearly; each keeps a write log, a creation list, and a mark into the
+machine's undo log of valid-set changes, so aborts restore exactly the
+pre-transaction state. The root frame at the bottom of every thread never
+aborts and keeps none of these. Constructors run as implicit <bot,this>
+transactions: a bot validity needs no subtree at begin, and the commit
+revalidates exactly what the constructor created.
 
 `Machine._reduce` is the one step function, behind both `Machine.step`
 (whole programs) and `Machine.run_expression` (deploys and block
@@ -23,6 +25,7 @@ bindings) is worked out once and kept.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -56,14 +59,17 @@ Value = Union[int, bool, None, Loc, FailureValue]
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "ctx_args", "fields", "bindings")
+    __slots__ = ("class_name", "ctx_args", "fields", "bindings",
+                 "ancestor_args")
 
     def __init__(self, class_name: str, ctx_args: list, fields: dict):
         self.class_name = class_name
         self.ctx_args = ctx_args  # runtime contexts, one per class parameter
         self.fields = fields
-        # Machine._ctx_bindings, kept: ctx_args never change after allocation
+        # Machine._ctx_bindings and Machine._args_at, kept: ctx_args never
+        # change after allocation
         self.bindings: Optional[dict] = None
+        self.ancestor_args: Optional[dict[str, list]] = None
 
 
 class Frame:
@@ -81,6 +87,14 @@ class Frame:
 
 
 ROOT_CONTRACT = Contract(CtxTop(), CtxTop())
+# The bottom frame of every thread, shared. It never aborts, so it keeps no
+# undo state: its containers are empty and immutable, and the events of a
+# frame committed into it go straight to Machine.events.
+ROOT_FRAME = Frame("root", ROOT_CONTRACT, 0)
+ROOT_FRAME.log = ROOT_FRAME.created = ROOT_FRAME.events = ()
+ROOT_FRAME.created_set = frozenset()
+# contexts that already denote a runtime subtree
+_RESOLVED = (CtxTop, CtxBot, CtxLoc)
 
 # continuation tags that consume their incoming value: a failure value
 # arriving here aborts the enclosing transaction (or kills the thread)
@@ -97,7 +111,7 @@ class Thread:
         self.control: tuple = ("expr", expr)
         self.env = env
         self.konts: list[tuple] = []
-        self.frames: list[Frame] = [Frame("root", ROOT_CONTRACT, 0)]
+        self.frames: list[Frame] = [ROOT_FRAME]
         self.done = False
         self.failure: Optional[FailureValue] = None
 
@@ -153,6 +167,8 @@ class Machine:
         self.sigma_log: list[tuple[int, bool]] = []
         self.tree = OwnershipTree()
         self.threads: list[Thread] = []
+        # ids of the threads not yet done, ascending: the round-robin order
+        self.live: list[int] = []
         self.cursor = seed
         self.alpha: Optional[int] = None
         self.naive = naive
@@ -166,7 +182,7 @@ class Machine:
         self._ctor_exprs: dict[str, ast.Expr] = {}
         self._field_defaults: dict[str, dict[str, Value]] = {}
         if program.main is not None:
-            self.threads.append(Thread(0, program.main, {"#ctx": {}}))
+            self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
     def _ctor_expr(self, class_name: str) -> ast.Expr:
@@ -229,12 +245,23 @@ class Machine:
         return obj.bindings
 
     def _args_at(self, obj: ObjectRec, ancestor: str) -> list:
-        """The object's runtime context arguments viewed at a superclass."""
-        chain = self._class_chain(obj)
-        for cls, args in chain:
-            if cls.name == ancestor:
-                return args
-        return chain[-1][1] if chain else list(obj.ctx_args)
+        """The object's runtime context arguments viewed at a superclass.
+        Worked out once per object and ancestor; callers must not change
+        the list."""
+        if ancestor == obj.class_name:
+            return obj.ctx_args
+        if obj.ancestor_args is None:
+            obj.ancestor_args = {}
+        args = obj.ancestor_args.get(ancestor)
+        if args is None:
+            chain = self._class_chain(obj)
+            args = chain[-1][1] if chain else list(obj.ctx_args)
+            for cls, cls_args in chain:
+                if cls.name == ancestor:
+                    args = cls_args
+                    break
+            obj.ancestor_args[ancestor] = args
+        return args
 
     def _resolve_ctx(self, k, env: dict):
         if isinstance(k, CtxThis):
@@ -247,26 +274,48 @@ class Machine:
             if k.name not in bindings:
                 raise OvError("E-STUCK", f"unbound context parameter {k.name}")
             return bindings[k.name]
-        if isinstance(k, (CtxTop, CtxBot, CtxLoc)):
+        if isinstance(k, _RESOLVED):
             return k
         raise OvError("E-STUCK", f"context {k} cannot be resolved at runtime")
 
     def _resolve_contract(self, d: Contract, env: dict) -> Contract:
+        if isinstance(d.validity, _RESOLVED) and \
+                isinstance(d.invalidity, _RESOLVED):
+            return d
         return Contract(self._resolve_ctx(d.validity, env),
                         self._resolve_ctx(d.invalidity, env))
 
     # -- heap / valid set ------------------------------------------------------
     def dom(self) -> list[int]:
-        return list(self.tree.owners)
+        return list(self.tree.chains)
 
     def _subtree(self, k) -> set[int]:
         if isinstance(k, CtxBot):
             return set()
         if isinstance(k, CtxTop):
-            return set(self.tree.owners)
+            return set(self.tree.chains)
         if isinstance(k, CtxLoc):
             return self.tree.runtime_subtree(k)
         raise OvError("E-STUCK", f"no subtree for context {k}")
+
+    def _meet(self, k1, k2) -> set[int]:
+        """subtree(k1) ∩ subtree(k2), as a fresh set. Two location subtrees
+        meet only when one root lies on the other's ancestor chain, and then
+        the meet is the lower subtree, so at most one subtree is walked."""
+        if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
+            return set()
+        if isinstance(k2, CtxTop):
+            return self._subtree(k1)
+        if isinstance(k1, CtxTop):
+            return self._subtree(k2)
+        if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
+            tree = self.tree
+            if k2.index in tree.chain(k1.index):
+                return tree.runtime_subtree(k1)
+            if k1.index in tree.chain(k2.index):
+                return tree.runtime_subtree(k2)
+            return set()
+        return self._subtree(k1) & self._subtree(k2)
 
     def eval_invariant(self, loc: int) -> bool:
         self.invariant_evals += 1
@@ -354,16 +403,16 @@ class Machine:
             return FailureValue("E-DANGLING", f"write to a removed object l{loc}")
         frame = thread.frames[-1]
         inv = frame.contract.invalidity
-        ok = (isinstance(inv, CtxTop)
-              or (isinstance(inv, CtxLoc)
-                  and self.tree.runtime_inside(loc, inv)))
-        if not ok:
+        chain = self.tree.chain(loc)
+        if not (isinstance(inv, CtxTop)
+                or (isinstance(inv, CtxLoc) and inv.index in chain)):
             raise OvError("E-EFFECT",
                           f"write to l{loc}.{fname} escapes the active frame")
-        if loc not in frame.created_set:
+        # the root frame never aborts, so its writes need no undo entry
+        if frame.kind != "root" and loc not in frame.created_set:
             frame.log.append((loc, fname, obj.fields.get(fname)))
         obj.fields[fname] = value
-        for anc in self.tree.ancestors(loc):
+        for anc in chain:
             self._mark_invalid(anc)
         return None
 
@@ -377,17 +426,14 @@ class Machine:
         # pre-begin state hash, so validity knowledge recovered at begin
         # may not outlive the transaction
         mark = len(self.sigma_log)
-        sub_v = self._subtree(contract.validity)
-        p_inv = parent.contract.invalidity
-        if isinstance(p_inv, CtxTop):
-            start = sub_v
-        elif isinstance(p_inv, CtxBot):
-            start = set()
+        validity = contract.validity
+        if isinstance(validity, CtxBot):
+            start: list[int] = []  # subtree(bot) is empty: nothing to check
         else:
-            start = sub_v & self._subtree(p_inv)
-        if self.naive:
-            self.pre_checks += len(sub_v)
-        for loc in sorted(start):
+            start = sorted(self._meet(validity, parent.contract.invalidity))
+            if self.naive:
+                self.pre_checks += len(self._subtree(validity))
+        for loc in start:
             if loc in self.sigma:
                 continue
             if not self.naive:
@@ -403,13 +449,19 @@ class Machine:
 
     def _commit(self, thread: Thread) -> Optional[FailureValue]:
         frame = thread.frames[-1]
-        sub_v = self._subtree(frame.contract.validity)
-        sub_i = self._subtree(frame.contract.invalidity)
-        reval = (sub_v & sub_i) | frame.created_set
-        if self.naive:
-            self.post_checks += len(sub_v | frame.created_set)
-        else:
+        validity = frame.contract.validity
+        if isinstance(validity, CtxBot):
+            # V ∩ I = ∅: only what the frame created is revalidated
+            reval = frame.created_set
             self.post_checks += len(reval)
+        else:
+            reval = self._meet(validity, frame.contract.invalidity)
+            reval |= frame.created_set
+            if self.naive:
+                self.post_checks += len(self._subtree(validity)
+                                        | frame.created_set)
+            else:
+                self.post_checks += len(reval)
         ok = True
         for loc in sorted(reval):
             if not self.eval_invariant(loc):
@@ -421,16 +473,16 @@ class Machine:
             self._mark_valid(loc)
         thread.frames.pop()
         parent = thread.frames[-1]
-        parent.log.extend(frame.log)
-        parent.created.extend(frame.created)
-        parent.created_set |= frame.created_set
         if parent.kind == "root":
+            # the root frame never aborts: it keeps no undo state
             self.events.extend(frame.events)
-        else:
-            parent.events.extend(frame.events)
-        if len(thread.frames) == 1:
             self.alpha = None
             self.root_commits += 1
+        else:
+            parent.log.extend(frame.log)
+            parent.created.extend(frame.created)
+            parent.created_set |= frame.created_set
+            parent.events.extend(frame.events)
         return None
 
     def _abort(self, thread: Thread) -> None:
@@ -476,28 +528,36 @@ class Machine:
         thread.control = ("val", fv)
 
     # -- scheduling ---------------------------------------------------------------
+    def _spawn(self, expr: ast.Expr, env: dict) -> None:
+        tid = len(self.threads)
+        self.threads.append(Thread(tid, expr, env))
+        self.live.append(tid)
+
     def step(self) -> bool:
+        """Reduce one thread: the one inside a transaction if there is one,
+        else the first live thread at or after the cursor, in id order,
+        wrapping around. False when no thread is live."""
+        live = self.live
         if self.alpha is not None:
             t = self.threads[self.alpha]
-            self._reduce(t)
-            self.steps += 1
-            return True
-        n = len(self.threads)
-        for i in range(n):
-            idx = (self.cursor + i) % n
-            t = self.threads[idx]
-            if not t.done:
-                self.cursor = idx + 1
-                self._reduce(t)
-                self.steps += 1
-                return True
-        return False
+        elif live:
+            pos = bisect_left(live, self.cursor % len(self.threads))
+            t = self.threads[live[pos] if pos < len(live) else live[0]]
+            self.cursor = t.tid + 1
+        else:
+            return False
+        self._reduce(t)
+        self.steps += 1
+        if t.done:
+            del live[bisect_left(live, t.tid)]
+        return True
 
     def run(self, fuel: int = DEFAULT_FUEL) -> FinalReport:
-        while any(not t.done for t in self.threads):
-            if self.steps >= fuel:
-                raise OvError("E-FUEL", f"step budget of {fuel} exhausted")
-            self.step()
+        while self.steps < fuel:
+            if not self.step():
+                return self._finish()
+        if self.live:
+            raise OvError("E-FUEL", f"step budget of {fuel} exhausted")
         return self._finish()
 
     def _finish(self) -> FinalReport:
@@ -677,7 +737,7 @@ class Machine:
         t.control = ("expr", e.body)
 
     def _x_fork(self, t: Thread, e: ast.Fork) -> None:
-        self.threads.append(Thread(len(self.threads), e.body, dict(t.env)))
+        self._spawn(e.body, dict(t.env))
         t.control = ("val", None)
 
     def _x_valid(self, t: Thread, e: ast.Valid) -> None:

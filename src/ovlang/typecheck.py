@@ -177,6 +177,8 @@ def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
                   f"{what} target type {t2} mentions an existential context",
                   line, col)
         return False
+    if isinstance(t1, ast.ErrorType):
+        return True
     if isinstance(t1, ast.NullType) and isinstance(t2, ast.ClassType):
         return True
     if isinstance(t1, ast.ClassType) and isinstance(t2, ast.ClassType):
@@ -232,6 +234,8 @@ class Checker:
     # -- helpers -------------------------------------------------------------
     def _class_of(self, env: TypeEnv, t: ast.TypeExpr, line: int,
                   col: int) -> Optional[ast.ClassDecl]:
+        if isinstance(t, ast.ErrorType):
+            return None  # already reported
         if not isinstance(t, ast.ClassType):
             self.diags.add("E-TYPE", f"{t} is not an object type", line, col)
             return None
@@ -273,7 +277,7 @@ class Checker:
         if t is None:
             self.diags.add("E-TYPE", f"unknown variable {e.name}",
                            e.line, e.col)
-            return ast.VOID
+            return ast.ERROR_T
         return t
 
     def _this(self, env: TypeEnv, e: ast.This) -> ast.TypeExpr:
@@ -326,13 +330,13 @@ class Checker:
 
     def _valid(self, env: TypeEnv, e: ast.Valid) -> ast.TypeExpr:
         t = self.type_expr(env, e.value)
-        if not isinstance(t, (ast.ClassType, ast.NullType)):
+        if not isinstance(t, (ast.ClassType, ast.NullType, ast.ErrorType)):
             self.diags.add("E-TYPE", "valid needs an object", e.line, e.col)
         return ast.BOOL
 
     def _require(self, env: TypeEnv, e: ast.Require) -> ast.TypeExpr:
         t = self.type_expr(env, e.cond)
-        if not isinstance(t, ast.BoolType):
+        if not isinstance(t, (ast.BoolType, ast.ErrorType)):
             self.diags.add("E-TYPE", "require needs a bool condition",
                            e.line, e.col)
         return ast.BOOL
@@ -367,7 +371,7 @@ class Checker:
             return ast.VOID
         decl = self._class_of(env, rt, e.line, e.col)
         if decl is None:
-            return ast.VOID
+            return ast.ERROR_T
         hit = env.table.find_field(decl.name, e.field_name)
         if hit is None:
             self.diags.add("E-TYPE",
@@ -440,7 +444,7 @@ class Checker:
         if decl is None:
             for a in e.args:
                 self.type_expr(env, a)
-            return ast.VOID
+            return ast.ERROR_T
         hit = env.table.find_method(decl.name, e.method)
         if hit is None:
             self.diags.add("E-TYPE", f"{decl.name} has no method {e.method}",
@@ -507,6 +511,11 @@ class Checker:
     def _prim(self, env: TypeEnv, e: ast.PrimOp) -> ast.TypeExpr:
         ts = [self.type_expr(env, a) for a in e.args]
         op = e.op
+        if ast.ErrorType in map(type, ts):
+            # an operand's fault is already reported: only the result's type
+            if len(ts) == 1:
+                return ast.BOOL if op == "!" else ast.INT
+            return ast.INT if op in ("+", "-", "*", "/", "%") else ast.BOOL
         if len(e.args) == 1:
             want = ast.BoolType if op == "!" else ast.IntType
             if not isinstance(ts[0], want):

@@ -1,4 +1,5 @@
 """Shared fixtures: corpus paths and pipeline helpers."""
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,15 @@ POSITIVE_FILES = sorted(p for p in CORPUS.glob("*.ov"))
 RUNNABLE_FILES = [p for p in POSITIVE_FILES
                   if "main" in p.read_text(encoding="utf-8")]
 NEGATIVE_FILES = sorted(NEGATIVE.glob("*.ov"))
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def compile_source(src: str):

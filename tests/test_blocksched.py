@@ -1,20 +1,23 @@
 """Block execution: interference, conflict graphs, miner, validator."""
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from ovlang import blocksched
+from ovlang import ast, blocksched
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
                                parse_block, serial_execute, validate_block)
 from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
+from ovlang.runtime import Machine
 from ovlang.typecheck import ClassTable
 
-from conftest import CORPUS, check_clean
+from conftest import CORPUS, bench_module, check_clean
 
 BOT, TOP = CtxBot(), CtxTop()
 
@@ -218,6 +221,123 @@ class TestLinearWork:
         mined = mine_block(PROGRAM, block_of(accounts(500), txns))
         assert len(mined.status) == 500
         assert {name for _table, name in walks} >= {"Account"}
+
+    def test_deploys_walk_no_subtree(self, monkeypatch):
+        # a constructor runs under <bot,this>: subtree(bot) is empty, so
+        # neither its begin nor its commit needs a subtree
+        calls = Counter()
+        subtree = OwnershipTree.runtime_subtree
+
+        def counted(tree, k):
+            calls["runtime_subtree"] += 1
+            return subtree(tree, k)
+
+        monkeypatch.setattr(OwnershipTree, "runtime_subtree", counted)
+        machine, _ = _prepare(PROGRAM, block_of(accounts(1000), []))
+        assert len(machine.dom()) == 1000 and len(machine.sigma) == 1000
+        assert calls["runtime_subtree"] == 0
+
+    def test_superclass_args_once_per_object(self, monkeypatch):
+        # binding a transaction to its target reads the contract's context
+        # arguments, which each object works out at most once
+        walks = Counter()
+        chain = Machine._class_chain
+
+        def counted(machine, obj):
+            walks[id(obj)] += 1
+            assert walks[id(obj)] <= 1, "an object's classes walked twice"
+            return chain(machine, obj)
+
+        monkeypatch.setattr(Machine, "_class_chain", counted)
+        txns = bank_txns(random.Random(9), 500)
+        mined = mine_block(PROGRAM, block_of(accounts(500), txns))
+        assert len(mined.status) == 500
+
+
+def _pinned_inputs() -> dict:
+    out = {f"blocks/{p.name}": json.loads(p.read_text(encoding="utf-8"))
+           for p in sorted((CORPUS / "blocks").glob("*.json"))}
+    workloads = bench_module("workloads")
+    out.update((f"bank:{i}", b)
+               for i, b in enumerate(workloads.bank_blocks(1)[:2]))
+    out.update((f"custody:{i}", b)
+               for i, b in enumerate(workloads.custody_blocks(1)[:8]))
+    return out
+
+
+def _naive_replay(data: dict) -> tuple[int, int]:
+    """(pre_checks, post_checks) of the block's transactions run once each
+    in index order, as deduced atomics, on a naive machine."""
+    m = Machine(ast.Program(PROGRAM.classes, None), naive=True)
+    locs = {}
+    for d in data["deploy"]:
+        typ = ast.ClassType(d["class"], [CtxTop()])
+        locs[d["id"]] = m.run_expression(
+            ast.New(typ, [ast.Const(a) for a in d.get("args", [])]))
+    for t in data["txns"]:
+        call = ast.Call(ast.Var("target"), t["method"],
+                        [ast.Const(a) for a in t.get("args", [])])
+        m.run_expression(ast.Atomic(contract=None, body=call, deduced=True),
+                         {"target": locs[t["target"]], "#ctx": {}})
+    return m.pre_checks, m.post_checks
+
+
+# The paper's counters on corpus/blocks and on seed-1 bank_large and
+# custody_hot blocks, recorded before ancestor chains were stored and
+# constructor frames stopped building subtrees; the transaction machinery
+# may get cheaper, but none of these may move. Per block: edge count,
+# digest of the statuses and edges, state hash prefix, the mining machine's
+# (pre_checks, post_checks, invariant_evals, Machine.steps) after deploys
+# and transactions, and a naive replay's (pre_checks, post_checks).
+PINNED_BLOCKS = {
+    "blocks/conflict.json": (1, "cb1ed28b588a2b30", "c5873ed02038cd2e",
+                             (0, 3, 3, 57), (4, 5)),
+    "blocks/transfers.json": (0, "6f1ec1c733b183fe", "a815b4520a8502c2",
+                              (0, 6, 6, 111), (6, 9)),
+    "bank:0": (210, "ba353fc15bc12af2", "582fb3120a3f07d9",
+               (0, 834, 834, 16840), (1000, 1500)),
+    "bank:1": (232, "43a0e38bd27ac495", "68e17dbc308965d2",
+               (0, 834, 834, 16840), (1000, 1500)),
+    "custody:0": (137, "fbb11685874ef5f6", "98924c69e7a3fd88",
+                  (7, 78, 85, 1584), (260, 284)),
+    "custody:1": (140, "bdc9ffc7b6f572fc", "a44054870e09aa05",
+                  (9, 78, 87, 1584), (260, 284)),
+    "custody:2": (137, "e32ad7f40765b4eb", "be338e680119a0d7",
+                  (6, 78, 84, 1584), (260, 284)),
+    "custody:3": (119, "06e09148fae43bf7", "1076f0692d5ed511",
+                  (7, 78, 85, 1584), (260, 284)),
+    "custody:4": (135, "1100843027f7c526", "5fe8136fac6dafb8",
+                  (6, 78, 84, 1584), (260, 284)),
+    "custody:5": (126, "505dc4f368355b5c", "655539cbc8726cc7",
+                  (7, 78, 85, 1584), (260, 284)),
+    "custody:6": (141, "86ce3abf978b90e9", "8ac241b4cd469d6c",
+                  (7, 78, 85, 1584), (260, 284)),
+    "custody:7": (128, "6b2b050d5be55fed", "10af502b9fd90de9",
+                  (7, 78, 85, 1584), (260, 284)),
+}
+
+
+PINNED_INPUTS = _pinned_inputs()
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+    def test_block_outputs_are_pinned(self, name):
+        data = PINNED_INPUTS[name]
+        block = parse_block(data)
+        machine, scts = _prepare(PROGRAM, block)
+        edges = build_conflict_graph(scts, machine.tree)
+        status = _execute(machine, scts, range(len(scts)))
+        digest = hashlib.sha256(json.dumps(
+            [status, [list(e) for e in edges]]).encode()).hexdigest()[:16]
+        got = (len(edges), digest, machine.state_hash()[:16],
+               (machine.pre_checks, machine.post_checks,
+                machine.invariant_evals, machine.steps),
+               _naive_replay(data))
+        assert got == PINNED_BLOCKS[name]
+        mined = mine_block(PROGRAM, block)
+        assert mined.edges == edges and mined.status == status
+        assert validate_block(PROGRAM, mined, block).accepted
 
 
 class TestRunaway:

@@ -61,6 +61,25 @@ class C[o] {
         ast.FieldSet(this, "v", ast.Const(5)))
 
 
+def test_one_let_block_ends_with_its_block():
+    # a bare Let heading the enclosing chain would scope over the rest of
+    # it, so a block of one let keeps a tail of its own
+    p = lower("""\
+class C[o] {
+    int v;
+    void m() <this,this> {
+        { int v = 3; };
+        v = 5;
+    }
+}
+""")
+    body = method_body(p, "C", "m")
+    assert body == ast.Seq(
+        ast.Seq(ast.Let("v", ast.IntType(), ast.Const(3)), ast.Const(None)),
+        ast.FieldSet(ast.This(), "v", ast.Const(5)))
+    assert method_body(desugar(p), "C", "m") == body
+
+
 def test_params_shadow_fields():
     p = lower("class C[o] { int v; int m(int v) <this,bot> { return v; } }")
     assert method_body(p, "C", "m") == ast.Var("v")

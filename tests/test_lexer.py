@@ -1,5 +1,4 @@
 """Tokenizer: the one-pass lexer against a regex-per-token reference."""
-import importlib.util
 import random
 import re
 
@@ -8,7 +7,7 @@ import pytest
 from ovlang.diagnostics import OvError
 from ovlang.lexer import KEYWORDS, tokenize
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, bench_module
 
 # The reference: one re.match per token, whitespace run or comment, with
 # the newlines of each matched text counted to move line and column.
@@ -63,14 +62,6 @@ def lexed(src: str):
     return [(t.kind, t.text, t.line, t.col) for t in toks]
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 CORPUS_SOURCES = {p.relative_to(CORPUS).as_posix(): p.read_text(encoding="utf-8")
                   for p in sorted(CORPUS.glob("**/*.ov"))}
 
@@ -108,7 +99,7 @@ def test_corpus_matches_reference(name):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bench_programs_match_reference(seed):
-    for stem, src in _workloads().programs(seed):
+    for stem, src in bench_module("workloads").programs(seed):
         assert lexed(src) == reference(src), stem
 
 

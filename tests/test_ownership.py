@@ -200,6 +200,84 @@ class TestTree:
                         enumerate_subtree(owners, k)
 
 
+# a brute-force ancestor walk over a plain owner map, for the chains the
+# tree stores at allocation
+def walk_up(owners: dict, loc: int) -> list:
+    chain = [loc]
+    while owners[chain[-1]] is not None:
+        chain.append(owners[chain[-1]])
+    return chain
+
+
+def dangling(fn, *args) -> bool:
+    with pytest.raises(OvError) as exc:
+        fn(*args)
+    return exc.value.code == "E-DANGLING"
+
+
+class TestAncestorChains:
+    def test_chains_match_an_owner_walk(self):
+        # seeded add/remove sequences on forests up to six deep; aborts
+        # remove what they created newest first, so only leaves go
+        rng = random.Random(31)
+        for _ in range(120):
+            tree, owners, fresh, removed = OwnershipTree(), {}, 0, []
+            for _step in range(rng.randrange(1, 50)):
+                if owners and rng.random() < 0.3:
+                    # drop the newest few locations, newest first
+                    for loc in sorted(owners, reverse=True)[
+                            :rng.randrange(1, 4)]:
+                        tree.remove(loc)
+                        del owners[loc]
+                        removed.append(loc)
+                    continue
+                shallow = [loc for loc in owners
+                           if len(walk_up(owners, loc)) < 6]
+                owner = rng.choice([None] + sorted(shallow))
+                tree.add(fresh, owner)
+                owners[fresh] = owner
+                fresh += 1
+            locs = sorted(owners)
+            assert all(len(walk_up(owners, loc)) <= 6 for loc in locs)
+            ctxs = [CtxTop(), CtxBot()] + [CtxLoc(i) for i in locs]
+            for loc in locs:
+                assert tree.ancestors(loc) == walk_up(owners, loc)
+                for k in ctxs:
+                    assert tree.runtime_inside(loc, k) == \
+                        (loc in enumerate_subtree(owners, k))
+            for k in ctxs:
+                assert tree.runtime_subtree(k) == enumerate_subtree(owners, k)
+            for k1 in ctxs:
+                for k2 in ctxs:
+                    if not locs and k1 == k2 == CtxTop():
+                        continue  # Top meets Top by definition
+                    assert subtrees_intersect(tree, k1, k2) == bool(
+                        enumerate_subtree(owners, k1)
+                        & enumerate_subtree(owners, k2))
+            # removed and never-allocated locations are dangling everywhere
+            gone = [loc for loc in removed if loc not in owners] + [fresh]
+            for loc in gone[-3:]:
+                assert dangling(tree.ancestors, loc)
+                assert dangling(tree.runtime_inside, loc, CtxTop())
+                assert dangling(tree.runtime_subtree, CtxLoc(loc))
+                assert dangling(tree.add, fresh + 1, loc)
+                for k in ctxs[2:3]:
+                    assert dangling(tree.runtime_inside, k.index, CtxLoc(loc))
+                    assert dangling(tree.runtime_inside, loc, k)
+                    assert dangling(subtrees_intersect, tree, k, CtxLoc(loc))
+                    assert dangling(subtrees_intersect, tree, CtxLoc(loc), k)
+
+    def test_chain_outlives_no_removal(self):
+        # a removed leaf takes its chain with it; its owner's stays
+        tree = build_tree({0: None, 1: 0, 2: 1})
+        tree.remove(2)
+        assert tree.ancestors(1) == [1, 0]
+        assert dangling(tree.ancestors, 2)
+        tree.add(3, 1)
+        assert tree.ancestors(3) == [3, 1, 0]
+        assert tree.runtime_subtree(CtxLoc(0)) == {0, 1, 3}
+
+
 class TestSubtreesIntersect:
     def test_siblings_disjoint(self):
         tree = build_tree({0: None, 1: None})

@@ -1,4 +1,6 @@
 """Transactional interpreter: counters, rollback, failure flow, reports."""
+import random
+
 import pytest
 
 from ovlang import ast, runtime
@@ -309,6 +311,76 @@ main {
         hashes = {run_source(self.SPAWN, seed=s).state_hash
                   for s in range(4)}
         assert len(hashes) == 1
+
+    COUNTER = (CORPUS / "spawn.ov").read_text(encoding="utf-8") \
+        .split("main {")[0]
+
+    @classmethod
+    def fork_program(cls, rng: random.Random) -> str:
+        lines = ["main {", "    Counter<top> c = new Counter<top>();",
+                 "    Counter<top> d = new Counter<top>();"]
+        for _ in range(rng.randrange(1, 30)):
+            r, x = rng.random(), rng.choice("cd")
+            if r < 0.4:
+                lines.append(f"    fork atomic {x}.tick();")
+            elif r < 0.55:
+                lines.append(f"    fork {{ atomic {x}.tick(); {x}.total(); "
+                             f"atomic c.tick(); }};")
+            elif r < 0.65:
+                lines.append(f"    fork {{ fork atomic {x}.tick(); "
+                             f"{x}.total(); }};")
+            elif r < 0.85:
+                lines.append(f"    atomic {x}.tick();")
+            else:
+                lines.append(f"    {x}.total();")
+        return cls.COUNTER + "\n".join(lines) + "\n}\n"
+
+    @staticmethod
+    def reference_pick(cursor: int, done: list, alpha):
+        """Round robin as a scan: the thread inside a transaction, else the
+        first thread not done from the cursor on, wrapping around. Returns
+        the pick and the next cursor."""
+        if alpha is not None:
+            return alpha, cursor
+        n = len(done)
+        for i in range(n):
+            idx = (cursor + i) % n
+            if not done[idx]:
+                return idx, idx + 1
+        return None, cursor
+
+    def test_schedule_matches_round_robin_reference(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            core = check_clean(self.fork_program(rng))
+            for seed in (0, 1, 2, 5, 17):
+                m = Machine(core, seed=seed)
+                picked, expected, cursor = [], [], [seed]
+                reduce = m._reduce
+
+                def recorded(t, m=m, reduce=reduce, picked=picked,
+                             expected=expected, cursor=cursor):
+                    want, cursor[0] = self.reference_pick(
+                        cursor[0], [th.done for th in m.threads], m.alpha)
+                    expected.append(want)
+                    picked.append(t.tid)
+                    reduce(t)
+
+                m._reduce = recorded
+                m.run()
+                assert picked == expected
+                assert all(t.done for t in m.threads) and not m.live
+
+    def test_fuel_runs_out_only_with_live_threads(self):
+        core = check_clean(self.fork_program(random.Random(3)))
+        m = Machine(core)
+        m.run()
+        needed = m.steps
+        # the last step may use the last unit of fuel
+        assert Machine(core).run(fuel=needed).lemma3
+        with pytest.raises(OvError) as exc:
+            Machine(core).run(fuel=needed - 1)
+        assert exc.value.code == "E-FUEL"
 
 
 class TestReport:

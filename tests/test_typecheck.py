@@ -295,8 +295,18 @@ class TestLetScope:
     def test_binding_ends_with_its_block(self):
         _, diags = compile_source("main { { int a = 1; a = 2; }; int b = a; }")
         assert [(d.code, d.msg) for d in diags.errors()] == [
-            ("E-TYPE", "unknown variable a"),
-            ("E-TYPE", "cannot bind void where int is expected")]
+            ("E-TYPE", "unknown variable a")]
+
+    def test_one_let_block_ends_its_binding(self):
+        # a block of one let lowers to a let that must not head the
+        # enclosing chain
+        _, diags = compile_source("main { { int a = 1; }; int b = a; }")
+        assert [(d.code, d.msg, d.col) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable a", 32)]
+        _, diags = compile_source(
+            "main { int a = 1; { bool a = true; }; int b = a; }")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "variable a is already declared")]
 
     def test_redeclaration_hides_until_block_end(self):
         _, diags = compile_source(
@@ -315,8 +325,40 @@ class C[o] {
 }
 """)
         assert [(d.code, d.msg, d.line) for d in diags.errors()] == [
-            ("E-TYPE", "unknown variable x", 5),
-            ("E-TYPE", "cannot bind void where int is expected", 5)]
+            ("E-TYPE", "unknown variable x", 5)]
+
+
+class TestOneDiagnosticPerFault:
+    """An unknown name has the error type, which binds anywhere and is a
+    fine operand, so its fault is reported once, where the name is."""
+
+    @pytest.mark.parametrize("body", [
+        "int x = q;", "b = q;", "int x = q + 1;", "bool x = !q;",
+        "bool x = q == 1;", "require(q);", "bool x = valid(q);",
+        "int x = q.n;", "int x = q.get();", "C<top> c = q;",
+        "C<top> c = new C<top>(q);", "int x = -q * 2;",
+    ])
+    def test_unknown_name_is_reported_once(self, body):
+        src = ("class C[o] { int n; C(int v) { n = v; }"
+               " int get() <this,bot> { return n; } }\n"
+               "main { int b = 0; " + body + " }")
+        _, diags = compile_source(src)
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable q")]
+
+    def test_method_returning_an_unknown_name(self):
+        _, diags = compile_source(
+            "class A[o] {\n  int f() <bot,bot> { return zz; }\n}\n")
+        assert [(d.code, d.msg, d.line, d.col) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable zz", 2, 30)]
+
+    def test_other_faults_still_reported(self):
+        # the error type does not hide a fault of its own
+        _, diags = compile_source("main { int b = true; bool c = 1 + q; }")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "cannot bind bool where int is expected"),
+            ("E-TYPE", "unknown variable q"),
+            ("E-TYPE", "cannot bind int where bool is expected")]
 
 
 class TestLinearWork:
