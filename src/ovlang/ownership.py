@@ -183,8 +183,16 @@ class OwnershipTree:
             raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
         return chain
 
-    def ancestors(self, loc: int) -> list[int]:
-        return list(self.chain(loc))
+    def lower_of(self, k1: CtxLoc, k2: CtxLoc) -> Optional[CtxLoc]:
+        """Two location subtrees meet iff one root lies on the other's
+        chain, and then their meet is the lower subtree: that root, or
+        None when they are disjoint. A chain holds only live locations, so
+        a test that succeeds has seen both roots live."""
+        if k2.index in self.chain(k1.index):
+            return k1
+        if k1.index in self.chain(k2.index):
+            return k2
+        return None
 
     def runtime_inside(self, loc: int, k: Context) -> bool:
         """Is loc within the subtree rooted at k? Reflexive at locations."""
@@ -218,13 +226,10 @@ class OwnershipTree:
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:
     """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts:
     empty for Bot; Top meets anything non-Bot; two locations meet iff one
-    lies on the other's ancestor chain."""
+    lies on the other's ancestor chain (OwnershipTree.lower_of)."""
     if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
         return False
     if isinstance(k1, CtxTop) or isinstance(k2, CtxTop):
         return True
     assert isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc)
-    # a chain holds only live locations, so either test that succeeds
-    # has seen both locations live
-    return (k2.index in tree.chain(k1.index)
-            or k1.index in tree.chain(k2.index))
+    return tree.lower_of(k1, k2) is not None

@@ -59,17 +59,14 @@ Value = Union[int, bool, None, Loc, FailureValue]
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "ctx_args", "fields", "bindings",
-                 "ancestor_args")
+    __slots__ = ("class_name", "ctx_args", "fields", "bindings")
 
     def __init__(self, class_name: str, ctx_args: list, fields: dict):
         self.class_name = class_name
         self.ctx_args = ctx_args  # runtime contexts, one per class parameter
         self.fields = fields
-        # Machine._ctx_bindings and Machine._args_at, kept: ctx_args never
-        # change after allocation
+        # Machine._ctx_bindings, kept: ctx_args never change after allocation
         self.bindings: Optional[dict] = None
-        self.ancestor_args: Optional[dict[str, list]] = None
 
 
 class Frame:
@@ -245,23 +242,15 @@ class Machine:
         return obj.bindings
 
     def _args_at(self, obj: ObjectRec, ancestor: str) -> list:
-        """The object's runtime context arguments viewed at a superclass.
-        Worked out once per object and ancestor; callers must not change
-        the list."""
+        """The object's runtime context arguments viewed at a superclass;
+        at its own class they are its ctx_args, with no walk."""
         if ancestor == obj.class_name:
             return obj.ctx_args
-        if obj.ancestor_args is None:
-            obj.ancestor_args = {}
-        args = obj.ancestor_args.get(ancestor)
-        if args is None:
-            chain = self._class_chain(obj)
-            args = chain[-1][1] if chain else list(obj.ctx_args)
-            for cls, cls_args in chain:
-                if cls.name == ancestor:
-                    args = cls_args
-                    break
-            obj.ancestor_args[ancestor] = args
-        return args
+        chain = self._class_chain(obj)
+        for cls, args in chain:
+            if cls.name == ancestor:
+                return args
+        return chain[-1][1] if chain else list(obj.ctx_args)
 
     def _resolve_ctx(self, k, env: dict):
         if isinstance(k, CtxThis):
@@ -300,8 +289,8 @@ class Machine:
 
     def _meet(self, k1, k2) -> set[int]:
         """subtree(k1) ∩ subtree(k2), as a fresh set. Two location subtrees
-        meet only when one root lies on the other's ancestor chain, and then
-        the meet is the lower subtree, so at most one subtree is walked."""
+        meet in the lower one (OwnershipTree.lower_of), so at most one
+        subtree is walked."""
         if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
             return set()
         if isinstance(k2, CtxTop):
@@ -309,12 +298,8 @@ class Machine:
         if isinstance(k1, CtxTop):
             return self._subtree(k2)
         if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
-            tree = self.tree
-            if k2.index in tree.chain(k1.index):
-                return tree.runtime_subtree(k1)
-            if k1.index in tree.chain(k2.index):
-                return tree.runtime_subtree(k2)
-            return set()
+            low = self.tree.lower_of(k1, k2)
+            return set() if low is None else self.tree.runtime_subtree(low)
         return self._subtree(k1) & self._subtree(k2)
 
     def eval_invariant(self, loc: int) -> bool:

@@ -511,35 +511,37 @@ class Checker:
     def _prim(self, env: TypeEnv, e: ast.PrimOp) -> ast.TypeExpr:
         ts = [self.type_expr(env, a) for a in e.args]
         op = e.op
-        if ast.ErrorType in map(type, ts):
-            # an operand's fault is already reported: only the result's type
-            if len(ts) == 1:
-                return ast.BOOL if op == "!" else ast.INT
-            return ast.INT if op in ("+", "-", "*", "/", "%") else ast.BOOL
+        # an error-typed operand's fault is already reported: it meets every
+        # operator's requirement, and the other operands are still checked
+        err = ast.ErrorType
         if len(e.args) == 1:
             want = ast.BoolType if op == "!" else ast.IntType
-            if not isinstance(ts[0], want):
+            if not isinstance(ts[0], (want, err)):
                 self.diags.add("E-TYPE", f"operator {op} needs {want().__str__()}",
                                e.line, e.col)
             return ast.BOOL if op == "!" else ast.INT
         a, b = ts
         if op in ("+", "-", "*", "/", "%"):
-            if not (isinstance(a, ast.IntType) and isinstance(b, ast.IntType)):
+            if not (isinstance(a, (ast.IntType, err))
+                    and isinstance(b, (ast.IntType, err))):
                 self.diags.add("E-TYPE", f"operator {op} needs int operands",
                                e.line, e.col)
             return ast.INT
         if op in ("<", "<=", ">", ">="):
-            if not (isinstance(a, ast.IntType) and isinstance(b, ast.IntType)):
+            if not (isinstance(a, (ast.IntType, err))
+                    and isinstance(b, (ast.IntType, err))):
                 self.diags.add("E-TYPE", f"operator {op} needs int operands",
                                e.line, e.col)
             return ast.BOOL
         if op in ("&&", "||"):
-            if not (isinstance(a, ast.BoolType) and isinstance(b, ast.BoolType)):
+            if not (isinstance(a, (ast.BoolType, err))
+                    and isinstance(b, (ast.BoolType, err))):
                 self.diags.add("E-TYPE", f"operator {op} needs bool operands",
                                e.line, e.col)
             return ast.BOOL
         if op in ("==", "!="):
-            ok = (isinstance(a, ast.IntType) and isinstance(b, ast.IntType)) or \
+            ok = isinstance(a, err) or isinstance(b, err) or \
+                 (isinstance(a, ast.IntType) and isinstance(b, ast.IntType)) or \
                  (isinstance(a, ast.BoolType) and isinstance(b, ast.BoolType)) or \
                  (isinstance(a, (ast.ClassType, ast.NullType))
                   and isinstance(b, (ast.ClassType, ast.NullType)))
@@ -685,7 +687,7 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
         return
     owned_path(e)
     t = checker.type_expr(env, e)
-    if not isinstance(t, ast.BoolType):
+    if not isinstance(t, (ast.BoolType, ast.ErrorType)):
         diags.add("E-TYPE", "invariant clause must be boolean", e.line, e.col)
 
 

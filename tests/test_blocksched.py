@@ -239,7 +239,8 @@ class TestLinearWork:
 
     def test_superclass_args_once_per_object(self, monkeypatch):
         # binding a transaction to its target reads the contract's context
-        # arguments, which each object works out at most once
+        # arguments at the target's own class, which needs no walk of its
+        # classes; only its kept context bindings walk them, once
         walks = Counter()
         chain = Machine._class_chain
 

@@ -143,8 +143,8 @@ class TestTree:
 
     def test_ancestors(self):
         tree = build_tree(self.OWNERS)
-        assert tree.ancestors(3) == [3, 1, 0]
-        assert tree.ancestors(4) == [4]
+        assert tree.chain(3) == (3, 1, 0)
+        assert tree.chain(4) == (4,)
 
     def test_runtime_inside(self):
         tree = build_tree(self.OWNERS)
@@ -241,7 +241,7 @@ class TestAncestorChains:
             assert all(len(walk_up(owners, loc)) <= 6 for loc in locs)
             ctxs = [CtxTop(), CtxBot()] + [CtxLoc(i) for i in locs]
             for loc in locs:
-                assert tree.ancestors(loc) == walk_up(owners, loc)
+                assert list(tree.chain(loc)) == walk_up(owners, loc)
                 for k in ctxs:
                     assert tree.runtime_inside(loc, k) == \
                         (loc in enumerate_subtree(owners, k))
@@ -251,13 +251,17 @@ class TestAncestorChains:
                 for k2 in ctxs:
                     if not locs and k1 == k2 == CtxTop():
                         continue  # Top meets Top by definition
-                    assert subtrees_intersect(tree, k1, k2) == bool(
-                        enumerate_subtree(owners, k1)
-                        & enumerate_subtree(owners, k2))
+                    meet = (enumerate_subtree(owners, k1)
+                            & enumerate_subtree(owners, k2))
+                    assert subtrees_intersect(tree, k1, k2) == bool(meet)
+                    if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
+                        low = tree.lower_of(k1, k2)
+                        assert (set() if low is None else
+                                enumerate_subtree(owners, low)) == meet
             # removed and never-allocated locations are dangling everywhere
             gone = [loc for loc in removed if loc not in owners] + [fresh]
             for loc in gone[-3:]:
-                assert dangling(tree.ancestors, loc)
+                assert dangling(tree.chain, loc)
                 assert dangling(tree.runtime_inside, loc, CtxTop())
                 assert dangling(tree.runtime_subtree, CtxLoc(loc))
                 assert dangling(tree.add, fresh + 1, loc)
@@ -271,10 +275,10 @@ class TestAncestorChains:
         # a removed leaf takes its chain with it; its owner's stays
         tree = build_tree({0: None, 1: 0, 2: 1})
         tree.remove(2)
-        assert tree.ancestors(1) == [1, 0]
-        assert dangling(tree.ancestors, 2)
+        assert tree.chain(1) == (1, 0)
+        assert dangling(tree.chain, 2)
         tree.add(3, 1)
-        assert tree.ancestors(3) == [3, 1, 0]
+        assert tree.chain(3) == (3, 1, 0)
         assert tree.runtime_subtree(CtxLoc(0)) == {0, 1, 3}
 
 

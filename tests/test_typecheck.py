@@ -360,6 +360,25 @@ class TestOneDiagnosticPerFault:
             ("E-TYPE", "unknown variable q"),
             ("E-TYPE", "cannot bind int where bool is expected")]
 
+    @pytest.mark.parametrize("body, fault", [
+        ("int x = true + q;", "operator + needs int operands"),
+        ("int x = q - false;", "operator - needs int operands"),
+        ("bool x = q < true;", "operator < needs int operands"),
+        ("bool x = 3 && q;", "operator && needs bool operands"),
+    ])
+    def test_other_operand_still_checked(self, body, fault):
+        # an error-typed operand meets the operator's requirement; the
+        # other operand's own fault is still reported
+        _, diags = compile_source("main { " + body + " }")
+        assert sorted(d.msg for d in diags.errors()) == sorted(
+            ["unknown variable q", fault])
+
+    def test_invariant_of_an_unknown_name(self):
+        _, diags = compile_source(
+            "class A[o] { int n; inv zz; A() { n = 0; } }\n")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", "unknown variable zz")]
+
 
 class TestLinearWork:
     """Checking a block does work linear in its length: the lets of a chain
