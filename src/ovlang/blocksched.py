@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxTop
 from .diagnostics import OvError
-from .ownership import OwnershipTree, substitute, subtrees_intersect
+from .ownership import OwnershipTree, subtrees_intersect
 from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine
 
 # interpreter steps one transaction may take before it aborts as R-GAS
@@ -215,11 +215,10 @@ def _bind_scts(machine: Machine, targets: dict, txns: list) -> list[Sct]:
             raise OvError("E-TARGET",
                           f"txn {i}: {t['method']} takes {len(m.params)} "
                           f"arguments, got {len(args)}")
-        contract = substitute(m.contract, owner_cls.ctx_params,
-                              machine._args_at(obj, owner_cls.name),
-                              CtxLoc(loc))
         scts.append(Sct(index=i, target=t["target"], method=t["method"],
-                        args=list(args), loc=loc, contract=contract))
+                        args=list(args), loc=loc,
+                        contract=machine._method_contract(obj, loc,
+                                                          owner_cls, m)))
     return scts
 
 
@@ -240,8 +239,9 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
                                [ast.Const(a) for a in sct.args]))
     commits = machine.root_commits
     try:
-        val = machine.run_expression(expr, {"__target": Loc(sct.loc),
-                                            "#ctx": {}}, fuel=TXN_STEPS)
+        val = machine.run_expression(
+            expr, {"__target": machine.locs[sct.loc], "#ctx": {}},
+            fuel=TXN_STEPS)
     except OvError as err:
         if err.code != "E-FUEL":
             raise

@@ -224,12 +224,14 @@ class OwnershipTree:
 
 
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:
-    """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts:
-    empty for Bot; Top meets anything non-Bot; two locations meet iff one
-    lies on the other's ancestor chain (OwnershipTree.lower_of)."""
+    """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts: two
+    locations, the common case, meet iff one lies on the other's ancestor
+    chain (OwnershipTree.lower_of); Bot is empty; Top meets anything
+    non-Bot."""
+    if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
+        return tree.lower_of(k1, k2) is not None
     if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
         return False
     if isinstance(k1, CtxTop) or isinstance(k2, CtxTop):
         return True
-    assert isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc)
-    return tree.lower_of(k1, k2) is not None
+    raise AssertionError(f"unresolved context {k1} or {k2}")

@@ -19,12 +19,16 @@ to. Both tables are built once, below the Machine class; a node class or
 tag with no rule is E-STUCK. Invariant clauses are evaluated apart from
 the step function, through a third table, `_PURE_RULES`; a node class
 with no rule there makes the invariant false. Class metadata (superclass
-chains, fields, method lookups, default field values, an object's context
-bindings) is worked out once and kept.
+chains, fields, method lookups, default field values, invariant clauses)
+is worked out once per class and kept. What depends only on an object,
+which is fixed at its allocation, is kept on the object: its `Loc`, its
+context bindings, and each method contract and `atomic` contract resolved
+against it.
 """
 from __future__ import annotations
 
 import hashlib
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
@@ -59,7 +63,7 @@ Value = Union[int, bool, None, Loc, FailureValue]
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "ctx_args", "fields", "bindings")
+    __slots__ = ("class_name", "ctx_args", "fields", "bindings", "contracts")
 
     def __init__(self, class_name: str, ctx_args: list, fields: dict):
         self.class_name = class_name
@@ -67,6 +71,10 @@ class ObjectRec:
         self.fields = fields
         # Machine._ctx_bindings, kept: ctx_args never change after allocation
         self.bindings: Optional[dict] = None
+        # id of a MethodDecl or Atomic node -> its contract resolved against
+        # this object (Machine._method_contract, Machine._x_atomic); made on
+        # first use. The nodes belong to Machine.program, which outlives it.
+        self.contracts: Optional[dict] = None
 
 
 class Frame:
@@ -157,6 +165,8 @@ class Machine:
         self.program = program
         self.table = ClassTable(program)
         self.heap: list[Optional[ObjectRec]] = []
+        # the one Loc of each heap slot, made at allocation
+        self.locs: list[Loc] = []
         self.sigma: set[int] = set()
         # membership changes to sigma, as (loc, added), since the outermost
         # begin; one log serves every thread, since alpha admits one thread
@@ -178,6 +188,7 @@ class Machine:
         self.steps = 0
         self._ctor_exprs: dict[str, ast.Expr] = {}
         self._field_defaults: dict[str, dict[str, Value]] = {}
+        self._invariants: dict[str, tuple[ast.Expr, ...]] = {}
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
 
@@ -252,6 +263,22 @@ class Machine:
                 return args
         return chain[-1][1] if chain else list(obj.ctx_args)
 
+    def _method_contract(self, obj: ObjectRec, loc: int,
+                         owner_cls: ast.ClassDecl,
+                         m: ast.MethodDecl) -> Contract:
+        """m's contract with the object's context arguments for the owner
+        class's parameters and l_loc for this: resolved once per (object,
+        method) and kept on the object."""
+        cache = obj.contracts
+        if cache is None:
+            cache = obj.contracts = {}
+        d = cache.get(id(m))
+        if d is None:
+            d = cache[id(m)] = substitute(
+                m.contract, owner_cls.ctx_params,
+                self._args_at(obj, owner_cls.name), CtxLoc(loc))
+        return d
+
     def _resolve_ctx(self, k, env: dict):
         if isinstance(k, CtxThis):
             this = env.get("this")
@@ -302,16 +329,25 @@ class Machine:
             return set() if low is None else self.tree.runtime_subtree(low)
         return self._subtree(k1) & self._subtree(k2)
 
+    def _invariant_clauses(self, class_name: str) -> tuple[ast.Expr, ...]:
+        """The invariant clauses of a class and its superclasses, nearest
+        class first, collected once per class."""
+        clauses = self._invariants.get(class_name)
+        if clauses is None:
+            clauses = self._invariants[class_name] = tuple(
+                clause for cls in self.table.chain(class_name)
+                for clause in cls.invariants)
+        return clauses
+
     def eval_invariant(self, loc: int) -> bool:
         self.invariant_evals += 1
         obj = self.heap[loc]
         if obj is None:
             return False
         try:
-            for cls in self.table.chain(obj.class_name):
-                for clause in cls.invariants:
-                    if self._eval_pure(clause, loc) is not True:
-                        return False
+            for clause in self._invariant_clauses(obj.class_name):
+                if self._eval_pure(clause, loc) is not True:
+                    return False
         except _InvFail:
             return False
         return True
@@ -329,7 +365,7 @@ class Machine:
         return e.value
 
     def _p_this(self, e: ast.This, this_loc: int) -> Value:
-        return Loc(this_loc)
+        return self.locs[this_loc]
 
     def _p_field_get(self, e: ast.FieldGet, this_loc: int) -> Value:
         recv = self._eval_pure(e.receiver, this_loc)
@@ -713,7 +749,20 @@ class Machine:
             return
         if e.contract is None:
             raise OvError("E-STUCK", "atomic without a contract", e.line, e.col)
-        d = self._resolve_contract(e.contract, t.env)
+        env = t.env
+        this = env.get("this")
+        obj = self.heap[this.index] if isinstance(this, Loc) else None
+        if obj is not None and obj.bindings is not None \
+                and env.get("#ctx") is obj.bindings:
+            # a method body: the contract depends only on the object
+            cache = obj.contracts
+            if cache is None:
+                cache = obj.contracts = {}
+            d = cache.get(id(e))
+            if d is None:
+                d = cache[id(e)] = self._resolve_contract(e.contract, env)
+        else:
+            d = self._resolve_contract(e.contract, env)
         fv = self._begin(t, "txn", d)
         if fv is not None:
             t.control = ("val", fv)
@@ -759,7 +808,7 @@ class Machine:
             raise OvError("E-STUCK", f"arity mismatch calling {method}",
                           node.line, node.col)
         t.konts.append(("ret", t.env, loc))
-        env = {"this": Loc(loc), "#ctx": self._ctx_bindings(obj)}
+        env = {"this": self.locs[loc], "#ctx": self._ctx_bindings(obj)}
         for p, v in zip(m.params, args):
             env[p.name] = v
         t.env = env
@@ -781,8 +830,10 @@ class Machine:
             raise OvError("E-STUCK", f"object owner resolved to {owner_ctx}",
                           node.line, node.col)
         loc = len(self.heap)
+        this = Loc(loc)
         self.heap.append(ObjectRec(typ.name, resolved,
                                    self._default_fields(typ.name)))
+        self.locs.append(this)
         self.tree.add(loc, owner)
         fv = self._begin(t, "ctor", Contract(CtxBot(), CtxLoc(loc)))
         assert fv is None  # bot validity: the start set is empty
@@ -795,7 +846,7 @@ class Machine:
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
                           node.line, node.col)
         t.konts.append(("ctor", t.env, loc))
-        env = {"this": Loc(loc), "#ctx": dict(zip(decl.ctx_params, resolved))}
+        env = {"this": this, "#ctx": dict(zip(decl.ctx_params, resolved))}
         for p, v in zip(params, args):
             env[p.name] = v
         t.env = env
@@ -956,7 +1007,7 @@ class Machine:
     def _k_ctor(self, t: Thread, v: Value, k: tuple) -> None:
         fv = self._commit(t)
         t.env = k[1]
-        t.control = ("val", Loc(k[2]) if fv is None else fv)
+        t.control = ("val", self.locs[k[2]] if fv is None else fv)
 
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
         node: ast.Atomic = k[1]
@@ -978,9 +1029,8 @@ class Machine:
             raise OvError("E-STUCK", f"no method {call.method}",
                           node.line, node.col)
         owner_cls, m = hit
-        d = substitute(m.contract, owner_cls.ctx_params,
-                       self._args_at(obj, owner_cls.name), CtxLoc(v.index))
-        fv = self._begin(t, "txn", d)
+        fv = self._begin(t, "txn",
+                         self._method_contract(obj, v.index, owner_cls, m))
         if fv is not None:
             t.control = ("val", fv)
             return
@@ -1058,7 +1108,18 @@ _KONT_RULES = {
 }
 
 
+# the binary operators on two integers; OV integers are exact ints (bool,
+# a subclass of int, is not one)
+_INT_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.floordiv, "%": operator.mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _apply_op(op: str, vals: list) -> Value:
+    """The value of operator op on vals. Operands of the wrong kind raise
+    TypeError; integer division or remainder by zero, ZeroDivisionError."""
     if len(vals) == 1:
         a = vals[0]
         if op == "-":
@@ -1071,6 +1132,10 @@ def _apply_op(op: str, vals: list) -> Value:
             return not a
         raise TypeError(op)
     a, b = vals
+    if type(a) is int and type(b) is int:
+        fn = _INT_OPS.get(op)
+        if fn is not None:
+            return fn(a, b)
     if op in ("==", "!="):
         eq = _value_eq(a, b)
         return eq if op == "==" else not eq
@@ -1078,27 +1143,6 @@ def _apply_op(op: str, vals: list) -> Value:
         if not (isinstance(a, bool) and isinstance(b, bool)):
             raise TypeError(op)
         return (a and b) if op == "&&" else (a or b)
-    if isinstance(a, bool) or isinstance(b, bool) or \
-            not isinstance(a, int) or not isinstance(b, int):
-        raise TypeError(op)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a // b
-    if op == "%":
-        return a % b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
     raise TypeError(op)
 
 

@@ -390,7 +390,11 @@ class Checker:
         return t.args if inst is None else inst.args
 
     def _field_set(self, env: TypeEnv, e: ast.FieldSet) -> ast.TypeExpr:
-        rt = self.type_expr(env, e.receiver)
+        return self._field_set_on(env, e, self.type_expr(env, e.receiver))
+
+    def _field_set_on(self, env: TypeEnv, e: ast.FieldSet,
+                      rt: ast.TypeExpr) -> ast.TypeExpr:
+        """A field write whose receiver has already been typed as rt."""
         if isinstance(rt, ast.NullType):
             self.diags.add("E-TYPE", "field write on null", e.line, e.col)
             self.type_expr(env, e.value)
@@ -436,7 +440,11 @@ class Checker:
             return EXIST
 
     def _call(self, env: TypeEnv, e: ast.Call) -> ast.TypeExpr:
-        rt = self.type_expr(env, e.receiver)
+        return self._call_on(env, e, self.type_expr(env, e.receiver))
+
+    def _call_on(self, env: TypeEnv, e: ast.Call,
+                 rt: ast.TypeExpr) -> ast.TypeExpr:
+        """A call whose receiver has already been typed as rt."""
         if isinstance(rt, ast.NullType):
             self.diags.add("E-TYPE", "call on null", e.line, e.col)
             return ast.VOID
@@ -551,11 +559,12 @@ class Checker:
             return ast.BOOL
         raise AssertionError(f"unknown operator {op}")
 
-    def deduce_contract(self, env: TypeEnv, e: ast.Expr) -> Contract:
-        """Contract of a bare atomic expression: a call takes the callee's
-        substituted contract, a field write takes <bot, owner of target>."""
+    def deduce_contract(self, env: TypeEnv, e: ast.Expr,
+                        rt: Optional[ast.TypeExpr]) -> Contract:
+        """Contract of a bare atomic expression, a call or field write whose
+        receiver has type rt: a call takes the callee's substituted
+        contract, a field write takes <bot, owner of target>."""
         if isinstance(e, ast.Call):
-            rt = self.type_expr(env, e.receiver)
             if isinstance(rt, ast.ClassType):
                 decl = env.table.get(rt.name)
                 if decl is not None:
@@ -569,23 +578,28 @@ class Checker:
             raise OvError("E-NEED-CONTRACT",
                           "cannot deduce a contract for this call",
                           e.line, e.col)
-        if isinstance(e, ast.FieldSet):
-            rt = self.type_expr(env, e.receiver)
-            if isinstance(rt, ast.ClassType):
-                return Contract(BOT, self._target_owner_ctx(e.receiver, rt),
-                                line=e.line, col=e.col)
+        if isinstance(e, ast.FieldSet) and isinstance(rt, ast.ClassType):
+            return Contract(BOT, self._target_owner_ctx(e.receiver, rt),
+                            line=e.line, col=e.col)
         raise OvError("E-NEED-CONTRACT",
                       "atomic needs an explicit contract for a compound body",
                       e.line, e.col)
 
     def _atomic(self, env: TypeEnv, e: ast.Atomic) -> ast.TypeExpr:
         d = e.contract
+        rt = None
         if d is None:
+            if isinstance(e.body, (ast.Call, ast.FieldSet)):
+                # the receiver is evaluated before the transaction begins:
+                # it is typed once, in the enclosing frame
+                rt = self.type_expr(env, e.body.receiver)
             try:
-                d = self.deduce_contract(env, e.body)
+                d = self.deduce_contract(env, e.body, rt)
             except OvError as exc:
-                self.diags.add(exc.code, exc.msg, e.line, e.col)
-                self.type_expr(env.child(fork_ok=False), e.body)
+                # an error-typed receiver's fault is already reported
+                if not isinstance(rt, ast.ErrorType):
+                    self.diags.add(exc.code, exc.msg, e.line, e.col)
+                self._atomic_body(env.child(fork_ok=False), e.body, rt)
                 return ast.VOID
             e.contract = d  # elaborate for the runtime
             e.deduced = True
@@ -598,8 +612,17 @@ class Checker:
             self.diags.add("E-SUBCONTRACT",
                            f"atomic contract {d} is not a subcontract of the "
                            f"frame {env.frame}", e.line, e.col)
-        body_env = env.child(frame=d, fork_ok=False)
-        return self.type_expr(body_env, e.body)
+        return self._atomic_body(env.child(frame=d, fork_ok=False), e.body,
+                                 rt)
+
+    def _atomic_body(self, env: TypeEnv, body: ast.Expr,
+                     rt: Optional[ast.TypeExpr]) -> ast.TypeExpr:
+        """Type an atomic body; rt, when given, is its receiver's type."""
+        if rt is None:
+            return self.type_expr(env, body)
+        if isinstance(body, ast.Call):
+            return self._call_on(env, body, rt)
+        return self._field_set_on(env, body, rt)
 
 
 # The typing rules, built once: node class -> rule. Surface-only nodes

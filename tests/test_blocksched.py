@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched
+from ovlang import ast, blocksched, ownership, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
@@ -339,6 +339,29 @@ class TestPinnedCounters:
         mined = mine_block(PROGRAM, block)
         assert mined.edges == edges and mined.status == status
         assert validate_block(PROGRAM, mined, block).accepted
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in PINNED_INPUTS if n.startswith("custody:")))
+    def test_contracts_substituted_once_per_object_method(self, name,
+                                                          monkeypatch):
+        # a transaction's contract and a deduced atomic's depend only on
+        # the target object and the method: custody blocks call the same
+        # few targets again and again, yet each (object, method) pair is
+        # substituted once per machine
+        calls = Counter()
+
+        def counted(x, formals, actuals, this_image):
+            key = (id(x), str(this_image))
+            calls[key] += 1
+            assert calls[key] == 1, f"{x} substituted twice at {this_image}"
+            return ownership.substitute(x, formals, actuals, this_image)
+
+        monkeypatch.setattr(runtime, "substitute", counted)
+        # where a caller imported the function itself
+        monkeypatch.setattr(blocksched, "substitute", counted, raising=False)
+        machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
+        _execute(machine, scts, range(len(scts)))
+        assert sum(calls.values()) >= len({s.loc for s in scts})
 
 
 class TestRunaway:

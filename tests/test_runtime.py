@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from ovlang import ast, runtime
+from ovlang import ast, blocksched, runtime
+from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
+from ovlang.ownership import substitute
 from ovlang.parser import parse_program
 from ovlang.runtime import FailureValue, Loc, Machine, Thread
 
@@ -594,3 +596,234 @@ class TestRunaway:
                                              [ast.Const(4)])),
                          {"c": cell, "#ctx": {}})
         assert m.heap[cell.index].fields["v"] == 4
+
+
+def _atomics(x) -> list:
+    """The Atomic nodes under x, in tree order."""
+    if isinstance(x, list):
+        return [a for v in x for a in _atomics(v)]
+    if not isinstance(x, ast.Node):
+        return []
+    found = [x] if isinstance(x, ast.Atomic) else []
+    return found + [a for v in vars(x).values() for a in _atomics(v)]
+
+
+def _new(m: Machine, name: str, *ctxs) -> Loc:
+    return m.run_expression(ast.New(ast.ClassType(name, list(ctxs)), []))
+
+
+class TestResolvedOnce:
+    """Method contracts and the contracts of `atomic` blocks in method
+    bodies are resolved once per object and kept on it; what is kept
+    equals a fresh resolution."""
+
+    # Sub renames its context parameters on the way up: Base's p is Sub's
+    # r, so resolving touch against q instead would give another contract
+    HIERARCHY = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = v + 1;
+    }
+}
+
+class Sub[o, q, r] extends Base<o, r> {
+    int w = 0;
+}
+
+class Holder[o] {
+    Sub<this, top, this> s = new Sub<this, top, this>();
+
+    void poke() <this,this> {
+        atomic s.touch();
+    }
+}
+"""
+
+    # A constructor runs under <bot,this>, so an atomic block in it must
+    # have a bot validity: <p,this> cannot typecheck there
+    PROBE = """\
+class Probe[o, p] {
+    int n = 0;
+    inv n >= 0;
+
+    Probe() {
+        atomic <bot,this> {
+            n = 1;
+        }
+    }
+
+    void run() <p,this> {
+        atomic <p,this> {
+            n = n + 1;
+        }
+    }
+}
+"""
+
+    @staticmethod
+    def _spy(monkeypatch, m: Machine) -> tuple[list, list]:
+        """Record the contract of every begun transaction and every fresh
+        resolution of a contract."""
+        begun, fresh = [], []
+        begin, resolve = Machine._begin, Machine._resolve_contract
+
+        def spy_begin(self, thread, kind, contract):
+            begun.append((kind, contract))
+            return begin(self, thread, kind, contract)
+
+        def spy_resolve(self, d, env):
+            out = resolve(self, d, env)
+            if out is not d:
+                fresh.append((d, out))
+            return out
+
+        monkeypatch.setattr(Machine, "_begin", spy_begin)
+        monkeypatch.setattr(Machine, "_resolve_contract", spy_resolve)
+        return begun, fresh
+
+    def test_inherited_method_with_renamed_parameters(self, monkeypatch):
+        m = Machine(ast.Program(check_clean(self.HIERARCHY).classes, None))
+        h = _new(m, "Holder", CtxTop())
+        t = _new(m, "Sub", CtxTop(), CtxBot(), CtxTop())
+        s = m.heap[h.index].fields["s"]
+        owner_cls, touch = m.table.find_method("Sub", "touch")
+        assert owner_cls.name == "Base"
+
+        def fresh(loc: int) -> Contract:
+            return substitute(touch.contract, owner_cls.ctx_params,
+                              m._args_at(m.heap[loc], owner_cls.name),
+                              CtxLoc(loc))
+
+        want_s = Contract(CtxLoc(h.index), CtxLoc(s.index))
+        want_t = Contract(CtxTop(), CtxLoc(t.index))
+        assert (fresh(s.index), fresh(t.index)) == (want_s, want_t)
+        # a deduced atomic in a block transaction calls the inherited method
+        begun, _ = self._spy(monkeypatch, m)
+        [poke] = blocksched._bind_scts(m, {"h": h.index},
+                                       [{"target": "h", "method": "poke"}])
+        assert blocksched._execute_sct(m, poke) == "committed"
+        assert begun == [("txn", Contract(CtxLoc(h.index), CtxLoc(h.index))),
+                         ("txn", want_s)]
+        assert m.heap[s.index].contracts[id(touch)] == fresh(s.index)
+        # block transactions call it directly, on both objects
+        scts = blocksched._bind_scts(
+            m, {"s": s.index, "t": t.index},
+            [{"target": "s", "method": "touch"},
+             {"target": "t", "method": "touch"}])
+        assert [x.contract for x in scts] == [want_s, want_t]
+        assert scts[0].contract is m.heap[s.index].contracts[id(touch)]
+        assert m.heap[t.index].contracts[id(touch)] == fresh(t.index)
+        assert blocksched._execute(m, scts, range(2)) == ["committed"] * 2
+        assert [m.heap[x.index].fields["v"] for x in (s, t)] == [2, 1]
+
+    def test_atomic_in_a_method_resolves_per_object(self, monkeypatch):
+        m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
+        a = _new(m, "Probe", CtxTop(), CtxTop())
+        b = _new(m, "Probe", CtxTop(), CtxBot())
+        [node] = _atomics(m.table.find_method("Probe", "run")[1].body)
+        begun, fresh = self._spy(monkeypatch, m)
+        call = ast.Atomic(contract=None, deduced=True,
+                          body=ast.Call(ast.Var("x"), "run", []))
+        for _ in range(3):
+            for x in (a, b):
+                m.run_expression(call, {"x": x, "#ctx": {}})
+        want = {a.index: Contract(CtxTop(), CtxLoc(a.index)),
+                b.index: Contract(CtxBot(), CtxLoc(b.index))}
+        for loc, d in want.items():
+            assert m.heap[loc].contracts[id(node)] == d
+            assert m.heap[loc].fields["n"] == 4
+        # the block resolves once per object, not once per run
+        assert fresh == [(node.contract, want[a.index]),
+                         (node.contract, want[b.index])]
+        # run's own contract is <p,this> as well: each run begins it twice
+        assert begun == 3 * ([("txn", want[a.index])] * 2
+                             + [("txn", want[b.index])] * 2)
+
+    def test_atomic_in_a_constructor_resolves_fresh(self, monkeypatch):
+        m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
+        [node] = _atomics(m.table.ctor_of("Probe").body)
+        begun, fresh = self._spy(monkeypatch, m)
+        locs = [_new(m, "Probe", CtxTop(), p).index
+                for p in (CtxTop(), CtxBot(), CtxTop())]
+        # a constructor's env is not its object's method bindings: each
+        # run resolves the block anew and keeps nothing on the object
+        assert fresh == [(node.contract, Contract(CtxBot(), CtxLoc(loc)))
+                         for loc in locs]
+        assert [d for kind, d in begun if kind == "txn"] == [
+            Contract(CtxBot(), CtxLoc(loc)) for loc in locs]
+        for loc in locs:
+            assert m.heap[loc].contracts is None
+            assert m.heap[loc].fields["n"] == 1
+
+
+def _reference_apply_op(op: str, vals: list):
+    """_apply_op as an if-chain, kept as the reference for its table."""
+    if len(vals) == 1:
+        a = vals[0]
+        if op == "-":
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise TypeError(op)
+            return -a
+        if op == "!":
+            if not isinstance(a, bool):
+                raise TypeError(op)
+            return not a
+        raise TypeError(op)
+    a, b = vals
+    if op in ("==", "!="):
+        eq = runtime._value_eq(a, b)
+        return eq if op == "==" else not eq
+    if op in ("&&", "||"):
+        if not (isinstance(a, bool) and isinstance(b, bool)):
+            raise TypeError(op)
+        return (a and b) if op == "&&" else (a or b)
+    if isinstance(a, bool) or isinstance(b, bool) or \
+            not isinstance(a, int) or not isinstance(b, int):
+        raise TypeError(op)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a // b
+    if op == "%":
+        return a % b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    raise TypeError(op)
+
+
+class TestApplyOp:
+    OPERANDS = [-7, -1, 0, 1, 7, True, False, None, Loc(0), Loc(1)]
+    BINARY = ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
+              "&&", "||"]
+
+    @staticmethod
+    def _outcome(fn, op, vals):
+        try:
+            v = fn(op, vals)
+        except (TypeError, ZeroDivisionError) as exc:
+            return type(exc)
+        return (type(v), v)
+
+    # every operand pair, bools and locations included: True + 1 stays a
+    # TypeError and 7 / 0 a ZeroDivisionError
+    @pytest.mark.parametrize("op", BINARY + ["!"])
+    def test_matches_the_reference(self, op):
+        cases = [[a, b] for a in self.OPERANDS for b in self.OPERANDS]
+        if op in ("-", "!"):
+            cases += [[a] for a in self.OPERANDS]
+        for vals in cases:
+            assert self._outcome(runtime._apply_op, op, vals) == \
+                self._outcome(_reference_apply_op, op, vals), (op, vals)

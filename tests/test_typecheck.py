@@ -337,6 +337,7 @@ class TestOneDiagnosticPerFault:
         "bool x = q == 1;", "require(q);", "bool x = valid(q);",
         "int x = q.n;", "int x = q.get();", "C<top> c = q;",
         "C<top> c = new C<top>(q);", "int x = -q * 2;",
+        "atomic q.get();", "atomic q.n = 1;",
     ])
     def test_unknown_name_is_reported_once(self, body):
         src = ("class C[o] { int n; C(int v) { n = v; }"
@@ -345,6 +346,16 @@ class TestOneDiagnosticPerFault:
         _, diags = compile_source(src)
         assert [(d.code, d.msg) for d in diags.errors()] == [
             ("E-TYPE", "unknown variable q")]
+
+    def test_deduced_atomic_types_its_parts_once(self):
+        # the receiver is typed once, before deduction; the arguments and
+        # the written value once, in the body
+        src = ("class C[o] { int n; void put(int v) <this,this> { n = v; } }\n"
+               "main { atomic q.put(r); atomic q.n = s; }")
+        _, diags = compile_source(src)
+        assert [d.msg for d in diags.errors()] == [
+            "unknown variable q", "unknown variable r",
+            "unknown variable q", "unknown variable s"]
 
     def test_method_returning_an_unknown_name(self):
         _, diags = compile_source(
