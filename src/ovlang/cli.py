@@ -48,7 +48,11 @@ def _emit_diags(diags: Diagnostics, as_json: bool) -> None:
 
 def _read(path: str) -> str:
     with open(path, "r") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            # reported like an unreadable file
+            raise OSError(f"{path}: not valid {err.encoding} text") from None
 
 
 def _load_checked(path: str, as_json: bool

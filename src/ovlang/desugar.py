@@ -41,12 +41,17 @@ class _Scope:
 
 
 class _Lowerer:
-    def __init__(self, scope: _Scope, used_names: set[str]):
+    def __init__(self, scope: _Scope, body: ast.Expr, params: list[str]):
         self.scope = scope
-        self.used = used_names
+        self.body = body
+        self.params = params
+        self.used: set[str] | None = None  # collected on the first fresh()
         self.counter = 0
 
     def fresh(self) -> str:
+        if self.used is None:
+            self.used = set(self.params)
+            _collect_names(self.body, self.used)
         while True:
             name = f"__t{self.counter}"
             self.counter += 1
@@ -262,9 +267,7 @@ def _class_fields(p: ast.Program, cls: ast.ClassDecl) -> set[str]:
 
 
 def _lower_body(body: ast.Expr, fields: set[str], params: list[str]) -> ast.Expr:
-    used: set[str] = set(params)
-    _collect_names(body, used)
-    return _Lowerer(_Scope(fields, params), used).expr(body)
+    return _Lowerer(_Scope(fields, params), body, params).expr(body)
 
 
 def desugar(p: ast.Program) -> ast.Program:

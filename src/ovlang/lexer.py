@@ -1,15 +1,16 @@
 """Tokenizer for .ov source text.
 
-One `finditer` pass over the source. Every match is the whitespace and
-comment before a token, skipped so that they make no object, followed by
-one of: a newline, an operator, a word, a number, the end of input, or
-any other character, which is an error. A newline is its own alternative,
-so the line is a running count and the column is measured from the start
-of the current line; no matched text is rescanned for newlines.
+One `findall` over the source gives, for each token, the whitespace and
+comments skipped before it and the token's text: a word, a number, an
+operator, any other character (an error), or the empty text at the end of
+input. One loop then files each token into four parallel lists, keeping a
+running line and column; no token text holds a newline, so only the
+skipped text moves the line.
 """
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .diagnostics import OvError
@@ -21,65 +22,67 @@ KEYWORDS = {
     "public", "private", "var", "top", "bot",
 }
 
-# The alternatives start with disjoint characters; operators are longest
-# match first.
+# two-character operators first, so that the longest one matches
+OPERATORS = ("<< <= >= == != && || += -= *= /= %= "
+             "{ } ( ) [ ] < > , ; . = ! + - * / %").split()
+
+# (skipped whitespace and comments, token text); a token is a word, a
+# number, an operator, the end of input or any other character
 _TOKEN_RE = re.compile(
-    r"""
-    [ \t\r]*(?://[^\n]*)?
-    (?: (?P<nl>\n)
-      | (?P<op><<|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=
-          |[{}()\[\]<>,;.=!+\-*/%])
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<num>[0-9]+(?:[eE][0-9]+)?)
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)"
+    r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:[eE][0-9]+)?|"
+    + "|".join(map(re.escape, OPERATORS)) + r"|\Z|.)",
+    re.DOTALL,
 )
 
-# A word's kind: a keyword is its own kind, any other word is "id".
-_KIND = {kw: kw for kw in KEYWORDS}
+# A keyword or operator is its own kind; any other token's kind follows
+# from its first character.
+_KIND = {text: text for text in (*KEYWORDS, *OPERATORS)}
+_FIRST = {c: "id" for c in string.ascii_letters + "_"}
+_FIRST.update((c, "num") for c in string.digits)
 
 
 @dataclass(slots=True)
-class Token:
-    kind: str  # 'num', 'id', keyword text, or operator text
-    text: str
-    line: int
-    col: int
+class Tokens:
+    """The tokens of one source text as parallel lists, eof last. A kind is
+    'num', 'id', 'eof', a keyword or an operator's text."""
+    kinds: list[str]
+    texts: list[str]
+    lines: list[int]
+    cols: list[int]
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r},{self.text!r},{self.line}:{self.col})"
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    append = toks.append
-    kind_of = _KIND.get
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    for m in _TOKEN_RE.finditer(src):
-        group = m.lastgroup
-        if group == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        if group == "eof":
-            break
-        text = m.group(group)
-        col = m.start(group) - line_start + 1
-        if group == "op":
-            kind = text
-        elif group == "id":
-            kind = kind_of(text, "id")
-        elif group == "num":
-            kind = "num"
-        else:
+def tokenize(src: str) -> Tokens:
+    toks = Tokens([], [], [], [])
+    kinds, texts, lines, cols = toks.kinds, toks.texts, toks.lines, toks.cols
+    kind_of, first_of = _KIND.get, _FIRST.get
+    line = col = 1
+    for skip, text in _TOKEN_RE.findall(src):
+        if skip:
+            newlines = skip.count("\n")
+            if newlines:
+                line += newlines
+                col = len(skip) - skip.rfind("\n")
+            else:
+                col += len(skip)
+        kind = kind_of(text) or first_of(text[:1])
+        if kind is None:
+            if not text:
+                break
             raise OvError("E-PARSE", f"unexpected character {text!r}",
                           line, col)
-        append(Token(kind, text, line, col))
-    append(Token("eof", "", line, len(src) - line_start + 1))
+        kinds.append(kind)
+        texts.append(text)
+        lines.append(line)
+        cols.append(col)
+        col += len(text)
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    cols.append(col)
     return toks
 
 

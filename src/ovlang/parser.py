@@ -1,6 +1,11 @@
 """Recursive-descent parser for the OV dialect; binary operators are parsed
 by precedence climbing over ast.BINARY_PREC.
 
+Token tests read the lexer's `kinds[i]` directly, and nodes take positions
+from `lines[i]` and `cols[i]`. A lookahead over the kinds tells a local
+declaration from an expression, so no parse is undone: `ParseFail`, with
+the offending token's index, is raised only to report a syntax error.
+
 parse_program normalizes surface contracts as it goes: an invalidity written
 as `top` means "pre-check only" and is rewritten to `bot` with a
 W-TOP-INVALIDITY warning.
@@ -9,86 +14,83 @@ from __future__ import annotations
 
 from . import ast
 from .diagnostics import Diagnostics, OvError
-from .lexer import Token, num_value, tokenize
+from .lexer import Tokens, num_value, tokenize
 
 BASE_TYPES = {"int", "uint", "uint256", "bool", "void"}
-CTX_TOKENS = {"this", "top", "bot", "*"}
+# the contexts written as keywords; any "id" names a context parameter
+_CONTEXTS = {"this": ast.CtxThis, "top": ast.CtxTop, "bot": ast.CtxBot,
+             "*": ast.CtxAny}
+CTX_KINDS = {*_CONTEXTS, "id"}
 
 
 class ParseFail(Exception):
-    def __init__(self, msg: str, tok: Token):
+    def __init__(self, msg: str, i: int):
         super().__init__(msg)
         self.msg = msg
-        self.tok = tok
+        self.i = i  # index of the offending token
 
 
 class Parser:
-    def __init__(self, toks: list[Token], diags: Diagnostics):
-        self.toks = toks
+    def __init__(self, toks: Tokens, diags: Diagnostics):
+        self.kinds, self.texts = toks.kinds, toks.texts
+        self.lines, self.cols = toks.lines, toks.cols
         self.i = 0
         self.diags = diags
 
     # -- token plumbing -----------------------------------------------------
-    # `next` never moves past the final eof token, so the current token is
-    # always toks[i]; only a look-ahead needs clamping.
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-        return self.toks[self.i]
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        if ahead:
-            return self.peek(ahead).kind == kind
-        return self.toks[self.i].kind == kind
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+    # The current token is kinds[i]. Only `expect("eof")` matches the final
+    # eof, and it does not move past it, so kinds[i + 1] exists whenever
+    # kinds[i] is not eof.
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.i] == kind:
             self.i += 1
-        return t
+            return True
+        return False
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, what: str = "") -> Token:
-        if self.at(kind):
-            return self.next()
-        t = self.peek()
+    def expect(self, kind: str, what: str = "") -> int:
+        """Consume a token of this kind and return its index."""
+        i = self.i
+        if self.kinds[i] == kind:
+            if kind != "eof":
+                self.i = i + 1
+            return i
         want = what or f"'{kind}'"
-        raise ParseFail(f"expected {want}, found {t.text or 'end of input'!r}", t)
+        raise ParseFail(
+            f"expected {want}, found {self.texts[i] or 'end of input'!r}", i)
+
+    def ident(self, what: str) -> str:
+        return self.texts[self.expect("id", what)]
 
     # -- program ------------------------------------------------------------
     def program(self) -> ast.Program:
-        first = self.peek()
+        kinds = self.kinds
         classes: list[ast.ClassDecl] = []
         main: ast.Expr | None = None
-        while not self.at("eof"):
-            if self.at("class"):
+        while kinds[self.i] != "eof":
+            if kinds[self.i] == "class":
                 classes.append(self.class_decl())
-            elif self.at("main"):
+            elif kinds[self.i] == "main":
                 if main is not None:
-                    raise ParseFail("duplicate main block", self.peek())
-                self.next()
+                    raise ParseFail("duplicate main block", self.i)
+                self.i += 1
                 main = self.block()
             else:
-                raise ParseFail("expected a class declaration or main block", self.peek())
-        return ast.Program(classes, main, line=first.line, col=first.col)
+                raise ParseFail("expected a class declaration or main block", self.i)
+        return ast.Program(classes, main, line=self.lines[0], col=self.cols[0])
 
     def class_decl(self) -> ast.ClassDecl:
         kw = self.expect("class")
-        name = self.expect("id", "class name").text
+        name = self.ident("class name")
         self.expect("[")
-        params = [self.expect("id", "context parameter").text]
+        params = [self.ident("context parameter")]
         while self.accept(","):
-            params.append(self.expect("id", "context parameter").text)
+            params.append(self.ident("context parameter"))
         self.expect("]")
         superclass = None
         if self.accept("extends"):
             t = self.type_expr()
             if not isinstance(t, ast.ClassType):
-                raise ParseFail("superclass must be a class type", self.peek())
+                raise ParseFail("superclass must be a class type", self.i)
             superclass = t
         constraints: list[ast.Constraint] = []
         if self.accept("where"):
@@ -97,68 +99,73 @@ class Parser:
                 constraints.append(self.constraint())
         self.expect("{")
         decl = ast.ClassDecl(name, params, superclass, constraints,
-                             line=kw.line, col=kw.col)
+                             line=self.lines[kw], col=self.cols[kw])
         while not self.accept("}"):
             self.member(decl)
         return decl
 
     def constraint(self) -> ast.Constraint:
         lhs = self.context()
-        tok = self.peek()
+        i = self.i
         if self.accept("<<"):
             strict = True
         elif self.accept("<="):
             strict = False
         else:
-            raise ParseFail("expected '<<' or '<=' in where clause", tok)
+            raise ParseFail("expected '<<' or '<=' in where clause", i)
         rhs = self.context()
-        return ast.Constraint(lhs, strict, rhs, line=tok.line, col=tok.col)
+        return ast.Constraint(lhs, strict, rhs, line=self.lines[i],
+                              col=self.cols[i])
 
     def member(self, decl: ast.ClassDecl) -> None:
-        tok = self.peek()
+        kinds = self.kinds
+        i = self.i
+        line, col = self.lines[i], self.cols[i]
         if self.accept("inv"):
             e = self.assign()
             self.expect(";")
             decl.invariants.append(e)
             return
         # visibility keywords are accepted and discarded
-        while self.at("public") or self.at("private"):
-            self.next()
-        is_final = bool(self.accept("final"))
-        if (not is_final and self.at("id") and self.peek().text == decl.name
-                and self.at("(", 1)):
-            self.next()
+        while kinds[self.i] == "public" or kinds[self.i] == "private":
+            self.i += 1
+        is_final = self.accept("final")
+        if (not is_final and kinds[self.i] == "id"
+                and self.texts[self.i] == decl.name
+                and kinds[self.i + 1] == "("):
+            self.i += 1
             params = self.param_list()
             body = self.block()
-            decl.ctors.append(ast.CtorDecl(params, body, line=tok.line, col=tok.col))
+            decl.ctors.append(ast.CtorDecl(params, body, line=line, col=col))
             return
         ty = self.type_expr()
-        name = self.expect("id", "member name").text
-        if self.at("("):
+        name = self.ident("member name")
+        if kinds[self.i] == "(":
             if is_final:
-                raise ParseFail("methods cannot be final", tok)
+                raise ParseFail("methods cannot be final", i)
             params = self.param_list()
             contract = self.contract()
             body = self.block()
             decl.methods.append(ast.MethodDecl(name, ty, params, contract, body,
-                                               line=tok.line, col=tok.col))
+                                               line=line, col=col))
         else:
             init = None
             if self.accept("="):
                 init = self.assign()
             self.expect(";")
             decl.fields.append(ast.FieldDecl(ty, name, init, is_final,
-                                             line=tok.line, col=tok.col))
+                                             line=line, col=col))
 
     def param_list(self) -> list[ast.Param]:
         self.expect("(")
         params: list[ast.Param] = []
-        if not self.at(")"):
+        if self.kinds[self.i] != ")":
             while True:
-                tok = self.peek()
+                i = self.i
                 ty = self.type_expr()
-                name = self.expect("id", "parameter name").text
-                params.append(ast.Param(ty, name, line=tok.line, col=tok.col))
+                name = self.ident("parameter name")
+                params.append(ast.Param(ty, name, line=self.lines[i],
+                                        col=self.cols[i]))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -166,47 +173,45 @@ class Parser:
 
     # -- types / contexts / contracts ----------------------------------------
     def type_expr(self) -> ast.TypeExpr:
-        tok = self.peek()
-        if tok.kind in ("int", "uint", "uint256"):
-            self.next()
-            return ast.IntType(tok.kind, line=tok.line, col=tok.col)
+        i = self.i
+        kind = self.kinds[i]
+        line, col = self.lines[i], self.cols[i]
+        if kind == "int" or kind == "uint" or kind == "uint256":
+            self.i += 1
+            return ast.IntType(kind, line=line, col=col)
         if self.accept("bool"):
-            return ast.BoolType(line=tok.line, col=tok.col)
+            return ast.BoolType(line=line, col=col)
         if self.accept("void"):
-            return ast.VoidType(line=tok.line, col=tok.col)
-        name = self.expect("id", "type name").text
+            return ast.VoidType(line=line, col=col)
+        name = self.ident("type name")
+        return ast.ClassType(name, self.ctx_args(), line=line, col=col)
+
+    def ctx_args(self) -> list[ast.Context]:
+        """A class type's context arguments `<k1, ..., kn>`, if written."""
         args: list[ast.Context] = []
-        if self.at("<"):
-            mark = self.i
-            try:
-                self.next()
+        if self.accept("<"):
+            args.append(self.context())
+            while self.accept(","):
                 args.append(self.context())
-                while self.accept(","):
-                    args.append(self.context())
-                self.expect(">")
-            except ParseFail:
-                # `x < y` in an expression position, not a generic type
-                self.i = mark
-                args = []
-        return ast.ClassType(name, args, line=tok.line, col=tok.col)
+            self.expect(">")
+        return args
 
     def context(self) -> ast.Context:
-        tok = self.peek()
-        if self.accept("this"):
-            return ast.CtxThis(line=tok.line, col=tok.col)
-        if self.accept("top"):
-            return ast.CtxTop(line=tok.line, col=tok.col)
-        if self.accept("bot"):
-            return ast.CtxBot(line=tok.line, col=tok.col)
-        if self.accept("*"):
-            return ast.CtxAny(line=tok.line, col=tok.col)
-        if self.at("id"):
-            t = self.next()
-            return ast.CtxParam(t.text, line=t.line, col=t.col)
-        raise ParseFail("expected a context", tok)
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "id":
+            self.i += 1
+            return ast.CtxParam(self.texts[i], line=self.lines[i],
+                                col=self.cols[i])
+        make = _CONTEXTS.get(kind)
+        if make is None:
+            raise ParseFail("expected a context", i)
+        self.i += 1
+        return make(line=self.lines[i], col=self.cols[i])
 
     def contract(self) -> ast.Contract:
         start = self.expect("<", "a contract")
+        line, col = self.lines[start], self.cols[start]
         v = self.context()
         self.expect(",")
         i = self.context()
@@ -217,121 +222,127 @@ class Parser:
         if isinstance(i, ast.CtxTop):
             self.diags.add("W-TOP-INVALIDITY",
                            "invalidity `top` means pre-check only; normalized to `bot`",
-                           start.line, start.col)
+                           line, col)
             i = ast.CtxBot(line=i.line, col=i.col)
-        return ast.Contract(v, i, line=start.line, col=start.col)
+        return ast.Contract(v, i, line=line, col=col)
 
     # -- statements -----------------------------------------------------------
     def block(self) -> ast.Block:
         start = self.expect("{")
+        kinds = self.kinds
         stmts: list[ast.Expr] = []
-        while not self.at("}"):
+        while kinds[self.i] != "}":
             stmts.append(self.stmt())
-            if isinstance(stmts[-1], ast.Return) and not self.at("}"):
+            if isinstance(stmts[-1], ast.Return) and kinds[self.i] != "}":
                 raise ParseFail("return must be the last statement of a block",
-                                self.peek())
-        self.expect("}")
-        return ast.Block(stmts, line=start.line, col=start.col)
+                                self.i)
+        self.i += 1
+        return ast.Block(stmts, line=self.lines[start], col=self.cols[start])
 
     def stmt(self) -> ast.Expr:
-        tok = self.peek()
+        line, col = self.lines[self.i], self.cols[self.i]
         if self.accept("return"):
             e = self.assign()
             self.expect(";")
-            return ast.Return(e, line=tok.line, col=tok.col)
+            return ast.Return(e, line=line, col=col)
         if self.accept("throw"):
             self.expect(";")
-            return ast.Throw(line=tok.line, col=tok.col)
+            return ast.Throw(line=line, col=col)
         if self.accept("var"):
-            name = self.expect("id", "variable name").text
+            name = self.ident("variable name")
             self.expect("=")
             init = self.assign()
             self.expect(";")
-            return ast.Let(name, None, init, line=tok.line, col=tok.col)
-        decl = self.try_local_decl()
-        if decl is not None:
-            return decl
+            return ast.Let(name, None, init, line=line, col=col)
+        if self.starts_local_decl():
+            ty = self.type_expr()
+            name = self.ident("variable name")
+            init = self.assign() if self.accept("=") else default_init(ty)
+            self.expect(";")
+            return ast.Let(name, ty, init, line=line, col=col)
         e = self.assign()
         # an atomic-with-block statement needs no trailing semicolon
         if not (isinstance(e, ast.Atomic) and isinstance(e.body, ast.Block)
-                and not self.at(";")):
+                and self.kinds[self.i] != ";"):
             self.expect(";")
         else:
             self.accept(";")
         return e
 
-    def try_local_decl(self) -> ast.Let | None:
-        if self.peek().kind not in BASE_TYPES and not self.at("id"):
-            return None
-        mark = self.i
-        try:
-            tok = self.peek()
-            ty = self.type_expr()
-            name = self.expect("id").text
-            if self.accept("="):
-                init = self.assign()
-            else:
-                init = default_init(ty)
-            self.expect(";")
-            return ast.Let(name, ty, init, line=tok.line, col=tok.col)
-        except ParseFail:
-            self.i = mark
-            return None
+    def starts_local_decl(self) -> bool:
+        """A local declaration starts `BaseType id`, `id id` or
+        `id < ctx (, ctx)* > id`; so does no expression statement that
+        typechecks (a chain `a < b > c` is a declaration)."""
+        kinds, j = self.kinds, self.i
+        kind = kinds[j]
+        if kind in BASE_TYPES:
+            return kinds[j + 1] == "id"
+        if kind != "id":
+            return False
+        if kinds[j + 1] != "<":
+            return kinds[j + 1] == "id"
+        j += 2
+        while kinds[j] in CTX_KINDS:
+            if kinds[j + 1] != ",":
+                return kinds[j + 1] == ">" and kinds[j + 2] == "id"
+            j += 2
+        return False
 
     # -- expressions ----------------------------------------------------------
     def assign(self) -> ast.Expr:
         lhs = self.binary()
-        tok = self.peek()
-        if tok.kind == "=":
-            self.next()
-            value = self.assign()
-            if isinstance(lhs, ast.Var):
-                return ast.Assign(lhs.name, value, line=tok.line, col=tok.col)
-            if isinstance(lhs, ast.FieldGet):
-                return ast.FieldSet(lhs.receiver, lhs.field_name, value,
-                                    line=tok.line, col=tok.col)
-            raise ParseFail("assignment target must be a variable or field", tok)
-        if tok.kind in ("+=", "-=", "*=", "/=", "%="):
-            self.next()
-            value = self.assign()
-            if not isinstance(lhs, (ast.Var, ast.FieldGet)):
-                raise ParseFail("assignment target must be a variable or field", tok)
-            return ast.OpAssign(lhs, tok.kind[0], value, line=tok.line, col=tok.col)
-        return lhs
+        i = self.i
+        kind = self.kinds[i]
+        if kind != "=" and kind not in ("+=", "-=", "*=", "/=", "%="):
+            return lhs
+        self.i = i + 1
+        value = self.assign()
+        line, col = self.lines[i], self.cols[i]
+        if isinstance(lhs, ast.Var) and kind == "=":
+            return ast.Assign(lhs.name, value, line=line, col=col)
+        if isinstance(lhs, ast.FieldGet) and kind == "=":
+            return ast.FieldSet(lhs.receiver, lhs.field_name, value,
+                                line=line, col=col)
+        if not isinstance(lhs, (ast.Var, ast.FieldGet)):
+            raise ParseFail("assignment target must be a variable or field", i)
+        return ast.OpAssign(lhs, kind[0], value, line=line, col=col)
 
     def binary(self, min_prec: int = 1) -> ast.Expr:
         """Precedence climbing over ast.BINARY_PREC: parse operators that bind
         at least as tightly as min_prec; every level is left-associative."""
         e = self.unary()
+        kinds = self.kinds
         while True:
-            tok = self.peek()
-            prec = ast.BINARY_PREC.get(tok.kind, 0)
+            i = self.i
+            prec = ast.BINARY_PREC.get(kinds[i], 0)
             if prec < min_prec:
                 return e
-            self.next()
-            e = ast.PrimOp(tok.kind, [e, self.binary(prec + 1)],
-                           line=tok.line, col=tok.col)
+            self.i = i + 1
+            e = ast.PrimOp(kinds[i], [e, self.binary(prec + 1)],
+                           line=self.lines[i], col=self.cols[i])
 
     def unary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind in ("!", "-"):
-            self.next()
-            return ast.PrimOp(tok.kind, [self.unary()], line=tok.line,
-                              col=tok.col)
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "!" or kind == "-":
+            self.i = i + 1
+            return ast.PrimOp(kind, [self.unary()], line=self.lines[i],
+                              col=self.cols[i])
         return self.postfix()
 
     def postfix(self) -> ast.Expr:
         # the primary expression's rule is called from here, not through a
         # `primary` method, so each nesting level costs no extra frame
-        tok = self.peek()
-        rule = _PRIMARY.get(tok.kind)
+        i = self.i
+        rule = _PRIMARY.get(self.kinds[i])
         if rule is None:
-            raise ParseFail(f"unexpected {tok.text or 'end of input'!r} in expression", tok)
-        e = rule(self, tok)
-        while self.at("."):
-            self.next()
-            name = self.expect("id", "member name").text
-            if self.at("("):
+            raise ParseFail(f"unexpected {self.texts[i] or 'end of input'!r} in expression", i)
+        e = rule(self, i)
+        kinds = self.kinds
+        while kinds[self.i] == ".":
+            self.i += 1
+            name = self.ident("member name")
+            if kinds[self.i] == "(":
                 args = self.arg_list()
                 e = ast.Call(e, name, args, line=e.line, col=e.col)
             else:
@@ -341,7 +352,7 @@ class Parser:
     def arg_list(self) -> list[ast.Expr]:
         self.expect("(")
         args: list[ast.Expr] = []
-        if not self.at(")"):
+        if self.kinds[self.i] != ")":
             args.append(self.assign())
             while self.accept(","):
                 args.append(self.assign())
@@ -349,78 +360,75 @@ class Parser:
         return args
 
     # -- primary expressions: one rule per leading token kind, in _PRIMARY ----
-    def _num(self, tok: Token) -> ast.Expr:
-        self.next()
-        lex = tok.text if ("e" in tok.text or "E" in tok.text) else None
-        return ast.Const(num_value(tok.text), lex, line=tok.line, col=tok.col)
+    # Each rule gets the index i of its leading token, the current one.
+    def _num(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        text = self.texts[i]
+        lex = text if ("e" in text or "E" in text) else None
+        return ast.Const(num_value(text), lex, line=self.lines[i],
+                         col=self.cols[i])
 
-    def _literal(self, tok: Token) -> ast.Expr:
-        self.next()
-        return ast.Const(_LITERALS[tok.kind], line=tok.line, col=tok.col)
+    def _literal(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        return ast.Const(_LITERALS[self.kinds[i]], line=self.lines[i],
+                         col=self.cols[i])
 
-    def _this(self, tok: Token) -> ast.Expr:
-        self.next()
-        return ast.This(line=tok.line, col=tok.col)
+    def _this(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        return ast.This(line=self.lines[i], col=self.cols[i])
 
-    def _paren(self, tok: Token) -> ast.Expr:
-        self.next()
+    def _paren(self, i: int) -> ast.Expr:
+        self.i = i + 1
         e = self.assign()
         self.expect(")")
         return e
 
-    def _block_expr(self, tok: Token) -> ast.Expr:
+    def _block_expr(self, i: int) -> ast.Expr:
         # block expression: value is the last statement's value
         return self.block()
 
-    def _new(self, tok: Token) -> ast.Expr:
-        self.next()
-        name = self.expect("id", "class name").text
-        args: list[ast.Context] = []
-        if self.accept("<"):
-            args.append(self.context())
-            while self.accept(","):
-                args.append(self.context())
-            self.expect(">")
-        ty = ast.ClassType(name, args, line=tok.line, col=tok.col)
-        call_args = self.arg_list()
-        return ast.New(ty, call_args, line=tok.line, col=tok.col)
+    def _new(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        line, col = self.lines[i], self.cols[i]
+        name = self.ident("class name")
+        ty = ast.ClassType(name, self.ctx_args(), line=line, col=col)
+        return ast.New(ty, self.arg_list(), line=line, col=col)
 
-    def _atomic(self, tok: Token) -> ast.Expr:
-        self.next()
-        contract = None
-        if self.at("<"):
-            contract = self.contract()
-        body = self.block() if self.at("{") else self.assign()
-        return ast.Atomic(contract, body, line=tok.line, col=tok.col)
+    def _atomic(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        contract = self.contract() if self.kinds[i + 1] == "<" else None
+        body = self.block() if self.kinds[self.i] == "{" else self.assign()
+        return ast.Atomic(contract, body, line=self.lines[i], col=self.cols[i])
 
-    def _fork(self, tok: Token) -> ast.Expr:
-        self.next()
-        return ast.Fork(self.assign(), line=tok.line, col=tok.col)
+    def _fork(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        return ast.Fork(self.assign(), line=self.lines[i], col=self.cols[i])
 
-    def _valid(self, tok: Token) -> ast.Expr:
-        self.next()
-        return ast.Valid(self.unary(), line=tok.line, col=tok.col)
+    def _valid(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        return ast.Valid(self.unary(), line=self.lines[i], col=self.cols[i])
 
-    def _require(self, tok: Token) -> ast.Expr:
-        self.next()
+    def _require(self, i: int) -> ast.Expr:
+        self.i = i + 1
         self.expect("(")
         cond = self.assign()
         self.expect(")")
-        return ast.Require(cond, line=tok.line, col=tok.col)
+        return ast.Require(cond, line=self.lines[i], col=self.cols[i])
 
-    def _emit(self, tok: Token) -> ast.Expr:
-        self.next()
-        name = self.expect("id", "event name").text
+    def _emit(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        name = self.ident("event name")
         args = self.arg_list()
-        return ast.EmitEvent(name, args, line=tok.line, col=tok.col)
+        return ast.EmitEvent(name, args, line=self.lines[i], col=self.cols[i])
 
-    def _name(self, tok: Token) -> ast.Expr:
-        self.next()
-        if self.at("("):
+    def _name(self, i: int) -> ast.Expr:
+        self.i = i + 1
+        line, col = self.lines[i], self.cols[i]
+        if self.kinds[i + 1] == "(":
             args = self.arg_list()
-            return ast.Call(ast.This(line=tok.line, col=tok.col), tok.text, args,
-                            line=tok.line, col=tok.col)
-        return ast.Var(tok.text, line=tok.line, col=tok.col)
+            return ast.Call(ast.This(line=line, col=col), self.texts[i], args,
+                            line=line, col=col)
+        return ast.Var(self.texts[i], line=line, col=col)
 
 
 _LITERALS = {"true": True, "false": False, "null": None}
@@ -455,21 +463,24 @@ def parse_program(src: str) -> tuple[ast.Program, Diagnostics]:
     syntax errors; warnings (contract normalization) land in the returned
     Diagnostics."""
     diags = Diagnostics()
-    parser = Parser(tokenize(src), diags)
+    toks = tokenize(src)
     try:
-        prog = parser.program()
+        prog = Parser(toks, diags).program()
     except ParseFail as exc:
-        raise OvError("E-PARSE", exc.msg, exc.tok.line, exc.tok.col) from None
+        i = exc.i
+        raise OvError("E-PARSE", exc.msg, toks.lines[i], toks.cols[i]) from None
     return prog, diags
 
 
 def parse_contract(src: str) -> tuple[ast.Contract, Diagnostics]:
     """Parse a standalone contract such as `<this,bot>`."""
     diags = Diagnostics()
-    parser = Parser(tokenize(src), diags)
+    toks = tokenize(src)
+    parser = Parser(toks, diags)
     try:
         c = parser.contract()
         parser.expect("eof", "end of contract")
     except ParseFail as exc:
-        raise OvError("E-PARSE", exc.msg, exc.tok.line, exc.tok.col) from None
+        i = exc.i
+        raise OvError("E-PARSE", exc.msg, toks.lines[i], toks.cols[i]) from None
     return c, diags

@@ -559,46 +559,40 @@ class Checker:
             return ast.BOOL
         raise AssertionError(f"unknown operator {op}")
 
-    def deduce_contract(self, env: TypeEnv, e: ast.Expr,
-                        rt: Optional[ast.TypeExpr]) -> Contract:
-        """Contract of a bare atomic expression, a call or field write whose
-        receiver has type rt: a call takes the callee's substituted
-        contract, a field write takes <bot, owner of target>."""
-        if isinstance(e, ast.Call):
-            if isinstance(rt, ast.ClassType):
-                decl = env.table.get(rt.name)
-                if decl is not None:
-                    hit = env.table.find_method(decl.name, e.method)
-                    if hit is not None:
-                        owner_cls, m = hit
-                        _, con_image = self._lookup_images(e.receiver, rt)
-                        actuals = self._chain_args(env, rt, owner_cls.name)
-                        return substitute(m.contract, owner_cls.ctx_params,
-                                          actuals, con_image)
-            raise OvError("E-NEED-CONTRACT",
-                          "cannot deduce a contract for this call",
-                          e.line, e.col)
-        if isinstance(e, ast.FieldSet) and isinstance(rt, ast.ClassType):
+    def deduce_contract(self, env: TypeEnv, e: ast.Call | ast.FieldSet,
+                        rt: ast.TypeExpr) -> Optional[Contract]:
+        """Contract of a bare atomic call or field write whose receiver has
+        type rt: a call takes the callee's substituted contract, a field
+        write takes <bot, owner of target>. None when the receiver or the
+        method is at fault, which typing the body reports."""
+        if not isinstance(rt, ast.ClassType):
+            return None
+        if isinstance(e, ast.FieldSet):
             return Contract(BOT, self._target_owner_ctx(e.receiver, rt),
                             line=e.line, col=e.col)
-        raise OvError("E-NEED-CONTRACT",
-                      "atomic needs an explicit contract for a compound body",
-                      e.line, e.col)
+        decl = env.table.get(rt.name)
+        hit = env.table.find_method(decl.name, e.method) if decl else None
+        if hit is None:
+            return None
+        owner_cls, m = hit
+        _, con_image = self._lookup_images(e.receiver, rt)
+        actuals = self._chain_args(env, rt, owner_cls.name)
+        return substitute(m.contract, owner_cls.ctx_params, actuals, con_image)
 
     def _atomic(self, env: TypeEnv, e: ast.Atomic) -> ast.TypeExpr:
         d = e.contract
         rt = None
         if d is None:
-            if isinstance(e.body, (ast.Call, ast.FieldSet)):
-                # the receiver is evaluated before the transaction begins:
-                # it is typed once, in the enclosing frame
-                rt = self.type_expr(env, e.body.receiver)
-            try:
-                d = self.deduce_contract(env, e.body, rt)
-            except OvError as exc:
-                # an error-typed receiver's fault is already reported
-                if not isinstance(rt, ast.ErrorType):
-                    self.diags.add(exc.code, exc.msg, e.line, e.col)
+            if not isinstance(e.body, (ast.Call, ast.FieldSet)):
+                self.diags.add("E-NEED-CONTRACT", "atomic needs an explicit "
+                               "contract for a compound body", e.line, e.col)
+                self.type_expr(env.child(fork_ok=False), e.body)
+                return ast.VOID
+            # the receiver is evaluated before the transaction begins: it is
+            # typed once, in the enclosing frame
+            rt = self.type_expr(env, e.body.receiver)
+            d = self.deduce_contract(env, e.body, rt)
+            if d is None:
                 self._atomic_body(env.child(fork_ok=False), e.body, rt)
                 return ast.VOID
             e.contract = d  # elaborate for the runtime

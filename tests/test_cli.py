@@ -1,8 +1,11 @@
 """Driver behavior: exit codes, output shapes, option handling."""
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -190,6 +193,73 @@ class TestFlatBlocks:
             argv += ["-o", str(tmp_path / "sol")]
         assert main(argv) == 0
         assert "E-DEPTH" not in capsys.readouterr().err
+
+
+class TestCheckFuzz:
+    """`ov check` on seeded byte and token mutations of the corpus ends in a
+    documented exit code and never in a Python exception."""
+
+    SOURCES = [p.read_text(encoding="utf-8")
+               for p in sorted(CORPUS.glob("**/*.ov"))]
+    TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
+    # pieces that leave a declaration's lookahead open when the input
+    # is cut after them, and single tokens that break a statement
+    CUTS = ["Foo <", "Foo<this,", "int", "x", "Foo<this>", "a < b >"]
+    PIECES = CUTS + ["<", ">", ",", ";", "=", "{", "}", "(", ")", ".",
+                     "this", "top", "*", "atomic", "(((", "1e"]
+
+    def mutations(self, count: int, seed: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            src = rng.choice(self.SOURCES)
+            for _ in range(rng.randint(1, 3)):
+                spans = [m.span() for m in self.TOKEN.finditer(src)]
+                start, end = rng.choice(spans) if spans else (0, 0)
+                piece = rng.choice(self.PIECES)
+                op = rng.randrange(5)
+                if op == 0:
+                    src = src[:start] + piece + " " + src[start:]
+                elif op == 1:
+                    src = src[:start] + piece + src[end:]
+                elif op == 2:
+                    src = src[:start] + src[end:]
+                elif op == 3:  # cut after a piece, mid-statement
+                    src = src[:start] + rng.choice(self.CUTS)
+                else:
+                    pos = rng.randrange(len(src) + 1)
+                    src = src[:pos] + chr(rng.randrange(1, 128)) + src[pos:]
+            data = src.encode("utf-8")
+            if rng.random() < 0.1:  # any byte, so also invalid UTF-8
+                pos = rng.randrange(len(data) + 1)
+                byte = bytes([rng.randrange(256)])
+                data = data[:pos] + byte + data[pos + 1:]
+            yield data
+
+    def test_mutated_sources(self, tmp_path, capsys):
+        path = tmp_path / "m.ov"
+        codes = set()
+        cut_endings = set()
+        began = time.perf_counter()
+        for data in self.mutations(2000, seed=5):
+            path.write_bytes(data)
+            code = main(["check", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), data
+            assert "Traceback" not in err, data
+            codes.add(code)
+            cut_endings.update(c for c in self.CUTS
+                               if data.endswith(c.encode()))
+        assert time.perf_counter() - began < 30
+        # accepted, rejected and unreadable inputs all occurred, and inputs
+        # ending mid-lookahead among them
+        assert codes == {0, 1, 2}
+        assert cut_endings == set(self.CUTS)
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.ov"
+        path.write_bytes(b"main { \xff }")
+        assert main(["check", str(path)]) == 2
+        assert "not valid utf-8 text" in capsys.readouterr().err
 
 
 class TestTranspile:

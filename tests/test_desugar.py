@@ -202,3 +202,41 @@ class TestLinearWork:
         desugar(surface)
         assert copied["scopes"] >= 1  # the counter really counted
         assert copied["names"] <= n, f"{copied['names']} names copied"
+
+
+class TestFreshTemporaries:
+    SRC = """\
+class C[o] {
+    int v;
+    C<o> nxt;
+    void m(int __t0) <this,this> {
+        nxt.v += __t0;
+        int __t1 = 2;
+        nxt.v -= 1;
+    }
+    void plain(int x) <this,this> { v += x; }
+}
+"""
+
+    def test_temporaries_avoid_parameters_and_later_locals(self):
+        lets, stack = [], [method_body(lower(self.SRC), "C", "m")]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, ast.Let) and x.type is None:
+                lets.append(x.name)
+            stack.extend(ast.children(x))
+        assert sorted(lets) == ["__t2", "__t3"]
+
+    def test_names_collected_only_for_a_body_needing_one(self, monkeypatch):
+        walked = []
+        collect = desugar_module._collect_names
+
+        def counted(e, acc):
+            walked.append(e)
+            collect(e, acc)
+
+        monkeypatch.setattr(desugar_module, "_collect_names", counted)
+        surface, _ = parse_program(self.SRC)
+        desugar(surface)
+        assert len(walked) == 1
+        assert walked[0] is surface.class_named("C").methods[0].body

@@ -1,9 +1,14 @@
 """Surface syntax: structure, contract normalization, rejection cases."""
+import hashlib
+import json
+
 import pytest
 
-from ovlang import ast
+from ovlang import ast, parser
 from ovlang.diagnostics import OvError
 from ovlang.parser import parse_contract, parse_program
+
+from conftest import CORPUS, GOLDENS, bench_module
 
 
 def parse_fail(src: str) -> OvError:
@@ -194,4 +199,116 @@ def test_parse_contract_helper():
     "class C[o] { void m() { } }",  # methods need a contract
 ])
 def test_rejects(src):
+    parse_fail(src)
+
+
+# -- pinned trees -------------------------------------------------------------
+# goldens/parse_trees.json holds, for every corpus/**/*.ov file and every
+# benchmark program of seeds 1 to 3, the sha256 of repr(parse_program(src))
+# (positions and warnings included), or the E-PARSE diagnostic as
+# [code, msg, line, col] when the file does not parse.
+
+def pinned_sources():
+    for path in sorted(CORPUS.glob("**/*.ov")):
+        yield path.relative_to(CORPUS).as_posix(), path.read_text(
+            encoding="utf-8")
+    workloads = bench_module("workloads")
+    for seed in (1, 2, 3):
+        for stem, src in workloads.programs(seed):
+            yield f"{seed}/{stem}", src
+
+
+def parse_outcome(src: str):
+    try:
+        tree = parse_program(src)
+    except OvError as err:
+        d = err.diagnostic
+        return [d.code, d.msg, d.line, d.col]
+    return hashlib.sha256(repr(tree).encode("utf-8")).hexdigest()
+
+
+def test_parse_trees_are_pinned():
+    pinned = json.loads((GOLDENS / "parse_trees.json").read_text())
+    got = {name: parse_outcome(src) for name, src in pinned_sources()}
+    assert sorted(got) == sorted(pinned)
+    for name in pinned:
+        assert got[name] == pinned[name], name
+    assert got["negative/parse_error.ov"] == [
+        "E-PARSE", "unexpected ';' in expression", 3, 13]
+
+
+# -- declarations by lookahead ------------------------------------------------
+
+def test_accepted_input_raises_no_parse_fail(monkeypatch):
+    made = []
+
+    class Counted(parser.ParseFail):
+        def __init__(self, msg, i):
+            made.append(msg)
+            super().__init__(msg, i)
+
+    monkeypatch.setattr(parser, "ParseFail", Counted)
+    accepted = 0
+    for name, src in pinned_sources():
+        if not name.startswith("negative/"):
+            parse_program(src)
+            accepted += 1
+    assert accepted == 9 + 3 * 45
+    assert made == []
+    # the count sees a real fault
+    parse_fail("main { int x = ; }")
+    assert made == ["unexpected ';' in expression"]
+
+
+@pytest.mark.parametrize("stmt, is_decl", [
+    ("int x;", True),
+    ("uint256 x = 1;", True),
+    ("C c;", True),
+    ("C<top> c = null;", True),
+    ("C<this, o, *, bot> c;", True),
+    ("a < b > c;", True),
+    ("a < b;", False),
+    ("a < b > (c);", False),
+    ("a < b >= c;", False),
+    ("x = y;", False),
+    ("a.b = 1;", False),
+    ("f(x);", False),
+])
+def test_declaration_lookahead(stmt, is_decl):
+    p, _ = parse_program(f"main {{ {stmt} }}")
+    assert isinstance(p.main.stmts[0], ast.Let) == is_decl
+
+
+def test_comparison_chain_is_a_declaration():
+    p, _ = parse_program("main { a < b > c; }")
+    assert p.main.stmts[0] == ast.Let(
+        "c", ast.ClassType("a", [ast.CtxParam("b")]), ast.Const(None))
+
+
+@pytest.mark.parametrize("src, msg, line, col", [
+    # the fault inside a declaration is reported where it is
+    ("main { int x = ; }", "unexpected ';' in expression", 1, 16),
+    ("main {\n  C<top> c = new C<top>()\n  c.f();\n}",
+     "expected ';', found 'c'", 3, 3),
+    ("main { C x += 1; }", "expected ';', found '+='", 1, 12),
+    ("main { a < b > c += 1; }", "expected ';', found '+='", 1, 18),
+    ("main { C<top> c = ; }", "unexpected ';' in expression", 1, 19),
+    ("main { C<top> c", "expected ';', found 'end of input'", 1, 16),
+    # a malformed type argument list in a member or parameter
+    ("class K[o] { Foo<this x; }", "expected '>', found 'x'", 1, 23),
+    ("class K[o] { Foo< }", "expected a context", 1, 19),
+    ("class K[o] { void m(Foo<this q) <this,bot> { } }",
+     "expected '>', found 'q'", 1, 30),
+])
+def test_malformed_declaration_reports_its_fault(src, msg, line, col):
+    err = parse_fail(src)
+    assert (err.msg, err.diagnostic.line, err.diagnostic.col) == (
+        msg, line, col)
+
+
+@pytest.mark.parametrize("src", [
+    "main { Foo <", "main { Foo<this,", "main { int", "main { x",
+    "main { a < b >", "class K[o] { Foo<this,",
+])
+def test_input_ending_mid_lookahead(src):
     parse_fail(src)

@@ -12,8 +12,8 @@ from ovlang.parser import parse_program
 from ovlang.transpile import transpile_program
 from ovlang.typecheck import TypeEnv, check_program, subcontract
 
-from conftest import (NEGATIVE_FILES, POSITIVE_FILES, compile_source,
-                      expected_code)
+from conftest import (NEGATIVE, NEGATIVE_FILES, POSITIVE_FILES,
+                      compile_source, expected_code)
 
 THIS, TOP, BOT = CtxThis(), CtxTop(), CtxBot()
 
@@ -182,6 +182,36 @@ main {
     def test_bare_atomic_needs_deducible_body(self):
         src = "main { atomic { var x = 1; var y = 2; } }"
         assert error_codes(src) == {"E-NEED-CONTRACT"}
+
+    def test_compound_body_reports_need_contract(self):
+        src = (NEGATIVE / "need_contract.ov").read_text(encoding="utf-8")
+        _, diags = compile_source(src)
+        assert [(d.code, d.msg, d.line) for d in diags.errors()] == [
+            ("E-NEED-CONTRACT",
+             "atomic needs an explicit contract for a compound body", 12)]
+
+    @pytest.mark.parametrize("decl, body, fault", [
+        ("int k = 3;", "atomic k.n = 1;", "int is not an object type"),
+        ("int k = 3;", "atomic k.get();", "int is not an object type"),
+        ("", "atomic null.n = 1;", "field write on null"),
+        ("", "atomic null.fill();", "call on null"),
+        ("Box<top> b = new Box<top>();", "atomic b.nope();",
+         "Box has no method nope"),
+    ])
+    def test_undeducible_bare_atomic_reports_one_fault(self, decl, body,
+                                                       fault):
+        # a bare call or field write is never a compound body: the fault
+        # that stops deduction is its receiver's or method's, reported once
+        _, diags = compile_source(BOX + f"main {{ {decl} {body} }}")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-TYPE", fault)]
+
+    def test_two_undeducible_atomics_two_diagnostics(self):
+        _, diags = compile_source(
+            "main { int k = 3; atomic k.n = 1; atomic k.get(); }")
+        assert [(d.code, d.msg, d.col) for d in diags.errors()] == [
+            ("E-TYPE", "int is not an object type", 30),
+            ("E-TYPE", "int is not an object type", 42)]
 
     def test_explicit_atomic_subcontract(self):
         src = "class C[o] { void m() <this,this> { atomic <top,this> { } } }"
