@@ -408,9 +408,3 @@ class ClassDecl(Node):
 class Program(Node):
     classes: list[ClassDecl] = field(default_factory=list)
     main: Optional[Expr] = None
-
-    def class_named(self, name: str) -> Optional[ClassDecl]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None

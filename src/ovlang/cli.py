@@ -125,9 +125,8 @@ def cmd_transpile(args) -> int:
     if loaded is None:
         return EXIT_DIAG
     surface = loaded[0]
-    cfg = tp.EmitterConfig(style=args.style)
     try:
-        files = tp.transpile_program(surface, cfg)
+        files = tp.transpile_program(surface, args.style)
     except OvError as err:
         _emit_diags(Diagnostics([err.diagnostic]), False)
         return EXIT_DIAG

@@ -8,7 +8,10 @@ Core form guarantees:
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import ast
+from .typecheck import ClassTable
 
 
 class _Scope:
@@ -255,17 +258,6 @@ def _collect_names(e: ast.Expr, acc: set[str]) -> None:
         stack.extend(ast.children(x))
 
 
-def _class_fields(p: ast.Program, cls: ast.ClassDecl) -> set[str]:
-    names: set[str] = set()
-    seen: set[str] = set()
-    cur: ast.ClassDecl | None = cls
-    while cur is not None and cur.name not in seen:
-        seen.add(cur.name)
-        names.update(f.name for f in cur.fields)
-        cur = p.class_named(cur.superclass.name) if cur.superclass else None
-    return names
-
-
 def _lower_body(body: ast.Expr, fields: set[str], params: list[str]) -> ast.Expr:
     return _Lowerer(_Scope(fields, params), body, params).expr(body)
 
@@ -273,8 +265,9 @@ def _lower_body(body: ast.Expr, fields: set[str], params: list[str]) -> ast.Expr
 def desugar(p: ast.Program) -> ast.Program:
     """Lower a parsed program to core form. Idempotent on core programs."""
     classes: list[ast.ClassDecl] = []
+    table = ClassTable(p)
     for cls in p.classes:
-        fields = _class_fields(p, cls)
+        fields = {f.name for _cls, f in table.fields_of(cls.name)}
         new_fields = [
             ast.FieldDecl(f.type, f.name,
                           _lower_body(f.init, fields, []) if f.init is not None else None,
@@ -294,9 +287,7 @@ def desugar(p: ast.Program) -> ast.Program:
                            line=m.line, col=m.col)
             for m in cls.methods
         ]
-        classes.append(ast.ClassDecl(cls.name, cls.ctx_params, cls.superclass,
-                                     cls.constraints, new_invs, new_fields,
-                                     new_ctors, new_methods,
-                                     line=cls.line, col=cls.col))
+        classes.append(replace(cls, invariants=new_invs, fields=new_fields,
+                               ctors=new_ctors, methods=new_methods))
     main = _lower_body(p.main, set(), []) if p.main is not None else None
     return ast.Program(classes, main, line=p.line, col=p.col)

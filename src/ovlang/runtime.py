@@ -20,10 +20,17 @@ tag with no rule is E-STUCK. Invariant clauses are evaluated apart from
 the step function, through a third table, `_PURE_RULES`; a node class
 with no rule there makes the invariant false. Class metadata (superclass
 chains, fields, method lookups, default field values, invariant clauses)
-is worked out once per class and kept. What depends only on an object,
-which is fixed at its allocation, is kept on the object: its `Loc`, its
-context bindings, and each method contract and `atomic` contract resolved
-against it.
+is worked out once per class and kept; an object's context arguments at a
+superclass come from the class table's one walk, `ClassTable.views`. What
+depends only on an object, which is fixed at its allocation, is kept on
+the object: its `Loc`, its context bindings, and each method contract and
+`atomic` contract resolved against it.
+
+Every use of a receiver (field read, field write, call, `valid`, deduced
+`atomic`) meets a null or removed receiver through one helper,
+`Machine._not_live`: R-NULL or E-DANGLING aborts the innermost
+transaction. A deduced `atomic` call or field write checks its receiver
+before its transaction begins, then goes on as the plain call or write.
 """
 from __future__ import annotations
 
@@ -105,7 +112,7 @@ _RESOLVED = (CtxTop, CtxBot, CtxLoc)
 # arriving here aborts the enclosing transaction (or kills the thread)
 _STRICT = {"bind", "fget", "fset_recv", "fset_val", "call_recv",
            "call_args", "new_args", "prim", "andor", "valid", "require",
-           "emit", "atom_recv", "atomfs_recv"}
+           "emit", "atom_recv"}
 
 
 class Thread:
@@ -223,45 +230,19 @@ class Machine:
                     template[f.name] = None
         return dict(template)
 
-    def _class_chain(self, obj: ObjectRec) -> list[tuple[ast.ClassDecl, list]]:
-        """(class, runtime context arguments) up the object's superclass
-        chain, nearest first. The owner args[0] is the image of `this`; the
-        walk stops at a cycle or at an arity mismatch."""
-        pairs: list[tuple[ast.ClassDecl, list]] = []
-        cls = self.table.get(obj.class_name)
-        args = list(obj.ctx_args)
-        seen: set[str] = set()
-        while cls is not None and cls.name not in seen:
-            seen.add(cls.name)
-            pairs.append((cls, args))
-            if cls.superclass is None or len(cls.ctx_params) != len(args):
-                break
-            sup = substitute(cls.superclass, cls.ctx_params, args, args[0])
-            cls = self.table.get(sup.name)
-            args = list(sup.args)
-        return pairs
-
     def _ctx_bindings(self, obj: ObjectRec) -> dict:
-        """Parameter name -> runtime context, across the superclass chain
-        (nearest declaration wins on a name collision). Computed once per
-        object; callers share the dict and must not change it."""
+        """Parameter name -> runtime context, across the object's classes
+        (nearest declaration wins on a name collision), with the object's
+        owner for this in `extends` clauses. Computed once per object;
+        callers share the dict and must not change it."""
         if obj.bindings is None:
+            args = obj.ctx_args
             merged: dict = {}
-            for cls, args in reversed(self._class_chain(obj)):
-                merged.update(zip(cls.ctx_params, args))
+            for cls, a in reversed(list(
+                    self.table.views(obj.class_name, args, args[0]))):
+                merged.update(zip(cls.ctx_params, a))
             obj.bindings = merged
         return obj.bindings
-
-    def _args_at(self, obj: ObjectRec, ancestor: str) -> list:
-        """The object's runtime context arguments viewed at a superclass;
-        at its own class they are its ctx_args, with no walk."""
-        if ancestor == obj.class_name:
-            return obj.ctx_args
-        chain = self._class_chain(obj)
-        for cls, args in chain:
-            if cls.name == ancestor:
-                return args
-        return chain[-1][1] if chain else list(obj.ctx_args)
 
     def _method_contract(self, obj: ObjectRec, loc: int,
                          owner_cls: ast.ClassDecl,
@@ -274,9 +255,11 @@ class Machine:
             cache = obj.contracts = {}
         d = cache.get(id(m))
         if d is None:
+            args = obj.ctx_args
             d = cache[id(m)] = substitute(
                 m.contract, owner_cls.ctx_params,
-                self._args_at(obj, owner_cls.name), CtxLoc(loc))
+                self.table.args_at(obj.class_name, args, args[0], owner_cls),
+                CtxLoc(loc))
         return d
 
     def _resolve_ctx(self, k, env: dict):
@@ -418,10 +401,9 @@ class Machine:
         return result
 
     def write_field(self, thread: Thread, loc: int, fname: str,
-                    value: Value) -> Optional[FailureValue]:
-        obj = self.heap[loc] if loc < len(self.heap) else None
-        if obj is None:
-            return FailureValue("E-DANGLING", f"write to a removed object l{loc}")
+                    value: Value) -> None:
+        """Write to the live object at loc, inside the active frame."""
+        obj = self.heap[loc]
         frame = thread.frames[-1]
         inv = frame.contract.invalidity
         chain = self.tree.chain(loc)
@@ -435,7 +417,6 @@ class Machine:
         obj.fields[fname] = value
         for anc in chain:
             self._mark_invalid(anc)
-        return None
 
     # -- transactions -----------------------------------------------------------
     def _begin(self, thread: Thread, kind: str,
@@ -739,12 +720,8 @@ class Machine:
         t.control = ("expr", e.args[0])
 
     def _x_atomic(self, t: Thread, e: ast.Atomic) -> None:
-        if e.deduced and isinstance(e.body, ast.Call):
+        if e.deduced:
             t.konts.append(("atom_recv", e))
-            t.control = ("expr", e.body.receiver)
-            return
-        if e.deduced and isinstance(e.body, ast.FieldSet):
-            t.konts.append(("atomfs_recv", e.body.field_name, e.body.value, e))
             t.control = ("expr", e.body.receiver)
             return
         if e.contract is None:
@@ -794,8 +771,7 @@ class Machine:
                 node: ast.Expr) -> None:
         obj = self.heap[loc]
         if obj is None:
-            self._signal(t, FailureValue("E-DANGLING",
-                                         f"call on a removed object l{loc}"))
+            self._not_live(t, self.locs[loc], "call on", node)
             return
         hit = self.table.find_method(obj.class_name, method)
         if hit is None:
@@ -869,18 +845,26 @@ class Machine:
         t.env[k[1]] = v
         t.control = ("val", None)
 
-    def _k_fget(self, t: Thread, v: Value, k: tuple) -> None:
-        _, fname, node = k
+    def _not_live(self, t: Thread, v: Value, use: str,
+                  node: ast.Node) -> None:
+        """The fault of a receiver v that is not a live object, for the
+        given use ("read from", "write to", "call on", "valid on"): R-NULL
+        for null and E-DANGLING for a removed object, both delivered to t;
+        E-STUCK, which typing rules out, for any other value."""
         if v is None:
             self._signal(t, FailureValue("R-NULL", "null dereference"))
-            return
-        if not isinstance(v, Loc):
-            raise OvError("E-STUCK", "field read on a non-object",
-                          node.line, node.col)
-        obj = self.heap[v.index]
-        if obj is None:
+        elif type(v) is Loc:
             self._signal(t, FailureValue(
-                "E-DANGLING", f"read from a removed object l{v.index}"))
+                "E-DANGLING", f"{use} a removed object l{v.index}"))
+        else:
+            raise OvError("E-STUCK", f"{use} a non-object",
+                          node.line, node.col)
+
+    def _k_fget(self, t: Thread, v: Value, k: tuple) -> None:
+        _, fname, node = k
+        obj = self.heap[v.index] if type(v) is Loc else None
+        if obj is None:
+            self._not_live(t, v, "read from", node)
             return
         if fname not in obj.fields:
             raise OvError("E-STUCK", f"no field {fname} on {obj.class_name}",
@@ -889,30 +873,25 @@ class Machine:
 
     def _k_fset_recv(self, t: Thread, v: Value, k: tuple) -> None:
         _, fname, value_expr, node = k
-        if v is None:
-            self._signal(t, FailureValue("R-NULL", "null dereference"))
+        if type(v) is not Loc:
+            self._not_live(t, v, "write to", node)
             return
-        if not isinstance(v, Loc):
-            raise OvError("E-STUCK", "field write on a non-object",
-                          node.line, node.col)
         t.konts.append(("fset_val", v.index, fname, node))
         t.control = ("expr", value_expr)
 
     def _k_fset_val(self, t: Thread, v: Value, k: tuple) -> None:
-        fv = self.write_field(t, k[1], k[2], v)
-        if fv is not None:
-            self._signal(t, fv)
-        else:
-            t.control = ("val", None)
+        _, loc, fname, node = k
+        if self.heap[loc] is None:
+            self._not_live(t, self.locs[loc], "write to", node)
+            return
+        self.write_field(t, loc, fname, v)
+        t.control = ("val", None)
 
     def _k_call_recv(self, t: Thread, v: Value, k: tuple) -> None:
         _, method, args, node = k
-        if v is None:
-            self._signal(t, FailureValue("R-NULL", "null dereference"))
+        if type(v) is not Loc:
+            self._not_live(t, v, "call on", node)
             return
-        if not isinstance(v, Loc):
-            raise OvError("E-STUCK", "call on a non-object",
-                          node.line, node.col)
         if args:
             t.konts.append(("call_args", v.index, method, [], args, node))
             t.control = ("expr", args[0])
@@ -962,16 +941,12 @@ class Machine:
             t.control = ("expr", right)
 
     def _k_valid(self, t: Thread, v: Value, k: tuple) -> None:
-        if v is None:
+        if type(v) is Loc and self.heap[v.index] is not None:
+            t.control = ("val", self.assert_valid(v.index))
+        elif v is None:
             t.control = ("val", False)
-        elif isinstance(v, Loc):
-            if v.index >= len(self.heap) or self.heap[v.index] is None:
-                self._signal(t, FailureValue(
-                    "E-DANGLING", f"valid on a removed object l{v.index}"))
-            else:
-                t.control = ("val", self.assert_valid(v.index))
         else:
-            raise OvError("E-STUCK", "valid on a non-object")
+            self._not_live(t, v, "valid on", k[1])
 
     def _k_require(self, t: Thread, v: Value, k: tuple) -> None:
         if v is True:
@@ -1010,53 +985,36 @@ class Machine:
         t.control = ("val", self.locs[k[2]] if fv is None else fv)
 
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
+        """The receiver v of a deduced `atomic` call or field write. The
+        transaction begins only on a live receiver, with the called
+        method's contract resolved against it, or <bot, l_v> for a write;
+        the body then goes on as a plain call or write on v."""
         node: ast.Atomic = k[1]
-        call = node.body
-        assert isinstance(call, ast.Call)
-        if v is None:
-            self._signal(t, FailureValue("R-NULL", "null dereference"))
-            return
-        if not isinstance(v, Loc):
-            raise OvError("E-STUCK", "atomic call on a non-object",
-                          node.line, node.col)
-        obj = self.heap[v.index]
+        body = node.body
+        call = type(body) is ast.Call
+        obj = self.heap[v.index] if type(v) is Loc else None
         if obj is None:
-            self._signal(t, FailureValue(
-                "E-DANGLING", f"call on a removed object l{v.index}"))
+            self._not_live(t, v, "call on" if call else "write to", node)
             return
-        hit = self.table.find_method(obj.class_name, call.method)
-        if hit is None:
-            raise OvError("E-STUCK", f"no method {call.method}",
-                          node.line, node.col)
-        owner_cls, m = hit
-        fv = self._begin(t, "txn",
-                         self._method_contract(obj, v.index, owner_cls, m))
-        if fv is not None:
-            t.control = ("val", fv)
-            return
-        t.konts.append(("commit", t.env))
-        if call.args:
-            t.konts.append(("call_args", v.index, call.method, [],
-                            call.args, node))
-            t.control = ("expr", call.args[0])
+        if call:
+            hit = self.table.find_method(obj.class_name, body.method)
+            if hit is None:
+                raise OvError("E-STUCK", f"no method {body.method}",
+                              node.line, node.col)
+            d = self._method_contract(obj, v.index, *hit)
         else:
-            self._invoke(t, v.index, call.method, [], node)
-
-    def _k_atomfs_recv(self, t: Thread, v: Value, k: tuple) -> None:
-        _, fname, value_expr, node = k
-        if v is None:
-            self._signal(t, FailureValue("R-NULL", "null dereference"))
-            return
-        if not isinstance(v, Loc):
-            raise OvError("E-STUCK", "atomic write on a non-object",
-                          node.line, node.col)
-        fv = self._begin(t, "txn", Contract(CtxBot(), CtxLoc(v.index)))
+            d = Contract(CtxBot(), CtxLoc(v.index))
+        fv = self._begin(t, "txn", d)
         if fv is not None:
             t.control = ("val", fv)
             return
         t.konts.append(("commit", t.env))
-        t.konts.append(("fset_val", v.index, fname, node))
-        t.control = ("expr", value_expr)
+        if call:
+            self._k_call_recv(t, v, ("call_recv", body.method, body.args,
+                                     body))
+        else:
+            self._k_fset_recv(t, v, ("fset_recv", body.field_name,
+                                     body.value, body))
 
 
 # The reduction rules, built once. Surface-only nodes (Block, Return, Throw,
@@ -1104,7 +1062,6 @@ _KONT_RULES = {
     "commit": Machine._k_commit,
     "ctor": Machine._k_ctor,
     "atom_recv": Machine._k_atom_recv,
-    "atomfs_recv": Machine._k_atomfs_recv,
 }
 
 

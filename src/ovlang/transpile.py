@@ -9,7 +9,6 @@ Emission works on the surface AST so compound assignments survive.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from . import ast
 from .diagnostics import OvError
@@ -22,11 +21,6 @@ IMPORT_PREFIX = "../"
 
 STYLE_OVVALIDITY = "ovvalidity"
 STYLE_PRE_POST = "pre-post"
-
-
-@dataclass
-class EmitterConfig:
-    style: str = STYLE_OVVALIDITY
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +179,6 @@ _MODIFIERS = {
 }
 
 
-def modifier_for(d: ast.Contract) -> str | None:
-    return _MODIFIERS[checks_for(d)]
-
-
 def _modifier_text(d: ast.Contract, style: str) -> str:
     """Text between the parameter list and `public`, with leading space."""
     pre, post = checks_for(d)
@@ -334,21 +324,20 @@ def _emit_ctor(ct: ast.CtorDecl, style: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contract_name(c: ast.ClassDecl, cfg: EmitterConfig) -> str:
-    return f"{c.name}_OV" if cfg.style == STYLE_PRE_POST else c.name
+def contract_name(c: ast.ClassDecl, style: str = STYLE_OVVALIDITY) -> str:
+    return f"{c.name}_OV" if style == STYLE_PRE_POST else c.name
 
 
-def transpile_class(c: ast.ClassDecl, cfg: EmitterConfig | None = None) -> str:
-    cfg = cfg or EmitterConfig()
+def transpile_class(c: ast.ClassDecl, style: str = STYLE_OVVALIDITY) -> str:
     _check_class_shape(c)
-    validity_iface = "Validity" if cfg.style == STYLE_PRE_POST else "OVValidity"
+    validity_iface = "Validity" if style == STYLE_PRE_POST else "OVValidity"
     out = [
         PRAGMA,
         "",
         f"import '{IMPORT_PREFIX}Ownable.sol';",
         f"import '{IMPORT_PREFIX}{validity_iface}.sol';",
         "",
-        f"contract {contract_name(c, cfg)} is Ownable, {validity_iface} {{",
+        f"contract {contract_name(c, style)} is Ownable, {validity_iface} {{",
     ]
     for f in c.fields:
         init = ""
@@ -359,10 +348,10 @@ def transpile_class(c: ast.ClassDecl, cfg: EmitterConfig | None = None) -> str:
         out.append(f"{IND}{_sol_type(f.type, f)} {f.name}{init};")
     for ct in c.ctors:
         out.append("")
-        out.append(_emit_ctor(ct, cfg.style).rstrip("\n"))
+        out.append(_emit_ctor(ct, style).rstrip("\n"))
     for m in c.methods:
         out.append("")
-        out.append(_emit_method(m, cfg.style).rstrip("\n"))
+        out.append(_emit_method(m, style).rstrip("\n"))
     out.append("")
     # the validity function itself is never guarded: guarding it would recurse
     out.append(emit_is_valid(c).rstrip("\n"))
@@ -370,12 +359,12 @@ def transpile_class(c: ast.ClassDecl, cfg: EmitterConfig | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def transpile_program(p: ast.Program, cfg: EmitterConfig | None = None) -> dict[str, str]:
+def transpile_program(p: ast.Program,
+                      style: str = STYLE_OVVALIDITY) -> dict[str, str]:
     """File name -> contents for every class plus the support bundle."""
-    cfg = cfg or EmitterConfig()
     files = bundle_api()
     for c in p.classes:
-        files[f"{contract_name(c, cfg)}.sol"] = transpile_class(c, cfg)
+        files[f"{contract_name(c, style)}.sol"] = transpile_class(c, style)
     return files
 
 

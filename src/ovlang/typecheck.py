@@ -7,7 +7,7 @@ contracts so the runtime never has to re-deduce them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import ast
 from .ast import (BOT, EXIST, THIS, TOP, Context, Contract, CtxAny, CtxBot,
@@ -54,6 +54,32 @@ class ClassTable:
             out.append(cur)
             cur = self.get(cur.superclass.name) if cur.superclass else None
         return tuple(out)
+
+    def views(self, name: str, args: list[Context], this_image: Context
+              ) -> Iterator[tuple[ast.ClassDecl, list[Context]]]:
+        """The class type name<args> seen at its class and at each
+        superclass: yields (class, context arguments) pairs, nearest
+        first. A superclass's arguments are its `extends` clause with args
+        for the class's parameters and this_image for this. This is the
+        one superclass walk with arguments; it follows `chain` and stops
+        after an arity mismatch."""
+        for cls in self.chain(name):
+            yield cls, args
+            if cls.superclass is None or len(cls.ctx_params) != len(args):
+                return
+            args = substitute(cls.superclass, cls.ctx_params, args,
+                              this_image).args
+
+    def args_at(self, name: str, args: list[Context], this_image: Context,
+                cls: ast.ClassDecl) -> list[Context]:
+        """The context arguments of name<args> seen at cls, one of its
+        classes: args itself at its own class, with no walk, and where the
+        walk stops short of cls (only an ill-formed `extends` makes it)."""
+        if cls.name != name:
+            for c, a in self.views(name, args, this_image):
+                if c is cls:
+                    return a
+        return args
 
     def fields_of(self, name: str
                   ) -> tuple[tuple[ast.ClassDecl, ast.FieldDecl], ...]:
@@ -147,26 +173,6 @@ def _contains_exist(t: ast.TypeExpr) -> bool:
         isinstance(a, CtxExist) for a in t.args)
 
 
-def _instance_at(table: ClassTable, t: ast.ClassType,
-                 name: str) -> Optional[ast.ClassType]:
-    """The instance of t's superclass chain at class `name`, or None.
-    `this` in a superclass's arguments becomes EXIST; the walk stops at a
-    cycle or at an arity mismatch."""
-    cur: Optional[ast.ClassType] = t
-    seen: set[str] = set()
-    while cur is not None and cur.name not in seen:
-        seen.add(cur.name)
-        if cur.name == name:
-            return cur
-        decl = table.get(cur.name)
-        if decl is None or decl.superclass is None:
-            break
-        if len(decl.ctx_params) != len(cur.args):
-            break
-        cur = substitute(decl.superclass, decl.ctx_params, cur.args, EXIST)
-    return None
-
-
 def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
              diags: Diagnostics, line: int = 0, col: int = 0,
              what: str = "value") -> bool:
@@ -182,9 +188,13 @@ def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
     if isinstance(t1, ast.NullType) and isinstance(t2, ast.ClassType):
         return True
     if isinstance(t1, ast.ClassType) and isinstance(t2, ast.ClassType):
-        inst = _instance_at(env.table, t1, t2.name)
-        if inst is not None and len(inst.args) == len(t2.args) and all(
-                abstracts(env.ctx, a, b) for a, b in zip(inst.args, t2.args)):
+        table = env.table
+        if table.get(t1.name) is None or table.get(t2.name) is None:
+            return True  # an unknown class is reported at its declaration
+        inst = next((a for c, a in table.views(t1.name, t1.args, EXIST)
+                     if c.name == t2.name), None)
+        if inst is not None and len(inst) == len(t2.args) and all(
+                abstracts(env.ctx, a, b) for a, b in zip(inst, t2.args)):
             return True
         diags.add("E-TYPE", f"cannot bind {t1} where {t2} is expected", line, col)
         return False
@@ -239,23 +249,9 @@ class Checker:
         if not isinstance(t, ast.ClassType):
             self.diags.add("E-TYPE", f"{t} is not an object type", line, col)
             return None
-        decl = env.table.get(t.name)
-        if decl is None:
-            self.diags.add("E-TYPE", f"unknown class {t.name}", line, col)
-        return decl
-
-    def _lookup_images(self, receiver: ast.Expr,
-                       recv_t: ast.ClassType) -> tuple[Context, Context]:
-        """(signature this-image, contract this-image) for member lookup.
-        Through this both are This; through any other receiver, signatures
-        get the existential and contracts get the receiver's owner bound."""
-        if isinstance(receiver, ast.This):
-            return THIS, THIS
-        try:
-            owner = owner_bound(recv_t)
-        except OvError:
-            owner = EXIST
-        return EXIST, owner
+        # None for an unknown class too: check_type reports it where the
+        # type is declared
+        return env.table.get(t.name)
 
     # -- main entry ----------------------------------------------------------
     def type_expr(self, env: TypeEnv, e: ast.Expr) -> ast.TypeExpr:
@@ -379,15 +375,9 @@ class Checker:
                            e.line, e.col)
             return ast.VOID
         owner_cls, fdecl = hit
-        sig_image, _ = self._lookup_images(e.receiver, rt)
-        actuals = self._chain_args(env, rt, owner_cls.name)
-        return substitute(fdecl.type, owner_cls.ctx_params, actuals, sig_image)
-
-    def _chain_args(self, env: TypeEnv, t: ast.ClassType,
-                    ancestor: str) -> list[Context]:
-        """Context arguments of t viewed at the (super)class `ancestor`."""
-        inst = _instance_at(env.table, t, ancestor)
-        return t.args if inst is None else inst.args
+        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
+        return substitute(fdecl.type, owner_cls.ctx_params, actuals,
+                          THIS if isinstance(e.receiver, ast.This) else EXIST)
 
     def _field_set(self, env: TypeEnv, e: ast.FieldSet) -> ast.TypeExpr:
         return self._field_set_on(env, e, self.type_expr(env, e.receiver))
@@ -422,16 +412,18 @@ class Checker:
         if fdecl.final and env.frame != CTOR_CONTRACT:
             self.diags.add("E-TYPE", f"field {fdecl.name} is final",
                            e.line, e.col)
-        sig_image, _ = self._lookup_images(e.receiver, rt)
-        actuals = self._chain_args(env, rt, owner_cls.name)
-        ft = substitute(fdecl.type, owner_cls.ctx_params, actuals, sig_image)
+        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
+        ft = substitute(fdecl.type, owner_cls.ctx_params, actuals,
+                        THIS if isinstance(e.receiver, ast.This) else EXIST)
         vt = self.type_expr(env, e.value)
         bindable(env, vt, ft, self.diags, e.line, e.col, "field write")
         return ast.VOID
 
     def _target_owner_ctx(self, receiver: ast.Expr, rt: ast.ClassType) -> Context:
-        """The context the written/deduced target object is known to live in:
-        this itself for this, otherwise the receiver type's owner."""
+        """The context the receiver object is known to live in, which is the
+        image of this in its members' contracts: this itself through this,
+        otherwise the receiver type's owner (the existential if it has
+        none)."""
         if isinstance(receiver, ast.This):
             return THIS
         try:
@@ -461,24 +453,23 @@ class Checker:
                 self.type_expr(env, a)
             return ast.VOID
         owner_cls, m = hit
-        sig_image, con_image = self._lookup_images(e.receiver, rt)
-        actuals = self._chain_args(env, rt, owner_cls.name)
-        d = substitute(m.contract, owner_cls.ctx_params, actuals, con_image)
+        through_this = isinstance(e.receiver, ast.This)
+        sig_image = THIS if through_this else EXIST
+        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
+        owner = self._target_owner_ctx(e.receiver, rt)
+        d = substitute(m.contract, owner_cls.ctx_params, actuals, owner)
         if not subcontract(env.ctx, d, env.frame):
             self.diags.add(
                 "E-SUBCONTRACT",
                 f"call {e.method} has contract {d}, not a subcontract of the "
                 f"frame {env.frame}", e.line, e.col)
-        if not isinstance(d.invalidity, CtxBot):
-            # mutating calls must originate from the owner
-            if not isinstance(e.receiver, ast.This):
-                owner = self._target_owner_ctx(e.receiver, rt)
-                if not env.ctx.inside(owner, env.origin_ctx()):
-                    self.diags.add(
-                        "E-OWNER-CALL",
-                        f"mutating call {e.method} on a receiver owned by "
-                        f"{owner} does not originate from its owner",
-                        e.line, e.col)
+        # mutating calls must originate from the owner
+        if not (isinstance(d.invalidity, CtxBot) or through_this
+                or env.ctx.inside(owner, env.origin_ctx())):
+            self.diags.add(
+                "E-OWNER-CALL",
+                f"mutating call {e.method} on a receiver owned by "
+                f"{owner} does not originate from its owner", e.line, e.col)
         if len(e.args) != len(m.params):
             self.diags.add("E-TYPE",
                            f"{e.method} expects {len(m.params)} arguments",
@@ -575,9 +566,9 @@ class Checker:
         if hit is None:
             return None
         owner_cls, m = hit
-        _, con_image = self._lookup_images(e.receiver, rt)
-        actuals = self._chain_args(env, rt, owner_cls.name)
-        return substitute(m.contract, owner_cls.ctx_params, actuals, con_image)
+        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
+        return substitute(m.contract, owner_cls.ctx_params, actuals,
+                          self._target_owner_ctx(e.receiver, rt))
 
     def _atomic(self, env: TypeEnv, e: ast.Atomic) -> ast.TypeExpr:
         d = e.contract

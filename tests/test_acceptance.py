@@ -15,8 +15,7 @@ from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
 from ovlang.parser import parse_program
 from ovlang.runtime import FailureValue, Machine
-from ovlang.transpile import (EmitterConfig, STYLE_PRE_POST, bundle_api,
-                              transpile_program)
+from ovlang.transpile import STYLE_PRE_POST, bundle_api, transpile_program
 
 from conftest import (CORPUS, GOLDENS, NEGATIVE_FILES, POSITIVE_FILES,
                       RUNNABLE_FILES, check_clean, compile_source,
@@ -113,7 +112,7 @@ def test_transpiled_goldens_byte_identical():
     assert out["Account.sol"].encode("utf-8") == \
         (GOLDENS / "Account.sol").read_bytes()
 
-    out = transpile_program(storage, EmitterConfig(style=STYLE_PRE_POST))
+    out = transpile_program(storage, STYLE_PRE_POST)
     assert out["Storage_OV.sol"].encode("utf-8") == \
         (GOLDENS / "Storage_OV.sol").read_bytes()
 

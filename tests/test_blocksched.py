@@ -242,17 +242,19 @@ class TestLinearWork:
         # arguments at the target's own class, which needs no walk of its
         # classes; only its kept context bindings walk them, once
         walks = Counter()
-        chain = Machine._class_chain
+        views = ClassTable.views
 
-        def counted(machine, obj):
-            walks[id(obj)] += 1
-            assert walks[id(obj)] <= 1, "an object's classes walked twice"
-            return chain(machine, obj)
+        def counted(table, name, args, this_image):
+            # an object's walk starts from its own context arguments
+            walks[id(args)] += 1
+            assert walks[id(args)] <= 1, "an object's classes walked twice"
+            return views(table, name, args, this_image)
 
-        monkeypatch.setattr(Machine, "_class_chain", counted)
+        monkeypatch.setattr(ClassTable, "views", counted)
         txns = bank_txns(random.Random(9), 500)
         mined = mine_block(PROGRAM, block_of(accounts(500), txns))
         assert len(mined.status) == 500
+        assert walks  # the counter really counted
 
 
 def _pinned_inputs() -> dict:

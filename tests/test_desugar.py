@@ -17,7 +17,8 @@ def lower(src: str) -> ast.Program:
 
 
 def method_body(p: ast.Program, cls: str, name: str) -> ast.Expr:
-    for m in p.class_named(cls).methods:
+    [decl] = [c for c in p.classes if c.name == cls]
+    for m in decl.methods:
         if m.name == name:
             return m.body
     raise AssertionError(name)
@@ -239,4 +240,5 @@ class C[o] {
         surface, _ = parse_program(self.SRC)
         desugar(surface)
         assert len(walked) == 1
-        assert walked[0] is surface.class_named("C").methods[0].body
+        [c] = [c for c in surface.classes if c.name == "C"]
+        assert walked[0] is c.methods[0].body

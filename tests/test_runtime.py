@@ -1,4 +1,5 @@
 """Transactional interpreter: counters, rollback, failure flow, reports."""
+import json
 import random
 
 import pytest
@@ -230,6 +231,73 @@ main {
             {"c": loc, "#ctx": {}})
         assert isinstance(out, FailureValue)
         assert out.code == "E-DANGLING"
+
+
+class TestReceiverFaults:
+    """A null or removed receiver, for each use of a receiver, inside an
+    outer <top,top> transaction: the outer value (a failure's code) and
+    whether the outer transaction committed."""
+
+    SRC = CELL + """\
+main {
+    Cell<top> c = null;
+    int w = c.v;
+    c.v = 1;
+    c.set(1);
+    atomic c.set(1);
+    atomic c.v = 1;
+    bool b = valid c;
+}
+"""
+    USES = ("read", "write", "call", "atomic call", "atomic write", "valid")
+
+    WANT = {
+        ("null", "read"): ("R-NULL", False),
+        ("null", "write"): ("R-NULL", False),
+        ("null", "call"): ("R-NULL", False),
+        ("null", "atomic call"): ("R-NULL", False),
+        ("null", "atomic write"): ("R-NULL", False),
+        ("null", "valid"): (None, True),  # valid null is false, no fault
+        ("removed", "read"): ("E-DANGLING", False),
+        ("removed", "write"): ("E-DANGLING", False),
+        ("removed", "call"): ("E-DANGLING", False),
+        ("removed", "atomic call"): ("E-DANGLING", False),
+        # a deduced write checks its receiver before it begins, as a
+        # deduced call does, so the fault aborts the outer transaction
+        ("removed", "atomic write"): ("E-DANGLING", False),
+        ("removed", "valid"): ("E-DANGLING", False),
+    }
+
+    def test_faults_by_receiver_and_use(self):
+        core = check_clean(self.SRC)
+        m = Machine(ast.Program(core.classes, None))
+        # the statements after the declaration of c, each the body of an
+        # outer <top,top> transaction (written in source, it would be
+        # normalized to <top,bot>)
+        stmts, x = [], core.main.second
+        while isinstance(x, ast.Seq):
+            stmts.append(x.first)
+            x = x.second
+        stmts.append(x)
+        assert len(stmts) == len(self.USES)
+        top_top = Contract(CtxTop(), CtxTop())
+        # an object created in an aborted transaction is removed
+        n = len(m.heap)
+        out = m.run_expression(ast.Atomic(
+            top_top, ast.Seq(ast.New(ast.ClassType("Cell", [CtxTop()]), []),
+                             ast.Require(ast.Const(False)))))
+        assert out.code == "R-REQUIRE" and m.heap[n] is None
+        receivers = {"null": None, "removed": m.locs[n]}
+        got = {}
+        for rname, recv in receivers.items():
+            for use, stmt in zip(self.USES, stmts):
+                before = m.root_commits
+                v = m.run_expression(ast.Atomic(top_top, stmt),
+                                     {"c": recv, "#ctx": {}})
+                got[rname, use] = (v.code if isinstance(v, FailureValue)
+                                   else v, m.root_commits > before)
+                assert m.alpha is None and len(m.heap) == n + 1
+        assert got == self.WANT
 
 
 class TestEvents:
@@ -557,6 +625,47 @@ class TestRuleTables:
             m._reduce(t)
         assert exc.value.code == "E-STUCK"
 
+    # what the corpus mains and blocks do not do: assign a declared
+    # variable, test validity, write through a deduced atomic
+    REST = CELL + """\
+main {
+    Cell<top> c = new Cell<top>();
+    int x = 1;
+    x = 2;
+    require(valid c);
+    atomic c.v = x;
+}
+"""
+
+    def test_every_rule_is_reached(self, monkeypatch):
+        # a rule that no input reaches is dead: every rule of the three
+        # tables must be reached by the corpus mains, the corpus blocks
+        # and REST
+        reached = set()
+
+        def counted(key, rule):
+            def wrapper(*args):
+                reached.add(key)
+                return rule(*args)
+            return wrapper
+
+        tables = {"expr": runtime._EXPR_RULES, "kont": runtime._KONT_RULES,
+                  "pure": runtime._PURE_RULES}
+        for name, table in tables.items():
+            for key, rule in list(table.items()):
+                monkeypatch.setitem(table, key, counted((name, key), rule))
+        for path in RUNNABLE_FILES:
+            Machine(check_clean(path.read_text(encoding="utf-8"))).run()
+        bank = check_clean((CORPUS / "bank.ov").read_text(encoding="utf-8"))
+        for path in sorted((CORPUS / "blocks").glob("*.json")):
+            blocksched.mine_block(bank, blocksched.parse_block(
+                json.loads(path.read_text(encoding="utf-8"))))
+        rest = Machine(check_clean(self.REST)).run()
+        assert not rest.failures
+        every = {(name, key) for name, table in tables.items()
+                 for key in table}
+        assert every - reached == set()
+
 
 class TestRunaway:
     def test_fuel_aborts_every_open_frame(self):
@@ -693,8 +802,10 @@ class Probe[o, p] {
         assert owner_cls.name == "Base"
 
         def fresh(loc: int) -> Contract:
+            obj = m.heap[loc]
             return substitute(touch.contract, owner_cls.ctx_params,
-                              m._args_at(m.heap[loc], owner_cls.name),
+                              m.table.args_at(obj.class_name, obj.ctx_args,
+                                              obj.ctx_args[0], owner_cls),
                               CtxLoc(loc))
 
         want_s = Contract(CtxLoc(h.index), CtxLoc(s.index))

@@ -5,9 +5,10 @@ from ovlang import ast
 from ovlang.ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from ovlang.diagnostics import OvError
 from ovlang.parser import parse_program
-from ovlang.transpile import (EmitterConfig, STYLE_PRE_POST, bundle_api,
-                              checks_for, modifier_for, transpile_class,
-                              transpile_program, write_outputs)
+from ovlang.transpile import (STYLE_OVVALIDITY, STYLE_PRE_POST,
+                              _modifier_text, bundle_api, checks_for,
+                              transpile_class, transpile_program,
+                              write_outputs)
 
 from conftest import CORPUS, GOLDENS
 
@@ -31,7 +32,7 @@ class TestGoldens:
 
     def test_storage_pre_post_style(self):
         files = transpile_program(surface("storage.ov"),
-                                  EmitterConfig(style=STYLE_PRE_POST))
+                                  STYLE_PRE_POST)
         assert files["Storage_OV.sol"] == golden("Storage_OV.sol")
 
     @pytest.mark.parametrize("name", ["Ownable.sol", "Validity.sol",
@@ -60,7 +61,8 @@ class TestModifierMapping:
         (Contract(BOT, BOT), None),
     ])
     def test_table(self, d, mod):
-        assert modifier_for(d) == mod
+        assert _modifier_text(d, STYLE_OVVALIDITY) == (
+            "" if mod is None else f" {mod}()")
 
     def test_checks_pairs(self):
         assert checks_for(Contract(THIS, THIS)) == (True, True)
@@ -144,7 +146,7 @@ class TestEmission:
 
     def test_pre_post_names_and_imports(self):
         text = transpile_program(surface("storage.ov"),
-                                 EmitterConfig(style=STYLE_PRE_POST))["Storage_OV.sol"]
+                                 STYLE_PRE_POST)["Storage_OV.sol"]
         assert "contract Storage_OV is Ownable, Validity {" in text
         assert "import '../Validity.sol';" in text
         assert "preValid() postValid() public" in text

@@ -420,6 +420,22 @@ class TestOneDiagnosticPerFault:
         assert [(d.code, d.msg) for d in diags.errors()] == [
             ("E-TYPE", "unknown variable zz")]
 
+    @pytest.mark.parametrize("src, at", [
+        # a local, a parameter and a field of an unknown class
+        ("main { Gone<top> u = null; u.get(); int w = u.v; A<top> a = u; }",
+         (2, 8)),
+        ("class C[o] {\n  void f(Gone<top> g) <bot,bot> { g.get(); "
+         "int w = g.v; }\n}", (3, 10)),
+        ("class C[o] {\n  Gone<top> g;\n  void f() <bot,bot> { this.g.get(); "
+         "int w = this.g.v; A<top> a = this.g; } }", (3, 3)),
+    ], ids=["local", "parameter", "field"])
+    def test_unknown_class_is_reported_once(self, src, at):
+        # every type is checked where it is declared; a receiver of an
+        # unknown class is then an error already reported
+        _, diags = compile_source("class A[o] { }\n" + src)
+        assert [(d.code, d.msg, d.line, d.col) for d in diags.errors()] == [
+            ("E-TYPE", "unknown class Gone", *at)]
+
 
 class TestLinearWork:
     """Checking a block does work linear in its length: the lets of a chain
