@@ -207,7 +207,7 @@ class _Lowerer:
                 combined = ast.PrimOp(e.op, [read, value], line=e.line, col=e.col)
                 return ast.FieldSet(this, target.name, combined,
                                     line=e.line, col=e.col)
-            read = ast.Var(target.name, line=target.line, col=target.col)
+            read = ast.Var(target.name, line=e.line, col=e.col)
             combined = ast.PrimOp(e.op, [read, value], line=e.line, col=e.col)
             return ast.Assign(target.name, combined, line=e.line, col=e.col)
         assert isinstance(target, ast.FieldGet)

@@ -72,12 +72,20 @@ class Diagnostic:
 
 @dataclass
 class Diagnostics:
-    """Accumulator passed through the checker stages."""
+    """Accumulator passed through the checker stages. `add` drops a
+    diagnostic identical in code, message and position to one already
+    added: a fault reached twice, such as the read and the write of a
+    compound assignment, is reported once."""
 
     items: list[Diagnostic] = field(default_factory=list)
+    _added: set[tuple[str, str, int, int]] = field(
+        default_factory=set, repr=False, compare=False)
 
     def add(self, code: str, msg: str, line: int = 0, col: int = 0) -> None:
-        self.items.append(Diagnostic(code, msg, line, col))
+        key = (code, msg, line, col)
+        if key not in self._added:
+            self._added.add(key)
+            self.items.append(Diagnostic(code, msg, line, col))
 
     def extend(self, other: "Diagnostics") -> None:
         self.items.extend(other.items)

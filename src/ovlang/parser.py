@@ -471,16 +471,3 @@ def parse_program(src: str) -> tuple[ast.Program, Diagnostics]:
         raise OvError("E-PARSE", exc.msg, toks.lines[i], toks.cols[i]) from None
     return prog, diags
 
-
-def parse_contract(src: str) -> tuple[ast.Contract, Diagnostics]:
-    """Parse a standalone contract such as `<this,bot>`."""
-    diags = Diagnostics()
-    toks = tokenize(src)
-    parser = Parser(toks, diags)
-    try:
-        c = parser.contract()
-        parser.expect("eof", "end of contract")
-    except ParseFail as exc:
-        i = exc.i
-        raise OvError("E-PARSE", exc.msg, toks.lines[i], toks.cols[i]) from None
-    return c, diags

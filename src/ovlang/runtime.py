@@ -288,15 +288,6 @@ class Machine:
     def dom(self) -> list[int]:
         return list(self.tree.chains)
 
-    def _subtree(self, k) -> set[int]:
-        if isinstance(k, CtxBot):
-            return set()
-        if isinstance(k, CtxTop):
-            return set(self.tree.chains)
-        if isinstance(k, CtxLoc):
-            return self.tree.runtime_subtree(k)
-        raise OvError("E-STUCK", f"no subtree for context {k}")
-
     def _meet(self, k1, k2) -> set[int]:
         """subtree(k1) ∩ subtree(k2), as a fresh set. Two location subtrees
         meet in the lower one (OwnershipTree.lower_of), so at most one
@@ -304,13 +295,13 @@ class Machine:
         if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
             return set()
         if isinstance(k2, CtxTop):
-            return self._subtree(k1)
+            return self.tree.runtime_subtree(k1)
         if isinstance(k1, CtxTop):
-            return self._subtree(k2)
+            return self.tree.runtime_subtree(k2)
         if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
             low = self.tree.lower_of(k1, k2)
             return set() if low is None else self.tree.runtime_subtree(low)
-        return self._subtree(k1) & self._subtree(k2)
+        return self.tree.runtime_subtree(k1) & self.tree.runtime_subtree(k2)
 
     def _invariant_clauses(self, class_name: str) -> tuple[ast.Expr, ...]:
         """The invariant clauses of a class and its superclasses, nearest
@@ -434,7 +425,7 @@ class Machine:
         else:
             start = sorted(self._meet(validity, parent.contract.invalidity))
             if self.naive:
-                self.pre_checks += len(self._subtree(validity))
+                self.pre_checks += len(self.tree.runtime_subtree(validity))
         for loc in start:
             if loc in self.sigma:
                 continue
@@ -460,7 +451,7 @@ class Machine:
             reval = self._meet(validity, frame.contract.invalidity)
             reval |= frame.created_set
             if self.naive:
-                self.post_checks += len(self._subtree(validity)
+                self.post_checks += len(self.tree.runtime_subtree(validity)
                                         | frame.created_set)
             else:
                 self.post_checks += len(reval)

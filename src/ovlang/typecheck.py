@@ -1,22 +1,35 @@
 """Static checking of core programs: contract well-formedness, subcontracts,
 effects, owner-originated calls, existential confinement, invariant purity.
 
-check_program also elaborates bare `atomic e` nodes with their deduced
-contracts so the runtime never has to re-deduce them.
+Every use of a member through a receiver (field read, field write, call, and
+the bare `atomic` call or write whose contract is deduced from its callee)
+resolves it through one lookup, `Checker._member`. A rule that reports a
+fault, or meets an operand whose fault is already reported, types as
+`ast.ERROR_T`, which binds anywhere and meets every operator's requirement,
+so one fault gives one diagnostic.
+
+check_program marks each bare `atomic` call or field write as `deduced`; the
+deduced contract checks it here, and the runtime resolves the contract
+against the receiver object itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from . import ast
 from .ast import (BOT, EXIST, THIS, TOP, Context, Contract, CtxAny, CtxBot,
                   CtxExist, CtxParam, CtxThis, CtxTop)
-from .diagnostics import Diagnostics, OvError
+from .diagnostics import Diagnostics
 from .ownership import ContextEnv, owner_bound, substitute
 
 TOP_TOP = Contract(CtxTop(), CtxTop())
 CTOR_CONTRACT = Contract(CtxBot(), CtxThis())
+
+# What Checker._member finds: the declaring class, the field or method, and
+# the receiver type's context arguments at that class.
+Member = tuple[ast.ClassDecl, Union[ast.FieldDecl, ast.MethodDecl],
+               list[Context]]
 
 
 class ClassTable:
@@ -36,6 +49,15 @@ class ClassTable:
 
     def get(self, name: str) -> Optional[ast.ClassDecl]:
         return self.classes.get(name)
+
+    def of_type(self, t: ast.ClassType) -> Optional[ast.ClassDecl]:
+        """The class of t, or None when it is unknown or t has the wrong
+        number of context arguments: check_type reports either where t is
+        declared, so every later use of t takes it as reported."""
+        decl = self.classes.get(t.name)
+        if decl is None or len(t.args) != len(decl.ctx_params):
+            return None
+        return decl
 
     def chain(self, name: str) -> tuple[ast.ClassDecl, ...]:
         """The class and its superclasses, nearest first; cycles cut off."""
@@ -183,14 +205,15 @@ def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
                   f"{what} target type {t2} mentions an existential context",
                   line, col)
         return False
-    if isinstance(t1, ast.ErrorType):
-        return True
+    table = env.table
+    if isinstance(t1, ast.ErrorType) or (
+            isinstance(t2, ast.ClassType) and table.of_type(t2) is None):
+        return True  # an ill-formed target is reported at its declaration
     if isinstance(t1, ast.NullType) and isinstance(t2, ast.ClassType):
         return True
     if isinstance(t1, ast.ClassType) and isinstance(t2, ast.ClassType):
-        table = env.table
-        if table.get(t1.name) is None or table.get(t2.name) is None:
-            return True  # an unknown class is reported at its declaration
+        if table.of_type(t1) is None:
+            return True  # so is an ill-formed source
         inst = next((a for c, a in table.views(t1.name, t1.args, EXIST)
                      if c.name == t2.name), None)
         if inst is not None and len(inst) == len(t2.args) and all(
@@ -241,18 +264,6 @@ class Checker:
         self.table = table
         self.diags = Diagnostics()
 
-    # -- helpers -------------------------------------------------------------
-    def _class_of(self, env: TypeEnv, t: ast.TypeExpr, line: int,
-                  col: int) -> Optional[ast.ClassDecl]:
-        if isinstance(t, ast.ErrorType):
-            return None  # already reported
-        if not isinstance(t, ast.ClassType):
-            self.diags.add("E-TYPE", f"{t} is not an object type", line, col)
-            return None
-        # None for an unknown class too: check_type reports it where the
-        # type is declared
-        return env.table.get(t.name)
-
     # -- main entry ----------------------------------------------------------
     def type_expr(self, env: TypeEnv, e: ast.Expr) -> ast.TypeExpr:
         rule = _TYPE_RULES.get(type(e))
@@ -280,7 +291,7 @@ class Checker:
         if env.this_type is None:
             self.diags.add("E-TYPE", "this is not available in main",
                            e.line, e.col)
-            return ast.VOID
+            return ast.ERROR_T
         return env.this_type
 
     def _seq(self, env: TypeEnv, e: ast.Seq) -> ast.TypeExpr:
@@ -360,60 +371,73 @@ class Checker:
         env.vars[e.name] = declared
         return e.name, hidden
 
+    def _member(self, env: TypeEnv, e: ast.FieldGet | ast.FieldSet | ast.Call,
+                rt: ast.TypeExpr) -> Optional[Member]:
+        """The member e names on a receiver of type rt, or None after a
+        fault. A null receiver, a non-object receiver and a missing member
+        are reported here, once; an error-typed or ill-formed receiver type
+        (ClassTable.of_type) and an ill-formed `extends` were reported
+        where they arose."""
+        if not isinstance(rt, ast.ClassType):
+            if isinstance(rt, ast.NullType):
+                self.diags.add("E-TYPE", f"{_ON_NULL[type(e)]} on null",
+                               e.line, e.col)
+            elif not isinstance(rt, ast.ErrorType):
+                self.diags.add("E-TYPE", f"{rt} is not an object type",
+                               e.line, e.col)
+            return None
+        table = env.table
+        if table.of_type(rt) is None:
+            return None
+        if isinstance(e, ast.Call):
+            kind, name = "method", e.method
+            hit = table.find_method(rt.name, name)
+        else:
+            kind, name = "field", e.field_name
+            hit = table.find_field(rt.name, name)
+        if hit is None:
+            self.diags.add("E-TYPE", f"{rt.name} has no {kind} {name}",
+                           e.line, e.col)
+            return None
+        cls, decl = hit
+        args = table.args_at(rt.name, rt.args, EXIST, cls)
+        if len(args) != len(cls.ctx_params):
+            return None  # the walk stopped at an ill-formed `extends`
+        return cls, decl, args
+
     def _field_get(self, env: TypeEnv, e: ast.FieldGet) -> ast.TypeExpr:
         rt = self.type_expr(env, e.receiver)
-        if isinstance(rt, ast.NullType):
-            self.diags.add("E-TYPE", "field access on null", e.line, e.col)
-            return ast.VOID
-        decl = self._class_of(env, rt, e.line, e.col)
-        if decl is None:
-            return ast.ERROR_T
-        hit = env.table.find_field(decl.name, e.field_name)
+        hit = self._member(env, e, rt)
         if hit is None:
-            self.diags.add("E-TYPE",
-                           f"{decl.name} has no field {e.field_name}",
-                           e.line, e.col)
-            return ast.VOID
-        owner_cls, fdecl = hit
-        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
-        return substitute(fdecl.type, owner_cls.ctx_params, actuals,
+            return ast.ERROR_T
+        cls, f, args = hit
+        return substitute(f.type, cls.ctx_params, args,
                           THIS if isinstance(e.receiver, ast.This) else EXIST)
 
     def _field_set(self, env: TypeEnv, e: ast.FieldSet) -> ast.TypeExpr:
-        return self._field_set_on(env, e, self.type_expr(env, e.receiver))
+        rt = self.type_expr(env, e.receiver)
+        return self._field_set_on(env, e, rt, self._member(env, e, rt))
 
-    def _field_set_on(self, env: TypeEnv, e: ast.FieldSet,
-                      rt: ast.TypeExpr) -> ast.TypeExpr:
-        """A field write whose receiver has already been typed as rt."""
-        if isinstance(rt, ast.NullType):
-            self.diags.add("E-TYPE", "field write on null", e.line, e.col)
-            self.type_expr(env, e.value)
-            return ast.VOID
-        decl = self._class_of(env, rt, e.line, e.col)
-        if decl is None:
-            self.type_expr(env, e.value)
-            return ast.VOID
-        hit = env.table.find_field(decl.name, e.field_name)
+    def _field_set_on(self, env: TypeEnv, e: ast.FieldSet, rt: ast.TypeExpr,
+                      hit: Optional[Member]) -> ast.TypeExpr:
+        """A field write whose receiver has been typed as rt and whose
+        field has been looked up as hit."""
         if hit is None:
-            self.diags.add("E-TYPE",
-                           f"{decl.name} has no field {e.field_name}",
-                           e.line, e.col)
             self.type_expr(env, e.value)
-            return ast.VOID
-        owner_cls, fdecl = hit
+            return ast.ERROR_T
+        cls, f, args = hit
         # effect rule: the written object must lie inside the frame's
         # invalidity set
         target_ctx = self._target_owner_ctx(e.receiver, rt)
         if not env.ctx.inside(target_ctx, env.frame.invalidity):
             self.diags.add(
                 "E-EFFECT",
-                f"write to {fdecl.name} modifies {target_ctx}, outside the "
+                f"write to {f.name} modifies {target_ctx}, outside the "
                 f"frame invalidity {env.frame.invalidity}", e.line, e.col)
-        if fdecl.final and env.frame != CTOR_CONTRACT:
-            self.diags.add("E-TYPE", f"field {fdecl.name} is final",
+        if f.final and env.frame != CTOR_CONTRACT:
+            self.diags.add("E-TYPE", f"field {f.name} is final",
                            e.line, e.col)
-        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
-        ft = substitute(fdecl.type, owner_cls.ctx_params, actuals,
+        ft = substitute(f.type, cls.ctx_params, args,
                         THIS if isinstance(e.receiver, ast.This) else EXIST)
         vt = self.type_expr(env, e.value)
         bindable(env, vt, ft, self.diags, e.line, e.col, "field write")
@@ -422,42 +446,25 @@ class Checker:
     def _target_owner_ctx(self, receiver: ast.Expr, rt: ast.ClassType) -> Context:
         """The context the receiver object is known to live in, which is the
         image of this in its members' contracts: this itself through this,
-        otherwise the receiver type's owner (the existential if it has
-        none)."""
-        if isinstance(receiver, ast.This):
-            return THIS
-        try:
-            return owner_bound(rt)
-        except OvError:
-            return EXIST
+        otherwise the receiver type's owner."""
+        return THIS if isinstance(receiver, ast.This) else owner_bound(rt)
 
     def _call(self, env: TypeEnv, e: ast.Call) -> ast.TypeExpr:
-        return self._call_on(env, e, self.type_expr(env, e.receiver))
+        rt = self.type_expr(env, e.receiver)
+        return self._call_on(env, e, rt, self._member(env, e, rt))
 
-    def _call_on(self, env: TypeEnv, e: ast.Call,
-                 rt: ast.TypeExpr) -> ast.TypeExpr:
-        """A call whose receiver has already been typed as rt."""
-        if isinstance(rt, ast.NullType):
-            self.diags.add("E-TYPE", "call on null", e.line, e.col)
-            return ast.VOID
-        decl = self._class_of(env, rt, e.line, e.col)
-        if decl is None:
+    def _call_on(self, env: TypeEnv, e: ast.Call, rt: ast.TypeExpr,
+                 hit: Optional[Member]) -> ast.TypeExpr:
+        """A call whose receiver has been typed as rt and whose method has
+        been looked up as hit."""
+        if hit is None:
             for a in e.args:
                 self.type_expr(env, a)
             return ast.ERROR_T
-        hit = env.table.find_method(decl.name, e.method)
-        if hit is None:
-            self.diags.add("E-TYPE", f"{decl.name} has no method {e.method}",
-                           e.line, e.col)
-            for a in e.args:
-                self.type_expr(env, a)
-            return ast.VOID
-        owner_cls, m = hit
+        cls, m, args = hit
         through_this = isinstance(e.receiver, ast.This)
-        sig_image = THIS if through_this else EXIST
-        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
         owner = self._target_owner_ctx(e.receiver, rt)
-        d = substitute(m.contract, owner_cls.ctx_params, actuals, owner)
+        d = substitute(m.contract, cls.ctx_params, args, owner)
         if not subcontract(env.ctx, d, env.frame):
             self.diags.add(
                 "E-SUBCONTRACT",
@@ -470,144 +477,122 @@ class Checker:
                 "E-OWNER-CALL",
                 f"mutating call {e.method} on a receiver owned by "
                 f"{owner} does not originate from its owner", e.line, e.col)
-        if len(e.args) != len(m.params):
-            self.diags.add("E-TYPE",
-                           f"{e.method} expects {len(m.params)} arguments",
+        sig_image = THIS if through_this else EXIST
+        self._bind_args(env, e, e.method, m.params, cls, args, sig_image)
+        return substitute(m.return_type, cls.ctx_params, args, sig_image)
+
+    def _bind_args(self, env: TypeEnv, e: ast.Call | ast.New, what: str,
+                   params: list[ast.Param], cls: ast.ClassDecl,
+                   args: list[Context], this_image: Context) -> None:
+        """Types e's arguments and binds each at its parameter's type, seen
+        through cls<args> with this_image for this."""
+        if len(e.args) != len(params):
+            self.diags.add("E-TYPE", f"{what} expects {len(params)} arguments",
                            e.line, e.col)
-        for a, p in zip(e.args, m.params):
+        for a, p in zip(e.args, params):
             at = self.type_expr(env, a)
-            pt = substitute(p.type, owner_cls.ctx_params, actuals, sig_image)
+            pt = substitute(p.type, cls.ctx_params, args, this_image)
             bindable(env, at, pt, self.diags, a.line, a.col,
                      f"argument {p.name}")
-        return substitute(m.return_type, owner_cls.ctx_params, actuals,
-                          sig_image)
 
     def _new(self, env: TypeEnv, e: ast.New) -> ast.TypeExpr:
         t = e.type
         check_type(env, t, self.diags)
-        decl = env.table.get(t.name)
-        if decl is None or len(t.args) != len(decl.ctx_params):
+        decl = env.table.of_type(t)
+        if decl is None:
             for a in e.args:
                 self.type_expr(env, a)
             return t
-        if t.args and isinstance(t.args[0], (CtxBot, CtxAny)):
+        if isinstance(t.args[0], (CtxBot, CtxAny)):
             self.diags.add("E-CTX-WF",
                            f"cannot create an object owned by {t.args[0]}",
                            e.line, e.col)
         ctor = env.table.ctor_of(t.name)
-        params = ctor.params if ctor is not None else []
-        if len(e.args) != len(params):
-            self.diags.add("E-TYPE",
-                           f"{t.name} constructor expects {len(params)} "
-                           f"arguments", e.line, e.col)
-        for a, p in zip(e.args, params):
-            at = self.type_expr(env, a)
-            pt = substitute(p.type, decl.ctx_params, t.args, EXIST)
-            bindable(env, at, pt, self.diags, a.line, a.col,
-                     f"argument {p.name}")
+        self._bind_args(env, e, f"{t.name} constructor",
+                        ctor.params if ctor is not None else [], decl, t.args,
+                        EXIST)
         return t
 
     def _prim(self, env: TypeEnv, e: ast.PrimOp) -> ast.TypeExpr:
-        ts = [self.type_expr(env, a) for a in e.args]
-        op = e.op
         # an error-typed operand's fault is already reported: it meets every
         # operator's requirement, and the other operands are still checked
-        err = ast.ErrorType
-        if len(e.args) == 1:
-            want = ast.BoolType if op == "!" else ast.IntType
-            if not isinstance(ts[0], (want, err)):
-                self.diags.add("E-TYPE", f"operator {op} needs {want().__str__()}",
-                               e.line, e.col)
-            return ast.BOOL if op == "!" else ast.INT
-        a, b = ts
-        if op in ("+", "-", "*", "/", "%"):
-            if not (isinstance(a, (ast.IntType, err))
-                    and isinstance(b, (ast.IntType, err))):
-                self.diags.add("E-TYPE", f"operator {op} needs int operands",
-                               e.line, e.col)
-            return ast.INT
-        if op in ("<", "<=", ">", ">="):
-            if not (isinstance(a, (ast.IntType, err))
-                    and isinstance(b, (ast.IntType, err))):
-                self.diags.add("E-TYPE", f"operator {op} needs int operands",
-                               e.line, e.col)
-            return ast.BOOL
-        if op in ("&&", "||"):
-            if not (isinstance(a, (ast.BoolType, err))
-                    and isinstance(b, (ast.BoolType, err))):
-                self.diags.add("E-TYPE", f"operator {op} needs bool operands",
-                               e.line, e.col)
-            return ast.BOOL
-        if op in ("==", "!="):
-            ok = isinstance(a, err) or isinstance(b, err) or \
-                 (isinstance(a, ast.IntType) and isinstance(b, ast.IntType)) or \
-                 (isinstance(a, ast.BoolType) and isinstance(b, ast.BoolType)) or \
-                 (isinstance(a, (ast.ClassType, ast.NullType))
-                  and isinstance(b, (ast.ClassType, ast.NullType)))
-            if not ok:
-                self.diags.add("E-TYPE", f"operator {op} on mismatched operands",
-                               e.line, e.col)
-            return ast.BOOL
-        raise AssertionError(f"unknown operator {op}")
-
-    def deduce_contract(self, env: TypeEnv, e: ast.Call | ast.FieldSet,
-                        rt: ast.TypeExpr) -> Optional[Contract]:
-        """Contract of a bare atomic call or field write whose receiver has
-        type rt: a call takes the callee's substituted contract, a field
-        write takes <bot, owner of target>. None when the receiver or the
-        method is at fault, which typing the body reports."""
-        if not isinstance(rt, ast.ClassType):
-            return None
-        if isinstance(e, ast.FieldSet):
-            return Contract(BOT, self._target_owner_ctx(e.receiver, rt),
-                            line=e.line, col=e.col)
-        decl = env.table.get(rt.name)
-        hit = env.table.find_method(decl.name, e.method) if decl else None
-        if hit is None:
-            return None
-        owner_cls, m = hit
-        actuals = env.table.args_at(rt.name, rt.args, EXIST, owner_cls)
-        return substitute(m.contract, owner_cls.ctx_params, actuals,
-                          self._target_owner_ctx(e.receiver, rt))
+        ts = [self.type_expr(env, a) for a in e.args]
+        want, result, wording = _OPERATORS[e.op, len(ts)]
+        if want is None:  # == and !=: two operands of one kind
+            a, b = ts
+            ok = (isinstance(a, ast.ErrorType) or isinstance(b, ast.ErrorType)
+                  or (type(a) is type(b)
+                      and isinstance(a, (ast.IntType, ast.BoolType)))
+                  or (isinstance(a, (ast.ClassType, ast.NullType))
+                      and isinstance(b, (ast.ClassType, ast.NullType))))
+        else:
+            ok = all(isinstance(t, (want, ast.ErrorType)) for t in ts)
+        if not ok:
+            self.diags.add("E-TYPE", f"operator {e.op} {wording}",
+                           e.line, e.col)
+        return result
 
     def _atomic(self, env: TypeEnv, e: ast.Atomic) -> ast.TypeExpr:
-        d = e.contract
-        rt = None
-        if d is None:
-            if not isinstance(e.body, (ast.Call, ast.FieldSet)):
-                self.diags.add("E-NEED-CONTRACT", "atomic needs an explicit "
-                               "contract for a compound body", e.line, e.col)
-                self.type_expr(env.child(fork_ok=False), e.body)
-                return ast.VOID
-            # the receiver is evaluated before the transaction begins: it is
-            # typed once, in the enclosing frame
-            rt = self.type_expr(env, e.body.receiver)
-            d = self.deduce_contract(env, e.body, rt)
-            if d is None:
-                self._atomic_body(env.child(fork_ok=False), e.body, rt)
-                return ast.VOID
-            e.contract = d  # elaborate for the runtime
-            e.deduced = True
-        else:
-            if not contract_wf(env.ctx, d):
+        body = e.body
+        if e.contract is not None:
+            if not contract_wf(env.ctx, e.contract):
                 self.diags.add("E-CTX-WF",
-                               f"contract {d} is not well formed here",
+                               f"contract {e.contract} is not well formed here",
                                e.line, e.col)
+            return self.type_expr(self._atomic_env(env, e, e.contract), body)
+        if not isinstance(body, (ast.Call, ast.FieldSet)):
+            self.diags.add("E-NEED-CONTRACT", "atomic needs an explicit "
+                           "contract for a compound body", e.line, e.col)
+            self.type_expr(env.child(fork_ok=False), body)
+            return ast.ERROR_T
+        # a bare call or field write: the receiver is evaluated before the
+        # transaction begins, so it is typed once, in the enclosing frame,
+        # and the contract is deduced from the member it names
+        e.deduced = True
+        rt = self.type_expr(env, body.receiver)
+        hit = self._member(env, body, rt)
+        rule = (self._call_on if isinstance(body, ast.Call)
+                else self._field_set_on)
+        if hit is None:
+            return rule(env.child(fork_ok=False), body, rt, None)
+        owner = self._target_owner_ctx(body.receiver, rt)
+        if isinstance(body, ast.Call):
+            cls, m, args = hit
+            d = substitute(m.contract, cls.ctx_params, args, owner)
+        else:  # a field write: <bot, owner of the written object>
+            d = Contract(BOT, owner, line=body.line, col=body.col)
+        return rule(self._atomic_env(env, e, d), body, rt, hit)
+
+    def _atomic_env(self, env: TypeEnv, e: ast.Atomic,
+                    d: Contract) -> TypeEnv:
+        """The environment of an atomic body with contract d, after checking
+        d against the enclosing frame."""
         if not subcontract(env.ctx, d, env.frame):
             self.diags.add("E-SUBCONTRACT",
                            f"atomic contract {d} is not a subcontract of the "
                            f"frame {env.frame}", e.line, e.col)
-        return self._atomic_body(env.child(frame=d, fork_ok=False), e.body,
-                                 rt)
+        return env.child(frame=d, fork_ok=False)
 
-    def _atomic_body(self, env: TypeEnv, body: ast.Expr,
-                     rt: Optional[ast.TypeExpr]) -> ast.TypeExpr:
-        """Type an atomic body; rt, when given, is its receiver's type."""
-        if rt is None:
-            return self.type_expr(env, body)
-        if isinstance(body, ast.Call):
-            return self._call_on(env, body, rt)
-        return self._field_set_on(env, body, rt)
+
+# What a member use on a null receiver is called in its diagnostic.
+_ON_NULL = {ast.FieldGet: "field access", ast.FieldSet: "field write",
+            ast.Call: "call"}
+
+# Operator typing: (operator, arity) -> (operand type, result type, what the
+# diagnostic says of the operands). == and != have no operand type: they take
+# two operands of one kind.
+_OPERATORS = {
+    ("!", 1): (ast.BoolType, ast.BOOL, "needs bool"),
+    ("-", 1): (ast.IntType, ast.INT, "needs int"),
+    **{(op, 2): (ast.IntType, ast.INT, "needs int operands")
+       for op in ("+", "-", "*", "/", "%")},
+    **{(op, 2): (ast.IntType, ast.BOOL, "needs int operands")
+       for op in ("<", "<=", ">", ">=")},
+    **{(op, 2): (ast.BoolType, ast.BOOL, "needs bool operands")
+       for op in ("&&", "||")},
+    **{(op, 2): (None, ast.BOOL, "on mismatched operands")
+       for op in ("==", "!=")},
+}
 
 
 # The typing rules, built once: node class -> rule. Surface-only nodes
@@ -671,13 +656,14 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
                 return
             if isinstance(recv, ast.FieldGet):
                 owned_path(recv)
+                # the clause typed without a diagnostic, so this one is
+                # silent; a receiver of the error type or an ill-formed
+                # class type was reported where that type arose
                 rt = checker.type_expr(env, recv)
-                if isinstance(rt, ast.ClassType):
-                    try:
-                        if owner_bound(rt) == THIS:
-                            return
-                    except OvError:
-                        pass
+                if (not isinstance(rt, ast.ClassType)
+                        or checker.table.of_type(rt) is None
+                        or owner_bound(rt) == THIS):
+                    return
                 diags.add("E-INV-ESCAPE",
                           f"invariant reads {x.field_name} through a field "
                           f"not owned by this", x.line, x.col)
@@ -693,8 +679,9 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
     pure(e)
     if len(diags) != before:
         return
-    owned_path(e)
     t = checker.type_expr(env, e)
+    if len(diags) == before:
+        owned_path(e)
     if not isinstance(t, (ast.BoolType, ast.ErrorType)):
         diags.add("E-TYPE", "invariant clause must be boolean", e.line, e.col)
 
@@ -706,18 +693,18 @@ def check_method(checker: Checker, base: TypeEnv, cls: ast.ClassDecl,
         diags.add("E-CTX-WF", f"contract {m.contract} of {m.name} is not "
                   f"well formed", m.line, m.col)
     # overriding methods must declare the identical contract
-    for sup in checker.table.chain(cls.name)[1:]:
-        for sm in sup.methods:
-            if sm.name == m.name:
-                if sm.contract != m.contract:
-                    diags.add("E-SUBCONTRACT",
-                              f"override {m.name} must declare the inherited "
-                              f"contract {sm.contract}", m.line, m.col)
-                if len(sm.params) != len(m.params):
-                    diags.add("E-TYPE",
-                              f"override {m.name} changes the parameter count",
-                              m.line, m.col)
-                break
+    hit = cls.superclass and checker.table.find_method(cls.superclass.name,
+                                                       m.name)
+    if hit:
+        sm = hit[1]
+        if sm.contract != m.contract:
+            diags.add("E-SUBCONTRACT",
+                      f"override {m.name} must declare the inherited "
+                      f"contract {sm.contract}", m.line, m.col)
+        if len(sm.params) != len(m.params):
+            diags.add("E-TYPE",
+                      f"override {m.name} changes the parameter count",
+                      m.line, m.col)
     check_type(base, m.return_type, diags)
     env = _params_env(base, m.params, diags)
     env = env.child(frame=m.contract, fork_ok=(m.contract == TOP_TOP))
@@ -790,17 +777,16 @@ def check_class(checker: Checker, cls: ast.ClassDecl) -> None:
 
 
 def check_program(p: ast.Program) -> Diagnostics:
-    """Check a core program; elaborates bare atomic contracts in place."""
+    """Check a core program; marks each bare atomic call or field write as
+    deduced."""
     table = ClassTable(p)
     checker = Checker(table)
-    seen: set[str] = set()
     for c in p.classes:
-        if c.name in seen:
+        if table.get(c.name) is c:
+            check_class(checker, c)
+        else:  # checked against the first declaration, so not at all
             checker.diags.add("E-TYPE", f"duplicate class {c.name}",
                               c.line, c.col)
-        seen.add(c.name)
-    for c in p.classes:
-        check_class(checker, c)
     if p.main is not None:
         env = TypeEnv(table, ContextEnv.for_main(), None, TOP_TOP,
                       fork_ok=True)

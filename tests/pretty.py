@@ -5,7 +5,7 @@ program (temporary names are literal in the text, so they survive).
 """
 from __future__ import annotations
 
-from . import ast
+from ovlang import ast
 
 IND = "    "
 

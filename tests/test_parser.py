@@ -6,7 +6,7 @@ import pytest
 
 from ovlang import ast, parser
 from ovlang.diagnostics import OvError
-from ovlang.parser import parse_contract, parse_program
+from ovlang.parser import parse_program
 
 from conftest import CORPUS, GOLDENS, bench_module
 
@@ -187,8 +187,10 @@ def test_return_must_be_last():
 
 
 def test_parse_contract_helper():
-    d, diags = parse_contract("<this,bot>")
+    # a method's contract, parsed through the program parser
+    p, diags = parse_program("class C[o] { void m() <this,bot> { } }")
     assert not diags.has_errors()
+    d = p.classes[0].methods[0].contract
     assert d == ast.Contract(ast.CtxThis(), ast.CtxBot())
 
 

@@ -6,7 +6,7 @@ import pytest
 from ovlang import ast
 from ovlang.desugar import desugar
 from ovlang.parser import parse_program
-from ovlang.pretty import fmt_expr, pretty_print
+from pretty import fmt_expr, pretty_print
 
 from conftest import POSITIVE_FILES
 

@@ -1,4 +1,6 @@
 """Static checking: contracts, effects, ownership rules, diagnostics."""
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from ovlang import ast
 from ovlang.ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
+from ovlang.lexer import KEYWORDS
 from ovlang.ownership import ContextEnv
 from ovlang.parser import parse_program
 from ovlang.transpile import transpile_program
@@ -176,8 +179,21 @@ main {
         assert not diags.has_errors()
         atomic = core.main.second
         assert isinstance(atomic, ast.Atomic)
+        # marked, not elaborated: the runtime resolves the callee's
+        # contract against the receiver object
         assert atomic.deduced
-        assert atomic.contract == Contract(TOP, TOP)
+        assert atomic.contract is None
+        # the deduced contract is the callee's, <this,this> seen through a
+        # top-owned receiver
+        _, diags = compile_source(BOX + """\
+main {
+    Box<top> b = new Box<top>();
+    atomic <top,bot> { atomic b.fill(); }
+}
+""")
+        assert [(d.code, d.msg) for d in diags.errors()] == [
+            ("E-SUBCONTRACT", "atomic contract <top,top> is not a "
+             "subcontract of the frame <top,bot>")]
 
     def test_bare_atomic_needs_deducible_body(self):
         src = "main { atomic { var x = 1; var y = 2; } }"
@@ -435,6 +451,110 @@ class TestOneDiagnosticPerFault:
         _, diags = compile_source("class A[o] { }\n" + src)
         assert [(d.code, d.msg, d.line, d.col) for d in diags.errors()] == [
             ("E-TYPE", "unknown class Gone", *at)]
+
+
+ARITY = ("class C[o,p] { int v; void set() <this,this> { v = 1; } }\n"
+         "main { C<top> x = null; ")
+ARITY_FAULT = ("E-CTX-ARITY", "C expects 2 context arguments, got 1", 2, 8)
+
+
+class TestOneFaultOneDiagnostic:
+    """Each fault is reported once, where it is: a member use on a receiver
+    of an ill-formed class type, `this` in main, a missing member, a null
+    receiver, an unknown class and a compound atomic body all type as the
+    error type, which starts no cascade."""
+
+    @pytest.mark.parametrize("src, want", [
+        (ARITY + "int y = x.v; }", [ARITY_FAULT]),
+        (ARITY + "x.v = 2; }", [ARITY_FAULT]),
+        (ARITY + "x.set(); }", [ARITY_FAULT]),
+        (ARITY + "atomic x.set(); }", [ARITY_FAULT]),
+        ("class A[o,p] { int v; }\nclass B[o] extends A<o> { }\n"
+         "main { B<top> b = null; int y = b.v; }",
+         [("E-CTX-ARITY", "A expects 2 context arguments, got 1", 2, 20)]),
+        ("class P[o] { int v; }\nclass C[o] { P q; inv q.v > 0; }",
+         [("E-CTX-ARITY", "P expects 1 context arguments, got 0", 2, 14)]),
+        ("main { int y = this.x; }",
+         [("E-TYPE", "this is not available in main", 1, 16)]),
+        ("class C[o] { int v; }\nmain { C<top> c = null; "
+         "int y = c.nope + 1; bool b = c.nope(); int z = null.v; }",
+         [("E-TYPE", "C has no field nope", 2, 33),
+          ("E-TYPE", "C has no method nope", 2, 54),
+          ("E-TYPE", "field access on null", 2, 72)]),
+        ("class C[o] { Gone<o> g() <bot,bot> { return 1; } }",
+         [("E-TYPE", "unknown class Gone", 1, 14)]),
+        ("class C[o] { int v; int h() <this,this> "
+         "{ atomic { v = 1; v = 2; } } }",
+         [("E-NEED-CONTRACT",
+           "atomic needs an explicit contract for a compound body", 1, 43)]),
+        ("class C[o] { int v; inv this.q.v > 0; }",
+         [("E-TYPE", "C has no field q", 1, 25)]),
+        ("class A[o] { int x; }\n"
+         "class A[o] { int y; int f() <bot,bot> { return y; } }",
+         [("E-TYPE", "duplicate class A", 2, 1)]),
+        ("class C[o] {\n  int v;\n"
+         "  void m() <this,this> { w += 1; this.w -= 2; }\n}",
+         [("E-TYPE", "unknown variable w", 3, 28),
+          ("E-TYPE", "C has no field w", 3, 41)]),
+    ], ids=["arity-read", "arity-write", "arity-call", "arity-atomic",
+            "arity-extends", "arity-invariant-path", "this-in-main",
+            "three-faults", "unknown-target", "compound-atomic",
+            "invariant-missing-field", "duplicate-class", "compound-assign"])
+    def test_exact_diagnostics(self, src, want):
+        _, diags = compile_source(src)
+        assert [(d.code, d.msg, d.line, d.col) for d in diags] == want
+
+
+class TestCheckerFaultFuzz:
+    """Seeded mutations of the corpus that keep it parsing but break it for
+    the checker: a context argument too many, an unknown name, a null or
+    `this` receiver. The checker reports them and never raises, and no
+    diagnostic appears twice."""
+
+    SOURCES = [p.read_text(encoding="utf-8") for p in POSITIVE_FILES]
+    NAME = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
+    # a class type's or a contract's context list: `, top` goes before `>`
+    CTX_LIST = re.compile(r"(?:\b[A-Z][A-Za-z0-9_]*|\))\s*<[\w\s,*]*(>)")
+    RECEIVER = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\.")
+
+    def mutations(self, count: int, seed: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            src = rng.choice(self.SOURCES)
+            for _ in range(rng.randint(1, 2)):
+                op = rng.randrange(3)
+                if op == 0:
+                    spans = [(m.start(1), m.start(1))
+                             for m in self.CTX_LIST.finditer(src)]
+                    piece = ", top"
+                elif op == 1:
+                    spans = [m.span() for m in self.NAME.finditer(src)
+                             if m.group() not in KEYWORDS]
+                    piece = rng.choice(["Gone", "q", "nope"])
+                else:
+                    spans = [m.span(1) for m in self.RECEIVER.finditer(src)]
+                    piece = rng.choice(["null", "this"])
+                if spans:
+                    start, end = rng.choice(spans)
+                    src = src[:start] + piece + src[end:]
+            yield src
+
+    def test_mutants_check_without_raising_or_repeating(self):
+        parsed = 0
+        codes = set()
+        for src in self.mutations(3000, seed=1):
+            try:
+                surface, _ = parse_program(src)
+            except OvError:
+                continue
+            parsed += 1
+            diags = check_program(desugar(surface))
+            keys = [(d.code, d.msg, d.line, d.col) for d in diags]
+            assert len(set(keys)) == len(keys), (src, keys)
+            codes.update(d.code for d in diags)
+        # most mutants parse, and the faults they carry reach the checker
+        assert parsed > 1500
+        assert {"E-CTX-ARITY", "E-TYPE"} <= codes
 
 
 class TestLinearWork:
