@@ -163,6 +163,33 @@ def _serialize_value(v: Value) -> Any:
     return v
 
 
+def _value_text(v: Value) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, Loc):
+        return f"l{v.index}"
+    return "null"
+
+
+def state_digest(objects, field_names, valid) -> str:
+    """The state hash: SHA-256 over the live objects, each as its location,
+    class and field values in declaration order, in location order, then
+    the valid set in ascending order. `objects` holds (location, class
+    name, fields) triples as `Machine.live_objects` lists them;
+    `field_names` maps a class name to its field names in declaration
+    order. `Machine.state_hash` and the merge of a block run in regions
+    (blocksched) both hash through here."""
+    parts: list[str] = []
+    for i, class_name, fields in objects:
+        body = ",".join([f"{name}={_value_text(fields.get(name))}"
+                         for name in field_names(class_name)])
+        parts.append(f"l{i}={class_name}{{{body}}};")
+    blob = "".join(parts) + "|valid=" + ",".join(str(i) for i in valid)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class Machine:
     """One interpreter state; OV threads are interleaved deterministically,
     never run on host threads."""
@@ -195,6 +222,7 @@ class Machine:
         self.steps = 0
         self._ctor_exprs: dict[str, ast.Expr] = {}
         self._field_defaults: dict[str, dict[str, Value]] = {}
+        self._field_names: dict[str, tuple[str, ...]] = {}
         self._invariants: dict[str, tuple[ast.Expr, ...]] = {}
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
@@ -605,27 +633,24 @@ class Machine:
             self.steps += steps
         return t.control[1]
 
+    def field_names(self, class_name: str) -> tuple[str, ...]:
+        """The class's field names in declaration order, superclass fields
+        first; listed once per class."""
+        names = self._field_names.get(class_name)
+        if names is None:
+            names = self._field_names[class_name] = tuple(
+                f.name for _cls, f in self.table.fields_of(class_name))
+        return names
+
+    def live_objects(self) -> list[tuple[int, str, dict]]:
+        """(location, class name, fields) of each live object, in location
+        order."""
+        return [(i, obj.class_name, obj.fields)
+                for i, obj in enumerate(self.heap) if obj is not None]
+
     def state_hash(self) -> str:
-        parts: list[str] = []
-        for i, obj in enumerate(self.heap):
-            if obj is None:
-                continue
-            fields = []
-            for _cls, f in self.table.fields_of(obj.class_name):
-                v = obj.fields.get(f.name)
-                if isinstance(v, bool):
-                    txt = "true" if v else "false"
-                elif isinstance(v, int):
-                    txt = str(v)
-                elif isinstance(v, Loc):
-                    txt = f"l{v.index}"
-                else:
-                    txt = "null"
-                fields.append(f"{f.name}={txt}")
-            parts.append(f"l{i}={obj.class_name}{{{','.join(fields)}}};")
-        blob = "".join(parts) + "|valid=" + ",".join(
-            str(i) for i in sorted(self.sigma))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return state_digest(self.live_objects(), self.field_names,
+                            sorted(self.sigma))
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:

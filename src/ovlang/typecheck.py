@@ -406,7 +406,11 @@ class Checker:
         return cls, decl, args
 
     def _field_get(self, env: TypeEnv, e: ast.FieldGet) -> ast.TypeExpr:
-        rt = self.type_expr(env, e.receiver)
+        return self._field_get_on(env, e, self.type_expr(env, e.receiver))
+
+    def _field_get_on(self, env: TypeEnv, e: ast.FieldGet,
+                      rt: ast.TypeExpr) -> ast.TypeExpr:
+        """A field read whose receiver has been typed as rt."""
         hit = self._member(env, e, rt)
         if hit is None:
             return ast.ERROR_T
@@ -648,32 +652,32 @@ def check_invariant_clause(checker: Checker, env: TypeEnv, cls: ast.ClassDecl,
         for sub in ast.children(x):
             pure(sub)
 
-    def owned_path(x: ast.Expr) -> None:
-        """Field reads may only step through chains of this-owned fields."""
+    def owned_path(x: ast.Expr) -> Optional[ast.TypeExpr]:
+        """Field reads may only step through chains of this-owned fields.
+        Returns the type of x when x is a field read, so that each prefix
+        of a path is typed once, from its receiver's type. The clause typed
+        without a diagnostic, so that typing is silent."""
         if isinstance(x, ast.FieldGet):
             recv = x.receiver
-            if isinstance(recv, ast.This):
-                return
             if isinstance(recv, ast.FieldGet):
-                owned_path(recv)
-                # the clause typed without a diagnostic, so this one is
-                # silent; a receiver of the error type or an ill-formed
-                # class type was reported where that type arose
-                rt = checker.type_expr(env, recv)
-                if (not isinstance(rt, ast.ClassType)
-                        or checker.table.of_type(rt) is None
-                        or owner_bound(rt) == THIS):
-                    return
+                rt = owned_path(recv)
+                # a receiver of the error type or an ill-formed class type
+                # was reported where that type arose
+                if (isinstance(rt, ast.ClassType)
+                        and checker.table.of_type(rt) is not None
+                        and owner_bound(rt) != THIS):
+                    diags.add("E-INV-ESCAPE",
+                              f"invariant reads {x.field_name} through a "
+                              f"field not owned by this", x.line, x.col)
+                return checker._field_get_on(env, x, rt)
+            if not isinstance(recv, ast.This):
                 diags.add("E-INV-ESCAPE",
-                          f"invariant reads {x.field_name} through a field "
-                          f"not owned by this", x.line, x.col)
-                return
-            diags.add("E-INV-ESCAPE",
-                      "invariant field paths must start at this",
-                      x.line, x.col)
-            return
+                          "invariant field paths must start at this",
+                          x.line, x.col)
+            return checker.type_expr(env, x)
         for sub in ast.children(x):
             owned_path(sub)
+        return None
 
     before = len(diags)
     pure(e)

@@ -2,7 +2,13 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -17,7 +23,8 @@ from ovlang.ownership import OwnershipTree
 from ovlang.runtime import Machine
 from ovlang.typecheck import ClassTable
 
-from conftest import CORPUS, bench_module, check_clean
+from conftest import CORPUS, ROOT, bench_module, check_clean
+from test_acceptance import ACCOUNT_SRC, CALLS, NEST_SRC, TOKEN_SRC
 
 BOT, TOP = CtxBot(), CtxTop()
 
@@ -199,6 +206,8 @@ class TestLinearWork:
         monkeypatch.setattr(OwnershipTree, "runtime_inside",
                             counted("runtime_inside",
                                     OwnershipTree.runtime_inside, 4 * n))
+        # the hooks count in this process only: mine in one process
+        monkeypatch.setattr(blocksched, "_usable_cpus", lambda: 1)
         mined = mine_block(PROGRAM, block_of(accounts(n), txns))
         assert len(mined.edges) == edges
         assert calls["interferes"] >= edges  # the counter really counted
@@ -634,3 +643,282 @@ class TestParseBlock:
     def test_schema_violations(self, data):
         with pytest.raises(ValueError):
             parse_block(data)
+
+
+# -- regions run in parallel ---------------------------------------------------
+
+REGIONS = check_clean(ACCOUNT_SRC + TOKEN_SRC + NEST_SRC)
+
+
+def outputs(mined: MinedBlock) -> tuple:
+    return (mined.final_state_hash, mined.status, mined.edges,
+            mined.pre_checks, mined.post_checks)
+
+
+def one_process(program, block) -> MinedBlock:
+    """mine_block as it runs on a host with one usable CPU."""
+    saved = blocksched._usable_cpus
+    blocksched._usable_cpus = lambda: 1
+    try:
+        return mine_block(program, block)
+    finally:
+        blocksched._usable_cpus = saved
+
+
+def fuzz_blocks(seed: int, count: int):
+    """Blocks in the acceptance fuzz's shape, widened to five deploys and
+    eight transactions."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        deploys, classes = [], []
+        for i in range(rng.randrange(1, 6)):
+            cls = rng.choice(sorted(CALLS))
+            deploys.append({"id": f"o{i}", "class": cls,
+                            "args": [rng.randrange(0, 50)]})
+            classes.append(cls)
+        txns = []
+        for _ in range(rng.randrange(0, 9)):
+            t = rng.randrange(len(deploys))
+            method, hi = rng.choice(CALLS[classes[t]])
+            args = [] if hi is None else [rng.randrange(0, hi + 1)]
+            txns.append({"target": f"o{t}", "method": method, "args": args})
+        yield parse_block({"deploy": deploys, "txns": txns})
+
+
+def two_cpus():
+    if blocksched._usable_cpus() < 2:
+        pytest.skip("one usable CPU: every block runs in one process")
+
+
+@pytest.fixture
+def fresh_pool():
+    """No worker before the test, and none left after it."""
+    blocksched._POOL.close()
+    yield blocksched._POOL
+    blocksched._POOL.close()
+
+
+OWNER_CONTRACT = check_clean("""\
+class Cell[o] {
+    int v = 0;
+
+    void poke() <o,this> {
+        v += 1;
+    }
+}
+""")
+
+# a deploy binds p to top, which breaks `p <= this`: the nested atomic then
+# revalidates the whole heap, other regions included
+BROKEN_WHERE = check_clean("""\
+class Cell[o, p] where p <= this {
+    int v = 0;
+    inv v >= 0;
+
+    void bump(int x) <this,this> {
+        v = v + x;
+        atomic <p,p> {
+            x;
+        }
+    }
+
+    void spill(int x) <bot,this> {
+        v = v + x;
+    }
+}
+""")
+
+
+class TestRegions:
+    """A block split into regions, run shard by shard and merged, gives
+    exactly what one process gives."""
+
+    def test_fuzzed_blocks_merge_to_the_serial_result(self):
+        merged = allocating = 0
+        for b in fuzz_blocks(2027, 1000):
+            mined = mine_block(REGIONS, b)
+            assert serial_execute(REGIONS, b) == (mined.final_state_hash,
+                                                  mined.status)
+            for shards in (2, 3):
+                got = blocksched._run_sharded(REGIONS, b, inline_shards=shards)
+                if got is None:
+                    assert len(b.deploys) == 1  # nothing to split
+                    continue
+                assert outputs(got) == outputs(mined), (shards, b)
+                merged += 1
+                allocating += sum(t["method"] == "make" for t in b.txns) > 1
+        assert merged > 1400 and allocating > 200
+
+    def test_aborted_allocation_and_contained_abort(self):
+        holder = block_of([{"id": "h0", "class": "Holder"},
+                           {"id": "h1", "class": "Holder"}],
+                          [{"target": "h0", "method": "make", "args": [0]},
+                           {"target": "h1", "method": "make", "args": [1]},
+                           {"target": "h0", "method": "make", "args": [2]}])
+        outer = block_of([{"id": "o", "class": "Outer"},
+                          {"id": "p", "class": "Outer"}],
+                         [{"target": "o", "method": "go", "args": [5]},
+                          {"target": "p", "method": "go", "args": [0]}])
+        for program, b in ((HOLDER, holder), (OUTER, outer)):
+            mined = mine_block(program, b)
+            got = blocksched._run_sharded(program, b, inline_shards=2)
+            assert got is not None and outputs(got) == outputs(mined)
+        assert mine_block(HOLDER, holder).status == [
+            "aborted:R-REQUIRE", "committed", "committed"]
+
+    def test_runaway_transaction(self, monkeypatch):
+        monkeypatch.setattr(blocksched, "TXN_STEPS", 20_000)
+        program = check_clean(TestRunaway.SRC)
+        b = block_of(TestRunaway.DEPLOY,
+                     [{"target": "a", "method": "deposit", "args": [2]},
+                      {"target": "s", "method": "spin"},
+                      {"target": "a", "method": "deposit", "args": [3]}])
+        mined = mine_block(program, b)
+        assert mined.status[1] == "aborted:R-GAS"
+        got = blocksched._run_sharded(program, b, inline_shards=2)
+        assert got is not None and outputs(got) == outputs(mined)
+
+    @pytest.mark.parametrize("program, txns", [
+        (OWNER_CONTRACT, [{"target": "a", "method": "poke"},
+                          {"target": "b", "method": "poke"}]),
+        (BROKEN_WHERE, [{"target": "a", "method": "spill", "args": [1]},
+                        {"target": "b", "method": "bump", "args": [1]}]),
+    ], ids=["top-context", "broken-where"])
+    def test_regions_that_may_meet_run_in_one_process(self, program, txns):
+        b = block_of([{"id": "a", "class": "Cell"},
+                      {"id": "b", "class": "Cell"}], txns)
+        assert blocksched._run_sharded(program, b, inline_shards=2) is None
+        mined = mine_block(program, b)
+        assert serial_execute(program, b) == (mined.final_state_hash,
+                                              mined.status)
+        assert validate_block(program, mined, b).accepted
+
+    FAULTS = {
+        "unknown target": lambda d, t: t[150].update(target="zz"),
+        "unknown method": lambda d, t: t[150].update(method="nope"),
+        "arity": lambda d, t: t[150].update(args=[]),
+        "deploy failure": lambda d, t: d[120].update(args=[-5]),
+        "unknown class": lambda d, t: d[120].update({"class": "Nothing"}),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_faults_raise_as_in_one_process(self, fault, fresh_pool):
+        deploys = accounts(200)
+        txns = [{"target": f"a{i}", "method": "deposit", "args": [1]}
+                for i in range(200)]
+        self.FAULTS[fault](deploys, txns)
+        b = block_of(deploys, txns)
+        assert blocksched._run_sharded(PROGRAM, b, inline_shards=2) is None
+        with pytest.raises((OvError, ValueError)) as sharded:
+            mine_block(PROGRAM, b)
+        with pytest.raises((OvError, ValueError)) as one:
+            one_process(PROGRAM, b)
+        assert type(sharded.value) is type(one.value)
+        assert str(sharded.value) == str(one.value)
+
+    def test_dropped_edge_in_a_large_block(self, fresh_pool):
+        b = block_of(accounts(150), bank_txns(random.Random(13), 150))
+        mined = mine_block(PROGRAM, b)
+        forged = MinedBlock(mined.edges[1:], mined.status,
+                            mined.final_state_hash,
+                            mined.pre_checks, mined.post_checks)
+        with pytest.raises(OvError) as exc:
+            validate_block(PROGRAM, forged, b)
+        assert exc.value.code == "E-BG-MISMATCH"
+        assert f"[{mined.edges[0][0]}, {mined.edges[0][1]}]" in str(exc.value)
+
+    def test_large_block_runs_on_a_worker(self, fresh_pool, monkeypatch):
+        two_cpus()
+        merges = []
+        merge = blocksched._merge
+        monkeypatch.setattr(blocksched, "_merge",
+                            lambda *a: merges.append(1) or merge(*a))
+        b = block_of(accounts(150), bank_txns(random.Random(11), 150))
+        mined = mine_block(PROGRAM, b)
+        report = validate_block(PROGRAM, mined, b)
+        assert merges == [1, 1]  # both ran in shards
+        assert [w.proc.is_alive() for w in fresh_pool.workers] == [True]
+        assert report.accepted and report.edges == mined.edges
+        assert serial_execute(PROGRAM, b) == (mined.final_state_hash,
+                                              mined.status)
+        assert outputs(one_process(PROGRAM, b)) == outputs(mined)
+
+
+WORKER_SCRIPT = """\
+import os, sys
+from ovlang import blocksched
+from ovlang.desugar import desugar
+from ovlang.parser import parse_program
+from ovlang.typecheck import check_program
+
+program = desugar(parse_program(open(sys.argv[1]).read())[0])
+check_program(program)
+block = blocksched.parse_block({
+    "deploy": [{"id": f"a{i}", "class": "Account", "args": [50]}
+               for i in range(150)],
+    "txns": [{"target": f"a{i}", "method": "deposit", "args": [1]}
+             for i in range(150)]})
+blocksched.mine_block(program, block)
+print(" ".join(str(w.proc.pid) for w in blocksched._POOL.workers), flush=True)
+if sys.argv[2] == "abrupt":
+    os._exit(0)  # no exit handlers: the worker sees its pipe close
+"""
+
+
+def _exited(pid: int) -> bool:
+    """The process is gone, or a zombie its parent has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestWorkers:
+    """Workers start only for large blocks, end with the process that
+    started them, and a dead one costs one block its parallelism, not its
+    result."""
+
+    def test_small_work_starts_no_worker(self, fresh_pool, capsys):
+        from ovlang import cli
+        bank, conflict = str(CORPUS / "bank.ov"), str(CORPUS / "blocks" /
+                                                      "conflict.json")
+        assert cli.main(["check", bank]) == 0
+        assert cli.main(["run", bank]) == 0
+        assert cli.main(["simulate", bank, conflict]) == 0
+        n = blocksched.SHARD_MIN_WORK // 2 - 1
+        b = block_of(accounts(n), bank_txns(random.Random(3), n))
+        validate_block(PROGRAM, mine_block(PROGRAM, b), b)
+        assert multiprocessing.active_children() == []
+        assert fresh_pool.workers == []
+
+    @pytest.mark.parametrize("how", ["exit", "abrupt"])
+    def test_no_worker_outlives_its_process(self, how):
+        two_cpus()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", WORKER_SCRIPT, str(CORPUS / "bank.ov"),
+             how], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 1
+        deadline = time.monotonic() + 10
+        while not all(map(_exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_exited, pids))
+
+    def test_killed_worker_costs_one_block_its_parallelism(self, fresh_pool):
+        two_cpus()
+        b = block_of(accounts(150), bank_txns(random.Random(17), 150))
+        first = mine_block(PROGRAM, b)
+        [worker] = fresh_pool.workers
+        os.kill(worker.proc.pid, signal.SIGKILL)
+        worker.proc.join(10)
+        assert not worker.proc.is_alive()
+        began = time.monotonic()
+        assert outputs(mine_block(PROGRAM, b)) == outputs(first)
+        assert time.monotonic() - began < 10
+        assert fresh_pool.workers == []  # the dead worker was dropped
+        assert outputs(mine_block(PROGRAM, b)) == outputs(first)
+        assert [w.proc.is_alive() for w in fresh_pool.workers] == [True]

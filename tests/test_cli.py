@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ovlang import blocksched
 from ovlang.cli import main
 from ovlang.diagnostics import OvError
 from ovlang.runtime import Machine
@@ -357,3 +358,108 @@ class TestSimulate:
 
     def test_missing_block_file(self, capsys):
         assert main(["simulate", BANK, "nope.json"]) == 2
+
+
+class TestSimulateFuzz:
+    """`ov simulate` on seeded byte and field mutations of corpus/blocks and
+    of a bank block large enough to be split over worker processes ends in
+    a documented exit code and never in a Python exception."""
+
+    # values put in place of a field, or of one of its arguments: most of
+    # them keep the block's schema, so that the block reaches the miner
+    ODD = [None, -1, 0, 2 ** 70, True, 1.5, "zz", "nope", "Account", "a0",
+           "deposit", [], {}, [1, 2], ["x"], [[1]]]
+    SAME_SHAPE = {"id": ["a0", "a1", "zz"], "class": ["Account", "Customer",
+                                                      "Nothing"],
+                  "target": ["a0", "a1", "a7", "zz"],
+                  "method": ["deposit", "withdraw", "balance", "nope"],
+                  "args": [[], [0], [-5], [7], [2 ** 70], [True], [1, 2]]}
+
+    def bases(self) -> list:
+        out = [json.loads(p.read_text(encoding="utf-8"))
+               for p in sorted((CORPUS / "blocks").glob("*.json"))]
+        rng = random.Random(3)
+        n = 120  # 240 deploys and transactions: split over workers
+        out.append({
+            "deploy": [{"id": f"a{i}", "class": "Account",
+                        "args": [rng.randrange(0, 100)]} for i in range(n)],
+            "txns": [{"target": f"a{rng.randrange(n)}",
+                      "method": rng.choice(["deposit", "withdraw"]),
+                      "args": [rng.randrange(1, 80)]} for _ in range(n)]})
+        return out
+
+    def mutate_fields(self, rng, block: dict) -> None:
+        for _ in range(rng.randint(1, 3)):
+            lists = [block[k] for k in ("deploy", "txns")
+                     if isinstance(block.get(k), list)]
+            entries = [e for lst in lists for e in lst
+                       if isinstance(e, dict) and e]
+            if not entries:
+                return
+            op = rng.choice([0, 0, 0, 1, 2, 3, 4, 5])
+            entry = rng.choice(entries)
+            key = rng.choice(sorted(entry))
+            if op == 0:
+                entry[key] = rng.choice(self.SAME_SHAPE.get(key, self.ODD)
+                                        if rng.random() < 0.8 else self.ODD)
+            elif op == 1:
+                del entry[key]
+            elif op == 2 and isinstance(entry.get("args"), list) \
+                    and entry["args"]:
+                entry["args"][rng.randrange(len(entry["args"]))] = \
+                    rng.choice(self.ODD)
+            elif op == 3:
+                entry[rng.choice(["gas", "seed", "id"])] = rng.choice(self.ODD)
+            elif op == 4:
+                rng.choice(lists).append(dict(entry))
+            else:
+                block[rng.choice(["deploy", "txns", "workers"])] = \
+                    rng.choice(self.ODD)
+
+    def mutations(self, count: int, seed: int):
+        rng = random.Random(seed)
+        bases = self.bases()
+        for _ in range(count):
+            # one mutant in four starts from the large block, and has its
+            # fields mutated: a byte mutation of it seldom stays JSON
+            large = rng.random() < 0.25
+            block = json.loads(json.dumps(
+                bases[-1] if large else rng.choice(bases[:-1])))
+            if large or rng.random() < 0.7:
+                self.mutate_fields(rng, block)
+                yield json.dumps(block).encode("utf-8")
+                continue
+            data = bytearray(json.dumps(block).encode("utf-8"))
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(data))
+                op = rng.randrange(3)
+                if op == 0:
+                    data[pos] = rng.randrange(256)
+                elif op == 1:
+                    del data[pos]
+                else:
+                    data[pos:pos] = rng.choice([b"[", b"]", b"{", b"}", b",",
+                                                b"\"", b"-", b"9", b"null"])
+            yield bytes(data)
+
+    def test_mutated_blocks(self, tmp_path, capsys, monkeypatch):
+        merged = []
+        merge = blocksched._merge
+        monkeypatch.setattr(blocksched, "_merge",
+                            lambda *a: merged.append(1) or merge(*a))
+        path = tmp_path / "b.json"
+        codes = set()
+        began = time.perf_counter()
+        for data in self.mutations(400, seed=7):
+            path.write_bytes(data)
+            code = main(["simulate", BANK, str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), data
+            assert "Traceback" not in err, data
+            codes.add(code)
+        assert time.perf_counter() - began < 30
+        # accepted, rejected and malformed blocks all occurred, and large
+        # ones ran split over workers
+        assert {0, 1, 2} <= codes
+        if blocksched._usable_cpus() > 1:
+            assert len(merged) > 10

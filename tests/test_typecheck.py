@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast
+from ovlang import ast, typecheck
 from ovlang.ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
@@ -15,7 +15,7 @@ from ovlang.parser import parse_program
 from ovlang.transpile import transpile_program
 from ovlang.typecheck import TypeEnv, check_program, subcontract
 
-from conftest import (NEGATIVE, NEGATIVE_FILES, POSITIVE_FILES,
+from conftest import (CORPUS, NEGATIVE, NEGATIVE_FILES, POSITIVE_FILES,
                       compile_source, expected_code)
 
 THIS, TOP, BOT = CtxThis(), CtxTop(), CtxBot()
@@ -582,3 +582,109 @@ class TestLinearWork:
         assert not check_program(core).has_errors()
         assert copied["envs"] >= 1  # the counter really counted
         assert copied["entries"] <= n, f"{copied['entries']} entries copied"
+
+
+def _quadratic_check_invariant_clause(checker, env, cls, e):
+    """The invariant rule as it was before each path prefix was typed once:
+    the reference its diagnostics are compared against."""
+    from ovlang.ast import THIS as THIS_CTX
+    from ovlang.ownership import owner_bound
+    diags = checker.diags
+
+    def pure(x):
+        if isinstance(x, (ast.Call, ast.New, ast.Assign, ast.FieldSet,
+                          ast.Atomic, ast.Fork, ast.Valid, ast.Require,
+                          ast.EmitEvent, ast.Let, ast.Seq)):
+            diags.add("E-INV-IMPURE",
+                      f"invariant clauses cannot contain "
+                      f"{type(x).__name__.lower()} expressions", x.line, x.col)
+            return
+        for sub in ast.children(x):
+            pure(sub)
+
+    def owned_path(x):
+        if isinstance(x, ast.FieldGet):
+            recv = x.receiver
+            if isinstance(recv, ast.This):
+                return
+            if isinstance(recv, ast.FieldGet):
+                owned_path(recv)
+                rt = checker.type_expr(env, recv)
+                if (not isinstance(rt, ast.ClassType)
+                        or checker.table.of_type(rt) is None
+                        or owner_bound(rt) == THIS_CTX):
+                    return
+                diags.add("E-INV-ESCAPE",
+                          f"invariant reads {x.field_name} through a field "
+                          f"not owned by this", x.line, x.col)
+                return
+            diags.add("E-INV-ESCAPE",
+                      "invariant field paths must start at this",
+                      x.line, x.col)
+            return
+        for sub in ast.children(x):
+            owned_path(sub)
+
+    before = len(diags)
+    pure(e)
+    if len(diags) != before:
+        return
+    t = checker.type_expr(env, e)
+    if len(diags) == before:
+        owned_path(e)
+    if not isinstance(t, (ast.BoolType, ast.ErrorType)):
+        diags.add("E-TYPE", "invariant clause must be boolean", e.line, e.col)
+
+
+def path_source(depth: int, owner: str = "this") -> str:
+    """A class whose invariant reads a field through a path of `depth`
+    field reads, each step through a field owned by `owner`."""
+    return (f"class Node[o] {{\n    Node<{owner}> a = null;\n    int v = 0;\n"
+            f"    inv this{'.a' * (depth - 1)}.v >= 0;\n}}\n")
+
+
+class TestInvariantPaths:
+    """The path rule of invariant clauses types each prefix of a field path
+    once, from its receiver's type, and reports what it always reported."""
+
+    def test_type_calls_grow_linearly_with_depth(self, monkeypatch):
+        calls = Counter()
+        type_expr = typecheck.Checker.type_expr
+
+        def counted(checker, env, e):
+            calls["type_expr"] += 1
+            return type_expr(checker, env, e)
+
+        monkeypatch.setattr(typecheck.Checker, "type_expr", counted)
+        counts = {}
+        for depth in (2, 4, 8, 16):
+            calls.clear()
+            check_program(desugar(parse_program(path_source(depth))[0]))
+            counts[depth] = calls["type_expr"]
+        # one more step costs a constant number of calls (before, when
+        # every prefix was typed again: 9, 18, 48 and 156 calls)
+        steps = [counts[2 * d] - counts[d] for d in (2, 4, 8)]
+        assert steps[1] == 2 * steps[0] and steps[2] == 2 * steps[1], counts
+        assert counts[16] <= 2 * 16, counts
+
+    def test_diagnostics_match_the_quadratic_rule(self, monkeypatch):
+        sources = [p.read_text(encoding="utf-8")
+                   for p in sorted(CORPUS.glob("**/*.ov"))]
+        sources += [path_source(d, owner) for d in (1, 2, 3, 5)
+                    for owner in ("this", "o", "top")]
+        sources += list(TestCheckerFaultFuzz().mutations(3000, seed=1))
+        compared = 0
+        for src in sources:
+            try:
+                surface, _ = parse_program(src)
+            except OvError:
+                continue
+            got = check_program(desugar(surface))
+            with monkeypatch.context() as m:
+                m.setattr(typecheck, "check_invariant_clause",
+                          _quadratic_check_invariant_clause)
+                want = check_program(desugar(parse_program(src)[0]))
+            assert [(d.code, d.msg, d.line, d.col) for d in got] == [
+                (d.code, d.msg, d.line, d.col) for d in want], src
+            compared += 1
+        assert compared > 1500
