@@ -43,7 +43,8 @@ from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, subtrees_intersect
-from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine, state_digest
+from .runtime import (DEFAULT_FUEL, FailureValue, Loc, Machine, object_text,
+                      state_digest)
 
 # interpreter steps one transaction may take before it aborts as R-GAS
 TXN_STEPS = DEFAULT_FUEL
@@ -438,8 +439,8 @@ class _ShardRun(NamedTuple):
     post_checks: int
     deploy_slots: list  # heap slots each deploy took
     txn_slots: list     # heap slots each transaction took
-    objects: list       # Machine.live_objects()
-    fields: dict        # class name -> field names, for those objects
+    texts: list         # (location, object_text) of objects without a Loc
+    linked: list        # (location, class, fields, field names) of the rest
     valid: list         # the valid set, ascending
 
 
@@ -456,13 +457,19 @@ def _run_shard(program: ast.Program, deploys: list,
         return None
     edges = build_conflict_graph(scts, machine.tree)
     status = _execute(machine, scts, range(len(scts)))
-    objects = machine.live_objects()
+    # objects whose fields hold a location are spelled after the merge has
+    # renamed it; the others here, in parallel with the other shards
+    texts, linked = [], []
+    for i, name, fields in machine.live_objects():
+        names = machine.field_names(name)
+        if Loc in map(type, fields.values()):
+            linked.append((i, name, fields, names))
+        else:
+            texts.append((i, object_text(name, fields, names)))
     return _ShardRun(
         edges, status, machine.pre_checks, machine.post_checks,
         [b - a for a, b in zip(firsts, firsts[1:])],
-        [s.slots for s in scts], objects,
-        {name: machine.field_names(name) for _i, name, _f in objects},
-        sorted(machine.sigma))
+        [s.slots for s in scts], texts, linked, sorted(machine.sigma))
 
 
 def _merge(block: Block, parts: list, runs: list) -> MinedBlock:
@@ -480,9 +487,8 @@ def _merge(block: Block, parts: list, runs: list) -> MinedBlock:
     txn_base = len(deploy_slots)
     status = [""] * len(txn_slots)
     edges: list[tuple[int, int]] = []
-    objects: list[tuple[int, str, dict]] = []
+    texts: list[tuple[int, str]] = []
     valid: list[int] = []
-    fields: dict[str, tuple[str, ...]] = {}
     pre = post = 0
     for (dix, tix), run in zip(parts, runs):
         serial: list[int] = []  # shard location -> serial location
@@ -493,17 +499,15 @@ def _merge(block: Block, parts: list, runs: list) -> MinedBlock:
         edges.extend((tix[i], tix[j]) for i, j in run.edges)
         pre += run.pre_checks
         post += run.post_checks
-        fields.update(run.fields)
-        for i, name, f in run.objects:
-            if any(type(v) is Loc for v in f.values()):
-                f = {n: Loc(serial[v.index]) if type(v) is Loc else v
-                     for n, v in f.items()}
-            objects.append((serial[i], name, f))
+        texts.extend((serial[i], text) for i, text in run.texts)
+        for i, name, f, names in run.linked:
+            f = {n: Loc(serial[v.index]) if type(v) is Loc else v
+                 for n, v in f.items()}
+            texts.append((serial[i], object_text(name, f, names)))
         valid.extend(serial[i] for i in run.valid)
-    objects.sort(key=itemgetter(0))
+    texts.sort(key=itemgetter(0))
     return MinedBlock(sorted(edges), status,
-                      state_digest(objects, fields.__getitem__, sorted(valid)),
-                      pre, post)
+                      state_digest(texts, sorted(valid)), pre, post)
 
 
 def _usable_cpus() -> int:
@@ -626,24 +630,23 @@ class _Pool:
         or died."""
         if threading.active_count() > 1:
             return None
-        busy = 0  # workers with a reply still to read
+        done = False
         try:
             while len(self.workers) < len(jobs) - 1:
                 self.workers.append(_Worker(
                     program, [w.conn for w in self.workers]))
             for worker, job in zip(self.workers, jobs[1:]):
                 worker.send(program, job)
-                busy += 1
             runs = [_run_shard_or_none(program, jobs[0])]
-            for worker in self.workers[:busy]:
-                runs.append(worker.conn.recv())
-            busy = 0
+            runs += [w.conn.recv() for w in self.workers[:len(jobs) - 1]]
+            done = True
             return runs
-        except (OSError, EOFError):
-            self.close()
+        except (OSError, EOFError):  # a worker could not start or died
             return None
         finally:
-            if busy:  # interrupted: the replies would answer the next block
+            # after a failure, or an interrupt with replies still to read
+            # that would answer the next block, start afresh
+            if not done:
                 self.close()
 
     def close(self) -> None:

@@ -173,20 +173,21 @@ def _value_text(v: Value) -> str:
     return "null"
 
 
-def state_digest(objects, field_names, valid) -> str:
-    """The state hash: SHA-256 over the live objects, each as its location,
-    class and field values in declaration order, in location order, then
-    the valid set in ascending order. `objects` holds (location, class
-    name, fields) triples as `Machine.live_objects` lists them;
-    `field_names` maps a class name to its field names in declaration
-    order. `Machine.state_hash` and the merge of a block run in regions
-    (blocksched) both hash through here."""
-    parts: list[str] = []
-    for i, class_name, fields in objects:
-        body = ",".join([f"{name}={_value_text(fields.get(name))}"
-                         for name in field_names(class_name)])
-        parts.append(f"l{i}={class_name}{{{body}}};")
-    blob = "".join(parts) + "|valid=" + ",".join(str(i) for i in valid)
+def object_text(class_name: str, fields: dict, names) -> str:
+    """A live object as the state hash spells it, without its location:
+    its class and its field values, in the declaration order `names`."""
+    body = ",".join([f"{name}={_value_text(fields.get(name))}"
+                     for name in names])
+    return f"{class_name}{{{body}}}"
+
+
+def state_digest(texts, valid) -> str:
+    """The state hash: SHA-256 over the live objects, as (location,
+    `object_text`) pairs in location order, then the valid set in
+    ascending order. `Machine.state_hash` and the merge of a block run in
+    regions (blocksched) both hash through here."""
+    blob = "".join([f"l{i}={text};" for i, text in texts]) + "|valid=" + \
+        ",".join(map(str, valid))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -649,8 +650,10 @@ class Machine:
                 for i, obj in enumerate(self.heap) if obj is not None]
 
     def state_hash(self) -> str:
-        return state_digest(self.live_objects(), self.field_names,
-                            sorted(self.sigma))
+        return state_digest(
+            [(i, object_text(name, fields, self.field_names(name)))
+             for i, name, fields in self.live_objects()],
+            sorted(self.sigma))
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:

@@ -842,6 +842,12 @@ class TestRegions:
         assert serial_execute(PROGRAM, b) == (mined.final_state_hash,
                                               mined.status)
         assert outputs(one_process(PROGRAM, b)) == outputs(mined)
+        # another program travels to the worker that already runs
+        [worker] = fresh_pool.workers
+        other = mine_block(REGIONS, b)
+        assert fresh_pool.workers == [worker] and worker.program is REGIONS
+        assert merges == [1, 1, 1]
+        assert outputs(other) == outputs(one_process(REGIONS, b))
 
 
 WORKER_SCRIPT = """\
