@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched, ownership, runtime
+from ovlang import ast, blocksched, ownership, regions, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
@@ -207,7 +207,7 @@ class TestLinearWork:
                             counted("runtime_inside",
                                     OwnershipTree.runtime_inside, 4 * n))
         # the hooks count in this process only: mine in one process
-        monkeypatch.setattr(blocksched, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(regions, "usable_cpus", lambda: 1)
         mined = mine_block(PROGRAM, block_of(accounts(n), txns))
         assert len(mined.edges) == edges
         assert calls["interferes"] >= edges  # the counter really counted
@@ -647,7 +647,7 @@ class TestParseBlock:
 
 # -- regions run in parallel ---------------------------------------------------
 
-REGIONS = check_clean(ACCOUNT_SRC + TOKEN_SRC + NEST_SRC)
+FUZZ_PROGRAM = check_clean(ACCOUNT_SRC + TOKEN_SRC + NEST_SRC)
 
 
 def outputs(mined: MinedBlock) -> tuple:
@@ -657,12 +657,12 @@ def outputs(mined: MinedBlock) -> tuple:
 
 def one_process(program, block) -> MinedBlock:
     """mine_block as it runs on a host with one usable CPU."""
-    saved = blocksched._usable_cpus
-    blocksched._usable_cpus = lambda: 1
+    saved = regions.usable_cpus
+    regions.usable_cpus = lambda: 1
     try:
         return mine_block(program, block)
     finally:
-        blocksched._usable_cpus = saved
+        regions.usable_cpus = saved
 
 
 def fuzz_blocks(seed: int, count: int):
@@ -686,16 +686,17 @@ def fuzz_blocks(seed: int, count: int):
 
 
 def two_cpus():
-    if blocksched._usable_cpus() < 2:
+    if regions.usable_cpus() < 2:
         pytest.skip("one usable CPU: every block runs in one process")
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def fresh_pool():
-    """No worker before the test, and none left after it."""
-    blocksched._POOL.close()
-    yield blocksched._POOL
-    blocksched._POOL.close()
+    """No worker before a test, and none left after it: a worker forked
+    during a test keeps that test's monkeypatches."""
+    regions.POOL.close()
+    yield regions.POOL
+    regions.POOL.close()
 
 
 OWNER_CONTRACT = check_clean("""\
@@ -736,11 +737,11 @@ class TestRegions:
     def test_fuzzed_blocks_merge_to_the_serial_result(self):
         merged = allocating = 0
         for b in fuzz_blocks(2027, 1000):
-            mined = mine_block(REGIONS, b)
-            assert serial_execute(REGIONS, b) == (mined.final_state_hash,
+            mined = mine_block(FUZZ_PROGRAM, b)
+            assert serial_execute(FUZZ_PROGRAM, b) == (mined.final_state_hash,
                                                   mined.status)
             for shards in (2, 3):
-                got = blocksched._run_sharded(REGIONS, b, inline_shards=shards)
+                got = regions.run(FUZZ_PROGRAM, b, inline_shards=shards)
                 if got is None:
                     assert len(b.deploys) == 1  # nothing to split
                     continue
@@ -761,7 +762,7 @@ class TestRegions:
                           {"target": "p", "method": "go", "args": [0]}])
         for program, b in ((HOLDER, holder), (OUTER, outer)):
             mined = mine_block(program, b)
-            got = blocksched._run_sharded(program, b, inline_shards=2)
+            got = regions.run(program, b, inline_shards=2)
             assert got is not None and outputs(got) == outputs(mined)
         assert mine_block(HOLDER, holder).status == [
             "aborted:R-REQUIRE", "committed", "committed"]
@@ -775,7 +776,7 @@ class TestRegions:
                       {"target": "a", "method": "deposit", "args": [3]}])
         mined = mine_block(program, b)
         assert mined.status[1] == "aborted:R-GAS"
-        got = blocksched._run_sharded(program, b, inline_shards=2)
+        got = regions.run(program, b, inline_shards=2)
         assert got is not None and outputs(got) == outputs(mined)
 
     @pytest.mark.parametrize("program, txns", [
@@ -787,7 +788,7 @@ class TestRegions:
     def test_regions_that_may_meet_run_in_one_process(self, program, txns):
         b = block_of([{"id": "a", "class": "Cell"},
                       {"id": "b", "class": "Cell"}], txns)
-        assert blocksched._run_sharded(program, b, inline_shards=2) is None
+        assert regions.run(program, b, inline_shards=2) is None
         mined = mine_block(program, b)
         assert serial_execute(program, b) == (mined.final_state_hash,
                                               mined.status)
@@ -802,13 +803,13 @@ class TestRegions:
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
-    def test_faults_raise_as_in_one_process(self, fault, fresh_pool):
+    def test_faults_raise_as_in_one_process(self, fault):
         deploys = accounts(200)
         txns = [{"target": f"a{i}", "method": "deposit", "args": [1]}
                 for i in range(200)]
         self.FAULTS[fault](deploys, txns)
         b = block_of(deploys, txns)
-        assert blocksched._run_sharded(PROGRAM, b, inline_shards=2) is None
+        assert regions.run(PROGRAM, b, inline_shards=2) is None
         with pytest.raises((OvError, ValueError)) as sharded:
             mine_block(PROGRAM, b)
         with pytest.raises((OvError, ValueError)) as one:
@@ -816,7 +817,7 @@ class TestRegions:
         assert type(sharded.value) is type(one.value)
         assert str(sharded.value) == str(one.value)
 
-    def test_dropped_edge_in_a_large_block(self, fresh_pool):
+    def test_dropped_edge_in_a_large_block(self):
         b = block_of(accounts(150), bank_txns(random.Random(13), 150))
         mined = mine_block(PROGRAM, b)
         forged = MinedBlock(mined.edges[1:], mined.status,
@@ -830,8 +831,8 @@ class TestRegions:
     def test_large_block_runs_on_a_worker(self, fresh_pool, monkeypatch):
         two_cpus()
         merges = []
-        merge = blocksched._merge
-        monkeypatch.setattr(blocksched, "_merge",
+        merge = regions.merge
+        monkeypatch.setattr(regions, "merge",
                             lambda *a: merges.append(1) or merge(*a))
         b = block_of(accounts(150), bank_txns(random.Random(11), 150))
         mined = mine_block(PROGRAM, b)
@@ -844,15 +845,15 @@ class TestRegions:
         assert outputs(one_process(PROGRAM, b)) == outputs(mined)
         # another program travels to the worker that already runs
         [worker] = fresh_pool.workers
-        other = mine_block(REGIONS, b)
-        assert fresh_pool.workers == [worker] and worker.program is REGIONS
+        other = mine_block(FUZZ_PROGRAM, b)
+        assert fresh_pool.workers == [worker] and worker.program is FUZZ_PROGRAM
         assert merges == [1, 1, 1]
-        assert outputs(other) == outputs(one_process(REGIONS, b))
+        assert outputs(other) == outputs(one_process(FUZZ_PROGRAM, b))
 
 
 WORKER_SCRIPT = """\
 import os, sys
-from ovlang import blocksched
+from ovlang import blocksched, regions
 from ovlang.desugar import desugar
 from ovlang.parser import parse_program
 from ovlang.typecheck import check_program
@@ -865,10 +866,16 @@ block = blocksched.parse_block({
     "txns": [{"target": f"a{i}", "method": "deposit", "args": [1]}
              for i in range(150)]})
 blocksched.mine_block(program, block)
-print(" ".join(str(w.proc.pid) for w in blocksched._POOL.workers), flush=True)
+print(" ".join(str(w.proc.pid) for w in regions.POOL.workers), flush=True)
 if sys.argv[2] == "abrupt":
     os._exit(0)  # no exit handlers: the worker sees its pipe close
 """
+
+
+def _env() -> dict:
+    """This environment, with ovlang's sources importable."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def _exited(pid: int) -> bool:
@@ -898,14 +905,29 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
         assert fresh_pool.workers == []
 
+    def test_small_work_imports_no_worker_machinery(self):
+        # the import alone costs a process that never splits a block memory
+        script = (
+            "import io, sys, contextlib\n"
+            "from ovlang.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['check', {str(CORPUS / 'bank.ov')!r}])\n"
+            f"    main(['run', {str(CORPUS / 'bank.ov')!r}])\n"
+            f"    main(['simulate', {str(CORPUS / 'bank.ov')!r}, "
+            f"{str(CORPUS / 'blocks' / 'transfers.json')!r}])\n"
+            "print(sorted({'ovlang.regions', 'multiprocessing'}"
+            " & set(sys.modules)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]
+
     @pytest.mark.parametrize("how", ["exit", "abrupt"])
     def test_no_worker_outlives_its_process(self, how):
         two_cpus()
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
             [sys.executable, "-c", WORKER_SCRIPT, str(CORPUS / "bank.ov"),
-             how], env=env, capture_output=True, text=True, timeout=60)
+             how], env=_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         pids = [int(p) for p in done.stdout.split()]
         assert len(pids) == 1

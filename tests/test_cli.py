@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ovlang import blocksched
+from ovlang import regions
 from ovlang.cli import main
 from ovlang.diagnostics import OvError
 from ovlang.runtime import Machine
@@ -444,8 +444,8 @@ class TestSimulateFuzz:
 
     def test_mutated_blocks(self, tmp_path, capsys, monkeypatch):
         merged = []
-        merge = blocksched._merge
-        monkeypatch.setattr(blocksched, "_merge",
+        merge = regions.merge
+        monkeypatch.setattr(regions, "merge",
                             lambda *a: merged.append(1) or merge(*a))
         path = tmp_path / "b.json"
         codes = set()
@@ -461,5 +461,5 @@ class TestSimulateFuzz:
         # accepted, rejected and malformed blocks all occurred, and large
         # ones ran split over workers
         assert {0, 1, 2} <= codes
-        if blocksched._usable_cpus() > 1:
+        if regions.usable_cpus() > 1:
             assert len(merged) > 10
