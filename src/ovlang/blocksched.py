@@ -7,21 +7,26 @@ location. Two transactions may run in either order only when their
 contracts do not interfere, so index order honours every conflict graph.
 The miner, the validator and the serial oracle share one path (`_prepare`,
 then `_execute`), which makes the observable results (statuses, hash,
-counters) a pure function of the block and the order.
+counters) a pure function of the block and the order; the validator
+re-mines the block and compares.
+
+Each deploy and each transaction is a creator (`_creators`) that names
+the heap slots it allocates (`Machine.set_creator`), so slot names do not
+depend on the order in which the transactions ran.
 
 A block of at least SHARD_MIN_WORK deploys plus transactions runs split
 into regions, one per deploy with the transactions sent to it, on every
-usable CPU (`regions`), through this same path, and gives exactly what one
-process gives. `serial_execute` always runs in one process: it is the
-oracle the split is tested against.
+usable CPU (`regions`), through this same path and with the same creator
+numbers, and gives exactly what one process gives. `serial_execute`
+always runs in one process: it is the oracle the split is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import ast
-from .ast import Contract, CtxBot, CtxLoc, CtxTop
+from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, subtrees_intersect
 from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine
@@ -50,7 +55,7 @@ class Sct:
     loc: int = -1
     contract: Optional[Contract] = None
     status: str = "pending"
-    slots: int = 0  # heap slots its execution took, aborted allocations too
+    creator: int = 0  # names the heap slots its execution allocates
 
 
 @dataclass
@@ -186,26 +191,43 @@ def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
             if interferes(scts[i].contract, scts[j].contract, tree)]
 
 
-def _library(program: ast.Program) -> ast.Program:
-    return ast.Program(program.classes, None)
+# A context's place under the binding `_deploy` gives a deployed object:
+# every context parameter is top, and this is a root, strictly between bot
+# and top.
+_DEPLOY_RANK = {CtxBot: 0, CtxThis: 1, CtxParam: 2, CtxTop: 2}
 
 
-def _deploy(machine: Machine, deploys: list) -> dict[str, int]:
-    """Run the deploy list serially; returns id -> location."""
+def _deploy_keeps(c: ast.Constraint) -> bool:
+    """The `where` constraint c holds of every deployed object."""
+    lo = _DEPLOY_RANK.get(type(c.lhs))
+    hi = _DEPLOY_RANK.get(type(c.rhs))
+    return lo is not None and hi is not None and (
+        lo < hi or (lo == hi and not c.strict))
+
+
+def _deploy(machine: Machine, deploys: list,
+            creators: Iterable[int]) -> dict[str, int]:
+    """Run the deploy list serially, each as the creator `creators` numbers
+    it; returns id -> location. A deploy binds every context parameter of
+    its class to top, so a class with a `where` constraint that this
+    binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
     # class name -> (top-owned type, constructor arity), once per class
     classes: dict[str, tuple[ast.ClassType, int]] = {}
-    for d in deploys:
+    for d, creator in zip(deploys, creators):
         cname = d["class"]
         known = classes.get(cname)
         if known is None:
             decl = machine.table.get(cname)
             if decl is None:
                 raise ValueError(f"deploy {d['id']}: unknown class {cname}")
+            typ = ast.ClassType(cname, [CtxTop()] * len(decl.ctx_params))
+            for c in decl.constraints:
+                if not _deploy_keeps(c):
+                    raise ValueError(f"deploy {d['id']}: {typ} violates the "
+                                     f"constraint {c} of {cname}")
             ctor = machine.table.ctor_of(cname)
-            known = classes[cname] = (
-                ast.ClassType(cname, [CtxTop()] * len(decl.ctx_params)),
-                len(ctor.params) if ctor else 0)
+            known = classes[cname] = (typ, len(ctor.params) if ctor else 0)
         typ, expected = known
         args = d.get("args", [])
         if len(args) != expected:
@@ -213,6 +235,7 @@ def _deploy(machine: Machine, deploys: list) -> dict[str, int]:
                 f"deploy {d['id']}: {cname} constructor takes {expected} "
                 f"arguments, got {len(args)}")
         expr = ast.New(typ, [ast.Const(a) for a in args])
+        machine.set_creator(creator)
         val = machine.run_expression(expr)
         if isinstance(val, FailureValue):
             raise ValueError(f"deploy {d['id']} failed: {val.msg}")
@@ -221,9 +244,10 @@ def _deploy(machine: Machine, deploys: list) -> dict[str, int]:
     return targets
 
 
-def _bind_scts(machine: Machine, targets: dict, txns: list) -> list[Sct]:
+def _bind_scts(machine: Machine, targets: dict, txns: list,
+               creators: Iterable[int]) -> list[Sct]:
     scts = []
-    for i, t in enumerate(txns):
+    for (i, t), creator in zip(enumerate(txns), creators):
         if t["target"] not in targets:
             raise OvError("E-TARGET", f"txn {i}: unknown target {t['target']}")
         loc = targets[t["target"]]
@@ -240,17 +264,31 @@ def _bind_scts(machine: Machine, targets: dict, txns: list) -> list[Sct]:
                           f"txn {i}: {t['method']} takes {len(m.params)} "
                           f"arguments, got {len(args)}")
         scts.append(Sct(index=i, target=t["target"], method=t["method"],
-                        args=list(args), loc=loc,
+                        args=list(args), loc=loc, creator=creator,
                         contract=machine._method_contract(obj, loc,
                                                           owner_cls, m)))
     return scts
 
 
-def _prepare(program: ast.Program, block: Block) -> tuple[Machine, list[Sct]]:
-    """A fresh machine with the block's deploys run and its txns bound."""
-    machine = Machine(_library(program))
-    targets = _deploy(machine, block.deploys)
-    return machine, _bind_scts(machine, targets, block.txns)
+def _creators(block: Block, deploys: Iterable[int],
+              txns: Iterable[int]) -> list[int]:
+    """The creator numbers of the block's deploys, then txns, at these
+    indices: deploy d is creator d, and txn i creator len(deploys) + i."""
+    first_txn = len(block.deploys)
+    return [*deploys, *(first_txn + i for i in txns)]
+
+
+def _prepare(program: ast.Program, block: Block,
+             creators: Optional[Sequence[int]] = None
+             ) -> tuple[Machine, list[Sct]]:
+    """A fresh machine with the block's deploys run and its txns bound,
+    numbered as creators by `creators`, by default the block's own."""
+    n = len(block.deploys)
+    if creators is None:
+        creators = _creators(block, range(n), range(len(block.txns)))
+    machine = Machine(ast.Program(program.classes, None))  # runs no main
+    targets = _deploy(machine, block.deploys, creators[:n])
+    return machine, _bind_scts(machine, targets, block.txns, creators[n:])
 
 
 def _execute_sct(machine: Machine, sct: Sct) -> str:
@@ -262,6 +300,7 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
                       ast.Call(ast.Var("__target"), sct.method,
                                [ast.Const(a) for a in sct.args]))
     commits = machine.root_commits
+    machine.set_creator(sct.creator)
     try:
         val = machine.run_expression(
             expr, {"__target": machine.locs[sct.loc], "#ctx": {}},
@@ -279,32 +318,26 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
 def _execute(machine: Machine, scts: list[Sct],
              order: Iterable[int]) -> list[str]:
     """Run the transactions one at a time in `order`; statuses by index."""
-    heap = machine.heap
     for i in order:
-        sct = scts[i]
-        before = len(heap)
-        sct.status = _execute_sct(machine, sct)
-        sct.slots = len(heap) - before
+        scts[i].status = _execute_sct(machine, scts[i])
     return [s.status for s in scts]
-
-
-def _run_in_regions(program: ast.Program,
-                    block: Block) -> Optional[MinedBlock]:
-    """The block's output from its regions run in parallel, or None when
-    it runs in one process. A small block never imports `regions`, nor
-    what that module imports."""
-    if len(block.deploys) + len(block.txns) < SHARD_MIN_WORK:
-        return None
-    from . import regions
-    return regions.run(program, block)
 
 
 def mine_block(program: ast.Program, block: Block) -> MinedBlock:
     """Execute a block in index order and report its conflict graph,
     statuses, and final state."""
-    mined = _run_in_regions(program, block)
-    if mined is not None:
-        return mined
+    return _mine(program, block)
+
+
+def _mine(program: ast.Program, block: Block) -> MinedBlock:
+    """mine_block's path. validate_block calls it directly, so that a hook
+    on mine_block times mining alone. A large block runs in regions when
+    it can; a small one never imports `regions`."""
+    if len(block.deploys) + len(block.txns) >= SHARD_MIN_WORK:
+        from . import regions
+        mined = regions.run(program, block)
+        if mined is not None:
+            return mined
     machine, scts = _prepare(program, block)
     edges = build_conflict_graph(scts, machine.tree)
     status = _execute(machine, scts, range(len(scts)))
@@ -321,32 +354,21 @@ def validate_block(program: ast.Program, mined: MinedBlock,
                    block: Block) -> ValidationReport:
     """Re-execute the block on a fresh heap, honoring the miner's graph,
     and check the miner's claims. A real conflict edge missing from the
-    miner's graph is a protocol violation (E-BG-MISMATCH)."""
-    sharded = _run_in_regions(program, block)
-    if sharded is None:
-        machine, scts = _prepare(program, block)
-        real_edges = set(build_conflict_graph(scts, machine.tree))
-    else:
-        real_edges = set(sharded.edges)
-    miner_edges = {tuple(e) for e in mined.edges}
-    missing = sorted(real_edges - miner_edges)
+    miner's graph is a protocol violation (E-BG-MISMATCH). Execution
+    honours the union graph: index order satisfies any graph."""
+    real = _mine(program, block)
+    missing = sorted(set(real.edges) - {tuple(e) for e in mined.edges})
     if missing:
         raise OvError("E-BG-MISMATCH",
                       "miner's graph omits conflicting pairs: " +
                       ", ".join(str(list(e)) for e in missing))
-    if sharded is None:
-        # execution honors the union graph; index order satisfies any graph
-        statuses = _execute(machine, scts, range(len(scts)))
-        h = machine.state_hash()
-    else:
-        statuses, h = sharded.status, sharded.final_state_hash
-    hash_ok = h == mined.final_state_hash
-    status_ok = statuses == list(mined.status)
+    hash_ok = real.final_state_hash == mined.final_state_hash
+    status_ok = real.status == list(mined.status)
     return ValidationReport(
         accepted=hash_ok and status_ok,
-        final_state_hash=h,
-        status=statuses,
-        edges=sorted(real_edges),
+        final_state_hash=real.final_state_hash,
+        status=real.status,
+        edges=real.edges,
         hash_matches=hash_ok,
         statuses_match=status_ok,
     )

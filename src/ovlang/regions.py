@@ -2,21 +2,21 @@
 regions run in parallel, merged into exactly the one-process result.
 
 A block is split into regions, one per deploy with the transactions sent
-to it. Block arguments are scalars and every deploy is top-owned, so an
-object is reachable only from the region whose constructor or
-transactions allocated it; and while each transaction's contract binds its
-contexts to bot or to its target's location, and no deployed class has a
-`where` constraint that the all-top deploy breaks, no edge, read or write
-crosses regions. `run` balances the regions into one shard per usable CPU
-and runs each shard through blocksched's one-process path (`_deploy`,
-`_bind_scts`, `build_conflict_graph`, `_execute`), on a heap of its own:
-one shard in this process, the others in worker processes (`_Pool`).
-`merge` turns the shards' outputs into exactly those of one process: heap
-slots are taken deploys first, then transactions by index, with aborted
-allocations keeping theirs, so each shard's locations map onto the serial
-ones. A block whose regions may meet, a shard that raises, a dead worker,
-a process with other threads and a host with one usable CPU all fall back
-to one process.
+to it. Block arguments are scalars and every deploy is top-owned, binding
+every context parameter to top (`_deploy` refuses a class whose `where`
+constraints that breaks), so an object is reachable only from the region
+whose constructor or transactions allocated it; and while each
+transaction's contract binds its contexts to bot or to its target's
+location, no edge, read or write crosses regions. `run` balances the
+regions into one shard per usable CPU and runs each shard through
+blocksched's one-process path (`_prepare`, `build_conflict_graph`,
+`_execute`), on a heap of its own and with the block's own creator
+numbers: one shard in this process, the others in worker processes
+(`_Pool`). Each shard thus names its heap slots as one process does and
+spells its own objects; `merge` only concatenates the shards' outputs and
+sorts them. A block whose regions may meet, a shard
+that raises, a dead worker, a process with other threads and a host with
+one usable CPU all fall back to one process.
 
 blocksched imports this module on the first block of at least
 `blocksched.SHARD_MIN_WORK` deploys plus transactions, and this module
@@ -31,36 +31,19 @@ import heapq
 import os
 import signal
 import threading
-from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import ast, blocksched
-from .ast import CtxBot, CtxParam, CtxThis, CtxTop
 from .blocksched import Block, MinedBlock
-from .runtime import Loc, Machine, object_text, state_digest
-
-# A context's place under the binding `_deploy` gives a deployed object:
-# every context parameter is top, and this is a root, strictly between bot
-# and top.
-_DEPLOY_RANK = {CtxBot: 0, CtxThis: 1, CtxParam: 2, CtxTop: 2}
+from .runtime import state_digest
 
 
-def _deploy_keeps(c: ast.Constraint) -> bool:
-    """The `where` constraint c holds of every deployed object."""
-    lo = _DEPLOY_RANK.get(type(c.lhs))
-    hi = _DEPLOY_RANK.get(type(c.rhs))
-    return lo is not None and hi is not None and (
-        lo < hi or (lo == hi and not c.strict))
-
-
-def _split(program: ast.Program, block: Block,
+def _split(block: Block,
            shards: int) -> Optional[list[tuple[list[int], list[int]]]]:
     """The block's regions balanced into at most `shards` shards, each as
     its deploy and transaction indices, ascending, the lightest shard
     first. None when the block must run in one process: two deploys share
-    an id, a transaction's target is not deployed, a deployed class is
-    unknown or has a constraint that its deploy breaks, or fewer than two
+    an id, a transaction's target is not deployed, or fewer than two
     shards get work."""
     where = {d["id"]: k for k, d in enumerate(block.deploys)}
     if len(where) < len(block.deploys):
@@ -71,11 +54,6 @@ def _split(program: ast.Program, block: Block,
         if k is None:
             return None
         sent[k].append(t)
-    classes = {c.name: c for c in program.classes}
-    for name in {d["class"] for d in block.deploys}:
-        decl = classes.get(name)
-        if decl is None or not all(map(_deploy_keeps, decl.constraints)):
-            return None
     # the busiest region first, each to the least loaded shard; a deploy
     # weighs as much as a transaction
     loads = [(0, s) for s in range(shards)]
@@ -95,82 +73,49 @@ def _split(program: ast.Program, block: Block,
 
 
 class _ShardRun(NamedTuple):
-    """What one shard's run reports, in the shard's own numbering."""
+    """What one shard's run reports. Edges and statuses are over the
+    shard's own transactions; objects and the valid set are spelled
+    through the block's slot names."""
     edges: list        # (i, j) over the shard's transactions
     status: list
     pre_checks: int
     post_checks: int
-    deploy_slots: list  # heap slots each deploy took
-    txn_slots: list     # heap slots each transaction took
-    texts: list         # (location, object_text) of objects without a Loc
-    linked: list        # (location, class, fields, field names) of the rest
-    valid: list         # the valid set, ascending
+    texts: list        # (name, text) of each live object
+    valid: list        # the valid set's names
 
 
-def _run_shard(program: ast.Program, deploys: list,
-               txns: list) -> Optional[_ShardRun]:
-    """A shard through the one-process path, on a heap of its own. None
+def _run_shard(program: ast.Program, block: Block,
+               creators: list) -> Optional[_ShardRun]:
+    """A shard through the one-process path, on a heap of its own, its
+    deploys and transactions numbered as creators in the whole block. None
     when a transaction's contract binds a context to neither bot nor a
     location, so that its region may meet the others."""
-    machine = Machine(blocksched._library(program))
-    targets = blocksched._deploy(machine, deploys)
-    firsts = [*targets.values(), len(machine.heap)]
-    scts = blocksched._bind_scts(machine, targets, txns)
+    machine, scts = blocksched._prepare(program, block, creators)
     if not all(blocksched._located(s.contract) for s in scts):
         return None
     edges = blocksched.build_conflict_graph(scts, machine.tree)
     status = blocksched._execute(machine, scts, range(len(scts)))
-    # objects whose fields hold a location are spelled after the merge has
-    # renamed it; the others here, in parallel with the other shards
-    texts, linked = [], []
-    for i, name, fields in machine.live_objects():
-        names = machine.field_names(name)
-        if Loc in map(type, fields.values()):
-            linked.append((i, name, fields, names))
-        else:
-            texts.append((i, object_text(name, fields, names)))
-    return _ShardRun(
-        edges, status, machine.pre_checks, machine.post_checks,
-        [b - a for a, b in zip(firsts, firsts[1:])],
-        [s.slots for s in scts], texts, linked, sorted(machine.sigma))
+    return _ShardRun(edges, status, machine.pre_checks, machine.post_checks,
+                     machine.object_texts(), machine.valid_names())
 
 
 def merge(block: Block, parts: list, runs: list) -> MinedBlock:
     """The block's output in one process, from its shards' runs."""
-    deploy_slots = [0] * len(block.deploys)
-    txn_slots = [0] * len(block.txns)
-    for (dix, tix), shard in zip(parts, runs):
-        for k, n in zip(dix, shard.deploy_slots):
-            deploy_slots[k] = n
-        for t, n in zip(tix, shard.txn_slots):
-            txn_slots[t] = n
-    # the serial location of each deploy's first slot, then each txn's
-    slots = deploy_slots + txn_slots
-    firsts = list(accumulate(slots, initial=0))
-    txn_base = len(deploy_slots)
-    status = [""] * len(txn_slots)
+    status = [""] * len(block.txns)
     edges: list[tuple[int, int]] = []
     texts: list[tuple[int, str]] = []
     valid: list[int] = []
     pre = post = 0
-    for (dix, tix), shard in zip(parts, runs):
-        serial: list[int] = []  # shard location -> serial location
-        for u in dix + [txn_base + t for t in tix]:
-            serial.extend(range(firsts[u], firsts[u] + slots[u]))
+    for (_dix, tix), shard in zip(parts, runs):
         for t, st in zip(tix, shard.status):
             status[t] = st
         edges.extend((tix[i], tix[j]) for i, j in shard.edges)
         pre += shard.pre_checks
         post += shard.post_checks
-        texts.extend((serial[i], text) for i, text in shard.texts)
-        for i, name, f, names in shard.linked:
-            f = {n: Loc(serial[v.index]) if type(v) is Loc else v
-                 for n, v in f.items()}
-            texts.append((serial[i], object_text(name, f, names)))
-        valid.extend(serial[i] for i in shard.valid)
-    texts.sort(key=itemgetter(0))
-    return MinedBlock(sorted(edges), status,
-                      state_digest(texts, sorted(valid)), pre, post)
+        texts += shard.texts
+        valid += shard.valid
+    return MinedBlock(sorted(edges), status, state_digest(texts, valid),
+                      pre, post)
 
 
 def usable_cpus() -> int:
@@ -192,11 +137,12 @@ def run(program: ast.Program, block: Block,
         shards = min(usable_cpus(), 2 * work // blocksched.SHARD_MIN_WORK)
     else:
         shards = inline_shards
-    parts = _split(program, block, shards) if shards > 1 else None
+    parts = _split(block, shards) if shards > 1 else None
     if parts is None:
         return None
-    jobs = [([block.deploys[k] for k in dix], [block.txns[t] for t in tix])
-            for dix, tix in parts]
+    jobs = [(Block([block.deploys[k] for k in dix],
+                   [block.txns[t] for t in tix]),
+             blocksched._creators(block, dix, tix)) for dix, tix in parts]
     if inline_shards is None:
         runs = POOL.run(program, jobs)
     else:
@@ -228,14 +174,14 @@ def _serve(conn, program: ast.Program, inherited: list) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            sent, steps, deploys, txns = conn.recv()
+            sent, steps, *job = conn.recv()
         except (EOFError, OSError):
             return
         if sent is not None:
             program = sent
         blocksched.TXN_STEPS = steps  # this worker's copy of the module
         try:
-            conn.send(_run_shard_or_none(program, (deploys, txns)))
+            conn.send(_run_shard_or_none(program, job))
         except OSError:
             return
 

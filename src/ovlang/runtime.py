@@ -31,6 +31,12 @@ Every use of a receiver (field read, field write, call, `valid`, deduced
 `Machine._not_live`: R-NULL or E-DANGLING aborts the innermost
 transaction. A deduced `atomic` call or field write checks its receiver
 before its transaction begins, then goes on as the plain call or write.
+
+Each heap slot is named at allocation by its creator (`set_creator`) and a
+count of that creator's earlier allocations. The state hash spells objects,
+locations and the valid set through these names, so it does not depend on
+the order in which independent creators ran. A whole program is creator 0:
+its names are its heap indices.
 """
 from __future__ import annotations
 
@@ -47,6 +53,10 @@ from .ownership import OwnershipTree, substitute
 from .typecheck import ClassTable
 
 DEFAULT_FUEL = 1_000_000
+
+# A heap slot's name is its creator's number shifted left by NAME_BITS,
+# plus the count of slots that creator allocated before it
+NAME_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -163,31 +173,24 @@ def _serialize_value(v: Value) -> Any:
     return v
 
 
-def _value_text(v: Value) -> str:
+def _value_text(v: Value, names: list[int]) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Loc):
-        return f"l{v.index}"
+        return f"l{names[v.index]}"
     return "null"
 
 
-def object_text(class_name: str, fields: dict, names) -> str:
-    """A live object as the state hash spells it, without its location:
-    its class and its field values, in the declaration order `names`."""
-    body = ",".join([f"{name}={_value_text(fields.get(name))}"
-                     for name in names])
-    return f"{class_name}{{{body}}}"
-
-
-def state_digest(texts, valid) -> str:
-    """The state hash: SHA-256 over the live objects, as (location,
-    `object_text`) pairs in location order, then the valid set in
-    ascending order. `Machine.state_hash` and the merge of a block run in
-    regions (blocksched) both hash through here."""
-    blob = "".join([f"l{i}={text};" for i, text in texts]) + "|valid=" + \
-        ",".join(map(str, valid))
+def state_digest(texts: list, valid: list) -> str:
+    """The state hash: SHA-256 over the live objects' texts
+    (`Machine.object_texts`) in name order, then the names of the valid
+    set in ascending order. Both come in any order. `Machine.state_hash`
+    and the merge of a block run in regions both hash through here."""
+    texts = sorted(texts, key=operator.itemgetter(0))
+    blob = "".join([text for _name, text in texts]) + "|valid=" + \
+        ",".join(map(str, sorted(valid)))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -202,6 +205,9 @@ class Machine:
         self.heap: list[Optional[ObjectRec]] = []
         # the one Loc of each heap slot, made at allocation
         self.locs: list[Loc] = []
+        # the name of each heap slot, fixed at allocation (`set_creator`)
+        self.names: list[int] = []
+        self.next_name = 0
         self.sigma: set[int] = set()
         # membership changes to sigma, as (loc, added), since the outermost
         # begin; one log serves every thread, since alpha admits one thread
@@ -643,17 +649,33 @@ class Machine:
                 f.name for _cls, f in self.table.fields_of(class_name))
         return names
 
-    def live_objects(self) -> list[tuple[int, str, dict]]:
-        """(location, class name, fields) of each live object, in location
-        order."""
-        return [(i, obj.class_name, obj.fields)
-                for i, obj in enumerate(self.heap) if obj is not None]
+    def set_creator(self, creator: int) -> None:
+        """Name the slots allocated from now on as the creator numbered
+        `creator`: see NAME_BITS. A machine starts as creator 0, so a whole
+        program's slots are named by their heap indices."""
+        self.next_name = creator << NAME_BITS
+
+    def object_texts(self) -> list[tuple[int, str]]:
+        """(name, text) of each live object, in heap order. The text is
+        `l<name>=`, the object's class and its field values in declaration
+        order, with a location spelled as its slot's name."""
+        names = self.names
+        out = []
+        for i, obj in enumerate(self.heap):
+            if obj is not None:
+                body = ",".join([f"{f}={_value_text(obj.fields.get(f), names)}"
+                                 for f in self.field_names(obj.class_name)])
+                text = f"l{names[i]}={obj.class_name}{{{body}}};"
+                out.append((names[i], text))
+        return out
+
+    def valid_names(self) -> list[int]:
+        """The names of the valid set's slots, in no order."""
+        names = self.names
+        return [names[i] for i in self.sigma]
 
     def state_hash(self) -> str:
-        return state_digest(
-            [(i, object_text(name, fields, self.field_names(name)))
-             for i, name, fields in self.live_objects()],
-            sorted(self.sigma))
+        return state_digest(self.object_texts(), self.valid_names())
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:
@@ -829,6 +851,8 @@ class Machine:
         self.heap.append(ObjectRec(typ.name, resolved,
                                    self._default_fields(typ.name)))
         self.locs.append(this)
+        self.names.append(self.next_name)
+        self.next_name += 1
         self.tree.add(loc, owner)
         fv = self._begin(t, "ctor", Contract(CtxBot(), CtxLoc(loc)))
         assert fv is None  # bot validity: the start set is empty

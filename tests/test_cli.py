@@ -336,6 +336,20 @@ class TestSimulate:
         assert main(["simulate", BANK, str(blk)]) == 2
         assert "unknown block fields: workers" in capsys.readouterr().err
 
+    def test_deploy_that_breaks_a_where_constraint(self, capsys, tmp_path):
+        # a deploy binds p to top, as `new Cell<top,top>` would, which the
+        # checker rejects too
+        src = tmp_path / "cell.ov"
+        src.write_text("class Cell[o, p] where p <= this {\n"
+                       "    int v = 0;\n}\n")
+        blk = tmp_path / "b.json"
+        blk.write_text(json.dumps({"deploy": [{"id": "c", "class": "Cell"}],
+                                   "txns": []}))
+        assert main(["simulate", str(src), str(blk)]) == 2
+        err = capsys.readouterr().err
+        assert ("deploy c: Cell<top,top> violates the constraint p <= this"
+                in err)
+
     def test_workers_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", BANK, CONFLICT, "--workers", "2"])

@@ -814,7 +814,8 @@ class Probe[o, p] {
         # a deduced atomic in a block transaction calls the inherited method
         begun, _ = self._spy(monkeypatch, m)
         [poke] = blocksched._bind_scts(m, {"h": h.index},
-                                       [{"target": "h", "method": "poke"}])
+                                       [{"target": "h", "method": "poke"}],
+                                       [1])
         assert blocksched._execute_sct(m, poke) == "committed"
         assert begun == [("txn", Contract(CtxLoc(h.index), CtxLoc(h.index))),
                          ("txn", want_s)]
@@ -823,7 +824,7 @@ class Probe[o, p] {
         scts = blocksched._bind_scts(
             m, {"s": s.index, "t": t.index},
             [{"target": "s", "method": "touch"},
-             {"target": "t", "method": "touch"}])
+             {"target": "t", "method": "touch"}], [2, 3])
         assert [x.contract for x in scts] == [want_s, want_t]
         assert scts[0].contract is m.heap[s.index].contracts[id(touch)]
         assert m.heap[t.index].contracts[id(touch)] == fresh(t.index)
