@@ -182,6 +182,15 @@ class Const(Expr):
         return str(self.value)
 
 
+def default_init(ty: TypeExpr) -> Const:
+    """The value a field or local of type ty holds before any assignment."""
+    if isinstance(ty, IntType):
+        return Const(0)
+    if isinstance(ty, BoolType):
+        return Const(False)
+    return Const(None)
+
+
 @dataclass
 class Var(Expr):
     name: str = ""

@@ -48,13 +48,10 @@ SHARD_MIN_WORK = 200
 
 @dataclass
 class Sct:
-    index: int
-    target: str
     method: str
     args: list
     loc: int = -1
     contract: Optional[Contract] = None
-    status: str = "pending"
     creator: int = 0  # names the heap slots its execution allocates
 
 
@@ -212,23 +209,17 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
-    # class name -> (top-owned type, constructor arity), once per class
-    classes: dict[str, tuple[ast.ClassType, int]] = {}
     for d, creator in zip(deploys, creators):
         cname = d["class"]
-        known = classes.get(cname)
-        if known is None:
-            decl = machine.table.get(cname)
-            if decl is None:
-                raise ValueError(f"deploy {d['id']}: unknown class {cname}")
-            typ = ast.ClassType(cname, [CtxTop()] * len(decl.ctx_params))
-            for c in decl.constraints:
-                if not _deploy_keeps(c):
-                    raise ValueError(f"deploy {d['id']}: {typ} violates the "
-                                     f"constraint {c} of {cname}")
-            ctor = machine.table.ctor_of(cname)
-            known = classes[cname] = (typ, len(ctor.params) if ctor else 0)
-        typ, expected = known
+        info = machine.table.info(cname)
+        if info is None:
+            raise ValueError(f"deploy {d['id']}: unknown class {cname}")
+        typ = ast.ClassType(cname, [CtxTop()] * len(info.decl.ctx_params))
+        for c in info.decl.constraints:
+            if not _deploy_keeps(c):
+                raise ValueError(f"deploy {d['id']}: {typ} violates the "
+                                 f"constraint {c} of {cname}")
+        expected = len(info.ctor.params) if info.ctor else 0
         args = d.get("args", [])
         if len(args) != expected:
             raise ValueError(
@@ -263,8 +254,8 @@ def _bind_scts(machine: Machine, targets: dict, txns: list,
             raise OvError("E-TARGET",
                           f"txn {i}: {t['method']} takes {len(m.params)} "
                           f"arguments, got {len(args)}")
-        scts.append(Sct(index=i, target=t["target"], method=t["method"],
-                        args=list(args), loc=loc, creator=creator,
+        scts.append(Sct(method=t["method"], args=list(args), loc=loc,
+                        creator=creator,
                         contract=machine._method_contract(obj, loc,
                                                           owner_cls, m)))
     return scts
@@ -318,9 +309,10 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
 def _execute(machine: Machine, scts: list[Sct],
              order: Iterable[int]) -> list[str]:
     """Run the transactions one at a time in `order`; statuses by index."""
+    status = [""] * len(scts)
     for i in order:
-        scts[i].status = _execute_sct(machine, scts[i])
-    return [s.status for s in scts]
+        status[i] = _execute_sct(machine, scts[i])
+    return status
 
 
 def mine_block(program: ast.Program, block: Block) -> MinedBlock:

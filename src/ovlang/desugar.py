@@ -267,7 +267,7 @@ def desugar(p: ast.Program) -> ast.Program:
     classes: list[ast.ClassDecl] = []
     table = ClassTable(p)
     for cls in p.classes:
-        fields = {f.name for _cls, f in table.fields_of(cls.name)}
+        fields = set(table.info(cls.name).field_names)
         new_fields = [
             ast.FieldDecl(f.type, f.name,
                           _lower_body(f.init, fields, []) if f.init is not None else None,

@@ -257,7 +257,7 @@ class Parser:
         if self.starts_local_decl():
             ty = self.type_expr()
             name = self.ident("variable name")
-            init = self.assign() if self.accept("=") else default_init(ty)
+            init = self.assign() if self.accept("=") else ast.default_init(ty)
             self.expect(";")
             return ast.Let(name, ty, init, line=line, col=col)
         e = self.assign()
@@ -448,14 +448,6 @@ _PRIMARY = {
     "emit": Parser._emit,
     "id": Parser._name,
 }
-
-
-def default_init(ty: ast.TypeExpr) -> ast.Expr:
-    if isinstance(ty, ast.IntType):
-        return ast.Const(0)
-    if isinstance(ty, ast.BoolType):
-        return ast.Const(False)
-    return ast.Const(None)
 
 
 def parse_program(src: str) -> tuple[ast.Program, Diagnostics]:

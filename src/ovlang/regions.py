@@ -15,8 +15,8 @@ numbers: one shard in this process, the others in worker processes
 (`_Pool`). Each shard thus names its heap slots as one process does and
 spells its own objects; `merge` only concatenates the shards' outputs and
 sorts them. A block whose regions may meet, a shard
-that raises, a dead worker, a process with other threads and a host with
-one usable CPU all fall back to one process.
+that raises, a dead worker, a platform without fork, a process with other
+threads and a host with one usable CPU all fall back to one process.
 
 blocksched imports this module on the first block of at least
 `blocksched.SHARD_MIN_WORK` deploys plus transactions, and this module
@@ -125,28 +125,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run(program: ast.Program, block: Block,
-        inline_shards: Optional[int] = None) -> Optional[MinedBlock]:
+def run(program: ast.Program, block: Block) -> Optional[MinedBlock]:
     """The block's output from its regions run in parallel, or None when
-    it must run in one process (see the module docstring). Tests pass
-    `inline_shards` to run that many shards one after another in this
-    process, whatever the block's size."""
-    if inline_shards is None:
-        # each shard gets at least half of SHARD_MIN_WORK
-        work = len(block.deploys) + len(block.txns)
-        shards = min(usable_cpus(), 2 * work // blocksched.SHARD_MIN_WORK)
-    else:
-        shards = inline_shards
+    it must run in one process (see the module docstring)."""
+    # each shard gets at least half of SHARD_MIN_WORK
+    work = len(block.deploys) + len(block.txns)
+    shards = min(usable_cpus(), 2 * work // blocksched.SHARD_MIN_WORK)
     parts = _split(block, shards) if shards > 1 else None
     if parts is None:
         return None
     jobs = [(Block([block.deploys[k] for k in dix],
                    [block.txns[t] for t in tix]),
              blocksched._creators(block, dix, tix)) for dix, tix in parts]
-    if inline_shards is None:
-        runs = POOL.run(program, jobs)
-    else:
-        runs = [_run_shard_or_none(program, job) for job in jobs]
+    runs = POOL.run(program, jobs)
     if runs is None or None in runs:
         return None
     return merge(block, parts, runs)
@@ -233,10 +224,10 @@ class _Pool:
 
     def run(self, program: ast.Program, jobs: list) -> Optional[list]:
         """jobs[0] run here and the others on workers; their runs, or None
-        when the block must run in one process: this process has other
-        threads, which make forking it unsafe, or a worker could not start
-        or died."""
-        if threading.active_count() > 1:
+        when the block must run in one process: the platform has no fork
+        (Windows), this process has other threads, which make forking it
+        unsafe, or a worker could not start or died."""
+        if not hasattr(os, "fork") or threading.active_count() > 1:
             return None
         done = False
         try:

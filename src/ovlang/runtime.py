@@ -18,10 +18,13 @@ value goes to the rule `_KONT_RULES` maps the innermost continuation's tag
 to. Both tables are built once, below the Machine class; a node class or
 tag with no rule is E-STUCK. Invariant clauses are evaluated apart from
 the step function, through a third table, `_PURE_RULES`; a node class
-with no rule there makes the invariant false. Class metadata (superclass
-chains, fields, method lookups, default field values, invariant clauses)
-is worked out once per class and kept; an object's context arguments at a
-superclass come from the class table's one walk, `ClassTable.views`. What
+with no rule there makes the invariant false. What the runtime reads of a
+class (fields, method lookups, constructor, invariant clauses) comes from
+the class table's one record per class, `ClassTable.info`; the machine
+keeps only what allocation needs, the default field values and the
+constructor with its field initialisers, once per class (`_alloc`). An
+object's context arguments at a superclass come from the class table's
+one walk, `ClassTable.views`. What
 depends only on an object, which is fixed at its allocation, is kept on
 the object: its `Loc`, its context bindings, and each method contract and
 `atomic` contract resolved against it.
@@ -227,43 +230,28 @@ class Machine:
         self.events: list[dict] = []
         self.failures: list[dict] = []
         self.steps = 0
-        self._ctor_exprs: dict[str, ast.Expr] = {}
-        self._field_defaults: dict[str, dict[str, Value]] = {}
-        self._field_names: dict[str, tuple[str, ...]] = {}
-        self._invariants: dict[str, tuple[ast.Expr, ...]] = {}
+        # class name -> (default field values, constructor expression)
+        self._allocs: dict[str, tuple[dict[str, Value], ast.Expr]] = {}
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _ctor_expr(self, class_name: str) -> ast.Expr:
-        cached = self._ctor_exprs.get(class_name)
-        if cached is not None:
-            return cached
-        stmts: list[ast.Expr] = []
-        for cls, f in self.table.fields_of(class_name):
-            if f.init is not None:
-                stmts.append(ast.FieldSet(ast.This(), f.name, f.init))
-        ctor = self.table.ctor_of(class_name)
-        stmts.append(ctor.body if ctor is not None else ast.Const(None))
-        expr = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            expr = ast.Seq(s, expr)
-        self._ctor_exprs[class_name] = expr
-        return expr
-
-    def _default_fields(self, class_name: str) -> dict:
-        """A fresh copy of the class's default field values."""
-        template = self._field_defaults.get(class_name)
-        if template is None:
-            template = self._field_defaults[class_name] = {}
-            for _cls, f in self.table.fields_of(class_name):
-                if isinstance(f.type, ast.BoolType):
-                    template[f.name] = False
-                elif isinstance(f.type, ast.IntType):
-                    template[f.name] = 0
-                else:
-                    template[f.name] = None
-        return dict(template)
+    def _alloc(self, class_name: str) -> tuple[dict[str, Value], ast.Expr]:
+        """What allocating the class needs, worked out once per class: its
+        default field values, for the caller to copy, and its constructor
+        body with the field initialisers run first."""
+        hit = self._allocs.get(class_name)
+        if hit is None:
+            info = self.table.info(class_name)
+            defaults = {f.name: ast.default_init(f.type).value
+                        for f in info.fields}
+            expr = info.ctor.body if info.ctor is not None else ast.Const(None)
+            for f in reversed(info.fields):
+                if f.init is not None:
+                    expr = ast.Seq(ast.FieldSet(ast.This(), f.name, f.init),
+                                   expr)
+            hit = self._allocs[class_name] = (defaults, expr)
+        return hit
 
     def _ctx_bindings(self, obj: ObjectRec) -> dict:
         """Parameter name -> runtime context, across the object's classes
@@ -338,23 +326,13 @@ class Machine:
             return set() if low is None else self.tree.runtime_subtree(low)
         return self.tree.runtime_subtree(k1) & self.tree.runtime_subtree(k2)
 
-    def _invariant_clauses(self, class_name: str) -> tuple[ast.Expr, ...]:
-        """The invariant clauses of a class and its superclasses, nearest
-        class first, collected once per class."""
-        clauses = self._invariants.get(class_name)
-        if clauses is None:
-            clauses = self._invariants[class_name] = tuple(
-                clause for cls in self.table.chain(class_name)
-                for clause in cls.invariants)
-        return clauses
-
     def eval_invariant(self, loc: int) -> bool:
         self.invariant_evals += 1
         obj = self.heap[loc]
         if obj is None:
             return False
         try:
-            for clause in self._invariant_clauses(obj.class_name):
+            for clause in self.table.info(obj.class_name).invariants:
                 if self._eval_pure(clause, loc) is not True:
                     return False
         except _InvFail:
@@ -640,15 +618,6 @@ class Machine:
             self.steps += steps
         return t.control[1]
 
-    def field_names(self, class_name: str) -> tuple[str, ...]:
-        """The class's field names in declaration order, superclass fields
-        first; listed once per class."""
-        names = self._field_names.get(class_name)
-        if names is None:
-            names = self._field_names[class_name] = tuple(
-                f.name for _cls, f in self.table.fields_of(class_name))
-        return names
-
     def set_creator(self, creator: int) -> None:
         """Name the slots allocated from now on as the creator numbered
         `creator`: see NAME_BITS. A machine starts as creator 0, so a whole
@@ -660,11 +629,12 @@ class Machine:
         `l<name>=`, the object's class and its field values in declaration
         order, with a location spelled as its slot's name."""
         names = self.names
+        info = self.table.info
         out = []
         for i, obj in enumerate(self.heap):
             if obj is not None:
                 body = ",".join([f"{f}={_value_text(obj.fields.get(f), names)}"
-                                 for f in self.field_names(obj.class_name)])
+                                 for f in info(obj.class_name).field_names])
                 text = f"l{names[i]}={obj.class_name}{{{body}}};"
                 out.append((names[i], text))
         return out
@@ -833,8 +803,8 @@ class Machine:
 
     def _do_new(self, t: Thread, typ: ast.ClassType, args: list,
                 node: ast.Expr) -> None:
-        decl = self.table.get(typ.name)
-        if decl is None or len(typ.args) != len(decl.ctx_params):
+        info = self.table.info(typ.name)
+        if info is None or len(typ.args) != len(info.decl.ctx_params):
             raise OvError("E-STUCK", f"cannot instantiate {typ}",
                           node.line, node.col)
         resolved = [self._resolve_ctx(a, t.env) for a in typ.args]
@@ -848,8 +818,8 @@ class Machine:
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
-        self.heap.append(ObjectRec(typ.name, resolved,
-                                   self._default_fields(typ.name)))
+        defaults, body = self._alloc(typ.name)
+        self.heap.append(ObjectRec(typ.name, resolved, dict(defaults)))
         self.locs.append(this)
         self.names.append(self.next_name)
         self.next_name += 1
@@ -859,17 +829,16 @@ class Machine:
         frame = t.frames[-1]
         frame.created.append(loc)
         frame.created_set.add(loc)
-        ctor = self.table.ctor_of(typ.name)
-        params = ctor.params if ctor is not None else []
+        params = info.ctor.params if info.ctor is not None else []
         if len(args) != len(params):
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
                           node.line, node.col)
         t.konts.append(("ctor", t.env, loc))
-        env = {"this": this, "#ctx": dict(zip(decl.ctx_params, resolved))}
+        env = {"this": this, "#ctx": dict(zip(info.decl.ctx_params, resolved))}
         for p, v in zip(params, args):
             env[p.name] = v
         t.env = env
-        t.control = ("expr", self._ctor_expr(typ.name))
+        t.control = ("expr", body)
 
     def _emit(self, t: Thread, name: str, args: list) -> None:
         frame = t.frames[-1]

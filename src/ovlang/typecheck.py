@@ -32,23 +32,73 @@ Member = tuple[ast.ClassDecl, Union[ast.FieldDecl, ast.MethodDecl],
                list[Context]]
 
 
+class ClassInfo:
+    """What the checker, the runtime and deploys read of one class, worked
+    out once from one superclass walk: the class and its superclasses,
+    nearest first, with a cycle cut where the walk meets a class it has
+    passed (`cyclic` says whether that class was this one); the fields,
+    superclass fields first; each field and method name's nearest
+    declaration, the first of that name in declaration order, as
+    (class, declaration); the constructor; and the invariant clauses,
+    nearest class first. Callers share it and must not change it."""
+
+    __slots__ = ("decl", "chain", "cyclic", "fields", "field_names",
+                 "field_of", "method_of", "ctor", "invariants")
+
+    def __init__(self, table: "ClassTable", decl: ast.ClassDecl):
+        chain: list[ast.ClassDecl] = []
+        seen: set[str] = set()
+        cur: Optional[ast.ClassDecl] = decl
+        while cur is not None and cur.name not in seen:
+            seen.add(cur.name)
+            chain.append(cur)
+            cur = table.get(cur.superclass.name) if cur.superclass else None
+        self.decl = decl
+        self.chain = tuple(chain)
+        self.cyclic = cur is decl
+        fields: list[ast.FieldDecl] = []
+        invariants: list[ast.Expr] = []
+        field_of: dict[str, tuple[ast.ClassDecl, ast.FieldDecl]] = {}
+        method_of: dict[str, tuple[ast.ClassDecl, ast.MethodDecl]] = {}
+        for cls in chain:
+            fields[:0] = cls.fields
+            invariants += cls.invariants
+            for f in cls.fields:
+                field_of.setdefault(f.name, (cls, f))
+            for m in cls.methods:
+                method_of.setdefault(m.name, (cls, m))
+        self.fields = tuple(fields)
+        self.field_names = tuple([f.name for f in fields])
+        self.field_of = field_of
+        self.method_of = method_of
+        self.ctor = decl.ctors[0] if decl.ctors else None
+        self.invariants = tuple(invariants)
+
+
 class ClassTable:
-    """Classes by name with superclass-chain lookups. Each lookup is worked
-    out once per class (and method name) and kept; results are tuples, so
-    no caller can change what later callers see."""
+    """Classes by name, the first declaration of each, and one record of
+    each (`info`), built on first use. `views`, `args_at`, `find_field` and
+    `find_method` take the name of a declared class."""
 
     def __init__(self, program: ast.Program):
-        self.program = program
         self.classes: dict[str, ast.ClassDecl] = {}
         for c in program.classes:
             self.classes.setdefault(c.name, c)
-        self._chains: dict[str, tuple[ast.ClassDecl, ...]] = {}
-        self._fields: dict[str, tuple[tuple[ast.ClassDecl, ast.FieldDecl], ...]] = {}
-        self._methods: dict[tuple[str, str],
-                            Optional[tuple[ast.ClassDecl, ast.MethodDecl]]] = {}
+        self._infos: dict[str, ClassInfo] = {}
 
     def get(self, name: str) -> Optional[ast.ClassDecl]:
         return self.classes.get(name)
+
+    def info(self, name: str) -> Optional[ClassInfo]:
+        """The record of the class called name, or None when there is no
+        such class."""
+        hit = self._infos.get(name)
+        if hit is None:
+            decl = self.classes.get(name)
+            if decl is None:
+                return None
+            hit = self._infos[name] = ClassInfo(self, decl)
+        return hit
 
     def of_type(self, t: ast.ClassType) -> Optional[ast.ClassDecl]:
         """The class of t, or None when it is unknown or t has the wrong
@@ -59,33 +109,15 @@ class ClassTable:
             return None
         return decl
 
-    def chain(self, name: str) -> tuple[ast.ClassDecl, ...]:
-        """The class and its superclasses, nearest first; cycles cut off."""
-        hit = self._chains.get(name)
-        if hit is None:
-            hit = self._chains[name] = self._walk(name)
-        return hit
-
-    def _walk(self, name: str) -> tuple[ast.ClassDecl, ...]:
-        """The superclass walk behind `chain`, uncached."""
-        out: list[ast.ClassDecl] = []
-        seen: set[str] = set()
-        cur = self.get(name)
-        while cur is not None and cur.name not in seen:
-            seen.add(cur.name)
-            out.append(cur)
-            cur = self.get(cur.superclass.name) if cur.superclass else None
-        return tuple(out)
-
     def views(self, name: str, args: list[Context], this_image: Context
               ) -> Iterator[tuple[ast.ClassDecl, list[Context]]]:
         """The class type name<args> seen at its class and at each
         superclass: yields (class, context arguments) pairs, nearest
         first. A superclass's arguments are its `extends` clause with args
         for the class's parameters and this_image for this. This is the
-        one superclass walk with arguments; it follows `chain` and stops
-        after an arity mismatch."""
-        for cls in self.chain(name):
+        one superclass walk with arguments; it follows the record's chain
+        and stops after an arity mismatch."""
+        for cls in self.info(name).chain:
             yield cls, args
             if cls.superclass is None or len(cls.ctx_params) != len(args):
                 return
@@ -103,36 +135,13 @@ class ClassTable:
                     return a
         return args
 
-    def fields_of(self, name: str
-                  ) -> tuple[tuple[ast.ClassDecl, ast.FieldDecl], ...]:
-        """Declaration order: superclass fields first."""
-        hit = self._fields.get(name)
-        if hit is None:
-            hit = self._fields[name] = tuple(
-                (cls, f) for cls in reversed(self.chain(name))
-                for f in cls.fields)
-        return hit
+    def find_field(self, name: str, fname: str
+                   ) -> Optional[tuple[ast.ClassDecl, ast.FieldDecl]]:
+        return self.info(name).field_of.get(fname)
 
-    def find_field(self, name: str, fname: str) -> Optional[tuple[ast.ClassDecl, ast.FieldDecl]]:
-        for cls in self.chain(name):
-            for f in cls.fields:
-                if f.name == fname:
-                    return cls, f
-        return None
-
-    def find_method(self, name: str, mname: str) -> Optional[tuple[ast.ClassDecl, ast.MethodDecl]]:
-        key = (name, mname)
-        if key not in self._methods:
-            self._methods[key] = next(
-                ((cls, m) for cls in self.chain(name) for m in cls.methods
-                 if m.name == mname), None)
-        return self._methods[key]
-
-    def ctor_of(self, name: str) -> Optional[ast.CtorDecl]:
-        cls = self.get(name)
-        if cls is not None and cls.ctors:
-            return cls.ctors[0]
-        return None
+    def find_method(self, name: str, mname: str
+                    ) -> Optional[tuple[ast.ClassDecl, ast.MethodDecl]]:
+        return self.info(name).method_of.get(mname)
 
 
 @dataclass
@@ -511,7 +520,7 @@ class Checker:
             self.diags.add("E-CTX-WF",
                            f"cannot create an object owned by {t.args[0]}",
                            e.line, e.col)
-        ctor = env.table.ctor_of(t.name)
+        ctor = env.table.info(t.name).ctor
         self._bind_args(env, e, f"{t.name} constructor",
                         ctor.params if ctor is not None else [], decl, t.args,
                         EXIST)
@@ -697,8 +706,8 @@ def check_method(checker: Checker, base: TypeEnv, cls: ast.ClassDecl,
         diags.add("E-CTX-WF", f"contract {m.contract} of {m.name} is not "
                   f"well formed", m.line, m.col)
     # overriding methods must declare the identical contract
-    hit = cls.superclass and checker.table.find_method(cls.superclass.name,
-                                                       m.name)
+    sup = cls.superclass and checker.table.info(cls.superclass.name)
+    hit = sup and sup.method_of.get(m.name)
     if hit:
         sm = hit[1]
         if sm.contract != m.contract:
@@ -740,15 +749,12 @@ def check_class(checker: Checker, cls: ast.ClassDecl) -> None:
                           f"constraint {c} mentions {side}, which is not "
                           f"declared", c.line, c.col)
     if cls.superclass is not None:
-        sup = table.get(cls.superclass.name)
-        if sup is None:
+        if table.get(cls.superclass.name) is None:
             diags.add("E-TYPE", f"unknown superclass {cls.superclass.name}",
                       cls.line, cls.col)
         else:
             check_type(base, cls.superclass, diags)
-            chain_names = [c.name for c in table.chain(cls.name)]
-            if len(chain_names) != len(set(chain_names)) or (
-                    sup.name == cls.name):
+            if table.info(cls.name).cyclic:
                 diags.add("E-TYPE", f"inheritance cycle at {cls.name}",
                           cls.line, cls.col)
     seen_fields: set[str] = set()

@@ -21,7 +21,7 @@ from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
 from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
 from ovlang.runtime import Machine
-from ovlang.typecheck import ClassTable
+from ovlang.typecheck import ClassInfo, ClassTable
 
 from conftest import CORPUS, ROOT, bench_module, check_clean
 from test_acceptance import ACCOUNT_SRC, CALLS, NEST_SRC, TOKEN_SRC
@@ -149,9 +149,9 @@ class TestConflictGraphOracle:
             hot = rng.sample(locs, rng.randrange(1, min(len(locs), 6) + 1))
             pool = ([TOP, BOT] * rng.randrange(0, 2)
                     + [BOT] + [CtxLoc(i) for i in hot] * 3)
-            scts = [Sct(index=i, target="", method="", args=[],
+            scts = [Sct(method="", args=[],
                         contract=Contract(rng.choice(pool), rng.choice(pool)))
-                    for i in range(rng.randrange(0, 25))]
+                    for _ in range(rng.randrange(0, 25))]
             want = all_pairs(scts, tree)
             assert build_conflict_graph(scts, tree) == want
             checked += len(want)
@@ -159,11 +159,9 @@ class TestConflictGraphOracle:
 
     def test_top_context_pairs_with_everyone(self):
         tree, _ = random_forest(random.Random(2))
-        scts = [Sct(index=i, target="", method="", args=[], contract=d)
-                for i, d in enumerate([Contract(CtxLoc(2), CtxLoc(2)),
-                                       Contract(TOP, BOT),
-                                       Contract(BOT, CtxLoc(0)),
-                                       Contract(CtxLoc(1), BOT)])]
+        scts = [Sct(method="", args=[], contract=d)
+                for d in [Contract(CtxLoc(2), CtxLoc(2)), Contract(TOP, BOT),
+                          Contract(BOT, CtxLoc(0)), Contract(CtxLoc(1), BOT)]]
         # the Top reader meets both writers but not the other reader
         assert build_conflict_graph(scts, tree) == all_pairs(scts, tree) == [
             (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
@@ -215,17 +213,17 @@ class TestLinearWork:
 
     def test_superclass_walks_once_per_class(self, monkeypatch):
         # a 500-account block evaluates thousands of invariants, looks up
-        # a method per call and lists fields per hash; each class's
-        # superclass chain must still be walked once per machine
+        # a method per call and lists fields per hash; each class's record,
+        # and so its superclass walk, must still be built once per machine
         walks = Counter()
-        walk = ClassTable._walk
+        build = ClassInfo.__init__
 
-        def counted(table, name):
-            walks[(table, name)] += 1
-            assert walks[(table, name)] <= 1, f"{name} walked twice"
-            return walk(table, name)
+        def counted(info, table, decl):
+            walks[(table, decl.name)] += 1
+            assert walks[(table, decl.name)] <= 1, f"{decl.name} walked twice"
+            build(info, table, decl)
 
-        monkeypatch.setattr(ClassTable, "_walk", counted)
+        monkeypatch.setattr(ClassInfo, "__init__", counted)
         txns = bank_txns(random.Random(7), 500)
         mined = mine_block(PROGRAM, block_of(accounts(500), txns))
         assert len(mined.status) == 500
@@ -355,7 +353,7 @@ class TestPinnedCounters:
         assert outputs(mined) == row
         assert validate_block(PROGRAM, mined, block).accepted
         # the sharded path, pinned on a host with one usable CPU too
-        sharded = regions.run(PROGRAM, block, inline_shards=2)
+        sharded = split_run(PROGRAM, block)
         if len(block.deploys) > 1:
             assert outputs(sharded) == row
         else:
@@ -629,7 +627,7 @@ class TestOnePath:
         assert mined.edges == [] and mined.status == ["committed"] * 2
         want = (mined.final_state_hash, mined.status)
         assert serial_execute(HOLDER, b, [1, 0]) == want
-        sharded = regions.run(HOLDER, b, inline_shards=2)
+        sharded = split_run(HOLDER, b)
         assert (sharded.final_state_hash, sharded.status) == want
 
     def test_contained_abort_leaves_the_txn_committed(self):
@@ -709,6 +707,27 @@ def fuzz_blocks(seed: int, count: int):
         yield parse_block({"deploy": deploys, "txns": txns})
 
 
+class InProcessPool:
+    """A stand-in for regions.POOL that runs every shard in this process,
+    one after another."""
+
+    def run(self, program, jobs):
+        return [regions._run_shard_or_none(program, job) for job in jobs]
+
+
+IN_PROCESS = InProcessPool()
+
+
+def split_run(program, block, shards=2, pool=IN_PROCESS):
+    """regions.run with `shards` usable CPUs and no size threshold, so that
+    any block with enough regions splits, its shards run by `pool`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "usable_cpus", lambda: shards)
+        mp.setattr(blocksched, "SHARD_MIN_WORK", 1)
+        mp.setattr(regions, "POOL", pool)
+        return regions.run(program, block)
+
+
 def two_cpus():
     if regions.usable_cpus() < 2:
         pytest.skip("one usable CPU: every block runs in one process")
@@ -760,21 +779,24 @@ class TestRegions:
     """A block split into regions, run shard by shard and merged, gives
     exactly what one process gives."""
 
-    def test_fuzzed_blocks_merge_to_the_serial_result(self):
-        merged = allocating = 0
-        for b in fuzz_blocks(2027, 1000):
+    def test_fuzzed_blocks_merge_to_the_serial_result(self, fresh_pool):
+        merged = allocating = on_workers = 0
+        for n, b in enumerate(fuzz_blocks(2027, 1000)):
             mined = mine_block(FUZZ_PROGRAM, b)
             assert serial_execute(FUZZ_PROGRAM, b) == (mined.final_state_hash,
                                                   mined.status)
+            # every fourth block goes through the worker pool
+            pool = fresh_pool if n % 4 == 0 else IN_PROCESS
             for shards in (2, 3):
-                got = regions.run(FUZZ_PROGRAM, b, inline_shards=shards)
+                got = split_run(FUZZ_PROGRAM, b, shards, pool)
                 if got is None:
                     assert len(b.deploys) == 1  # nothing to split
                     continue
                 assert outputs(got) == outputs(mined), (shards, b)
                 merged += 1
                 allocating += sum(t["method"] == "make" for t in b.txns) > 1
-        assert merged > 1400 and allocating > 200
+            on_workers += pool is fresh_pool and len(b.deploys) > 1
+        assert merged > 1400 and allocating > 200 and on_workers >= 100
 
     def test_aborted_allocation_and_contained_abort(self):
         holder = block_of([{"id": "h0", "class": "Holder"},
@@ -788,7 +810,7 @@ class TestRegions:
                           {"target": "p", "method": "go", "args": [0]}])
         for program, b in ((HOLDER, holder), (OUTER, outer)):
             mined = mine_block(program, b)
-            got = regions.run(program, b, inline_shards=2)
+            got = split_run(program, b)
             assert got is not None and outputs(got) == outputs(mined)
         assert mine_block(HOLDER, holder).status == [
             "aborted:R-REQUIRE", "committed", "committed"]
@@ -802,7 +824,7 @@ class TestRegions:
                       {"target": "a", "method": "deposit", "args": [3]}])
         mined = mine_block(program, b)
         assert mined.status[1] == "aborted:R-GAS"
-        got = regions.run(program, b, inline_shards=2)
+        got = split_run(program, b)
         assert got is not None and outputs(got) == outputs(mined)
 
     @pytest.mark.parametrize("program, txns", [
@@ -812,7 +834,7 @@ class TestRegions:
     def test_regions_that_may_meet_run_in_one_process(self, program, txns):
         b = block_of([{"id": "a", "class": "Cell"},
                       {"id": "b", "class": "Cell"}], txns)
-        assert regions.run(program, b, inline_shards=2) is None
+        assert split_run(program, b) is None
         mined = mine_block(program, b)
         assert serial_execute(program, b) == (mined.final_state_hash,
                                               mined.status)
@@ -836,7 +858,7 @@ class TestRegions:
                 for i in range(200)]
         self.FAULTS[fault](deploys, txns)
         b = block_of(deploys, txns)
-        assert regions.run(FAULT_PROGRAM, b, inline_shards=2) is None
+        assert split_run(FAULT_PROGRAM, b) is None
         with pytest.raises((OvError, ValueError)) as sharded:
             mine_block(FAULT_PROGRAM, b)
         with pytest.raises((OvError, ValueError)) as one:
@@ -929,6 +951,17 @@ class TestWorkers:
         n = blocksched.SHARD_MIN_WORK // 2 - 1
         b = block_of(accounts(n), bank_txns(random.Random(3), n))
         validate_block(PROGRAM, mine_block(PROGRAM, b), b)
+        assert multiprocessing.active_children() == []
+        assert fresh_pool.workers == []
+
+    def test_no_fork_runs_in_one_process(self, fresh_pool, monkeypatch):
+        # where there is no fork (Windows) a large block starts no worker
+        # and gives what one process gives
+        b = block_of(accounts(150), bank_txns(random.Random(11), 150))
+        want = outputs(one_process(PROGRAM, b))
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(regions, "usable_cpus", lambda: 2)
+        assert outputs(mine_block(PROGRAM, b)) == want
         assert multiprocessing.active_children() == []
         assert fresh_pool.workers == []
 

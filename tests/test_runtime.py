@@ -856,7 +856,7 @@ class Probe[o, p] {
 
     def test_atomic_in_a_constructor_resolves_fresh(self, monkeypatch):
         m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
-        [node] = _atomics(m.table.ctor_of("Probe").body)
+        [node] = _atomics(m.table.info("Probe").ctor.body)
         begun, fresh = self._spy(monkeypatch, m)
         locs = [_new(m, "Probe", CtxTop(), p).index
                 for p in (CtxTop(), CtxBot(), CtxTop())]

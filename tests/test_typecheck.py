@@ -505,6 +505,28 @@ class TestOneFaultOneDiagnostic:
         assert [(d.code, d.msg, d.line, d.col) for d in diags] == want
 
 
+class TestInheritanceCycles:
+    """Each class on an inheritance cycle of any length is reported once; a
+    class that only extends into a cycle is not."""
+
+    @pytest.mark.parametrize("src, want", [
+        ("class C[o] extends C<o> { }", [("C", 1)]),
+        ("class A[o] extends B<o> { }\nclass B[o] extends A<o> { }",
+         [("A", 1), ("B", 2)]),
+        ("class A[o] extends B<o> { int x; }\n"
+         "class B[o] extends C<o> { }\n"
+         "class C[o] extends A<o> { void m() <this,this> { x = 1; } }\n"
+         "class D[o] extends A<o> { }\n"
+         "main { D<top> d = new D<top>(); atomic d.m(); }",
+         [("A", 1), ("B", 2), ("C", 3)]),
+    ], ids=["self", "two", "three-and-a-tail"])
+    def test_every_class_on_the_cycle(self, src, want):
+        _, diags = compile_source(src)
+        assert [(d.code, d.msg, d.line, d.col) for d in diags] == [
+            ("E-TYPE", f"inheritance cycle at {name}", line, 1)
+            for name, line in want]
+
+
 class TestCheckerFaultFuzz:
     """Seeded mutations of the corpus that keep it parsing but break it for
     the checker: a context argument too many, an unknown name, a null or
