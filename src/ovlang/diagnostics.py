@@ -93,9 +93,6 @@ class Diagnostics:
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.items if d.is_error()]
 
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.items if not d.is_error()]
-
     def has_errors(self) -> bool:
         return any(d.is_error() for d in self.items)
 

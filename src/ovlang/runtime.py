@@ -21,13 +21,15 @@ the step function, through a third table, `_PURE_RULES`; a node class
 with no rule there makes the invariant false. What the runtime reads of a
 class (fields, method lookups, constructor, invariant clauses) comes from
 the class table's one record per class, `ClassTable.info`; the machine
-keeps only what allocation needs, the default field values and the
-constructor with its field initialisers, once per class (`_alloc`). An
-object's context arguments at a superclass come from the class table's
-one walk, `ClassTable.views`. What
-depends only on an object, which is fixed at its allocation, is kept on
-the object: its `Loc`, its context bindings, and each method contract and
-`atomic` contract resolved against it.
+keeps only what allocation needs, once per class (`_alloc`).
+
+A body declared in class C reads C's parameters as the object's arguments
+at C. At allocation an object gets one binding map per class on its
+chain, keyed by class name, from the class table's one walk,
+`ClassTable.views`; a method, a constructor and each class's field
+initialisers run with `#ctx` set to their own class's map. So what depends
+only on an object is fixed at its allocation and kept on it: its `Loc`,
+those maps, and each method and `atomic` contract resolved against it.
 
 Every use of a receiver (field read, field write, call, `valid`, deduced
 `atomic`) meets a null or removed receiver through one helper,
@@ -52,7 +54,7 @@ from typing import Any, Optional, Union
 from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
-from .ownership import OwnershipTree, substitute
+from .ownership import OwnershipTree
 from .typecheck import ClassTable
 
 DEFAULT_FUEL = 1_000_000
@@ -85,12 +87,13 @@ Value = Union[int, bool, None, Loc, FailureValue]
 class ObjectRec:
     __slots__ = ("class_name", "ctx_args", "fields", "bindings", "contracts")
 
-    def __init__(self, class_name: str, ctx_args: list, fields: dict):
+    def __init__(self, class_name: str, ctx_args: list, fields: dict,
+                 bindings: dict):
         self.class_name = class_name
         self.ctx_args = ctx_args  # runtime contexts, one per class parameter
         self.fields = fields
-        # Machine._ctx_bindings, kept: ctx_args never change after allocation
-        self.bindings: Optional[dict] = None
+        # class name -> {parameter: runtime context}, per class on the chain
+        self.bindings = bindings
         # id of a MethodDecl or Atomic node -> its contract resolved against
         # this object (Machine._method_contract, Machine._x_atomic); made on
         # first use. The nodes belong to Machine.program, which outlives it.
@@ -129,7 +132,7 @@ _STRICT = {"bind", "fget", "fset_recv", "fset_val", "call_recv",
 
 
 class Thread:
-    __slots__ = ("tid", "control", "env", "konts", "frames", "done", "failure")
+    __slots__ = ("tid", "control", "env", "konts", "frames", "done")
 
     def __init__(self, tid: int, expr: ast.Expr, env: dict):
         self.tid = tid
@@ -138,7 +141,6 @@ class Thread:
         self.konts: list[tuple] = []
         self.frames: list[Frame] = [ROOT_FRAME]
         self.done = False
-        self.failure: Optional[FailureValue] = None
 
 
 @dataclass
@@ -236,53 +238,49 @@ class Machine:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _alloc(self, class_name: str) -> tuple[dict[str, Value], ast.Expr]:
+    def _alloc(self, class_name: str) -> tuple[dict[str, Value], list]:
         """What allocating the class needs, worked out once per class: its
-        default field values, for the caller to copy, and its constructor
-        body with the field initialisers run first."""
+        default field values, for the caller to copy, and its construction
+        as (class name, body) parts, superclass first: each class's field
+        initialisers, the class's own followed by its constructor body."""
         hit = self._allocs.get(class_name)
         if hit is None:
             info = self.table.info(class_name)
             defaults = {f.name: ast.default_init(f.type).value
                         for f in info.fields}
+            parts = []
             expr = info.ctor.body if info.ctor is not None else ast.Const(None)
-            for f in reversed(info.fields):
-                if f.init is not None:
-                    expr = ast.Seq(ast.FieldSet(ast.This(), f.name, f.init),
-                                   expr)
-            hit = self._allocs[class_name] = (defaults, expr)
+            for cls in info.chain:
+                for f in reversed(cls.fields):
+                    if f.init is not None:
+                        init = ast.FieldSet(ast.This(), f.name, f.init)
+                        expr = init if expr is None else ast.Seq(init, expr)
+                if expr is not None:
+                    parts.append((cls.name, expr))
+                expr = None  # a superclass's part: its initialisers alone
+            hit = self._allocs[class_name] = (defaults, parts[::-1])
         return hit
 
-    def _ctx_bindings(self, obj: ObjectRec) -> dict:
-        """Parameter name -> runtime context, across the object's classes
-        (nearest declaration wins on a name collision), with the object's
-        owner for this in `extends` clauses. Computed once per object;
-        callers share the dict and must not change it."""
-        if obj.bindings is None:
-            args = obj.ctx_args
-            merged: dict = {}
-            for cls, a in reversed(list(
-                    self.table.views(obj.class_name, args, args[0]))):
-                merged.update(zip(cls.ctx_params, a))
-            obj.bindings = merged
-        return obj.bindings
+    def _body_env(self, obj: ObjectRec, loc: int, cls: ast.ClassDecl) -> dict:
+        """A fresh env for a body declared in cls, run on obj at loc."""
+        return {"this": self.locs[loc], "#ctx": obj.bindings.get(cls.name)}
 
     def _method_contract(self, obj: ObjectRec, loc: int,
                          owner_cls: ast.ClassDecl,
                          m: ast.MethodDecl) -> Contract:
-        """m's contract with the object's context arguments for the owner
-        class's parameters and l_loc for this: resolved once per (object,
-        method) and kept on the object."""
+        """m's contract as m's body reads it on obj at loc."""
+        return self._kept_contract(obj, m, self._body_env(obj, loc, owner_cls))
+
+    def _kept_contract(self, obj: ObjectRec, node, env: dict) -> Contract:
+        """node's contract (a method's or an atomic block's) in env, that of
+        a body on obj declaring node: its bindings are fixed at allocation,
+        so this is resolved once per (object, node) and kept on obj."""
         cache = obj.contracts
         if cache is None:
             cache = obj.contracts = {}
-        d = cache.get(id(m))
+        d = cache.get(id(node))
         if d is None:
-            args = obj.ctx_args
-            d = cache[id(m)] = substitute(
-                m.contract, owner_cls.ctx_params,
-                self.table.args_at(obj.class_name, args, args[0], owner_cls),
-                CtxLoc(loc))
+            d = cache[id(node)] = self._resolve_contract(node.contract, env)
         return d
 
     def _resolve_ctx(self, k, env: dict):
@@ -517,7 +515,6 @@ class Machine:
             thread.konts.clear()
             thread.control = ("val", fv)
             thread.done = True
-            thread.failure = fv
             self.failures.append({"code": fv.code, "msg": fv.msg,
                                   "thread": thread.tid})
             return
@@ -663,7 +660,6 @@ class Machine:
         if not t.konts:
             t.done = True
             if isinstance(x, FailureValue):
-                t.failure = x
                 self.failures.append({"code": x.code, "msg": x.msg,
                                       "thread": t.tid})
             return
@@ -740,17 +736,8 @@ class Machine:
         env = t.env
         this = env.get("this")
         obj = self.heap[this.index] if isinstance(this, Loc) else None
-        if obj is not None and obj.bindings is not None \
-                and env.get("#ctx") is obj.bindings:
-            # a method body: the contract depends only on the object
-            cache = obj.contracts
-            if cache is None:
-                cache = obj.contracts = {}
-            d = cache.get(id(e))
-            if d is None:
-                d = cache[id(e)] = self._resolve_contract(e.contract, env)
-        else:
-            d = self._resolve_contract(e.contract, env)
+        d = self._resolve_contract(e.contract, env) if obj is None \
+            else self._kept_contract(obj, e, env)
         fv = self._begin(t, "txn", d)
         if fv is not None:
             t.control = ("val", fv)
@@ -795,7 +782,7 @@ class Machine:
             raise OvError("E-STUCK", f"arity mismatch calling {method}",
                           node.line, node.col)
         t.konts.append(("ret", t.env, loc))
-        env = {"this": self.locs[loc], "#ctx": self._ctx_bindings(obj)}
+        env = self._body_env(obj, loc, owner_cls)
         for p, v in zip(m.params, args):
             env[p.name] = v
         t.env = env
@@ -818,8 +805,11 @@ class Machine:
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
-        defaults, body = self._alloc(typ.name)
-        self.heap.append(ObjectRec(typ.name, resolved, dict(defaults)))
+        defaults, parts = self._alloc(typ.name)
+        bindings = {cls.name: dict(zip(cls.ctx_params, a)) for cls, a
+                    in self.table.views(typ.name, resolved, owner_ctx)}
+        self.heap.append(ObjectRec(typ.name, resolved, dict(defaults),
+                                   bindings))
         self.locs.append(this)
         self.names.append(self.next_name)
         self.next_name += 1
@@ -834,7 +824,10 @@ class Machine:
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
                           node.line, node.col)
         t.konts.append(("ctor", t.env, loc))
-        env = {"this": this, "#ctx": dict(zip(info.decl.ctx_params, resolved))}
+        for name, body in parts[:0:-1]:
+            t.konts.append(("init", bindings.get(name), body))
+        name, body = parts[0]
+        env = {"this": this, "#ctx": bindings.get(name)}
         for p, v in zip(params, args):
             env[p.name] = v
         t.env = env
@@ -991,6 +984,12 @@ class Machine:
         t.env = k[1]
         t.control = ("val", v if fv is None else fv)
 
+    def _k_init(self, t: Thread, v: Value, k: tuple) -> None:
+        """The next class's part of a construction (`_alloc`), under its
+        bindings; v is None, from the previous part's last field write."""
+        t.env["#ctx"] = k[1]
+        t.control = ("expr", k[2])
+
     def _k_ctor(self, t: Thread, v: Value, k: tuple) -> None:
         fv = self._commit(t)
         t.env = k[1]
@@ -1072,6 +1071,7 @@ _KONT_RULES = {
     "emit": Machine._k_emit,
     "ret": Machine._k_ret,
     "commit": Machine._k_commit,
+    "init": Machine._k_init,
     "ctor": Machine._k_ctor,
     "atom_recv": Machine._k_atom_recv,
 }

@@ -748,6 +748,7 @@ def check_class(checker: Checker, cls: ast.ClassDecl) -> None:
                 diags.add("E-CTX-WF",
                           f"constraint {c} mentions {side}, which is not "
                           f"declared", c.line, c.col)
+    inherited: dict = {}  # field name -> (declaring superclass, field)
     if cls.superclass is not None:
         if table.get(cls.superclass.name) is None:
             diags.add("E-TYPE", f"unknown superclass {cls.superclass.name}",
@@ -757,10 +758,15 @@ def check_class(checker: Checker, cls: ast.ClassDecl) -> None:
             if table.info(cls.name).cyclic:
                 diags.add("E-TYPE", f"inheritance cycle at {cls.name}",
                           cls.line, cls.col)
+            else:
+                inherited = table.info(cls.superclass.name).field_of
     seen_fields: set[str] = set()
     for f in cls.fields:
         if f.name in seen_fields:
             diags.add("E-TYPE", f"duplicate field {f.name}", f.line, f.col)
+        elif f.name in inherited:
+            diags.add("E-TYPE", f"field {f.name} redeclares "
+                      f"{inherited[f.name][0].name}.{f.name}", f.line, f.col)
         seen_fields.add(f.name)
         check_type(base, f.type, diags)
     seen_methods: set[str] = set()

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched, ownership, regions, runtime
+from ovlang import ast, blocksched, regions
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
@@ -366,18 +366,19 @@ class TestPinnedCounters:
         # a transaction's contract and a deduced atomic's depend only on
         # the target object and the method: custody blocks call the same
         # few targets again and again, yet each (object, method) pair is
-        # substituted once per machine
+        # resolved once per machine
         calls = Counter()
+        resolve = Machine._resolve_contract
 
-        def counted(x, formals, actuals, this_image):
-            key = (id(x), str(this_image))
-            calls[key] += 1
-            assert calls[key] == 1, f"{x} substituted twice at {this_image}"
-            return ownership.substitute(x, formals, actuals, this_image)
+        def counted(machine, x, env):
+            out = resolve(machine, x, env)
+            if out is not x:  # a fresh resolution, not an already resolved x
+                key = (id(x), env.get("this"))
+                calls[key] += 1
+                assert calls[key] == 1, f"{x} resolved twice on {key[1]}"
+            return out
 
-        monkeypatch.setattr(runtime, "substitute", counted)
-        # where a caller imported the function itself
-        monkeypatch.setattr(blocksched, "substitute", counted, raising=False)
+        monkeypatch.setattr(Machine, "_resolve_contract", counted)
         machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
         _execute(machine, scts, range(len(scts)))
         assert sum(calls.values()) >= len({s.loc for s in scts})

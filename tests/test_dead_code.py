@@ -7,7 +7,9 @@ the check is by name: a method is live when any `.name` in the package
 could reach it. Dunder methods are called by Python itself and are not
 checked."""
 import ast
+import re
 from collections import Counter
+from pathlib import Path
 
 from conftest import ROOT
 
@@ -18,7 +20,6 @@ ALLOWED = {
     "serial_execute": "the serial oracle of the block tests",
     "OwnershipTree.runtime_inside": "bench/tracer.py's inside-calls hook",
     "Diagnostics.errors": "the tests' view of a check's errors",
-    "Diagnostics.warnings": "the tests' view of a check's warnings",
     "Diagnostics.codes": "the tests' view of a check's codes",
 }
 
@@ -72,3 +73,16 @@ def test_every_definition_has_a_user():
 def test_allowed_names_are_still_unreferenced():
     # a name the package uses again leaves the list
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def test_allowed_names_have_an_outside_user():
+    # an entry whose user outside the package is gone leaves the list too:
+    # its name occurs as a word in a file under tests/ or bench/ other
+    # than this one
+    texts = [p.read_text(encoding="utf-8")
+             for d in ("tests", "bench") for p in (ROOT / d).rglob("*.py")
+             if p != Path(__file__)]
+    unused = [qual for qual in ALLOWED
+              if not any(re.search(rf"\b{qual.split('.')[-1]}\b", text)
+                         for text in texts)]
+    assert unused == []

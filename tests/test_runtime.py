@@ -1,4 +1,5 @@
 """Transactional interpreter: counters, rollback, failure flow, reports."""
+import copy
 import json
 import random
 
@@ -11,6 +12,7 @@ from ovlang.diagnostics import OvError
 from ovlang.ownership import substitute
 from ovlang.parser import parse_program
 from ovlang.runtime import FailureValue, Loc, Machine, Thread
+from ovlang.typecheck import check_program
 
 from conftest import (CORPUS, POSITIVE_FILES, RUNNABLE_FILES, check_clean,
                       run_source)
@@ -626,14 +628,24 @@ class TestRuleTables:
         assert exc.value.code == "E-STUCK"
 
     # what the corpus mains and blocks do not do: assign a declared
-    # variable, test validity, write through a deduced atomic
+    # variable, test validity, write through a deduced atomic, construct
+    # a class whose superclass has a field initialiser
     REST = CELL + """\
+class Tally[o] {
+    Cell<o> c = new Cell<o>();
+}
+
+class Counted[p] extends Tally<p> {
+    int n = 1;
+}
+
 main {
     Cell<top> c = new Cell<top>();
     int x = 1;
     x = 2;
     require(valid c);
     atomic c.v = x;
+    Counted<top> k = new Counted<top>();
 }
 """
 
@@ -835,7 +847,8 @@ class Probe[o, p] {
         m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
         a = _new(m, "Probe", CtxTop(), CtxTop())
         b = _new(m, "Probe", CtxTop(), CtxBot())
-        [node] = _atomics(m.table.find_method("Probe", "run")[1].body)
+        run = m.table.find_method("Probe", "run")[1]
+        [node] = _atomics(run.body)
         begun, fresh = self._spy(monkeypatch, m)
         call = ast.Atomic(contract=None, deduced=True,
                           body=ast.Call(ast.Var("x"), "run", []))
@@ -846,29 +859,188 @@ class Probe[o, p] {
                 b.index: Contract(CtxBot(), CtxLoc(b.index))}
         for loc, d in want.items():
             assert m.heap[loc].contracts[id(node)] == d
+            assert m.heap[loc].contracts[id(run)] == d
             assert m.heap[loc].fields["n"] == 4
-        # the block resolves once per object, not once per run
-        assert fresh == [(node.contract, want[a.index]),
+        # the block resolves once per object, not once per run, and so
+        # does run's own contract, through the same resolution, first
+        assert fresh == [(run.contract, want[a.index]),
+                         (node.contract, want[a.index]),
+                         (run.contract, want[b.index]),
                          (node.contract, want[b.index])]
         # run's own contract is <p,this> as well: each run begins it twice
         assert begun == 3 * ([("txn", want[a.index])] * 2
                              + [("txn", want[b.index])] * 2)
 
-    def test_atomic_in_a_constructor_resolves_fresh(self, monkeypatch):
+    def test_atomic_in_a_constructor_resolves_once_per_object(
+            self, monkeypatch):
         m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
         [node] = _atomics(m.table.info("Probe").ctor.body)
         begun, fresh = self._spy(monkeypatch, m)
         locs = [_new(m, "Probe", CtxTop(), p).index
                 for p in (CtxTop(), CtxBot(), CtxTop())]
-        # a constructor's env is not its object's method bindings: each
-        # run resolves the block anew and keeps nothing on the object
-        assert fresh == [(node.contract, Contract(CtxBot(), CtxLoc(loc)))
-                         for loc in locs]
-        assert [d for kind, d in begun if kind == "txn"] == [
-            Contract(CtxBot(), CtxLoc(loc)) for loc in locs]
-        for loc in locs:
-            assert m.heap[loc].contracts is None
-            assert m.heap[loc].fields["n"] == 1
+        # a constructor reads its class's bindings on its object, as a
+        # method does: each object resolves the block once and keeps it
+        want = [Contract(CtxBot(), CtxLoc(loc)) for loc in locs]
+        assert fresh == [(node.contract, d) for d in want]
+        assert [d for kind, d in begun if kind == "txn"] == want
+        for loc, d in zip(locs, want):
+            obj = m.heap[loc]
+            assert obj.contracts == {id(node): d}
+            # what is kept equals a fresh resolution
+            assert m._resolve_contract(node.contract, {
+                "this": m.locs[loc], "#ctx": obj.bindings["Probe"]}) == d
+            assert obj.fields["n"] == 1
+
+
+def _ctx_params(x, found: dict) -> dict:
+    """The CtxParam nodes under x, by id, each once."""
+    if isinstance(x, ast.CtxParam):
+        found[id(x)] = x
+    elif isinstance(x, ast.Node):
+        for v in vars(x).values():
+            _ctx_params(v, found)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            _ctx_params(v, found)
+    return found
+
+
+def _alpha_renamed(src: str, index: int, rename) -> ast.Program:
+    """The desugared program of src with the context parameters of its
+    class at index renamed, in the class's parameter list and in every
+    CtxParam inside the class; rename maps the list to the new names."""
+    core = desugar(parse_program(src)[0])
+    cls = copy.deepcopy(core.classes[index])
+    names = dict(zip(cls.ctx_params, rename(cls.ctx_params)))
+    for k in _ctx_params(cls, {}).values():
+        k.name = names.get(k.name, k.name)
+    cls.ctx_params = [names[p] for p in cls.ctx_params]
+    core.classes[index] = cls
+    return core
+
+
+# an alpha-renaming: fresh names, and a rotation of the class's own names,
+# which may meet a superclass's parameter names at other positions
+RENAMINGS = {
+    "fresh": lambda ps: [f"{p}_{i}" for i, p in enumerate(ps)],
+    "rotated": lambda ps: ps[1:] + ps[:1],
+}
+
+
+class TestAlphaRenaming:
+    """A body declared in class C reads C's parameters as the object's
+    arguments at C, so renaming one class's context parameters changes
+    neither what `ov check` reports nor what a run does."""
+
+    # Sub's p is not Base's p: Base's touch reads Base's p, Sub's r
+    RENAMED_PARAM = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = -1;
+        atomic <p,this> {
+            v = 0;
+        }
+    }
+}
+
+class Sub[o, p, r] extends Base<o, r> {
+}
+
+main {
+    Sub<top, top, bot> s = new Sub<top, top, bot>();
+    atomic s.touch();
+}
+"""
+
+    # Base's field initialiser reads Base's o, which Sub calls x
+    SUPER_INIT = """\
+class Acc[o] {
+    int n = 0;
+}
+
+class Base[o] {
+    Acc<o> a = new Acc<o>();
+}
+
+class Sub[x] extends Base<x> {
+}
+
+main {
+    Sub<top> s = new Sub<top>();
+}
+"""
+
+    HIERARCHY_MAIN = TestResolvedOnce.HIERARCHY + """
+main {
+    Holder<top> h = new Holder<top>();
+    atomic h.poke();
+    Sub<top, bot, top> t = new Sub<top, bot, top>();
+    atomic t.touch();
+}
+"""
+
+    SOURCES = {**{p.name: p.read_text(encoding="utf-8")
+                  for p in POSITIVE_FILES},
+               "HIERARCHY": HIERARCHY_MAIN,
+               "RENAMED_PARAM": RENAMED_PARAM,
+               "SUPER_INIT": SUPER_INIT}
+
+    @staticmethod
+    def _outcome(program: ast.Program) -> tuple:
+        codes = check_program(program).codes()
+        report = Machine(program).run()
+        return codes, report.to_json(), report.failures
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_renaming_a_class_changes_nothing(self, name):
+        src = self.SOURCES[name]
+        core = desugar(parse_program(src)[0])
+        want = self._outcome(core)
+        # every program checks clean; those written here also end valid
+        assert want[0] == [], want
+        assert name.endswith(".ov") or want[1]["lemma3"], want
+        for index in range(len(core.classes)):
+            for how, rename in RENAMINGS.items():
+                got = self._outcome(_alpha_renamed(src, index, rename))
+                assert got == want, (index, how)
+
+    # a deploy binds Sub's o and p to top, and Sub passes bot for Base's p
+    BLOCK_SRC = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = -1;
+        atomic <p,this> {
+            v = 0;
+        }
+    }
+}
+
+class Sub[o, p] extends Base<o, bot> {
+}
+"""
+
+    def test_inherited_method_in_a_block(self):
+        block = blocksched.parse_block({
+            "deploy": [{"id": "s", "class": "Sub"}],
+            "txns": [{"target": "s", "method": "touch"}] * 2})
+        rows = []
+        for how, rename in [("as written", list), *RENAMINGS.items()]:
+            program = _alpha_renamed(self.BLOCK_SRC, 1, rename)
+            assert not check_program(program).codes(), how
+            mined = blocksched.mine_block(program, block)
+            assert blocksched.validate_block(program, mined, block).accepted
+            assert blocksched.serial_execute(program, block) == (
+                mined.final_state_hash, mined.status), how
+            rows.append((mined.final_state_hash, mined.status, mined.edges))
+        # touch's atomic reads Base's p, bot: it needs no pre-check
+        assert rows[0][1] == ["committed"] * 2
+        assert rows == [rows[0]] * len(rows)
 
 
 def _reference_apply_op(op: str, vals: list):

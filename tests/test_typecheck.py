@@ -527,6 +527,30 @@ class TestInheritanceCycles:
             for name, line in want]
 
 
+REDECLARE_BASE = "class Base[o] { int v = 0; inv v >= 0; }\n"
+
+
+class TestFieldRedeclaration:
+    """A field may not redeclare a field of a superclass, at any distance:
+    the two would share the object's one slot of that name."""
+
+    @pytest.mark.parametrize("src, at", [
+        (REDECLARE_BASE + "class Sub[o] extends Base<o> { bool v = false; }",
+         (2, 32)),
+        (REDECLARE_BASE + "class Mid[o] extends Base<o> { int w = 0; }\n"
+         "class Low[o] extends Mid<o> { int v = 1; }", (3, 31)),
+    ], ids=["parent", "grandparent"])
+    def test_reported_at_the_field(self, src, at):
+        _, diags = compile_source(src)
+        assert [(d.code, d.msg, d.line, d.col) for d in diags] == [
+            ("E-TYPE", "field v redeclares Base.v", *at)]
+
+    def test_siblings_may_share_a_new_name(self):
+        assert_clean(REDECLARE_BASE
+                     + "class A[o] extends Base<o> { int w = 0; }\n"
+                     "class B[o] extends Base<o> { bool w = false; }")
+
+
 class TestCheckerFaultFuzz:
     """Seeded mutations of the corpus that keep it parsing but break it for
     the checker: a context argument too many, an unknown name, a null or
