@@ -7,8 +7,9 @@ location. Two transactions may run in either order only when their
 contracts do not interfere, so index order honours every conflict graph.
 The miner, the validator and the serial oracle share one path (`_prepare`,
 then `_execute`), which makes the observable results (statuses, hash,
-counters) a pure function of the block and the order; the validator
-re-mines the block and compares.
+counters) a pure function of the block and the order. The validator
+re-mines the block in index order, rejects a miner's graph that omits a
+real edge (E-BG-MISMATCH), and compares the state hash and the statuses.
 
 Each deploy and each transaction is a creator (`_creators`) that names
 the heap slots it allocates (`Machine.set_creator`), so slot names do not
@@ -22,7 +23,7 @@ always runs in one process: it is the oracle the split is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import ast
@@ -61,42 +62,31 @@ class Block:
     txns: list     # of {"target","method","args"}
 
 
+class _Report:
+    def to_json(self) -> dict:
+        """The fields in declaration order, each edge as a list."""
+        out = asdict(self)
+        out["edges"] = [list(e) for e in self.edges]
+        return out
+
+
 @dataclass
-class MinedBlock:
+class MinedBlock(_Report):
     edges: list
     status: list
     final_state_hash: str
     pre_checks: int
     post_checks: int
 
-    def to_json(self) -> dict:
-        return {
-            "edges": [list(e) for e in self.edges],
-            "status": list(self.status),
-            "final_state_hash": self.final_state_hash,
-            "pre_checks": self.pre_checks,
-            "post_checks": self.post_checks,
-        }
-
 
 @dataclass
-class ValidationReport:
+class ValidationReport(_Report):
     accepted: bool
     final_state_hash: str
     status: list
     edges: list
     hash_matches: bool
     statuses_match: bool
-
-    def to_json(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "final_state_hash": self.final_state_hash,
-            "status": list(self.status),
-            "edges": [list(e) for e in self.edges],
-            "hash_matches": self.hash_matches,
-            "statuses_match": self.statuses_match,
-        }
 
 
 def parse_block(data: dict) -> Block:
@@ -344,10 +334,12 @@ def _mine(program: ast.Program, block: Block) -> MinedBlock:
 
 def validate_block(program: ast.Program, mined: MinedBlock,
                    block: Block) -> ValidationReport:
-    """Re-execute the block on a fresh heap, honoring the miner's graph,
-    and check the miner's claims. A real conflict edge missing from the
-    miner's graph is a protocol violation (E-BG-MISMATCH). Execution
-    honours the union graph: index order satisfies any graph."""
+    """Re-mine the block on a fresh heap, in index order, and check the
+    miner's claims against what it gives: a real conflict edge missing
+    from the miner's graph is a protocol violation (E-BG-MISMATCH), and
+    the block is accepted when the state hash and the statuses match.
+    The miner's graph orders nothing here: index order honours every
+    graph, its own included."""
     real = _mine(program, block)
     missing = sorted(set(real.edges) - {tuple(e) for e in mined.edges})
     if missing:

@@ -25,11 +25,14 @@ keeps only what allocation needs, once per class (`_alloc`).
 
 A body declared in class C reads C's parameters as the object's arguments
 at C. At allocation an object gets one binding map per class on its
-chain, keyed by class name, from the class table's one walk,
-`ClassTable.views`; a method, a constructor and each class's field
-initialisers run with `#ctx` set to their own class's map. So what depends
-only on an object is fixed at its allocation and kept on it: its `Loc`,
-those maps, and each method and `atomic` contract resolved against it.
+chain, keyed by class name: its own arguments at its class, and at each
+superclass the type its class's record holds (`ClassInfo.supertypes`)
+with the arguments put in and the object itself for `this`, so
+allocation walks no chain. A method, a constructor and each class's
+field initialisers run with `#ctx` set to their own class's map. So what
+depends only on an object is fixed at its allocation and kept on it: its
+`Loc`, those maps, and each method and `atomic` contract resolved
+against it.
 
 Every use of a receiver (field read, field write, call, `valid`, deduced
 `atomic`) meets a null or removed receiver through one helper,
@@ -54,7 +57,7 @@ from typing import Any, Optional, Union
 from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
-from .ownership import OwnershipTree
+from .ownership import OwnershipTree, substitute
 from .typecheck import ClassTable
 
 DEFAULT_FUEL = 1_000_000
@@ -85,12 +88,10 @@ Value = Union[int, bool, None, Loc, FailureValue]
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "ctx_args", "fields", "bindings", "contracts")
+    __slots__ = ("class_name", "fields", "bindings", "contracts")
 
-    def __init__(self, class_name: str, ctx_args: list, fields: dict,
-                 bindings: dict):
+    def __init__(self, class_name: str, fields: dict, bindings: dict):
         self.class_name = class_name
-        self.ctx_args = ctx_args  # runtime contexts, one per class parameter
         self.fields = fields
         # class name -> {parameter: runtime context}, per class on the chain
         self.bindings = bindings
@@ -806,10 +807,12 @@ class Machine:
         loc = len(self.heap)
         this = Loc(loc)
         defaults, parts = self._alloc(typ.name)
-        bindings = {cls.name: dict(zip(cls.ctx_params, a)) for cls, a
-                    in self.table.views(typ.name, resolved, owner_ctx)}
-        self.heap.append(ObjectRec(typ.name, resolved, dict(defaults),
-                                   bindings))
+        own = info.decl.ctx_params
+        bindings = {typ.name: dict(zip(own, resolved))}
+        for name, sup in info.supertypes.items():
+            at = substitute(sup, own, resolved, CtxLoc(loc)).args
+            bindings[name] = dict(zip(self.table.get(name).ctx_params, at))
+        self.heap.append(ObjectRec(typ.name, dict(defaults), bindings))
         self.locs.append(this)
         self.names.append(self.next_name)
         self.next_name += 1

@@ -15,7 +15,7 @@ against the receiver object itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from . import ast
 from .ast import (BOT, EXIST, THIS, TOP, Context, Contract, CtxAny, CtxBot,
@@ -36,24 +36,40 @@ class ClassInfo:
     """What the checker, the runtime and deploys read of one class, worked
     out once from one superclass walk: the class and its superclasses,
     nearest first, with a cycle cut where the walk meets a class it has
-    passed (`cyclic` says whether that class was this one); the fields,
-    superclass fields first; each field and method name's nearest
-    declaration, the first of that name in declaration order, as
-    (class, declaration); the constructor; and the invariant clauses,
-    nearest class first. Callers share it and must not change it."""
+    passed (`cyclic` says whether that class was this one); the type of
+    the class's objects at each superclass, by name, in the class's own
+    terms (its parameters as `CtxParam`s, `this` kept as `CtxThis`),
+    stopping after a type with the wrong number of arguments, which only
+    an ill-formed `extends` gives; the fields, superclass fields first;
+    each field and method name's nearest declaration, the first of that
+    name in declaration order, as (class, declaration); the constructor;
+    and the invariant clauses, nearest class first. Callers share it and
+    must not change it."""
 
-    __slots__ = ("decl", "chain", "cyclic", "fields", "field_names",
-                 "field_of", "method_of", "ctor", "invariants")
+    __slots__ = ("decl", "chain", "cyclic", "supertypes", "fields",
+                 "field_names", "field_of", "method_of", "ctor",
+                 "invariants")
 
     def __init__(self, table: "ClassTable", decl: ast.ClassDecl):
         chain: list[ast.ClassDecl] = []
+        supertypes: dict[str, ast.ClassType] = {}
         seen: set[str] = set()
         cur: Optional[ast.ClassDecl] = decl
+        # the class's own type seen at cur, while the clauses fit
+        at: Optional[ast.ClassType] = ast.ClassType(
+            decl.name, [CtxParam(p) for p in decl.ctx_params])
         while cur is not None and cur.name not in seen:
             seen.add(cur.name)
             chain.append(cur)
+            if at is not None:
+                if cur is not decl:
+                    supertypes[cur.name] = at
+                at = (substitute(cur.superclass, cur.ctx_params, at.args, THIS)
+                      if cur.superclass is not None
+                      and len(cur.ctx_params) == len(at.args) else None)
             cur = table.get(cur.superclass.name) if cur.superclass else None
         self.decl = decl
+        self.supertypes = supertypes
         self.chain = tuple(chain)
         self.cyclic = cur is decl
         fields: list[ast.FieldDecl] = []
@@ -77,8 +93,9 @@ class ClassInfo:
 
 class ClassTable:
     """Classes by name, the first declaration of each, and one record of
-    each (`info`), built on first use. `views`, `args_at`, `find_field` and
-    `find_method` take the name of a declared class."""
+    each (`info`), built on first use. `find_field` and `find_method` take
+    the name of a declared class. Nothing but the record follows
+    `superclass` links."""
 
     def __init__(self, program: ast.Program):
         self.classes: dict[str, ast.ClassDecl] = {}
@@ -108,32 +125,6 @@ class ClassTable:
         if decl is None or len(t.args) != len(decl.ctx_params):
             return None
         return decl
-
-    def views(self, name: str, args: list[Context], this_image: Context
-              ) -> Iterator[tuple[ast.ClassDecl, list[Context]]]:
-        """The class type name<args> seen at its class and at each
-        superclass: yields (class, context arguments) pairs, nearest
-        first. A superclass's arguments are its `extends` clause with args
-        for the class's parameters and this_image for this. This is the
-        one superclass walk with arguments; it follows the record's chain
-        and stops after an arity mismatch."""
-        for cls in self.info(name).chain:
-            yield cls, args
-            if cls.superclass is None or len(cls.ctx_params) != len(args):
-                return
-            args = substitute(cls.superclass, cls.ctx_params, args,
-                              this_image).args
-
-    def args_at(self, name: str, args: list[Context], this_image: Context,
-                cls: ast.ClassDecl) -> list[Context]:
-        """The context arguments of name<args> seen at cls, one of its
-        classes: args itself at its own class, with no walk, and where the
-        walk stops short of cls (only an ill-formed `extends` makes it)."""
-        if cls.name != name:
-            for c, a in self.views(name, args, this_image):
-                if c is cls:
-                    return a
-        return args
 
     def find_field(self, name: str, fname: str
                    ) -> Optional[tuple[ast.ClassDecl, ast.FieldDecl]]:
@@ -223,8 +214,11 @@ def bindable(env: TypeEnv, t1: ast.TypeExpr, t2: ast.TypeExpr,
     if isinstance(t1, ast.ClassType) and isinstance(t2, ast.ClassType):
         if table.of_type(t1) is None:
             return True  # so is an ill-formed source
-        inst = next((a for c, a in table.views(t1.name, t1.args, EXIST)
-                     if c.name == t2.name), None)
+        inst = t1.args
+        if t1.name != t2.name:
+            sup = table.info(t1.name).supertypes.get(t2.name)
+            inst = None if sup is None else substitute(
+                sup, table.get(t1.name).ctx_params, t1.args, EXIST).args
         if inst is not None and len(inst) == len(t2.args) and all(
                 abstracts(env.ctx, a, b) for a, b in zip(inst, t2.args)):
             return True
@@ -396,7 +390,8 @@ class Checker:
                                e.line, e.col)
             return None
         table = env.table
-        if table.of_type(rt) is None:
+        rdecl = table.of_type(rt)
+        if rdecl is None:
             return None
         if isinstance(e, ast.Call):
             kind, name = "method", e.method
@@ -409,10 +404,14 @@ class Checker:
                            e.line, e.col)
             return None
         cls, decl = hit
-        args = table.args_at(rt.name, rt.args, EXIST, cls)
-        if len(args) != len(cls.ctx_params):
-            return None  # the walk stopped at an ill-formed `extends`
-        return cls, decl, args
+        if cls is rdecl:
+            return cls, decl, rt.args
+        sup = table.info(rt.name).supertypes.get(cls.name)
+        if sup is None or len(sup.args) != len(cls.ctx_params):
+            return None  # an ill-formed `extends` ends the record's types
+        return cls, decl, substitute(
+            sup, rdecl.ctx_params, rt.args,
+            THIS if isinstance(e.receiver, ast.This) else EXIST).args
 
     def _field_get(self, env: TypeEnv, e: ast.FieldGet) -> ast.TypeExpr:
         return self._field_get_on(env, e, self.type_expr(env, e.receiver))

@@ -21,7 +21,7 @@ from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
 from ovlang.diagnostics import OvError
 from ovlang.ownership import OwnershipTree
 from ovlang.runtime import Machine
-from ovlang.typecheck import ClassInfo, ClassTable
+from ovlang.typecheck import ClassInfo
 
 from conftest import CORPUS, ROOT, bench_module, check_clean
 from test_acceptance import ACCOUNT_SRC, CALLS, NEST_SRC, TOKEN_SRC
@@ -244,24 +244,61 @@ class TestLinearWork:
         assert len(machine.dom()) == 1000 and len(machine.sigma) == 1000
         assert calls["runtime_subtree"] == 0
 
+    # three levels: B passes `this` to A, and C passes its parameters to
+    # B in another order
+    THREE_LEVELS = """\
+class A[o, p] {
+    int a = 0;
+}
+
+class B[o, q] extends A<o, this> {
+    int b = 0;
+}
+
+class C[o, r, s] extends B<s, r> {
+    int c = 0;
+}
+"""
+
     def test_superclass_args_once_per_object(self, monkeypatch):
-        # binding a transaction to its target reads the contract's context
-        # arguments at the target's own class, which needs no walk of its
-        # classes; only its kept context bindings walk them, once
-        walks = Counter()
-        views = ClassTable.views
+        # an object's binding maps are its class's recorded superclass
+        # types with its arguments put in: allocating builds no record
+        # beyond one per class and reads no `extends` clause
+        program = check_clean(self.THREE_LEVELS)
+        builds, stray = Counter(), []
+        building = []
+        build = ClassInfo.__init__
 
-        def counted(table, name, args, this_image):
-            # an object's walk starts from its own context arguments
-            walks[id(args)] += 1
-            assert walks[id(args)] <= 1, "an object's classes walked twice"
-            return views(table, name, args, this_image)
+        def counted(info, table, decl):
+            builds[decl.name] += 1
+            building.append(decl.name)
+            build(info, table, decl)
+            building.pop()
 
-        monkeypatch.setattr(ClassTable, "views", counted)
-        txns = bank_txns(random.Random(9), 500)
-        mined = mine_block(PROGRAM, block_of(accounts(500), txns))
-        assert len(mined.status) == 500
-        assert walks  # the counter really counted
+        class Watched(ast.ClassDecl):
+            @property
+            def superclass(self):
+                if not building:
+                    stray.append(self.name)
+                return self.__dict__["superclass"]
+
+        monkeypatch.setattr(ClassInfo, "__init__", counted)
+        for decl in program.classes:
+            decl.__class__ = Watched
+        m = Machine(program)
+        locs = {}
+        for _ in range(20):
+            for name, args in (("A", [TOP, BOT]), ("B", [TOP, BOT]),
+                               ("C", [TOP, BOT, TOP])):
+                locs[name] = m.run_expression(
+                    ast.New(ast.ClassType(name, args), [])).index
+        assert builds == {"A": 1, "B": 1, "C": 1}
+        assert stray == []
+        c = locs["C"]
+        assert m.heap[c].bindings == {
+            "C": {"o": TOP, "r": BOT, "s": TOP},
+            "B": {"o": TOP, "q": BOT},
+            "A": {"o": TOP, "p": CtxLoc(c)}}
 
 
 def _pinned_inputs() -> dict:
@@ -596,6 +633,35 @@ class Outer[o] {
 """)
 
 
+# Sub passes `this` for Base's p, so touch's contract <p,this> is the
+# object itself on both sides, as `ov check` types go's call
+THIS_IN_EXTENDS = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = v + 1;
+    }
+}
+
+class Sub[o] extends Base<o, this> {
+    void go() <this,this> {
+        this.touch();
+    }
+}
+
+class Cell[o] {
+    int v = 0;
+    inv v >= 0;
+
+    void set(int x) <this,this> {
+        v = x;
+    }
+}
+"""
+
+
 class TestOnePath:
     """Miner, validator and serial oracle run each transaction once and
     end in the same state."""
@@ -642,6 +708,20 @@ class TestOnePath:
         assert outer.fields["n"] == 1
         assert machine.heap[outer.fields["i"].index].fields["v"] == 0
         assert machine.state_hash() == mined.final_state_hash
+
+    def test_this_in_extends_is_the_object(self):
+        b = block_of([{"id": "s", "class": "Sub"},
+                      {"id": "c", "class": "Cell"}],
+                     [{"target": "s", "method": "touch"},
+                      {"target": "c", "method": "set", "args": [1]},
+                      {"target": "c", "method": "set", "args": [2]}])
+        program = check_clean(THIS_IN_EXTENDS)
+        mined = self.agree(program, b)
+        assert mined.to_json()["edges"] == [[1, 2]]
+        assert mined.status == ["committed"] * 3
+        sharded = split_run(program, b)
+        assert (sharded.final_state_hash, sharded.status, sharded.edges) == (
+            mined.final_state_hash, mined.status, mined.edges)
 
 
 class TestParseBlock:

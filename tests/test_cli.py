@@ -256,6 +256,25 @@ class TestCheckFuzz:
         assert codes == {0, 1, 2}
         assert cut_endings == set(self.CUTS)
 
+    def test_mutated_sources_run(self, tmp_path, capsys):
+        # `ov run` on the same inputs: what checks clean is interpreted,
+        # with little fuel, and never gets stuck, so exit 2 means the
+        # input could not be read
+        path = tmp_path / "m.ov"
+        codes = set()
+        began = time.perf_counter()
+        for data in self.mutations(500, seed=7):
+            path.write_bytes(data)
+            code = main(["run", "--fuel", "20", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), data
+            assert "Traceback" not in err, data
+            assert code != 2 or "not valid utf-8 text" in err, (data, err)
+            codes.add(code)
+        assert time.perf_counter() - began < 20
+        # runs that end, and runs that the budget stops, both occurred
+        assert codes == {0, 1, 2, 3}
+
     def test_undecodable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ov"
         path.write_bytes(b"main { \xff }")

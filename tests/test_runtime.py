@@ -813,16 +813,22 @@ class Probe[o, p] {
         owner_cls, touch = m.table.find_method("Sub", "touch")
         assert owner_cls.name == "Base"
 
-        def fresh(loc: int) -> Contract:
-            obj = m.heap[loc]
-            return substitute(touch.contract, owner_cls.ctx_params,
-                              m.table.args_at(obj.class_name, obj.ctx_args,
-                                              obj.ctx_args[0], owner_cls),
+        def fresh(loc: int, args: list) -> Contract:
+            # touch's contract on the Sub<args> at loc, through Sub's
+            # `extends` clause, resolved here rather than read from the
+            # class record or the object
+            sub = m.table.get("Sub")
+            at_base = substitute(sub.superclass, sub.ctx_params, args,
+                                 CtxLoc(loc)).args
+            return substitute(touch.contract, owner_cls.ctx_params, at_base,
                               CtxLoc(loc))
 
         want_s = Contract(CtxLoc(h.index), CtxLoc(s.index))
         want_t = Contract(CtxTop(), CtxLoc(t.index))
-        assert (fresh(s.index), fresh(t.index)) == (want_s, want_t)
+        s_args = [CtxLoc(h.index), CtxTop(), CtxLoc(h.index)]
+        t_args = [CtxTop(), CtxBot(), CtxTop()]
+        assert (fresh(s.index, s_args), fresh(t.index, t_args)) == (
+            want_s, want_t)
         # a deduced atomic in a block transaction calls the inherited method
         begun, _ = self._spy(monkeypatch, m)
         [poke] = blocksched._bind_scts(m, {"h": h.index},
@@ -831,7 +837,7 @@ class Probe[o, p] {
         assert blocksched._execute_sct(m, poke) == "committed"
         assert begun == [("txn", Contract(CtxLoc(h.index), CtxLoc(h.index))),
                          ("txn", want_s)]
-        assert m.heap[s.index].contracts[id(touch)] == fresh(s.index)
+        assert m.heap[s.index].contracts[id(touch)] == fresh(s.index, s_args)
         # block transactions call it directly, on both objects
         scts = blocksched._bind_scts(
             m, {"s": s.index, "t": t.index},
@@ -839,7 +845,7 @@ class Probe[o, p] {
              {"target": "t", "method": "touch"}], [2, 3])
         assert [x.contract for x in scts] == [want_s, want_t]
         assert scts[0].contract is m.heap[s.index].contracts[id(touch)]
-        assert m.heap[t.index].contracts[id(touch)] == fresh(t.index)
+        assert m.heap[t.index].contracts[id(touch)] == fresh(t.index, t_args)
         assert blocksched._execute(m, scts, range(2)) == ["committed"] * 2
         assert [m.heap[x.index].fields["v"] for x in (s, t)] == [2, 1]
 
@@ -973,6 +979,30 @@ main {
 }
 """
 
+    # `this` in Sub's `extends` clause is the object itself, so Base's p
+    # is the object in go's call as it is when go runs
+    THIS_IN_EXTENDS = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = v + 1;
+    }
+}
+
+class Sub[o] extends Base<o, this> {
+    void go() <this,this> {
+        this.touch();
+    }
+}
+
+main {
+    Sub<top> s = new Sub<top>();
+    atomic s.go();
+}
+"""
+
     HIERARCHY_MAIN = TestResolvedOnce.HIERARCHY + """
 main {
     Holder<top> h = new Holder<top>();
@@ -986,7 +1016,8 @@ main {
                   for p in POSITIVE_FILES},
                "HIERARCHY": HIERARCHY_MAIN,
                "RENAMED_PARAM": RENAMED_PARAM,
-               "SUPER_INIT": SUPER_INIT}
+               "SUPER_INIT": SUPER_INIT,
+               "THIS_IN_EXTENDS": THIS_IN_EXTENDS}
 
     @staticmethod
     def _outcome(program: ast.Program) -> tuple:
