@@ -144,23 +144,26 @@ def _located(d: Contract) -> bool:
 def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
     """The interfering pairs (i, j), i < j, in sorted order.
 
-    Two location contexts meet iff one lies on the other's ancestor chain,
-    so candidates come from buckets over the deployed tree: `writers[a]`
-    holds the transactions whose invalidity is l_a, `under[a]` those whose
-    invalidity lies in subtree(a). A context l_x meets the invalidity of
-    every transaction in `under[x]` and in `writers[a]` for each strict
-    ancestor a of x. A transaction with a context that is neither Bot nor
-    a location is paired with every other one. `interferes`, the one
-    definition of interference, confirms each candidate."""
+    A transaction is located when each of its contexts is bot or a
+    location. Two location contexts meet iff one lies on the other's
+    ancestor chain, so the pairs of located transactions come from buckets
+    over the deployed tree: `writers[a]` holds the transactions whose
+    invalidity is l_a, `under[a]` those whose invalidity lies in
+    subtree(a), and `_writers_meeting` reads from them the transactions
+    whose invalidity meets a given location's subtree. Each transaction i
+    found that way from a context of j has I_i meeting V_j or I_j, which
+    is interference by definition, so these pairs need no confirmation.
+    A transaction that is not located is paired with every other one, and
+    `interferes`, the one definition of interference, confirms each of
+    those pairs."""
     writers: dict[int, list[int]] = {}
     under: dict[int, list[int]] = {}
     located: list[tuple[int, set[int]]] = []
-    pairs: set[tuple[int, int]] = set()
+    unlocated: list[int] = []
     for i, sct in enumerate(scts):
         d = sct.contract
         if not _located(d):
-            pairs.update((min(i, j), max(i, j))
-                         for j in range(len(scts)) if j != i)
+            unlocated.append(i)
             continue
         located.append((i, {k.index for k in (d.validity, d.invalidity)
                             if isinstance(k, CtxLoc)}))
@@ -168,14 +171,29 @@ def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
             writers.setdefault(d.invalidity.index, []).append(i)
             for a in tree.chain(d.invalidity.index):
                 under.setdefault(a, []).append(i)
+    pairs: set[tuple[int, int]] = set()
     for j, locs in located:
         for x in locs:
-            hits = list(under.get(x, ()))
-            for a in tree.chain(x)[1:]:
-                hits.extend(writers.get(a, ()))
-            pairs.update((min(i, j), max(i, j)) for i in hits if i != j)
-    return [(i, j) for i, j in sorted(pairs)
-            if interferes(scts[i].contract, scts[j].contract, tree)]
+            pairs.update((min(i, j), max(i, j))
+                         for i in _writers_meeting(x, writers, under, tree)
+                         if i != j)
+    loose = {(min(i, j), max(i, j))
+             for i in unlocated for j in range(len(scts)) if j != i}
+    pairs.update((i, j) for i, j in loose
+                 if interferes(scts[i].contract, scts[j].contract, tree))
+    return sorted(pairs)
+
+
+def _writers_meeting(x: int, writers: dict[int, list[int]],
+                     under: dict[int, list[int]],
+                     tree: OwnershipTree) -> list[int]:
+    """The located transactions whose invalidity meets subtree(l_x): those
+    whose invalidity lies in subtree(x), and those whose invalidity is a
+    strict ancestor of x."""
+    hits = list(under.get(x, ()))
+    for a in tree.chain(x)[1:]:
+        hits.extend(writers.get(a, ()))
+    return hits
 
 
 # A context's place under the binding `_deploy` gives a deployed object:
@@ -199,17 +217,24 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
+    # class name -> (the deployed type, the constructor's arity), worked
+    # out at the class's first deploy, which names itself in any fault
+    classes: dict[str, tuple[ast.ClassType, int]] = {}
     for d, creator in zip(deploys, creators):
         cname = d["class"]
-        info = machine.table.info(cname)
-        if info is None:
-            raise ValueError(f"deploy {d['id']}: unknown class {cname}")
-        typ = ast.ClassType(cname, [CtxTop()] * len(info.decl.ctx_params))
-        for c in info.decl.constraints:
-            if not _deploy_keeps(c):
-                raise ValueError(f"deploy {d['id']}: {typ} violates the "
-                                 f"constraint {c} of {cname}")
-        expected = len(info.ctor.params) if info.ctor else 0
+        hit = classes.get(cname)
+        if hit is None:
+            info = machine.table.info(cname)
+            if info is None:
+                raise ValueError(f"deploy {d['id']}: unknown class {cname}")
+            typ = ast.ClassType(cname, [CtxTop()] * len(info.decl.ctx_params))
+            for c in info.decl.constraints:
+                if not _deploy_keeps(c):
+                    raise ValueError(f"deploy {d['id']}: {typ} violates the "
+                                     f"constraint {c} of {cname}")
+            hit = classes[cname] = (
+                typ, len(info.ctor.params) if info.ctor else 0)
+        typ, expected = hit
         args = d.get("args", [])
         if len(args) != expected:
             raise ValueError(
@@ -272,13 +297,17 @@ def _prepare(program: ast.Program, block: Block,
     return machine, _bind_scts(machine, targets, block.txns, creators[n:])
 
 
+# the receiver of every block transaction's call, bound to its target
+_TARGET = ast.Var("__target")
+
+
 def _execute_sct(machine: Machine, sct: Sct) -> str:
     """Run one transaction. Its status is whether its own top-level frame
     committed: a contained inner abort whose failure value the method
     returns still leaves the transaction committed. A transaction that
     runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on."""
     expr = ast.Atomic(sct.contract,
-                      ast.Call(ast.Var("__target"), sct.method,
+                      ast.Call(_TARGET, sct.method,
                                [ast.Const(a) for a in sct.args]))
     commits = machine.root_commits
     machine.set_creator(sct.creator)

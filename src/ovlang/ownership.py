@@ -5,15 +5,14 @@ A context denotes the subtree of the ownership tree rooted at it: Top is the
 whole tree, Bot the empty set, This the current object, a parameter whatever
 it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
 
-The runtime tree keeps each location's ancestor chain and, beside it, the
-children each location owns directly. "subtree(k1) meets subtree(k2)" is a
-membership test on a stored chain, a subtree is enumerated by walking only
-that subtree, and the live set is read from the tree rather than from the
-heap.
+The runtime tree keeps each location's ancestor chain and, beside it, its
+subtree as an ascending list. "subtree(k1) meets subtree(k2)" is a
+membership test on a stored chain, a subtree is read, not walked, and the
+live set is read from the tree rather than from the heap.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import ast
 from .ast import (ANY, BOT, EXIST, THIS, TOP, Context, Contract, CtxAny,
@@ -145,36 +144,49 @@ def owner_bound(t: ast.TypeExpr) -> Context:
 class OwnershipTree:
     """which-owns-which at runtime. `chains` holds the live locations in
     allocation order, each with its ancestor chain: the location itself,
-    its owner, and so on up to a top-owned root. `children` maps each of
-    them to the locations it owns directly.
+    its owner, and so on up to a top-owned root. `subtrees` holds each of
+    them with its subtree, itself and every location it owns transitively,
+    in ascending order.
 
     Ownership is fixed at allocation and only leaves are removed, so a
-    chain, built once from the owner's chain, never goes stale."""
+    chain, built once from the owner's chain, never goes stale. Locations
+    are added in ascending order (heap slots are never reused, and an
+    object is allocated after its owner), so appending a new location to
+    the subtree of each location on its chain keeps every subtree sorted.
+    The runtime removes only its newest location, because aborts drop what
+    they created newest first, so removal pops it from the end of each
+    subtree on its chain."""
 
     def __init__(self) -> None:
         self.chains: dict[int, tuple[int, ...]] = {}
-        self.children: dict[int, set[int]] = {}
+        self.subtrees: dict[int, list[int]] = {}
 
     def add(self, loc: int, owner: Optional[int]) -> None:
         assert loc not in self.chains
         if owner is None:
-            self.chains[loc] = (loc,)
+            chain: tuple[int, ...] = (loc,)
         else:
             up = self.chains.get(owner)
             if up is None:
                 raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
-            self.chains[loc] = (loc,) + up
-            self.children[owner].add(loc)
-        self.children[loc] = set()
+            chain = (loc,) + up
+        self.chains[loc] = chain
+        self.subtrees[loc] = [loc]
+        for anc in chain[1:]:
+            self.subtrees[anc].append(loc)
 
     def remove(self, loc: int) -> None:
         """Drop a leaf: aborts remove created objects newest first, so a
-        location's children are always gone before it."""
-        assert not self.children[loc], f"l{loc} still owns objects"
+        location's subtree holds only itself by the time it goes."""
+        assert len(self.subtrees[loc]) == 1, f"l{loc} still owns objects"
         chain = self.chains.pop(loc)
-        del self.children[loc]
-        if len(chain) > 1:
-            self.children[chain[1]].remove(loc)
+        del self.subtrees[loc]
+        for anc in chain[1:]:
+            sub = self.subtrees[anc]
+            if sub[-1] == loc:
+                sub.pop()
+            else:  # an older leaf, which only tests remove
+                sub.remove(loc)
 
     def chain(self, loc: int) -> tuple[int, ...]:
         """The ownership chain from loc (inclusive) up to a top-owned root."""
@@ -205,22 +217,19 @@ class OwnershipTree:
         self.chain(k.index)  # E-DANGLING on a removed root
         return k.index in self.chain(loc)
 
-    def runtime_subtree(self, k: Context) -> set[int]:
+    def runtime_subtree(self, k: Context) -> Sequence[int]:
+        """The live locations in subtree(k), ascending. A location's
+        subtree is the stored list itself: callers must not change it."""
         if isinstance(k, CtxBot):
-            return set()
+            return ()
         if isinstance(k, CtxTop):
-            return set(self.chains)
+            return list(self.chains)
         assert isinstance(k, CtxLoc), f"unresolved context {k}"
-        root = k.index
-        if root not in self.chains:
-            raise OvError("E-DANGLING", f"location l{root} is not in the heap")
-        out = set()
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            out.add(cur)
-            stack.extend(self.children[cur])
-        return out
+        sub = self.subtrees.get(k.index)
+        if sub is None:
+            raise OvError("E-DANGLING",
+                          f"location l{k.index} is not in the heap")
+        return sub
 
 
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:

@@ -12,16 +12,28 @@ revalidates exactly what the constructor created.
 
 `Machine._reduce` is the one step function, behind both `Machine.step`
 (whole programs) and `Machine.run_expression` (deploys and block
-transactions). A thread's control holds an expression or a value. An
-expression is reduced by the rule `_EXPR_RULES` maps its node class to; a
-value goes to the rule `_KONT_RULES` maps the innermost continuation's tag
-to. Both tables are built once, below the Machine class; a node class or
-tag with no rule is E-STUCK. Invariant clauses are evaluated apart from
-the step function, through a third table, `_PURE_RULES`; a node class
-with no rule there makes the invariant false. What the runtime reads of a
-class (fields, method lookups, constructor, invariant clauses) comes from
-the class table's one record per class, `ClassTable.info`; the machine
-keeps only what allocation needs, once per class (`_alloc`).
+transactions). A thread's control holds an expression node or a value
+itself, untagged: a node with a rule in `_EXPR_RULES` (node class -> rule)
+is reduced by it, any other node is E-STUCK, and anything else is a value,
+which goes to the rule `_KONT_RULES` maps the innermost continuation's tag
+to. Both tables are built once, below the Machine class; a tag with no
+rule is E-STUCK too.
+
+Invariant clauses are not interpreted: each class's clauses are compiled
+once per machine, when the class is first allocated, into closures
+(`_compile`, by the compile rules of `_PURE_RULES`), and
+`Machine.eval_invariant` calls them. A null, removed or fieldless
+receiver, a non-bool `&&` or `||` operand, an operator error such as
+division by zero, or a node class with no compile rule makes the
+invariant false. What the runtime reads of a class (fields, method
+lookups, constructor, invariant clauses) comes from the class table's one
+record per class, `ClassTable.info`; the machine keeps only what
+allocation and the checks need, once per class (`_alloc`).
+
+A transaction's pre-check and post-check sets are read, not computed: the
+ownership tree stores each live location's subtree in ascending order
+(`OwnershipTree.runtime_subtree`), and subtree(V) ∩ subtree(I) of two
+locations is the lower one's stored subtree.
 
 A body declared in class C reads C's parameters as the object's arguments
 at C. At allocation an object gets one binding map per class on its
@@ -52,7 +64,7 @@ import hashlib
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Collection, Optional, Sequence, Union
 
 from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
@@ -84,7 +96,9 @@ class FailureValue:
         return f"failure({self.code})"
 
 
-Value = Union[int, bool, None, Loc, FailureValue]
+# a string, read only by annotations: an alias evaluated at import would be
+# kept in typing's caches, and with it every copy of the package imported
+Value = "Union[int, bool, None, Loc, FailureValue]"
 
 
 class ObjectRec:
@@ -137,7 +151,7 @@ class Thread:
 
     def __init__(self, tid: int, expr: ast.Expr, env: dict):
         self.tid = tid
-        self.control: tuple = ("expr", expr)
+        self.control: Union[ast.Expr, Value] = expr
         self.env = env
         self.konts: list[tuple] = []
         self.frames: list[Frame] = [ROOT_FRAME]
@@ -233,17 +247,20 @@ class Machine:
         self.events: list[dict] = []
         self.failures: list[dict] = []
         self.steps = 0
-        # class name -> (default field values, constructor expression)
-        self._allocs: dict[str, tuple[dict[str, Value], ast.Expr]] = {}
+        # class name -> (default field values, construction parts, compiled
+        # invariant clauses): see `_alloc`
+        self._allocs: dict[str, tuple[dict[str, Value], list, tuple]] = {}
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _alloc(self, class_name: str) -> tuple[dict[str, Value], list]:
-        """What allocating the class needs, worked out once per class: its
-        default field values, for the caller to copy, and its construction
-        as (class name, body) parts, superclass first: each class's field
-        initialisers, the class's own followed by its constructor body."""
+    def _alloc(self, class_name: str) -> tuple[dict[str, Value], list, tuple]:
+        """What allocating the class and checking its objects need, worked
+        out once per class: its default field values, for the caller to
+        copy; its construction as (class name, body) parts, superclass
+        first: each class's field initialisers, the class's own followed by
+        its constructor body; and its invariant clauses, compiled
+        (`_compile`)."""
         hit = self._allocs.get(class_name)
         if hit is None:
             info = self.table.info(class_name)
@@ -259,7 +276,8 @@ class Machine:
                 if expr is not None:
                     parts.append((cls.name, expr))
                 expr = None  # a superclass's part: its initialisers alone
-            hit = self._allocs[class_name] = (defaults, parts[::-1])
+            checks = tuple(_compile(self, c) for c in info.invariants)
+            hit = self._allocs[class_name] = (defaults, parts[::-1], checks)
         return hit
 
     def _body_env(self, obj: ObjectRec, loc: int, cls: ast.ClassDecl) -> dict:
@@ -310,20 +328,18 @@ class Machine:
     def dom(self) -> list[int]:
         return list(self.tree.chains)
 
-    def _meet(self, k1, k2) -> set[int]:
-        """subtree(k1) ∩ subtree(k2), as a fresh set. Two location subtrees
-        meet in the lower one (OwnershipTree.lower_of), so at most one
-        subtree is walked."""
+    def _meet(self, k1, k2) -> Sequence[int]:
+        """subtree(k1) ∩ subtree(k2), ascending. Two location subtrees meet
+        in the lower one (OwnershipTree.lower_of), so this is a stored
+        subtree, which callers must not change."""
         if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
-            return set()
+            return ()
         if isinstance(k2, CtxTop):
             return self.tree.runtime_subtree(k1)
         if isinstance(k1, CtxTop):
             return self.tree.runtime_subtree(k2)
-        if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
-            low = self.tree.lower_of(k1, k2)
-            return set() if low is None else self.tree.runtime_subtree(low)
-        return self.tree.runtime_subtree(k1) & self.tree.runtime_subtree(k2)
+        low = self.tree.lower_of(k1, k2)
+        return () if low is None else self.tree.runtime_subtree(low)
 
     def eval_invariant(self, loc: int) -> bool:
         self.invariant_evals += 1
@@ -331,56 +347,12 @@ class Machine:
         if obj is None:
             return False
         try:
-            for clause in self.table.info(obj.class_name).invariants:
-                if self._eval_pure(clause, loc) is not True:
+            for check in self._alloc(obj.class_name)[2]:
+                if check(loc) is not True:
                     return False
         except _InvFail:
             return False
         return True
-
-    def _eval_pure(self, e: ast.Expr, this_loc: int) -> Value:
-        """Value of an invariant clause (or part of one) at object this_loc,
-        by the rule _PURE_RULES holds for the node class. A node with no
-        rule, like a failed read, makes the invariant false (_InvFail)."""
-        rule = _PURE_RULES.get(type(e))
-        if rule is None:
-            raise _InvFail
-        return rule(self, e, this_loc)
-
-    def _p_const(self, e: ast.Const, this_loc: int) -> Value:
-        return e.value
-
-    def _p_this(self, e: ast.This, this_loc: int) -> Value:
-        return self.locs[this_loc]
-
-    def _p_field_get(self, e: ast.FieldGet, this_loc: int) -> Value:
-        recv = self._eval_pure(e.receiver, this_loc)
-        if not isinstance(recv, Loc):
-            raise _InvFail
-        obj = self.heap[recv.index] if recv.index < len(self.heap) else None
-        if obj is None or e.field_name not in obj.fields:
-            raise _InvFail
-        return obj.fields[e.field_name]
-
-    def _p_prim(self, e: ast.PrimOp, this_loc: int) -> Value:
-        op = e.op
-        if op in ("&&", "||"):
-            left = self._eval_pure(e.args[0], this_loc)
-            if not isinstance(left, bool):
-                raise _InvFail
-            if op == "&&" and left is False:
-                return False
-            if op == "||" and left is True:
-                return True
-            right = self._eval_pure(e.args[1], this_loc)
-            if not isinstance(right, bool):
-                raise _InvFail
-            return right
-        vals = [self._eval_pure(a, this_loc) for a in e.args]
-        try:
-            return _apply_op(op, vals)
-        except (OvError, ZeroDivisionError, TypeError):
-            raise _InvFail from None
 
     def _mark_valid(self, loc: int) -> None:
         if loc not in self.sigma:
@@ -393,9 +365,8 @@ class Machine:
             self.sigma_log.append((loc, False))
 
     def assert_valid(self, loc: int) -> bool:
-        members = sorted(self.tree.runtime_subtree(CtxLoc(loc)))
         result = True
-        for m in members:
+        for m in self.tree.runtime_subtree(CtxLoc(loc)):
             if self.eval_invariant(m):
                 self._mark_valid(m)
             else:
@@ -433,9 +404,10 @@ class Machine:
         mark = len(self.sigma_log)
         validity = contract.validity
         if isinstance(validity, CtxBot):
-            start: list[int] = []  # subtree(bot) is empty: nothing to check
+            # subtree(bot) is empty: nothing to check
+            start: Sequence[int] = ()
         else:
-            start = sorted(self._meet(validity, parent.contract.invalidity))
+            start = self._meet(validity, parent.contract.invalidity)
             if self.naive:
                 self.pre_checks += len(self.tree.runtime_subtree(validity))
         for loc in start:
@@ -455,20 +427,23 @@ class Machine:
     def _commit(self, thread: Thread) -> Optional[FailureValue]:
         frame = thread.frames[-1]
         validity = frame.contract.validity
+        created = frame.created_set
         if isinstance(validity, CtxBot):
             # V ∩ I = ∅: only what the frame created is revalidated
-            reval = frame.created_set
+            reval: Collection[int] = created
             self.post_checks += len(reval)
         else:
             reval = self._meet(validity, frame.contract.invalidity)
-            reval |= frame.created_set
+            if created:
+                reval = created.union(reval)
             if self.naive:
-                self.post_checks += len(self.tree.runtime_subtree(validity)
-                                        | frame.created_set)
+                self.post_checks += len(
+                    created.union(self.tree.runtime_subtree(validity)))
             else:
                 self.post_checks += len(reval)
+        # every check runs, in any order: a check changes nothing
         ok = True
-        for loc in sorted(reval):
+        for loc in reval:
             if not self.eval_invariant(loc):
                 ok = False
         if not ok:
@@ -514,7 +489,7 @@ class Machine:
         live transaction, terminate the thread."""
         if len(thread.frames) == 1:
             thread.konts.clear()
-            thread.control = ("val", fv)
+            thread.control = fv
             thread.done = True
             self.failures.append({"code": fv.code, "msg": fv.msg,
                                   "thread": thread.tid})
@@ -529,7 +504,7 @@ class Machine:
             raise OvError("E-STUCK", "transaction frame without a commit mark")
         self._abort(thread)
         thread.env = saved_env
-        thread.control = ("val", fv)
+        thread.control = fv
 
     # -- scheduling ---------------------------------------------------------------
     def _spawn(self, expr: ast.Expr, env: dict) -> None:
@@ -614,7 +589,7 @@ class Machine:
                 steps += 1
         finally:
             self.steps += steps
-        return t.control[1]
+        return t.control
 
     def set_creator(self, creator: int) -> None:
         """Name the slots allocated from now on as the creator numbered
@@ -647,25 +622,26 @@ class Machine:
 
     # -- reduction -------------------------------------------------------------
     def _reduce(self, t: Thread) -> None:
-        """One step of thread t. An expression in control reduces by the rule
-        _EXPR_RULES holds for its node class; a value is consumed by the rule
-        _KONT_RULES holds for the tag of the innermost continuation."""
-        tag, x = t.control
-        if tag == "expr":
-            rule = _EXPR_RULES.get(type(x))
-            if rule is None:
-                raise OvError("E-STUCK", f"no reduction for {type(x).__name__}",
-                              x.line, x.col)
+        """One step of thread t. Control holding a node with a rule in
+        _EXPR_RULES reduces by that rule; any other node is stuck. A value
+        is consumed by the rule _KONT_RULES holds for the tag of the
+        innermost continuation."""
+        x = t.control
+        rule = _EXPR_RULES.get(type(x))
+        if rule is not None:
             rule(self, t, x)
             return
+        if isinstance(x, ast.Node):
+            raise OvError("E-STUCK", f"no reduction for {type(x).__name__}",
+                          x.line, x.col)
         if not t.konts:
             t.done = True
-            if isinstance(x, FailureValue):
+            if type(x) is FailureValue:
                 self.failures.append({"code": x.code, "msg": x.msg,
                                       "thread": t.tid})
             return
         k = t.konts.pop()
-        if isinstance(x, FailureValue) and k[0] in _STRICT:
+        if type(x) is FailureValue and k[0] in _STRICT:
             self._signal(t, x)
             return
         rule = _KONT_RULES.get(k[0])
@@ -678,45 +654,45 @@ class Machine:
     # node's own argument list and the values gathered so far; the count of
     # gathered values is the index of the next argument.
     def _x_const(self, t: Thread, e: ast.Const) -> None:
-        t.control = ("val", e.value)
+        t.control = e.value
 
     def _x_var(self, t: Thread, e: ast.Var) -> None:
         if e.name not in t.env:
             raise OvError("E-STUCK", f"unbound variable {e.name}",
                           e.line, e.col)
-        t.control = ("val", t.env[e.name])
+        t.control = t.env[e.name]
 
     def _x_this(self, t: Thread, e: ast.This) -> None:
-        t.control = ("val", t.env.get("this"))
+        t.control = t.env.get("this")
 
     def _x_seq(self, t: Thread, e: ast.Seq) -> None:
         t.konts.append(("seq", e.second))
-        t.control = ("expr", e.first)
+        t.control = e.first
 
     def _x_let(self, t: Thread, e: ast.Let) -> None:
         t.konts.append(("bind", e.name))
-        t.control = ("expr", e.init)
+        t.control = e.init
 
     def _x_assign(self, t: Thread, e: ast.Assign) -> None:
         t.konts.append(("bind", e.name))
-        t.control = ("expr", e.value)
+        t.control = e.value
 
     def _x_field_get(self, t: Thread, e: ast.FieldGet) -> None:
         t.konts.append(("fget", e.field_name, e))
-        t.control = ("expr", e.receiver)
+        t.control = e.receiver
 
     def _x_field_set(self, t: Thread, e: ast.FieldSet) -> None:
         t.konts.append(("fset_recv", e.field_name, e.value, e))
-        t.control = ("expr", e.receiver)
+        t.control = e.receiver
 
     def _x_call(self, t: Thread, e: ast.Call) -> None:
         t.konts.append(("call_recv", e.method, e.args, e))
-        t.control = ("expr", e.receiver)
+        t.control = e.receiver
 
     def _x_new(self, t: Thread, e: ast.New) -> None:
         if e.args:
             t.konts.append(("new_args", e.type, [], e.args, e))
-            t.control = ("expr", e.args[0])
+            t.control = e.args[0]
         else:
             self._do_new(t, e.type, [], e)
 
@@ -725,12 +701,12 @@ class Machine:
             t.konts.append(("andor", e.op, e.args[1]))
         else:
             t.konts.append(("prim", e.op, [], e.args, e))
-        t.control = ("expr", e.args[0])
+        t.control = e.args[0]
 
     def _x_atomic(self, t: Thread, e: ast.Atomic) -> None:
         if e.deduced:
             t.konts.append(("atom_recv", e))
-            t.control = ("expr", e.body.receiver)
+            t.control = e.body.receiver
             return
         if e.contract is None:
             raise OvError("E-STUCK", "atomic without a contract", e.line, e.col)
@@ -741,30 +717,30 @@ class Machine:
             else self._kept_contract(obj, e, env)
         fv = self._begin(t, "txn", d)
         if fv is not None:
-            t.control = ("val", fv)
+            t.control = fv
             return
         t.konts.append(("commit", t.env))
-        t.control = ("expr", e.body)
+        t.control = e.body
 
     def _x_fork(self, t: Thread, e: ast.Fork) -> None:
         self._spawn(e.body, dict(t.env))
-        t.control = ("val", None)
+        t.control = None
 
     def _x_valid(self, t: Thread, e: ast.Valid) -> None:
         t.konts.append(("valid", e))
-        t.control = ("expr", e.value)
+        t.control = e.value
 
     def _x_require(self, t: Thread, e: ast.Require) -> None:
         t.konts.append(("require", e))
-        t.control = ("expr", e.cond)
+        t.control = e.cond
 
     def _x_emit(self, t: Thread, e: ast.EmitEvent) -> None:
         if e.args:
             t.konts.append(("emit", e.name, [], e.args))
-            t.control = ("expr", e.args[0])
+            t.control = e.args[0]
         else:
             self._emit(t, e.name, [])
-            t.control = ("val", None)
+            t.control = None
 
     def _invoke(self, t: Thread, loc: int, method: str, args: list,
                 node: ast.Expr) -> None:
@@ -787,7 +763,7 @@ class Machine:
         for p, v in zip(m.params, args):
             env[p.name] = v
         t.env = env
-        t.control = ("expr", m.body)
+        t.control = m.body
 
     def _do_new(self, t: Thread, typ: ast.ClassType, args: list,
                 node: ast.Expr) -> None:
@@ -806,7 +782,7 @@ class Machine:
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
-        defaults, parts = self._alloc(typ.name)
+        defaults, parts, _checks = self._alloc(typ.name)
         own = info.decl.ctx_params
         bindings = {typ.name: dict(zip(own, resolved))}
         for name, sup in info.supertypes.items():
@@ -834,7 +810,7 @@ class Machine:
         for p, v in zip(params, args):
             env[p.name] = v
         t.env = env
-        t.control = ("expr", body)
+        t.control = body
 
     def _emit(self, t: Thread, name: str, args: list) -> None:
         frame = t.frames[-1]
@@ -846,12 +822,11 @@ class Machine:
 
     # -- continuation rules: (thread, incoming value, continuation) ---------------
     def _k_seq(self, t: Thread, v: Value, k: tuple) -> None:
-        t.control = ("val", v) if isinstance(v, FailureValue) \
-            else ("expr", k[1])
+        t.control = v if type(v) is FailureValue else k[1]
 
     def _k_bind(self, t: Thread, v: Value, k: tuple) -> None:
         t.env[k[1]] = v
-        t.control = ("val", None)
+        t.control = None
 
     def _not_live(self, t: Thread, v: Value, use: str,
                   node: ast.Node) -> None:
@@ -877,7 +852,7 @@ class Machine:
         if fname not in obj.fields:
             raise OvError("E-STUCK", f"no field {fname} on {obj.class_name}",
                           node.line, node.col)
-        t.control = ("val", obj.fields[fname])
+        t.control = obj.fields[fname]
 
     def _k_fset_recv(self, t: Thread, v: Value, k: tuple) -> None:
         _, fname, value_expr, node = k
@@ -885,7 +860,7 @@ class Machine:
             self._not_live(t, v, "write to", node)
             return
         t.konts.append(("fset_val", v.index, fname, node))
-        t.control = ("expr", value_expr)
+        t.control = value_expr
 
     def _k_fset_val(self, t: Thread, v: Value, k: tuple) -> None:
         _, loc, fname, node = k
@@ -893,7 +868,7 @@ class Machine:
             self._not_live(t, self.locs[loc], "write to", node)
             return
         self.write_field(t, loc, fname, v)
-        t.control = ("val", None)
+        t.control = None
 
     def _k_call_recv(self, t: Thread, v: Value, k: tuple) -> None:
         _, method, args, node = k
@@ -902,7 +877,7 @@ class Machine:
             return
         if args:
             t.konts.append(("call_args", v.index, method, [], args, node))
-            t.control = ("expr", args[0])
+            t.control = args[0]
         else:
             self._invoke(t, v.index, method, [], node)
 
@@ -911,7 +886,7 @@ class Machine:
         done.append(v)
         if len(done) < len(args):
             t.konts.append(k)
-            t.control = ("expr", args[len(done)])
+            t.control = args[len(done)]
         else:
             self._invoke(t, loc, method, done, node)
 
@@ -920,7 +895,7 @@ class Machine:
         done.append(v)
         if len(done) < len(args):
             t.konts.append(k)
-            t.control = ("expr", args[len(done)])
+            t.control = args[len(done)]
         else:
             self._do_new(t, typ, done, node)
 
@@ -929,10 +904,10 @@ class Machine:
         done.append(v)
         if len(done) < len(args):
             t.konts.append(k)
-            t.control = ("expr", args[len(done)])
+            t.control = args[len(done)]
             return
         try:
-            t.control = ("val", _apply_op(op, done))
+            t.control = _apply_op(op, done)
         except ZeroDivisionError:
             self._signal(t, FailureValue("R-DIV0", "division by zero"))
         except TypeError:
@@ -944,21 +919,21 @@ class Machine:
         if not isinstance(v, bool):
             raise OvError("E-STUCK", f"{op} on a non-boolean")
         if (op == "&&" and v is False) or (op == "||" and v is True):
-            t.control = ("val", v)
+            t.control = v
         else:
-            t.control = ("expr", right)
+            t.control = right
 
     def _k_valid(self, t: Thread, v: Value, k: tuple) -> None:
         if type(v) is Loc and self.heap[v.index] is not None:
-            t.control = ("val", self.assert_valid(v.index))
+            t.control = self.assert_valid(v.index)
         elif v is None:
-            t.control = ("val", False)
+            t.control = False
         else:
             self._not_live(t, v, "valid on", k[1])
 
     def _k_require(self, t: Thread, v: Value, k: tuple) -> None:
         if v is True:
-            t.control = ("val", True)
+            t.control = True
         elif v is False:
             self._signal(t, FailureValue("R-REQUIRE", "requirement failed"))
         else:
@@ -969,10 +944,10 @@ class Machine:
         done.append(v)
         if len(done) < len(args):
             t.konts.append(k)
-            t.control = ("expr", args[len(done)])
+            t.control = args[len(done)]
         else:
             self._emit(t, name, done)
-            t.control = ("val", None)
+            t.control = None
 
     def _k_ret(self, t: Thread, v: Value, k: tuple) -> None:
         _, saved_env, recv_loc = k
@@ -980,23 +955,23 @@ class Machine:
             self.post_checks += len(
                 self.tree.runtime_subtree(CtxLoc(recv_loc)))
         t.env = saved_env
-        t.control = ("val", v)
+        t.control = v
 
     def _k_commit(self, t: Thread, v: Value, k: tuple) -> None:
         fv = self._commit(t)
         t.env = k[1]
-        t.control = ("val", v if fv is None else fv)
+        t.control = v if fv is None else fv
 
     def _k_init(self, t: Thread, v: Value, k: tuple) -> None:
         """The next class's part of a construction (`_alloc`), under its
         bindings; v is None, from the previous part's last field write."""
         t.env["#ctx"] = k[1]
-        t.control = ("expr", k[2])
+        t.control = k[2]
 
     def _k_ctor(self, t: Thread, v: Value, k: tuple) -> None:
         fv = self._commit(t)
         t.env = k[1]
-        t.control = ("val", self.locs[k[2]] if fv is None else fv)
+        t.control = self.locs[k[2]] if fv is None else fv
 
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
         """The receiver v of a deduced `atomic` call or field write. The
@@ -1020,7 +995,7 @@ class Machine:
             d = Contract(CtxBot(), CtxLoc(v.index))
         fv = self._begin(t, "txn", d)
         if fv is not None:
-            t.control = ("val", fv)
+            t.control = fv
             return
         t.konts.append(("commit", t.env))
         if call:
@@ -1051,13 +1026,6 @@ _EXPR_RULES = {
     ast.Require: Machine._x_require,
     ast.EmitEvent: Machine._x_emit,
 }
-# The invariant rules: a clause that typechecks holds no other node class.
-_PURE_RULES = {
-    ast.Const: Machine._p_const,
-    ast.This: Machine._p_this,
-    ast.FieldGet: Machine._p_field_get,
-    ast.PrimOp: Machine._p_prim,
-}
 _KONT_RULES = {
     "seq": Machine._k_seq,
     "bind": Machine._k_bind,
@@ -1080,11 +1048,106 @@ _KONT_RULES = {
 }
 
 
+# -- invariant compilation ---------------------------------------------------
+# A clause part compiles to a check: a function of the location of the object
+# whose invariant is evaluated, returning the part's value there, or raising
+# _InvFail where the whole invariant is false: a null, removed or fieldless
+# receiver, a non-bool && or || operand, an _apply_op error, or a node with no
+# compile rule.
+Check = "Callable[[int], Value]"
+
+
+def _compile(m: Machine, e: ast.Expr) -> Check:
+    """e compiled for machine m by the rule _PURE_RULES holds for its node
+    class."""
+    rule = _PURE_RULES.get(type(e))
+    return _no_rule if rule is None else rule(m, e)
+
+
+def _no_rule(this_loc: int) -> Value:
+    raise _InvFail
+
+
+def _c_const(m: Machine, e: ast.Const) -> Check:
+    value = e.value
+    return lambda this_loc: value
+
+
+def _c_this(m: Machine, e: ast.This) -> Check:
+    return m.locs.__getitem__
+
+
+def _c_field_get(m: Machine, e: ast.FieldGet) -> Check:
+    receiver = _compile(m, e.receiver)
+    heap = m.heap
+    name = e.field_name
+
+    def field_get(this_loc: int) -> Value:
+        recv = receiver(this_loc)
+        if type(recv) is not Loc:
+            raise _InvFail
+        obj = heap[recv.index] if recv.index < len(heap) else None
+        if obj is None or name not in obj.fields:
+            raise _InvFail
+        return obj.fields[name]
+    return field_get
+
+
+def _c_prim(m: Machine, e: ast.PrimOp) -> Check:
+    op = e.op
+    args = [_compile(m, a) for a in e.args]
+    if op in ("&&", "||"):
+        left, right = args
+        decides = op == "||"  # the left value that is the result
+
+        def andor(this_loc: int) -> Value:
+            a = left(this_loc)
+            if type(a) is not bool:
+                raise _InvFail
+            if a is decides:
+                return a
+            b = right(this_loc)
+            if type(b) is not bool:
+                raise _InvFail
+            return b
+        return andor
+
+    def apply(this_loc: int) -> Value:
+        vals = [a(this_loc) for a in args]
+        try:
+            return _apply_op(op, vals)
+        except (ZeroDivisionError, TypeError):
+            raise _InvFail from None
+    return apply
+
+
+# The compile rules: a clause that typechecks holds no other node class.
+_PURE_RULES = {
+    ast.Const: _c_const,
+    ast.This: _c_this,
+    ast.FieldGet: _c_field_get,
+    ast.PrimOp: _c_prim,
+}
+
+
+def _div(a: int, b: int) -> int:
+    """a / b rounded toward zero, as Solidity divides."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def _mod(a: int, b: int) -> int:
+    """The remainder of _div, with the sign of a: a == _div(a, b) * b +
+    _mod(a, b)."""
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
+
+
 # the binary operators on two integers; OV integers are exact ints (bool,
-# a subclass of int, is not one)
+# a subclass of int, is not one). / and % truncate toward zero.
 _INT_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.floordiv, "%": operator.mod,
+    "/": _div, "%": _mod,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 

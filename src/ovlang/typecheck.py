@@ -10,7 +10,9 @@ so one fault gives one diagnostic.
 
 check_program marks each bare `atomic` call or field write as `deduced`; the
 deduced contract checks it here, and the runtime resolves the contract
-against the receiver object itself.
+against the receiver object itself. A deduced contract that mentions the
+unknown context `?` can be a subcontract of no frame, itself included, so
+it is reported once, as E-NEED-CONTRACT, and nothing is checked against it.
 """
 from __future__ import annotations
 
@@ -27,9 +29,11 @@ TOP_TOP = Contract(CtxTop(), CtxTop())
 CTOR_CONTRACT = Contract(CtxBot(), CtxThis())
 
 # What Checker._member finds: the declaring class, the field or method, and
-# the receiver type's context arguments at that class.
-Member = tuple[ast.ClassDecl, Union[ast.FieldDecl, ast.MethodDecl],
-               list[Context]]
+# the receiver type's context arguments at that class. A string, read only
+# by annotations: an alias evaluated at import would be kept in typing's
+# caches, and with it every copy of the package imported.
+Member = ("tuple[ast.ClassDecl, Union[ast.FieldDecl, ast.MethodDecl], "
+          "list[Context]]")
 
 
 class ClassInfo:
@@ -571,8 +575,19 @@ class Checker:
         if isinstance(body, ast.Call):
             cls, m, args = hit
             d = substitute(m.contract, cls.ctx_params, args, owner)
+            what = f"call {body.method}"
         else:  # a field write: <bot, owner of the written object>
             d = Contract(BOT, owner, line=body.line, col=body.col)
+            what = f"write to {body.field_name}"
+        if isinstance(d.validity, CtxExist) or \
+                isinstance(d.invalidity, CtxExist):
+            # no frame contains an unknown context, not even d itself:
+            # say so once, rather than fail every check against it
+            self.diags.add("E-NEED-CONTRACT",
+                           f"cannot deduce a contract for atomic {what}: "
+                           f"its contract {d} mentions the unknown context "
+                           f"{EXIST}", e.line, e.col)
+            return rule(env.child(fork_ok=False), body, rt, None)
         return rule(self._atomic_env(env, e, d), body, rt, hit)
 
     def _atomic_env(self, env: TypeEnv, e: ast.Atomic,

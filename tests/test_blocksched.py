@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched, regions
+from ovlang import ast, blocksched, regions, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
@@ -191,16 +191,21 @@ class TestLinearWork:
         edges = sum(w * (w - 1) // 2 + w * reads[a] for a, w in writes.items())
         calls = Counter()
 
-        def counted(name, fn, bound):
+        def counted(name, fn, bound, size=lambda out: 1):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                out = fn(*args, **kwargs)
+                calls[name] += size(out)
                 # fail at once rather than after a quadratic run
-                assert calls[name] <= bound, f"{name}: over {bound} calls"
-                return fn(*args, **kwargs)
+                assert calls[name] <= bound, f"{name}: over {bound}"
+                return out
             return wrapper
 
+        # every candidate pair is one transaction the bucket query returns
+        monkeypatch.setattr(blocksched, "_writers_meeting",
+                            counted("candidates", blocksched._writers_meeting,
+                                    2 * (n + edges), len))
         monkeypatch.setattr(blocksched, "interferes",
-                            counted("interferes", interferes, 2 * (n + edges)))
+                            counted("interferes", interferes, 0))
         monkeypatch.setattr(OwnershipTree, "runtime_inside",
                             counted("runtime_inside",
                                     OwnershipTree.runtime_inside, 4 * n))
@@ -208,7 +213,9 @@ class TestLinearWork:
         monkeypatch.setattr(regions, "usable_cpus", lambda: 1)
         mined = mine_block(PROGRAM, block_of(accounts(n), txns))
         assert len(mined.edges) == edges
-        assert calls["interferes"] >= edges  # the counter really counted
+        assert calls["candidates"] >= edges  # the counter really counted
+        # every contract is located: no pair needs confirming
+        assert calls["interferes"] == 0
 
 
     def test_superclass_walks_once_per_class(self, monkeypatch):
@@ -419,6 +426,29 @@ class TestPinnedCounters:
         machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
         _execute(machine, scts, range(len(scts)))
         assert sum(calls.values()) >= len({s.loc for s in scts})
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in PINNED_INPUTS if n.startswith("custody:")))
+    def test_invariants_compiled_once_per_class(self, name, monkeypatch):
+        # custody blocks evaluate the invariants of two classes dozens of
+        # times; each clause, and each part of it, is compiled once per
+        # machine, when its class is first allocated
+        compiles = Counter()
+        compile_ = runtime._compile
+
+        def counted(machine, e):
+            key = (id(machine), id(e))
+            compiles[key] += 1
+            assert compiles[key] == 1, f"{e} compiled twice"
+            return compile_(machine, e)
+
+        monkeypatch.setattr(runtime, "_compile", counted)
+        machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
+        _execute(machine, scts, range(len(scts)))
+        clauses = {id(c) for cls in ("Account", "Customer")
+                   for c in machine.table.info(cls).invariants}
+        assert clauses <= {e for _m, e in compiles}
+        assert machine.invariant_evals > 10 * len(clauses)
 
 
 class TestRunaway:

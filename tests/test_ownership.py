@@ -119,8 +119,8 @@ def build_tree(owners: dict) -> OwnershipTree:
     return tree
 
 
-# an independent enumeration of subtree membership, by descending the
-# children map rather than walking ancestor chains
+# an independent enumeration of subtree membership, by descending an
+# owner-to-owned map built here rather than reading the tree
 def enumerate_subtree(owners: dict, k) -> set:
     if isinstance(k, CtxBot):
         return set()
@@ -136,6 +136,19 @@ def enumerate_subtree(owners: dict, k) -> set:
         out.add(cur)
         stack.extend(kids.get(cur, []))
     return out
+
+
+def subtree_listed(tree: OwnershipTree, owners: dict, k) -> bool:
+    """runtime_subtree(k) lists the enumerated subtree in ascending order."""
+    return list(tree.runtime_subtree(k)) == sorted(
+        enumerate_subtree(owners, k))
+
+
+def subtrees_stored(tree: OwnershipTree, owners: dict) -> bool:
+    """The tree stores a subtree for each live location, and only for those,
+    each ascending and equal to the enumeration."""
+    return tree.subtrees == {
+        loc: sorted(enumerate_subtree(owners, CtxLoc(loc))) for loc in owners}
 
 
 class TestTree:
@@ -158,7 +171,7 @@ class TestTree:
     def test_runtime_subtree_matches_enumeration(self):
         tree = build_tree(self.OWNERS)
         for k in [CtxTop(), CtxBot()] + [CtxLoc(i) for i in self.OWNERS]:
-            assert tree.runtime_subtree(k) == enumerate_subtree(self.OWNERS, k)
+            assert subtree_listed(tree, self.OWNERS, k)
 
     def test_dangling_owner_rejected(self):
         tree = OwnershipTree()
@@ -169,7 +182,7 @@ class TestTree:
     def test_remove(self):
         tree = build_tree({0: None, 1: 0})
         tree.remove(1)
-        assert tree.runtime_subtree(CtxLoc(0)) == {0}
+        assert tree.runtime_subtree(CtxLoc(0)) == [0]
 
     def test_removed_root_is_dangling(self):
         tree = build_tree({0: None, 1: None})
@@ -196,8 +209,8 @@ class TestTree:
                     owners[fresh] = owner
                     fresh += 1
                 for k in [CtxTop(), CtxBot()] + [CtxLoc(i) for i in owners]:
-                    assert tree.runtime_subtree(k) == \
-                        enumerate_subtree(owners, k)
+                    assert subtree_listed(tree, owners, k)
+                assert subtrees_stored(tree, owners)
 
 
 # a brute-force ancestor walk over a plain owner map, for the chains the
@@ -246,7 +259,8 @@ class TestAncestorChains:
                     assert tree.runtime_inside(loc, k) == \
                         (loc in enumerate_subtree(owners, k))
             for k in ctxs:
-                assert tree.runtime_subtree(k) == enumerate_subtree(owners, k)
+                assert subtree_listed(tree, owners, k)
+            assert subtrees_stored(tree, owners)
             for k1 in ctxs:
                 for k2 in ctxs:
                     if not locs and k1 == k2 == CtxTop():
@@ -279,7 +293,7 @@ class TestAncestorChains:
         assert dangling(tree.chain, 2)
         tree.add(3, 1)
         assert tree.chain(3) == (3, 1, 0)
-        assert tree.runtime_subtree(CtxLoc(0)) == {0, 1, 3}
+        assert tree.runtime_subtree(CtxLoc(0)) == [0, 1, 3]
 
 
 class TestSubtreesIntersect:

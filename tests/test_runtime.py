@@ -652,7 +652,8 @@ main {
     def test_every_rule_is_reached(self, monkeypatch):
         # a rule that no input reaches is dead: every rule of the three
         # tables must be reached by the corpus mains, the corpus blocks
-        # and REST
+        # and REST. A compile rule is reached when a clause is compiled,
+        # once per class and machine, not at each evaluation.
         reached = set()
 
         def counted(key, rule):
@@ -1104,10 +1105,11 @@ def _reference_apply_op(op: str, vals: list):
         return a - b
     if op == "*":
         return a * b
-    if op == "/":
-        return a // b
-    if op == "%":
-        return a % b
+    if op == "/":  # toward zero, as Solidity divides
+        q = abs(a) // abs(b)
+        return q if (a < 0) == (b < 0) else -q
+    if op == "%":  # what / leaves, so a == (a / b) * b + a % b
+        return a - b * _reference_apply_op("/", [a, b])
     if op == "<":
         return a < b
     if op == "<=":
@@ -1132,6 +1134,61 @@ class TestApplyOp:
             return type(exc)
         return (type(v), v)
 
+    # Solidity's integer division truncates toward zero, and the remainder
+    # takes the dividend's sign: one row per sign case
+    SIGNS = [(7, 2, 3, 1), (-7, 2, -3, -1), (7, -2, -3, 1), (-7, -2, 3, -1)]
+
+    @pytest.mark.parametrize("a,b,quotient,remainder", SIGNS)
+    def test_division_truncates(self, a, b, quotient, remainder):
+        assert runtime._apply_op("/", [a, b]) == quotient
+        assert runtime._apply_op("%", [a, b]) == remainder
+        assert quotient * b + remainder == a
+
+    RATIO = """\
+class Ratio[o] {
+    int d = 2;
+    int q = 0;
+    int r = 0;
+    inv -7 / d >= -3;
+
+    void split(int a) <this,this> {
+        q = a / d;
+        r = a % d;
+    }
+
+    void set(int x) <this,this> {
+        d = x;
+    }
+
+    void zero(int a) <this,this> {
+        q = a % (a - a);
+    }
+}
+"""
+
+    def test_division_in_a_program(self):
+        # the step rules and the invariant checks divide alike (with floor
+        # division the invariant would fail at construction); by zero, a
+        # transaction aborts with R-DIV0 and an invariant is false
+        m = machine_for(self.RATIO)
+        p = _new(m, "Ratio", ast.CtxTop())
+        fields = m.heap[p.index].fields
+
+        def call(method, arg):
+            body = ast.Call(ast.Var("p"), method, [ast.Const(arg)])
+            out = m.run_expression(ast.Atomic(None, body, deduced=True),
+                                   {"p": p, "#ctx": {}})
+            return out.code if isinstance(out, FailureValue) else out
+
+        assert call("split", -7) is None
+        assert (fields["q"], fields["r"]) == (-3, -1)
+        assert call("set", 0) == "R-POST-FAIL"
+        assert call("zero", 5) == "R-DIV0"
+        assert fields == {"d": 2, "q": -3, "r": -1}
+        assert call("set", -2) is None
+        assert call("split", 7) is None
+        assert fields == {"d": -2, "q": -3, "r": 1}
+
     # every operand pair, bools and locations included: True + 1 stays a
     # TypeError and 7 / 0 a ZeroDivisionError
     @pytest.mark.parametrize("op", BINARY + ["!"])
@@ -1142,3 +1199,121 @@ class TestApplyOp:
         for vals in cases:
             assert self._outcome(runtime._apply_op, op, vals) == \
                 self._outcome(_reference_apply_op, op, vals), (op, vals)
+
+
+class _RefFail(Exception):
+    """The reference's "the invariant is false"."""
+
+
+def _reference_pure(m: Machine, e: ast.Expr, this_loc: int):
+    """The value of invariant clause part e at this_loc by a walk over its
+    tree: how invariants were evaluated before they were compiled, kept as
+    the compiled checks' reference. _RefFail makes the invariant false."""
+    if type(e) is ast.Const:
+        return e.value
+    if type(e) is ast.This:
+        return m.locs[this_loc]
+    if type(e) is ast.FieldGet:
+        recv = _reference_pure(m, e.receiver, this_loc)
+        if not isinstance(recv, Loc):
+            raise _RefFail
+        obj = m.heap[recv.index] if recv.index < len(m.heap) else None
+        if obj is None or e.field_name not in obj.fields:
+            raise _RefFail
+        return obj.fields[e.field_name]
+    if type(e) is not ast.PrimOp:
+        raise _RefFail
+    if e.op in ("&&", "||"):
+        left = _reference_pure(m, e.args[0], this_loc)
+        if not isinstance(left, bool):
+            raise _RefFail
+        if left is (e.op == "||"):
+            return left
+        right = _reference_pure(m, e.args[1], this_loc)
+        if not isinstance(right, bool):
+            raise _RefFail
+        return right
+    vals = [_reference_pure(m, a, this_loc) for a in e.args]
+    try:
+        return runtime._apply_op(e.op, vals)
+    except (ZeroDivisionError, TypeError):
+        raise _RefFail from None
+
+
+class TestCompiledInvariants:
+    SRC = """\
+class Node[o] {
+    Node<o> next;
+    Node<o> peer;
+    int n;
+    bool b;
+}
+
+class Bare[o] {
+}
+"""
+    FIELDS = ["n", "b", "next", "peer", "gone"]
+    CONSTS = [-7, -1, 0, 1, 2, 7, True, False, None]
+
+    def _heap(self, rng: random.Random) -> Machine:
+        """Nodes and a fieldless Bare, some removed, with fields of every
+        kind: null, a live node, the Bare, a removed node, and ints and
+        bools of either kind, so reads meet each failure."""
+        m = machine_for(self.SRC)
+        locs = [_new(m, "Node", ast.CtxTop()) for _ in range(6)]
+        locs.append(_new(m, "Bare", ast.CtxTop()))
+        for loc in locs[4:6]:
+            m.heap[loc.index] = None  # removed
+        for obj in m.heap:
+            if obj is not None and obj.class_name == "Node":
+                for name in self.FIELDS[:4]:
+                    obj.fields[name] = rng.choice(
+                        [None] + locs + self.CONSTS)
+        return m
+
+    def _clause(self, rng: random.Random, depth: int) -> ast.Expr:
+        kind = rng.choice(["const", "this", "get", "get", "prim", "prim"]
+                          if depth else ["const", "this", "get"])
+        if kind == "const":
+            return ast.Const(rng.choice(self.CONSTS))
+        if kind == "this":
+            return ast.This()
+        if kind == "get":
+            recv = self._clause(rng, depth - 1) if depth and \
+                rng.random() < 0.4 else ast.This()
+            return ast.FieldGet(recv, rng.choice(self.FIELDS))
+        op = rng.choice(TestApplyOp.BINARY + ["!", "-"])
+        arity = 1 if op == "!" or (op == "-" and rng.random() < 0.5) else 2
+        return ast.PrimOp(op, [self._clause(rng, depth - 1)
+                               for _ in range(arity)])
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            v = fn(*args)
+        except (runtime._InvFail, _RefFail):
+            return "false"
+        return (type(v), v)
+
+    def test_compiled_checks_match_the_tree_walk(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(40):
+            m = self._heap(rng)
+            live = [i for i, obj in enumerate(m.heap) if obj is not None]
+            for _ in range(60):
+                clause = self._clause(rng, 4)
+                check = runtime._compile(m, clause)
+                for loc in live:
+                    want = self._outcome(_reference_pure, m, clause, loc)
+                    assert self._outcome(check, loc) == want, (clause, loc)
+                    outcomes.add(want if want == "false" else want[0])
+        # every kind of result was met, failure included
+        assert outcomes >= {"false", int, bool, Loc, type(None)}
+
+    def test_a_node_without_a_rule_fails_only_where_evaluated(self):
+        m = self._heap(random.Random(3))
+        stray = ast.Var("x")
+        assert self._outcome(runtime._compile(m, stray), 0) == "false"
+        decided = ast.PrimOp("||", [ast.Const(True), stray])
+        assert self._outcome(runtime._compile(m, decided), 0) == (bool, True)

@@ -229,6 +229,44 @@ main {
             ("E-TYPE", "int is not an object type", 30),
             ("E-TYPE", "int is not an object type", 42)]
 
+    # Sub's `extends` passes `this` for Base's p, so through a receiver
+    # variable touch's validity is the unknown context ?
+    THIS_IN_EXTENDS = """\
+class Base[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    void touch() <p,this> {
+        v = v + 1;
+    }
+}
+
+class Sub[o] extends Base<o, this> {
+    Base<this, this> inner = null;
+}
+
+main {
+    Sub<top> s = new Sub<top>();
+"""
+
+    @pytest.mark.parametrize("body, want", [
+        ("atomic s.touch();",
+         "cannot deduce a contract for atomic call touch: its contract "
+         "<?,top> mentions the unknown context ?"),
+        ("atomic s.inner.v = 1;",
+         "cannot deduce a contract for atomic write to v: its contract "
+         "<bot,?> mentions the unknown context ?"),
+    ], ids=["call", "write"])
+    def test_deduced_unknown_context_one_diagnostic(self, body, want):
+        # no frame contains ?, not even the deduced contract itself: the
+        # fault is the deduction, reported once at the atomic
+        _, diags = compile_source(self.THIS_IN_EXTENDS + f"    {body}\n}}\n")
+        assert [(d.code, d.msg, d.line, d.col) for d in diags] == [
+            ("E-NEED-CONTRACT", want, 16, 5)]
+
+    def test_plain_call_with_unknown_context_checks_clean(self):
+        assert_clean(self.THIS_IN_EXTENDS + "    s.touch();\n}\n")
+
     def test_explicit_atomic_subcontract(self):
         src = "class C[o] { void m() <this,this> { atomic <top,this> { } } }"
         assert error_codes(src) == {"E-SUBCONTRACT"}
