@@ -37,14 +37,22 @@ TXN_STEPS = DEFAULT_FUEL
 
 # A block with fewer deploys plus transactions than this runs in one
 # process, and each shard of a larger one (`regions`) gets at least half
-# of it. Waking an idle worker costs about 0.6 ms at the median and 3.3 ms
-# at p90, so on bank blocks of n accounts and n transactions two shards
-# break even between n = 50 and n = 100. Mining with the worker idle for
-# 5 ms before each block ran, against one process, 0.89x as fast at
-# n = 25, 0.94x at 50, 1.12x at 75, 1.18x at 100 and 1.41x at 200 (medians
-# of 120 blocks each, on a 2-vCPU host). custody_hot's blocks (48) stay
-# below it, bank_large's (1,000) are above.
-SHARD_MIN_WORK = 200
+# of it. Waking a worker idle for 5 ms costs about 0.6 ms at the median
+# and 0.8 ms at p90. Mining plus validating in two shards ran this many
+# times as fast as in one process on bank blocks of n accounts and n
+# transactions, back to back and with the worker idle for 5 ms before
+# each block (medians of 12 blocks a size in 25 interleaved trials; the
+# lower of two runs at each size; a 2-vCPU host):
+#
+#     units (2n)      10    20    30    40    50    60    80   100
+#     back to back  0.83  1.02  1.04  1.18  1.23  1.25  1.17  1.34
+#     worker idle   0.65  0.80  0.92  1.03  1.03  1.07  1.12  1.23
+#
+# so two shards stop losing at 40 units. Bank units are the cheapest of
+# any workload; custody_hot's blocks (48 units, each about twice a bank
+# unit) ran 1.43x and 1.23x as fast, and bank_large's (1,000) are far
+# above it.
+SHARD_MIN_WORK = 40
 
 
 @dataclass

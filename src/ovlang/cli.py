@@ -47,7 +47,7 @@ def _emit_diags(diags: Diagnostics, as_json: bool) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as err:

@@ -11,12 +11,13 @@ location, no edge, read or write crosses regions. `run` balances the
 regions into one shard per usable CPU and runs each shard through
 blocksched's one-process path (`_prepare`, `build_conflict_graph`,
 `_execute`), on a heap of its own and with the block's own creator
-numbers: one shard in this process, the others in worker processes
-(`_Pool`). Each shard thus names its heap slots as one process does and
-spells its own objects; `merge` only concatenates the shards' outputs and
-sorts them. A block whose regions may meet, a shard
-that raises, a dead worker, a platform without fork, a process with other
-threads and a host with one usable CPU all fall back to one process.
+numbers: the heaviest shard in this process, the others in worker
+processes (`_Pool`), which start on theirs a wake-up later. Each shard
+thus names its heap slots as one process does and spells its own objects;
+`merge` only concatenates the shards' outputs and sorts them. A block
+whose regions may meet, a shard that raises, a dead worker, a platform
+without fork, a process with other threads and a host with one usable CPU
+all fall back to one process.
 
 blocksched imports this module on the first block of at least
 `blocksched.SHARD_MIN_WORK` deploys plus transactions, and this module
@@ -41,10 +42,10 @@ from .runtime import state_digest
 def _split(block: Block,
            shards: int) -> Optional[list[tuple[list[int], list[int]]]]:
     """The block's regions balanced into at most `shards` shards, each as
-    its deploy and transaction indices, ascending, the lightest shard
-    first. None when the block must run in one process: two deploys share
-    an id, a transaction's target is not deployed, or fewer than two
-    shards get work."""
+    its deploy and transaction indices, ascending, the heaviest shard
+    first: the caller runs it while the workers wake. None when the block
+    must run in one process: two deploys share an id, a transaction's
+    target is not deployed, or fewer than two shards get work."""
     where = {d["id"]: k for k, d in enumerate(block.deploys)}
     if len(where) < len(block.deploys):
         return None
@@ -68,7 +69,7 @@ def _split(block: Block,
     for t, txn in enumerate(block.txns):
         parts[shard_of[where[txn["target"]]]][1].append(t)
     parts = sorted((p for p in parts if p[0]),
-                   key=lambda p: len(p[0]) + len(p[1]))
+                   key=lambda p: len(p[0]) + len(p[1]), reverse=True)
     return parts if len(parts) > 1 else None
 
 
@@ -223,10 +224,11 @@ class _Pool:
         self.workers: list[_Worker] = []
 
     def run(self, program: ast.Program, jobs: list) -> Optional[list]:
-        """jobs[0] run here and the others on workers; their runs, or None
-        when the block must run in one process: the platform has no fork
-        (Windows), this process has other threads, which make forking it
-        unsafe, or a worker could not start or died."""
+        """jobs[0], the heaviest, run here and the others on workers, which
+        start a wake-up later; their runs, or None when the block must run
+        in one process: the platform has no fork (Windows), this process
+        has other threads, which make forking it unsafe, or a worker could
+        not start or died."""
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return None
         done = False

@@ -373,7 +373,7 @@ def write_outputs(files: dict[str, str], out_dir: str) -> list[str]:
     written = []
     for name in sorted(files):
         path = os.path.join(out_dir, name)
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(files[name])
         written.append(path)
     return written

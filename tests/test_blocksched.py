@@ -1010,6 +1010,66 @@ class TestRegions:
         assert merges == [1, 1, 1]
         assert outputs(other) == outputs(one_process(FUZZ_PROGRAM, b))
 
+    @pytest.mark.parametrize("kind", ["custody", "bank"])
+    def test_blocks_at_the_threshold_run_on_a_worker(self, fresh_pool,
+                                                     monkeypatch, kind):
+        # the smallest blocks that split: seed-1 custody_hot blocks, and a
+        # bank block of exactly SHARD_MIN_WORK deploys plus transactions
+        two_cpus()
+        if kind == "custody":
+            blocks = [parse_block(b) for b in
+                      bench_module("workloads").custody_blocks(1)]
+        else:
+            n = blocksched.SHARD_MIN_WORK // 2
+            blocks = [block_of(accounts(blocksched.SHARD_MIN_WORK - n),
+                               bank_txns(random.Random(19), n))]
+        merges = []
+        merge = regions.merge
+        monkeypatch.setattr(regions, "merge",
+                            lambda *a: merges.append(1) or merge(*a))
+        for b in blocks:
+            mined = mine_block(PROGRAM, b)
+            report = validate_block(PROGRAM, mined, b)
+            want = one_process(PROGRAM, b)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regions, "usable_cpus", lambda: 1)
+                want_report = validate_block(PROGRAM, want, b)
+            assert outputs(mined) == outputs(want)
+            assert report == want_report and report.accepted
+        assert merges == [1, 1] * len(blocks)  # mine and validate split
+        assert [w.proc.is_alive() for w in fresh_pool.workers] == [True]
+
+    def test_heaviest_shard_first(self):
+        # the caller runs jobs[0], and a worker wakes a little after the
+        # caller starts: the caller gets the heaviest shard
+        def units(part):
+            return len(part[0]) + len(part[1])
+
+        custody = [parse_block(b) for b in
+                   bench_module("workloads").custody_blocks(1)[:8]]
+        for b in [*custody, *fuzz_blocks(2029, 300)]:
+            for shards in (2, 3):
+                parts = regions._split(b, shards)
+                if parts is not None:
+                    got = [units(p) for p in parts]
+                    assert got == sorted(got, reverse=True), (shards, b)
+
+        class RecordingPool(InProcessPool):
+            def __init__(self):
+                self.units = []
+
+            def run(self, program, jobs):
+                self.units.append([len(blk.deploys) + len(blk.txns)
+                                   for blk, _creators in jobs])
+                return super().run(program, jobs)
+
+        pool = RecordingPool()
+        for b in custody:
+            assert outputs(split_run(PROGRAM, b, 2, pool)) == \
+                outputs(one_process(PROGRAM, b))
+        # custody regions weigh 15, 10, 6, 5, 4, 3, 3 and 2: no even split
+        assert pool.units == [[25, 23]] * len(custody)
+
 
 WORKER_SCRIPT = """\
 import os, sys
@@ -1064,6 +1124,14 @@ class TestWorkers:
         validate_block(PROGRAM, mine_block(PROGRAM, b), b)
         assert multiprocessing.active_children() == []
         assert fresh_pool.workers == []
+
+    def test_corpus_blocks_are_small(self):
+        # the CLI smoke tests and the test below run these blocks to show
+        # that small work starts and imports no worker machinery
+        for path in sorted((CORPUS / "blocks").glob("*.json")):
+            b = parse_block(json.loads(path.read_text(encoding="utf-8")))
+            assert len(b.deploys) + len(b.txns) < blocksched.SHARD_MIN_WORK, \
+                path.name
 
     def test_no_fork_runs_in_one_process(self, fresh_pool, monkeypatch):
         # where there is no fork (Windows) a large block starts no worker

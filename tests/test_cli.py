@@ -317,6 +317,35 @@ class TestTranspile:
                      "-o", str(tmp_path / "x")]) == 1
 
 
+class TestEncoding:
+    """Source, blocks and emitted Solidity are UTF-8 whatever the locale:
+    no command opens a file in the locale's encoding."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", BANK], 0),
+        (["run", BANK], 0),
+        (["simulate", BANK, TRANSFERS], 0),
+        (["transpile", ACCOUNT, "-o", "{out}"], 0),
+        (["check", "{undecodable}"], 2),
+    ], ids=["check", "run", "simulate", "transpile", "undecodable"])
+    def test_no_default_encoding(self, tmp_path, argv, code):
+        bad = tmp_path / "bad.ov"
+        bad.write_bytes(b"main { \xff }")
+        argv = [a.format(out=tmp_path / "sol", undecodable=bad) for a in argv]
+        env = dict(os.environ, OV_COLOR="0", PYTHONPATH=os.pathsep.join(
+            [str(CORPUS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "ovlang.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert "EncodingWarning" not in proc.stderr
+        if argv[0] == "transpile":
+            assert (tmp_path / "sol" / "Account.sol").read_text(
+                encoding="utf-8") == (GOLDENS / "Account.sol").read_text(
+                encoding="utf-8")
+
+
 class TestSimulate:
     def test_edge_free_block(self, capsys):
         assert main(["simulate", BANK, TRANSFERS]) == 0
