@@ -23,6 +23,7 @@ always runs in one process: it is the oracle the split is tested against.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -218,6 +219,24 @@ def _deploy_keeps(c: ast.Constraint) -> bool:
         lo < hi or (lo == hi and not c.strict))
 
 
+# the type of the block argument values a parameter of each type takes; a
+# class-typed parameter takes only null
+_ARG_TYPES = {ast.IntType: int, ast.BoolType: bool}
+
+
+def _arg_fault(params: list, args: list) -> Optional[str]:
+    """Why args cannot be passed to params, or None: a count that differs,
+    or the first value its parameter's type does not take (`_ARG_TYPES`).
+    A deploy is checked before its constructor runs, and every
+    transaction before any of them runs."""
+    if len(args) != len(params):
+        return f"takes {len(params)} arguments, got {len(args)}"
+    for p, a in zip(params, args):
+        if type(a) is not _ARG_TYPES.get(type(p.type), type(None)):
+            return f"parameter {p.name} is {p.type}, got {json.dumps(a)}"
+    return None
+
+
 def _deploy(machine: Machine, deploys: list,
             creators: Iterable[int]) -> dict[str, int]:
     """Run the deploy list serially, each as the creator `creators` numbers
@@ -225,9 +244,10 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
-    # class name -> (the deployed type, the constructor's arity), worked
-    # out at the class's first deploy, which names itself in any fault
-    classes: dict[str, tuple[ast.ClassType, int]] = {}
+    # class name -> (the deployed type, the constructor's parameters),
+    # worked out at the class's first deploy, which names itself in any
+    # fault
+    classes: dict[str, tuple[ast.ClassType, list]] = {}
     for d, creator in zip(deploys, creators):
         cname = d["class"]
         hit = classes.get(cname)
@@ -241,13 +261,12 @@ def _deploy(machine: Machine, deploys: list,
                     raise ValueError(f"deploy {d['id']}: {typ} violates the "
                                      f"constraint {c} of {cname}")
             hit = classes[cname] = (
-                typ, len(info.ctor.params) if info.ctor else 0)
-        typ, expected = hit
+                typ, info.ctor.params if info.ctor else [])
+        typ, params = hit
         args = d.get("args", [])
-        if len(args) != expected:
-            raise ValueError(
-                f"deploy {d['id']}: {cname} constructor takes {expected} "
-                f"arguments, got {len(args)}")
+        fault = _arg_fault(params, args)
+        if fault is not None:
+            raise ValueError(f"deploy {d['id']}: {cname} constructor {fault}")
         expr = ast.New(typ, [ast.Const(a) for a in args])
         machine.set_creator(creator)
         val = machine.run_expression(expr)
@@ -273,10 +292,9 @@ def _bind_scts(machine: Machine, targets: dict, txns: list,
                           f"{t['method']}")
         owner_cls, m = hit
         args = t.get("args", [])
-        if len(args) != len(m.params):
-            raise OvError("E-TARGET",
-                          f"txn {i}: {t['method']} takes {len(m.params)} "
-                          f"arguments, got {len(args)}")
+        fault = _arg_fault(m.params, args)
+        if fault is not None:
+            raise OvError("E-TARGET", f"txn {i}: {t['method']} {fault}")
         scts.append(Sct(method=t["method"], args=list(args), loc=loc,
                         creator=creator,
                         contract=machine._method_contract(obj, loc,

@@ -78,22 +78,14 @@ def _load_checked(path: str, as_json: bool
 def cmd_check(args) -> int:
     worst = EXIT_OK
     for path in args.files:
-        try:
-            loaded = _load_checked(path, args.json)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_IO
+        loaded = _load_checked(path, args.json)
         if loaded is None:
             worst = EXIT_DIAG
     return worst
 
 
 def cmd_run(args) -> int:
-    try:
-        loaded = _load_checked(args.file, args.json)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    loaded = _load_checked(args.file, args.json)
     if loaded is None:
         return EXIT_DIAG
     machine = Machine(loaded[1], seed=args.seed, naive=args.naive)
@@ -117,11 +109,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_transpile(args) -> int:
-    try:
-        loaded = _load_checked(args.file, False)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+    loaded = _load_checked(args.file, False)
     if loaded is None:
         return EXIT_DIAG
     surface = loaded[0]
@@ -130,12 +118,7 @@ def cmd_transpile(args) -> int:
     except OvError as err:
         _emit_diags(Diagnostics([err.diagnostic]), False)
         return EXIT_DIAG
-    try:
-        written = tp.write_outputs(files, args.out)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    for path in written:
+    for path in tp.write_outputs(files, args.out):
         print(path)
     return EXIT_OK
 
@@ -144,9 +127,6 @@ def cmd_simulate(args) -> int:
     try:
         loaded = _load_checked(args.program, False)
         raw = json.loads(_read(args.block))
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
     except json.JSONDecodeError as err:
         print(f"error: block is not valid JSON: {err}", file=sys.stderr)
         return EXIT_IO
@@ -224,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     try:
         return args.func(args)
+    except OSError as err:  # a file that cannot be read or written
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     except RecursionError:
         err = OvError("E-DEPTH", "input nests too deeply to process")
     except OvError as exc:

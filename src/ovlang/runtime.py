@@ -3,12 +3,13 @@
 Machine state: a lock flag, a heap, the set of locations currently known
 valid, per-thread frame stacks, and a thread list reduced by deterministic
 round-robin interleaving over the threads still live. Transactions nest
-linearly; each keeps a write log, a creation list, and a mark into the
-machine's undo log of valid-set changes, so aborts restore exactly the
-pre-transaction state. The root frame at the bottom of every thread never
-aborts and keeps none of these. Constructors run as implicit <bot,this>
-transactions: a bot validity needs no subtree at begin, and the commit
-revalidates exactly what the constructor created.
+linearly; each keeps a write log, the locations it created (one
+insertion-ordered dict), and a mark into the machine's undo log of
+valid-set changes, so aborts restore exactly the pre-transaction state.
+The root frame at the bottom of every thread never aborts and keeps none
+of these. Constructors run as implicit <bot,this> transactions: a bot
+validity needs no subtree at begin, and the commit revalidates exactly
+what the constructor created.
 
 `Machine._reduce` is the one step function, behind both `Machine.step`
 (whole programs) and `Machine.run_expression` (deploys and block
@@ -17,7 +18,11 @@ itself, untagged: a node with a rule in `_EXPR_RULES` (node class -> rule)
 is reduced by it, any other node is E-STUCK, and anything else is a value,
 which goes to the rule `_KONT_RULES` maps the innermost continuation's tag
 to. Both tables are built once, below the Machine class; a tag with no
-rule is E-STUCK too.
+rule is E-STUCK too. One `args` continuation (`Machine._gather`) reduces
+the arguments of a call, a `new`, an `emit` and an operator other than
+`&&` and `||`, left to right; one `commit` continuation closes every
+transaction, a construction's too, and is the one tag a failure unwinds
+to (`_signal`).
 
 Invariant clauses are not interpreted: each class's clauses are compiled
 once per machine, when the class is first allocated, into closures
@@ -51,6 +56,8 @@ Every use of a receiver (field read, field write, call, `valid`, deduced
 `Machine._not_live`: R-NULL or E-DANGLING aborts the innermost
 transaction. A deduced `atomic` call or field write checks its receiver
 before its transaction begins, then goes on as the plain call or write.
+An explicit and a deduced `atomic` begin through one helper,
+`Machine._enter`.
 
 Each heap slot is named at allocation by its creator (`set_creator`) and a
 count of that creator's earlier allocations. The state hash spells objects,
@@ -116,15 +123,14 @@ class ObjectRec:
 
 
 class Frame:
-    __slots__ = ("kind", "contract", "log", "created", "created_set",
-                 "sigma_mark", "events")
+    __slots__ = ("kind", "contract", "log", "created", "sigma_mark", "events")
 
     def __init__(self, kind: str, contract: Contract, sigma_mark: int):
         self.kind = kind  # "root" | "txn" | "ctor"
         self.contract = contract
         self.log: list[tuple[int, str, Value]] = []
-        self.created: list[int] = []
-        self.created_set: set[int] = set()
+        # the locations the frame allocated, oldest first, as dict keys
+        self.created: dict[int, None] = {}
         self.sigma_mark = sigma_mark  # length of Machine.sigma_log at begin
         self.events: list[dict] = []
 
@@ -135,15 +141,13 @@ ROOT_CONTRACT = Contract(CtxTop(), CtxTop())
 # frame committed into it go straight to Machine.events.
 ROOT_FRAME = Frame("root", ROOT_CONTRACT, 0)
 ROOT_FRAME.log = ROOT_FRAME.created = ROOT_FRAME.events = ()
-ROOT_FRAME.created_set = frozenset()
 # contexts that already denote a runtime subtree
 _RESOLVED = (CtxTop, CtxBot, CtxLoc)
 
 # continuation tags that consume their incoming value: a failure value
 # arriving here aborts the enclosing transaction (or kills the thread)
-_STRICT = {"bind", "fget", "fset_recv", "fset_val", "call_recv",
-           "call_args", "new_args", "prim", "andor", "valid", "require",
-           "emit", "atom_recv"}
+_STRICT = {"bind", "fget", "fset_recv", "fset_val", "call_recv", "args",
+           "andor", "valid", "require", "atom_recv"}
 
 
 class Thread:
@@ -386,7 +390,7 @@ class Machine:
             raise OvError("E-EFFECT",
                           f"write to l{loc}.{fname} escapes the active frame")
         # the root frame never aborts, so its writes need no undo entry
-        if frame.kind != "root" and loc not in frame.created_set:
+        if frame.kind != "root" and loc not in frame.created:
             frame.log.append((loc, fname, obj.fields.get(fname)))
         obj.fields[fname] = value
         for anc in chain:
@@ -427,7 +431,7 @@ class Machine:
     def _commit(self, thread: Thread) -> Optional[FailureValue]:
         frame = thread.frames[-1]
         validity = frame.contract.validity
-        created = frame.created_set
+        created = frame.created
         if isinstance(validity, CtxBot):
             # V ∩ I = ∅: only what the frame created is revalidated
             reval: Collection[int] = created
@@ -435,10 +439,10 @@ class Machine:
         else:
             reval = self._meet(validity, frame.contract.invalidity)
             if created:
-                reval = created.union(reval)
+                reval = created.keys() | reval
             if self.naive:
                 self.post_checks += len(
-                    created.union(self.tree.runtime_subtree(validity)))
+                    created.keys() | self.tree.runtime_subtree(validity))
             else:
                 self.post_checks += len(reval)
         # every check runs, in any order: a check changes nothing
@@ -460,8 +464,7 @@ class Machine:
             self.root_commits += 1
         else:
             parent.log.extend(frame.log)
-            parent.created.extend(frame.created)
-            parent.created_set |= frame.created_set
+            parent.created.update(frame.created)
             parent.events.extend(frame.events)
         return None
 
@@ -497,7 +500,7 @@ class Machine:
         saved_env = None
         while thread.konts:
             k = thread.konts.pop()
-            if k[0] in ("commit", "ctor"):
+            if k[0] == "commit":
                 saved_env = k[1]
                 break
         if saved_env is None:
@@ -650,9 +653,6 @@ class Machine:
         rule(self, t, x, k)
 
     # -- expression rules: (thread, node) ----------------------------------------
-    # The argument continuations (call_args, new_args, prim, emit) hold the
-    # node's own argument list and the values gathered so far; the count of
-    # gathered values is the index of the next argument.
     def _x_const(self, t: Thread, e: ast.Const) -> None:
         t.control = e.value
 
@@ -682,26 +682,22 @@ class Machine:
         t.control = e.receiver
 
     def _x_field_set(self, t: Thread, e: ast.FieldSet) -> None:
-        t.konts.append(("fset_recv", e.field_name, e.value, e))
+        t.konts.append(("fset_recv", e))
         t.control = e.receiver
 
     def _x_call(self, t: Thread, e: ast.Call) -> None:
-        t.konts.append(("call_recv", e.method, e.args, e))
+        t.konts.append(("call_recv", e))
         t.control = e.receiver
 
     def _x_new(self, t: Thread, e: ast.New) -> None:
-        if e.args:
-            t.konts.append(("new_args", e.type, [], e.args, e))
-            t.control = e.args[0]
-        else:
-            self._do_new(t, e.type, [], e)
+        self._gather(t, e.args, Machine._do_new, e)
 
     def _x_prim(self, t: Thread, e: ast.PrimOp) -> None:
         if e.op in ("&&", "||"):
             t.konts.append(("andor", e.op, e.args[1]))
+            t.control = e.args[0]
         else:
-            t.konts.append(("prim", e.op, [], e.args, e))
-        t.control = e.args[0]
+            self._gather(t, e.args, Machine._do_op, e)
 
     def _x_atomic(self, t: Thread, e: ast.Atomic) -> None:
         if e.deduced:
@@ -715,12 +711,8 @@ class Machine:
         obj = self.heap[this.index] if isinstance(this, Loc) else None
         d = self._resolve_contract(e.contract, env) if obj is None \
             else self._kept_contract(obj, e, env)
-        fv = self._begin(t, "txn", d)
-        if fv is not None:
-            t.control = fv
-            return
-        t.konts.append(("commit", t.env))
-        t.control = e.body
+        if self._enter(t, d):
+            t.control = e.body
 
     def _x_fork(self, t: Thread, e: ast.Fork) -> None:
         self._spawn(e.body, dict(t.env))
@@ -735,15 +727,32 @@ class Machine:
         t.control = e.cond
 
     def _x_emit(self, t: Thread, e: ast.EmitEvent) -> None:
-        if e.args:
-            t.konts.append(("emit", e.name, [], e.args))
-            t.control = e.args[0]
-        else:
-            self._emit(t, e.name, [])
-            t.control = None
+        self._gather(t, e.args, Machine._emit, e)
 
-    def _invoke(self, t: Thread, loc: int, method: str, args: list,
-                node: ast.Expr) -> None:
+    def _gather(self, t: Thread, args: list, finish, head) -> None:
+        """Reduce args left to right, then call finish(self, t, head,
+        values): the `args` continuation counts the values gathered."""
+        if args:
+            t.konts.append(("args", args, [], finish, head))
+            t.control = args[0]
+        else:
+            finish(self, t, head, [])
+
+    def _enter(self, t: Thread, d: Contract) -> bool:
+        """Begin a transaction under d and mark its commit; False, with the
+        failure as t's control, when the pre-check fails."""
+        fv = self._begin(t, "txn", d)
+        if fv is not None:
+            t.control = fv
+            return False
+        t.konts.append(("commit", t.env))
+        return True
+
+    def _invoke(self, t: Thread, target: tuple[int, ast.Call],
+                args: list) -> None:
+        """Call target, the receiver's location and the call node."""
+        loc, node = target
+        method = node.method
         obj = self.heap[loc]
         if obj is None:
             self._not_live(t, self.locs[loc], "call on", node)
@@ -765,8 +774,8 @@ class Machine:
         t.env = env
         t.control = m.body
 
-    def _do_new(self, t: Thread, typ: ast.ClassType, args: list,
-                node: ast.Expr) -> None:
+    def _do_new(self, t: Thread, node: ast.New, args: list) -> None:
+        typ = node.type
         info = self.table.info(typ.name)
         if info is None or len(typ.args) != len(info.decl.ctx_params):
             raise OvError("E-STUCK", f"cannot instantiate {typ}",
@@ -795,14 +804,13 @@ class Machine:
         self.tree.add(loc, owner)
         fv = self._begin(t, "ctor", Contract(CtxBot(), CtxLoc(loc)))
         assert fv is None  # bot validity: the start set is empty
-        frame = t.frames[-1]
-        frame.created.append(loc)
-        frame.created_set.add(loc)
+        t.frames[-1].created[loc] = None
         params = info.ctor.params if info.ctor is not None else []
         if len(args) != len(params):
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
                           node.line, node.col)
-        t.konts.append(("ctor", t.env, loc))
+        # the construction's value is the new object, not its body's
+        t.konts.append(("commit", t.env, this))
         for name, body in parts[:0:-1]:
             t.konts.append(("init", bindings.get(name), body))
         name, body = parts[0]
@@ -812,13 +820,24 @@ class Machine:
         t.env = env
         t.control = body
 
-    def _emit(self, t: Thread, name: str, args: list) -> None:
+    def _do_op(self, t: Thread, node: ast.PrimOp, vals: list) -> None:
+        op = node.op
+        try:
+            t.control = _apply_op(op, vals)
+        except ZeroDivisionError:
+            self._signal(t, FailureValue("R-DIV0", "division by zero"))
+        except TypeError:
+            raise OvError("E-STUCK", f"operator {op} on unexpected operands",
+                          node.line, node.col) from None
+
+    def _emit(self, t: Thread, node: ast.EmitEvent, args: list) -> None:
         frame = t.frames[-1]
-        event = {"name": name, "args": args}
+        event = {"name": node.name, "args": args}
         if frame.kind == "root":
             self.events.append(event)
         else:
             frame.events.append(event)
+        t.control = None
 
     # -- continuation rules: (thread, incoming value, continuation) ---------------
     def _k_seq(self, t: Thread, v: Value, k: tuple) -> None:
@@ -855,64 +874,36 @@ class Machine:
         t.control = obj.fields[fname]
 
     def _k_fset_recv(self, t: Thread, v: Value, k: tuple) -> None:
-        _, fname, value_expr, node = k
+        node = k[1]
         if type(v) is not Loc:
             self._not_live(t, v, "write to", node)
             return
-        t.konts.append(("fset_val", v.index, fname, node))
-        t.control = value_expr
+        t.konts.append(("fset_val", v.index, node))
+        t.control = node.value
 
     def _k_fset_val(self, t: Thread, v: Value, k: tuple) -> None:
-        _, loc, fname, node = k
+        _, loc, node = k
         if self.heap[loc] is None:
             self._not_live(t, self.locs[loc], "write to", node)
             return
-        self.write_field(t, loc, fname, v)
+        self.write_field(t, loc, node.field_name, v)
         t.control = None
 
     def _k_call_recv(self, t: Thread, v: Value, k: tuple) -> None:
-        _, method, args, node = k
+        node = k[1]
         if type(v) is not Loc:
             self._not_live(t, v, "call on", node)
             return
-        if args:
-            t.konts.append(("call_args", v.index, method, [], args, node))
-            t.control = args[0]
-        else:
-            self._invoke(t, v.index, method, [], node)
+        self._gather(t, node.args, Machine._invoke, (v.index, node))
 
-    def _k_call_args(self, t: Thread, v: Value, k: tuple) -> None:
-        _, loc, method, done, args, node = k
+    def _k_args(self, t: Thread, v: Value, k: tuple) -> None:
+        _, args, done, finish, head = k
         done.append(v)
         if len(done) < len(args):
             t.konts.append(k)
             t.control = args[len(done)]
         else:
-            self._invoke(t, loc, method, done, node)
-
-    def _k_new_args(self, t: Thread, v: Value, k: tuple) -> None:
-        _, typ, done, args, node = k
-        done.append(v)
-        if len(done) < len(args):
-            t.konts.append(k)
-            t.control = args[len(done)]
-        else:
-            self._do_new(t, typ, done, node)
-
-    def _k_prim(self, t: Thread, v: Value, k: tuple) -> None:
-        _, op, done, args, node = k
-        done.append(v)
-        if len(done) < len(args):
-            t.konts.append(k)
-            t.control = args[len(done)]
-            return
-        try:
-            t.control = _apply_op(op, done)
-        except ZeroDivisionError:
-            self._signal(t, FailureValue("R-DIV0", "division by zero"))
-        except TypeError:
-            raise OvError("E-STUCK", f"operator {op} on unexpected operands",
-                          node.line, node.col) from None
+            finish(self, t, head, done)
 
     def _k_andor(self, t: Thread, v: Value, k: tuple) -> None:
         _, op, right = k
@@ -939,16 +930,6 @@ class Machine:
         else:
             raise OvError("E-STUCK", "require on a non-boolean")
 
-    def _k_emit(self, t: Thread, v: Value, k: tuple) -> None:
-        _, name, done, args = k
-        done.append(v)
-        if len(done) < len(args):
-            t.konts.append(k)
-            t.control = args[len(done)]
-        else:
-            self._emit(t, name, done)
-            t.control = None
-
     def _k_ret(self, t: Thread, v: Value, k: tuple) -> None:
         _, saved_env, recv_loc = k
         if self.naive and self.heap[recv_loc] is not None:
@@ -958,20 +939,17 @@ class Machine:
         t.control = v
 
     def _k_commit(self, t: Thread, v: Value, k: tuple) -> None:
+        """Close the innermost transaction. Its value is v, its body's, or
+        for a construction the new object the continuation holds."""
         fv = self._commit(t)
         t.env = k[1]
-        t.control = v if fv is None else fv
+        t.control = fv if fv is not None else k[2] if len(k) > 2 else v
 
     def _k_init(self, t: Thread, v: Value, k: tuple) -> None:
         """The next class's part of a construction (`_alloc`), under its
         bindings; v is None, from the previous part's last field write."""
         t.env["#ctx"] = k[1]
         t.control = k[2]
-
-    def _k_ctor(self, t: Thread, v: Value, k: tuple) -> None:
-        fv = self._commit(t)
-        t.env = k[1]
-        t.control = self.locs[k[2]] if fv is None else fv
 
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
         """The receiver v of a deduced `atomic` call or field write. The
@@ -993,17 +971,13 @@ class Machine:
             d = self._method_contract(obj, v.index, *hit)
         else:
             d = Contract(CtxBot(), CtxLoc(v.index))
-        fv = self._begin(t, "txn", d)
-        if fv is not None:
-            t.control = fv
+        if not self._enter(t, d):
             return
-        t.konts.append(("commit", t.env))
         if call:
-            self._k_call_recv(t, v, ("call_recv", body.method, body.args,
-                                     body))
+            self._gather(t, body.args, Machine._invoke, (v.index, body))
         else:
-            self._k_fset_recv(t, v, ("fset_recv", body.field_name,
-                                     body.value, body))
+            t.konts.append(("fset_val", v.index, body))
+            t.control = body.value
 
 
 # The reduction rules, built once. Surface-only nodes (Block, Return, Throw,
@@ -1033,17 +1007,13 @@ _KONT_RULES = {
     "fset_recv": Machine._k_fset_recv,
     "fset_val": Machine._k_fset_val,
     "call_recv": Machine._k_call_recv,
-    "call_args": Machine._k_call_args,
-    "new_args": Machine._k_new_args,
-    "prim": Machine._k_prim,
+    "args": Machine._k_args,
     "andor": Machine._k_andor,
     "valid": Machine._k_valid,
     "require": Machine._k_require,
-    "emit": Machine._k_emit,
     "ret": Machine._k_ret,
     "commit": Machine._k_commit,
     "init": Machine._k_init,
-    "ctor": Machine._k_ctor,
     "atom_recv": Machine._k_atom_recv,
 }
 

@@ -734,7 +734,7 @@ def check_method(checker: Checker, base: TypeEnv, cls: ast.ClassDecl,
                       m.line, m.col)
     check_type(base, m.return_type, diags)
     env = _params_env(base, m.params, diags)
-    env = env.child(frame=m.contract, fork_ok=(m.contract == TOP_TOP))
+    env = env.child(frame=m.contract, fork_ok=False)
     t = checker.type_expr(env, m.body)
     if not isinstance(m.return_type, ast.VoidType):
         bindable(env, t, m.return_type, diags, m.line, m.col, "return")

@@ -537,6 +537,63 @@ class TestMine:
                 mine_block(PROGRAM, block_of(accounts(1), [txn]))
             assert exc.value.code == "E-TARGET"
 
+    def test_deploy_argument_of_another_type(self, monkeypatch):
+        # refused before its constructor runs, as an arity mismatch is
+        ran = []
+        run = Machine.run_expression
+        monkeypatch.setattr(Machine, "run_expression",
+                            lambda self, *a, **kw: ran.append(1)
+                            or run(self, *a, **kw))
+        b = block_of(accounts(1) + [{"id": "bad", "class": "Account",
+                                     "args": [None]}], [])
+        with pytest.raises(ValueError) as exc:
+            mine_block(PROGRAM, b)
+        assert str(exc.value) == ("deploy bad: Account constructor "
+                                  "parameter amt is int, got null")
+        assert ran == [1]  # a0's constructor alone
+
+    TYPED = check_clean("""\
+class Flag[o] {
+    bool on;
+
+    Flag(bool b) {
+        on = b;
+    }
+
+    void set(int n, bool b, Flag<top> f) <this,this> {
+        on = b;
+    }
+}
+""")
+
+    @pytest.mark.parametrize("args, fault", [
+        ([0, True, None], None),
+        ([-3, False, None], None),
+        ([True, True, None], "parameter n is int, got true"),
+        ([0, 1, None], "parameter b is bool, got 1"),
+        ([0, None, None], "parameter b is bool, got null"),
+        ([0, True, 0], "parameter f is Flag<top>, got 0"),
+        ([0, True, False], "parameter f is Flag<top>, got false"),
+    ])
+    def test_each_parameter_type_takes_its_values(self, args, fault):
+        # an int parameter takes an int, not a bool; a bool parameter a
+        # bool; a class-typed parameter null alone
+        b = block_of([{"id": "f", "class": "Flag", "args": [True]}],
+                     [{"target": "f", "method": "set", "args": args}])
+        deploy = block_of([{"id": "f", "class": "Flag", "args": args[1:2]}],
+                          [])
+        if fault is None:
+            assert mine_block(self.TYPED, b).status == ["committed"]
+            assert mine_block(self.TYPED, deploy).status == []
+            return
+        with pytest.raises(OvError) as exc:
+            mine_block(self.TYPED, b)
+        assert exc.value.msg == f"txn 0: set {fault}"
+        if " b " in fault:
+            with pytest.raises(ValueError) as bad:
+                mine_block(self.TYPED, deploy)
+            assert str(bad.value) == f"deploy f: Flag constructor {fault}"
+
     def test_deploy_failure(self):
         b = block_of([{"id": "bad", "class": "Account", "args": [-5]}], [])
         with pytest.raises(ValueError):
@@ -976,6 +1033,28 @@ class TestRegions:
             one_process(FAULT_PROGRAM, b)
         assert type(sharded.value) is type(one.value)
         assert str(sharded.value) == str(one.value)
+
+    @pytest.mark.parametrize("fault", ["txn bool", "txn null", "deploy null"])
+    def test_argument_types_checked_as_in_one_process(self, fault):
+        # a block big enough to split, with one argument of the wrong type:
+        # the shard that holds it raises, and the block runs again in one
+        # process, which reports it
+        n = blocksched.SHARD_MIN_WORK // 2
+        deploys = accounts(n)
+        txns = [{"target": f"a{i}", "method": "deposit", "args": [1]}
+                for i in range(n)]
+        bad = deploys if fault.startswith("deploy") else txns
+        bad[n // 2]["args"] = [True if fault.endswith("bool") else None]
+        b = block_of(deploys, txns)
+        assert regions._split(b, 2) is not None
+        assert split_run(PROGRAM, b) is None
+        with pytest.raises((OvError, ValueError)) as sharded:
+            mine_block(PROGRAM, b)
+        with pytest.raises((OvError, ValueError)) as one:
+            one_process(PROGRAM, b)
+        assert type(sharded.value) is type(one.value)
+        assert str(sharded.value) == str(one.value)
+        assert (type(one.value) is ValueError) == (bad is deploys)
 
     def test_dropped_edge_in_a_large_block(self):
         b = block_of(accounts(150), bank_txns(random.Random(13), 150))

@@ -421,6 +421,24 @@ class TestSimulate:
     def test_missing_block_file(self, capsys):
         assert main(["simulate", BANK, "nope.json"]) == 2
 
+    @pytest.mark.parametrize("deploy_arg, txn_arg, code, msg", [
+        (5, True, 1, "E-TARGET: txn 0: deposit parameter x is int, got true"),
+        (5, None, 1, "E-TARGET: txn 0: deposit parameter x is int, got null"),
+        (None, 1, 2, "error: deploy a0: Account constructor parameter amt "
+                     "is int, got null"),
+    ], ids=["txn-bool", "txn-null", "deploy-null"])
+    def test_argument_of_another_type(self, capsys, tmp_path, deploy_arg,
+                                      txn_arg, code, msg):
+        # refused before anything runs, with an arity mismatch's exit code
+        blk = tmp_path / "b.json"
+        blk.write_text(json.dumps({
+            "deploy": [{"id": "a0", "class": "Account", "args": [deploy_arg]}],
+            "txns": [{"target": "a0", "method": "deposit",
+                      "args": [txn_arg]}]}))
+        assert main(["simulate", BANK, str(blk)]) == code
+        captured = capsys.readouterr()
+        assert msg in captured.err and captured.out == ""
+
 
 class TestSimulateFuzz:
     """`ov simulate` on seeded byte and field mutations of corpus/blocks and

@@ -455,6 +455,69 @@ main {
         assert exc.value.code == "E-FUEL"
 
 
+class TestArguments:
+    """A call's, a `new`'s, a binary operator's and an `emit`'s arguments
+    run left to right, and one that fails stops the ones after it."""
+
+    COUNTER = """\
+class Counter[o] {
+    int n = 0;
+    inv n >= 0;
+
+    int bump() <this,this> {
+        n = n + 1;
+        return n;
+    }
+
+    int take(int a, int b, int c) <this,bot> {
+        return a * 100 + b * 10 + c;
+    }
+}
+
+class Triple[o] {
+    int x;
+    int y;
+    int z;
+
+    Triple(int a, int b, int c) {
+        x = a;
+        y = b;
+        z = c;
+    }
+}
+"""
+
+    def run(self, body: str) -> tuple[Machine, object]:
+        m = machine_for(self.COUNTER + "main {\n"
+                        "    Counter<top> c = new Counter<top>();\n"
+                        + body + "}\n")
+        return m, m.run()
+
+    def test_left_to_right(self):
+        m, rep = self.run("""\
+    int t = c.take(c.bump(), c.bump(), c.bump());
+    Triple<top> p = new Triple<top>(c.bump(), c.bump(), c.bump());
+    int d = c.bump() - c.bump();
+    emit Order(c.bump(), c.bump(), t, d);
+""")
+        assert not rep.failures
+        assert rep.events == [{"name": "Order", "args": [9, 10, 123, -1]}]
+        assert [obj.fields for obj in m.heap] == [
+            {"n": 10}, {"x": 4, "y": 5, "z": 6}]
+
+    @pytest.mark.parametrize("stmt, count", [
+        ("c.take(c.bump(), 1 / 0, c.bump());", 1),
+        ("new Triple<top>(c.bump(), 1 / 0, c.bump());", 1),
+        ("int d = (1 / 0) - c.bump();", 0),
+        ("emit Order(c.bump(), 1 / 0, c.bump());", 1),
+    ], ids=["call", "new", "operator", "emit"])
+    def test_a_failed_argument_stops_the_rest(self, stmt, count):
+        m, rep = self.run(f"    {stmt}\n    c.bump();\n")
+        assert [f["code"] for f in rep.failures] == ["R-DIV0"]
+        assert [obj.fields for obj in m.heap] == [{"n": count}]
+        assert rep.events == [] and rep.lemma3
+
+
 class TestReport:
     def test_json_schema(self):
         rep = run_source(CELL + "main { Cell<top> c = new Cell<top>(); }")

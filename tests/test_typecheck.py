@@ -289,6 +289,25 @@ main {
 """
         assert_clean(src)
 
+    def test_fork_in_a_method_rejected_whatever_its_contract(self):
+        # the parser rewrites an invalidity `top` to `bot`, so only a
+        # hand-built tree has a <top,top> method; a method body is never
+        # the top level, so its fork is rejected all the same
+        src = """\
+class Counter[o] {
+    int v;
+    inv v >= 0;
+    void bump() <this,this> { v = v + 1; }
+    void go() <top,bot> { fork this.bump(); }
+}
+"""
+        core = desugar(parse_program(src)[0])
+        go = core.classes[0].methods[1]
+        assert go.name == "go"
+        go.contract = Contract(TOP, TOP)
+        assert [d.code for d in check_program(core).errors()] == [
+            "E-FORK-IN-ATOMIC"]
+
 
 class TestBindings:
     def test_existential_binding_rejected(self):
