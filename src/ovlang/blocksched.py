@@ -5,6 +5,9 @@ Each transaction runs once, as a single top-level transaction whose
 contract is the target method's contract with this bound to the target
 location. Two transactions may run in either order only when their
 contracts do not interfere, so index order honours every conflict graph.
+`interferes` defines interference; `build_conflict_graph` finds the same
+pairs from buckets over the ownership tree, Top, its root, and every
+location alike, without testing a pair.
 The miner, the validator and the serial oracle share one path (`_prepare`,
 then `_execute`), which makes the observable results (statuses, hash,
 counters) a pure function of the block and the order. The validator
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import ast
-from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
+from .ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, subtrees_intersect
 from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine
@@ -144,61 +147,43 @@ def interferes(d1: Contract, d2: Contract, tree: OwnershipTree) -> bool:
                 and not subtrees_intersect(tree, d1.invalidity, d2.invalidity))
 
 
-def _located(d: Contract) -> bool:
-    """Both contexts of d are bot or a location."""
-    return (isinstance(d.validity, (CtxLoc, CtxBot))
-            and isinstance(d.invalidity, (CtxLoc, CtxBot)))
-
-
 def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
     """The interfering pairs (i, j), i < j, in sorted order.
 
-    A transaction is located when each of its contexts is bot or a
-    location. Two location contexts meet iff one lies on the other's
-    ancestor chain, so the pairs of located transactions come from buckets
-    over the deployed tree: `writers[a]` holds the transactions whose
-    invalidity is l_a, `under[a]` those whose invalidity lies in
+    Each context denotes the subtree of one node of the tree
+    (`OwnershipTree.node`): a location, Top, the root above every
+    top-owned location, or Bot, which lies on no chain. Two subtrees meet
+    iff one node lies on the other's ancestor chain, so the pairs come
+    from buckets over the tree: `writers[a]` holds the transactions whose
+    invalidity is node a, `under[a]` those whose invalidity lies in
     subtree(a), and `_writers_meeting` reads from them the transactions
-    whose invalidity meets a given location's subtree. Each transaction i
+    whose invalidity meets a given node's subtree. Each transaction i
     found that way from a context of j has I_i meeting V_j or I_j, which
-    is interference by definition, so these pairs need no confirmation.
-    A transaction that is not located is paired with every other one, and
-    `interferes`, the one definition of interference, confirms each of
-    those pairs."""
-    writers: dict[int, list[int]] = {}
-    under: dict[int, list[int]] = {}
-    located: list[tuple[int, set[int]]] = []
-    unlocated: list[int] = []
+    is interference by definition (`interferes`), so no pair needs
+    confirming."""
+    writers: dict = {}
+    under: dict = {}
+    nodes = []  # each transaction's contexts' nodes
     for i, sct in enumerate(scts):
-        d = sct.contract
-        if not _located(d):
-            unlocated.append(i)
-            continue
-        located.append((i, {k.index for k in (d.validity, d.invalidity)
-                            if isinstance(k, CtxLoc)}))
-        if isinstance(d.invalidity, CtxLoc):
-            writers.setdefault(d.invalidity.index, []).append(i)
-            for a in tree.chain(d.invalidity.index):
-                under.setdefault(a, []).append(i)
+        w = tree.node(sct.contract.invalidity)
+        nodes.append({tree.node(sct.contract.validity), w})
+        writers.setdefault(w, []).append(i)
+        for a in tree.chain(w):
+            under.setdefault(a, []).append(i)
     pairs: set[tuple[int, int]] = set()
-    for j, locs in located:
-        for x in locs:
+    for j, xs in enumerate(nodes):
+        for x in xs:
             pairs.update((min(i, j), max(i, j))
                          for i in _writers_meeting(x, writers, under, tree)
                          if i != j)
-    loose = {(min(i, j), max(i, j))
-             for i in unlocated for j in range(len(scts)) if j != i}
-    pairs.update((i, j) for i, j in loose
-                 if interferes(scts[i].contract, scts[j].contract, tree))
     return sorted(pairs)
 
 
-def _writers_meeting(x: int, writers: dict[int, list[int]],
-                     under: dict[int, list[int]],
+def _writers_meeting(x, writers: dict, under: dict,
                      tree: OwnershipTree) -> list[int]:
-    """The located transactions whose invalidity meets subtree(l_x): those
-    whose invalidity lies in subtree(x), and those whose invalidity is a
-    strict ancestor of x."""
+    """The transactions whose invalidity meets subtree(x), for a node x:
+    those whose invalidity lies in subtree(x), and those whose invalidity
+    is a strict ancestor of x."""
     hits = list(under.get(x, ()))
     for a in tree.chain(x)[1:]:
         hits.extend(writers.get(a, ()))

@@ -5,10 +5,13 @@ A context denotes the subtree of the ownership tree rooted at it: Top is the
 whole tree, Bot the empty set, This the current object, a parameter whatever
 it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
 
-The runtime tree keeps each location's ancestor chain and, beside it, its
-subtree as an ascending list. "subtree(k1) meets subtree(k2)" is a
-membership test on a stored chain, a subtree is read, not walked, and the
-live set is read from the tree rather than from the heap.
+The runtime tree (`OwnershipTree`) is the one place that knows what a
+resolved context denotes. Top is its root, a node above every top-owned
+location, so Top, Bot and locations are all nodes with an ancestor chain
+and a subtree kept as an ascending list. "subtree(k1) meets subtree(k2)"
+is a membership test on a stored chain, their meet (`OwnershipTree.meet`)
+is a stored subtree, read, not walked, and the live set is Top's subtree
+rather than a scan of the heap.
 """
 from __future__ import annotations
 
@@ -142,37 +145,42 @@ def owner_bound(t: ast.TypeExpr) -> Context:
 
 
 class OwnershipTree:
-    """which-owns-which at runtime. `chains` holds the live locations in
-    allocation order, each with its ancestor chain: the location itself,
-    its owner, and so on up to a top-owned root. `subtrees` holds each of
-    them with its subtree, itself and every location it owns transitively,
-    in ascending order.
+    """which-owns-which at runtime. Each resolved context denotes the
+    subtree of one node (`node`): a live location, or Top, the root, whose
+    node is the class CtxTop and which owns every top-owned location. Bot
+    denotes no subtree, so its node, the class CtxBot, has an empty chain
+    and an empty subtree and lies on no chain.
+
+    `chains` holds Top, Bot and then the live locations in allocation
+    order, each with its ancestor chain: the node itself, its owner, and so
+    on up to Top. `subtrees` holds each of them with its subtree, itself
+    and every location it owns transitively, in ascending order; Top's,
+    also kept as `live`, is every live location.
 
     Ownership is fixed at allocation and only leaves are removed, so a
     chain, built once from the owner's chain, never goes stale. Locations
     are added in ascending order (heap slots are never reused, and an
     object is allocated after its owner), so appending a new location to
-    the subtree of each location on its chain keeps every subtree sorted.
-    The runtime removes only its newest location, because aborts drop what
+    the subtree of each node on its chain keeps every subtree sorted. The
+    runtime removes only its newest location, because aborts drop what
     they created newest first, so removal pops it from the end of each
     subtree on its chain."""
 
     def __init__(self) -> None:
-        self.chains: dict[int, tuple[int, ...]] = {}
-        self.subtrees: dict[int, list[int]] = {}
+        self.chains: dict = {CtxTop: (CtxTop,), CtxBot: ()}
+        self.live: list[int] = []  # Top's subtree
+        self.subtrees: dict = {CtxTop: self.live, CtxBot: []}
 
     def add(self, loc: int, owner: Optional[int]) -> None:
+        """Add loc, owned by the location owner, or by Top when it is
+        None."""
         assert loc not in self.chains
-        if owner is None:
-            chain: tuple[int, ...] = (loc,)
-        else:
-            up = self.chains.get(owner)
-            if up is None:
-                raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
-            chain = (loc,) + up
-        self.chains[loc] = chain
+        up = self.chains.get(CtxTop if owner is None else owner)
+        if up is None:
+            raise OvError("E-DANGLING", f"owner l{owner} is not in the heap")
+        self.chains[loc] = (loc,) + up
         self.subtrees[loc] = [loc]
-        for anc in chain[1:]:
+        for anc in up:
             self.subtrees[anc].append(loc)
 
     def remove(self, loc: int) -> None:
@@ -188,59 +196,47 @@ class OwnershipTree:
             else:  # an older leaf, which only tests remove
                 sub.remove(loc)
 
-    def chain(self, loc: int) -> tuple[int, ...]:
-        """The ownership chain from loc (inclusive) up to a top-owned root."""
+    def chain(self, loc) -> tuple:
+        """The ownership chain from the node loc (inclusive) up to Top."""
         chain = self.chains.get(loc)
         if chain is None:
             raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
         return chain
 
-    def lower_of(self, k1: CtxLoc, k2: CtxLoc) -> Optional[CtxLoc]:
-        """Two location subtrees meet iff one root lies on the other's
-        chain, and then their meet is the lower subtree: that root, or
-        None when they are disjoint. A chain holds only live locations, so
-        a test that succeeds has seen both roots live."""
-        if k2.index in self.chain(k1.index):
-            return k1
-        if k1.index in self.chain(k2.index):
-            return k2
-        return None
+    def node(self, k: Context):
+        """The node whose subtree the resolved context k denotes: a
+        location's index, or the class of Top or Bot. A location not in the
+        tree is E-DANGLING."""
+        key = k.index if type(k) is CtxLoc else type(k)
+        if key not in self.chains:
+            raise OvError("E-DANGLING", f"location {k} is not in the heap")
+        return key
 
     def runtime_inside(self, loc: int, k: Context) -> bool:
-        """Is loc within the subtree rooted at k? Reflexive at locations."""
-        if isinstance(k, CtxTop):
-            self.chain(loc)  # E-DANGLING on an unknown location
-            return True
-        if isinstance(k, CtxBot):
-            return False
-        assert isinstance(k, CtxLoc), f"unresolved context {k}"
-        self.chain(k.index)  # E-DANGLING on a removed root
-        return k.index in self.chain(loc)
+        """Is loc within subtree(k)? Reflexive at locations, always true of
+        Top and never of Bot."""
+        return self.node(k) in self.chain(loc)
 
     def runtime_subtree(self, k: Context) -> Sequence[int]:
-        """The live locations in subtree(k), ascending. A location's
-        subtree is the stored list itself: callers must not change it."""
-        if isinstance(k, CtxBot):
-            return ()
-        if isinstance(k, CtxTop):
-            return list(self.chains)
-        assert isinstance(k, CtxLoc), f"unresolved context {k}"
-        sub = self.subtrees.get(k.index)
-        if sub is None:
-            raise OvError("E-DANGLING",
-                          f"location l{k.index} is not in the heap")
-        return sub
+        """The live locations in subtree(k), ascending: the stored list
+        itself, which callers must not change."""
+        return self.subtrees[self.node(k)]
+
+    def meet(self, k1: Context, k2: Context) -> Sequence[int]:
+        """subtree(k1) ∩ subtree(k2), ascending. Two subtrees meet iff one
+        node lies on the other's chain, and then in the lower one's stored
+        subtree, which callers must not change. Bot's node lies on no
+        chain, so it meets nothing."""
+        a, b = self.node(k1), self.node(k2)
+        if b in self.chains[a]:
+            return self.runtime_subtree(k1)
+        if a in self.chains[b]:
+            return self.runtime_subtree(k2)
+        return ()
 
 
 def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:
-    """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts: two
-    locations, the common case, meet iff one lies on the other's ancestor
-    chain (OwnershipTree.lower_of); Bot is empty; Top meets anything
-    non-Bot."""
-    if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
-        return tree.lower_of(k1, k2) is not None
-    if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
-        return False
-    if isinstance(k1, CtxTop) or isinstance(k2, CtxTop):
-        return True
-    raise AssertionError(f"unresolved context {k1} or {k2}")
+    """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts:
+    their meet is non-empty. Top's node is in every tree, however few
+    locations it holds, so Top meets Top."""
+    return bool(tree.meet(k1, k2)) or k1 == k2 == TOP

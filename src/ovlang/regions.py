@@ -5,19 +5,23 @@ A block is split into regions, one per deploy with the transactions sent
 to it. Block arguments are scalars and every deploy is top-owned, binding
 every context parameter to top (`_deploy` refuses a class whose `where`
 constraints that breaks), so an object is reachable only from the region
-whose constructor or transactions allocated it; and while each
-transaction's contract binds its contexts to bot or to its target's
-location, no edge, read or write crosses regions. `run` balances the
-regions into one shard per usable CPU and runs each shard through
-blocksched's one-process path (`_prepare`, `build_conflict_graph`,
-`_execute`), on a heap of its own and with the block's own creator
-numbers: the heaviest shard in this process, the others in worker
-processes (`_Pool`), which start on theirs a wake-up later. Each shard
-thus names its heap slots as one process does and spells its own objects;
-`merge` only concatenates the shards' outputs and sorts them. A block
-whose regions may meet, a shard that raises, a dead worker, a platform
+whose constructor or transactions allocated it; and while no transaction's
+contract binds a context to top, each binds its contexts to bot or to a
+location of its own region, so no edge, read or write crosses regions.
+`run` balances the regions into one shard per usable CPU and runs each
+shard through blocksched's one-process path (`_prepare`,
+`build_conflict_graph`, `_execute`), on a heap of its own and with the
+block's own creator numbers: the heaviest shard in this process, the
+others in worker processes (`_Pool`), which start on theirs a wake-up
+later. Each shard thus names its heap slots as one process does and spells
+its own objects; `merge` only concatenates the shards' outputs and sorts
+them. A block whose regions may meet (a contract binds a context to top,
+whose subtree holds every region), a shard that raises an error one
+process raises too (`OvError`, `ValueError`), a dead worker, a platform
 without fork, a process with other threads and a host with one usable CPU
-all fall back to one process.
+all fall back to one process. Any other exception a shard raises, here or
+on a worker, is a fault of the split: it closes the pool and reaches the
+caller, as it would from one process.
 
 blocksched imports this module on the first block of at least
 `blocksched.SHARD_MIN_WORK` deploys plus transactions, and this module
@@ -35,7 +39,9 @@ import threading
 from typing import NamedTuple, Optional
 
 from . import ast, blocksched
+from .ast import CtxTop
 from .blocksched import Block, MinedBlock
+from .diagnostics import OvError
 from .runtime import state_digest
 
 
@@ -89,10 +95,11 @@ def _run_shard(program: ast.Program, block: Block,
                creators: list) -> Optional[_ShardRun]:
     """A shard through the one-process path, on a heap of its own, its
     deploys and transactions numbered as creators in the whole block. None
-    when a transaction's contract binds a context to neither bot nor a
-    location, so that its region may meet the others."""
+    when a transaction's contract binds a context to top, whose subtree
+    holds the other regions too."""
     machine, scts = blocksched._prepare(program, block, creators)
-    if not all(blocksched._located(s.contract) for s in scts):
+    if any(isinstance(k, CtxTop) for s in scts
+           for k in (s.contract.validity, s.contract.invalidity)):
         return None
     edges = blocksched.build_conflict_graph(scts, machine.tree)
     status = blocksched._execute(machine, scts, range(len(scts)))
@@ -145,11 +152,13 @@ def run(program: ast.Program, block: Block) -> Optional[MinedBlock]:
 
 
 def _run_shard_or_none(program: ast.Program, job: tuple) -> Optional[_ShardRun]:
-    """_run_shard, with None for a shard that raised: the block then runs
-    again in one process, which raises the error as it always has."""
+    """_run_shard, with None for a shard that raised an error one process
+    raises too: the block then runs again in one process, which raises it
+    as it always has. Any other exception is a fault of the split and
+    propagates."""
     try:
         return _run_shard(program, *job)
-    except Exception:
+    except (OvError, ValueError):
         return None
 
 
@@ -173,7 +182,11 @@ def _serve(conn, program: ast.Program, inherited: list) -> None:
             program = sent
         blocksched.TXN_STEPS = steps  # this worker's copy of the module
         try:
-            conn.send(_run_shard_or_none(program, job))
+            run = _run_shard_or_none(program, job)
+        except Exception as err:  # the parent raises it
+            run = err
+        try:
+            conn.send(run)
         except OSError:
             return
 
@@ -228,7 +241,8 @@ class _Pool:
         start a wake-up later; their runs, or None when the block must run
         in one process: the platform has no fork (Windows), this process
         has other threads, which make forking it unsafe, or a worker could
-        not start or died."""
+        not start or died. What a shard raises past `_run_shard_or_none`,
+        here or on a worker, closes the pool and is raised here."""
         if not hasattr(os, "fork") or threading.active_count() > 1:
             return None
         done = False
@@ -240,8 +254,8 @@ class _Pool:
                 worker.send(program, job)
             runs = [_run_shard_or_none(program, jobs[0])]
             runs += [w.conn.recv() for w in self.workers[:len(jobs) - 1]]
-            done = True
-            return runs
+            faults = [run for run in runs if isinstance(run, Exception)]
+            done = not faults
         except (OSError, EOFError):  # a worker could not start or died
             return None
         finally:
@@ -249,6 +263,9 @@ class _Pool:
             # that would answer the next block, start afresh
             if not done:
                 self.close()
+        if faults:
+            raise faults[0]
+        return runs
 
     def close(self) -> None:
         """Stop every worker."""

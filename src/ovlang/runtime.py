@@ -35,10 +35,11 @@ lookups, constructor, invariant clauses) comes from the class table's one
 record per class, `ClassTable.info`; the machine keeps only what
 allocation and the checks need, once per class (`_alloc`).
 
-A transaction's pre-check and post-check sets are read, not computed: the
-ownership tree stores each live location's subtree in ascending order
-(`OwnershipTree.runtime_subtree`), and subtree(V) ∩ subtree(I) of two
-locations is the lower one's stored subtree.
+A transaction's pre-check and post-check sets are read, not computed:
+subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the ownership
+tree stores in ascending order, for any pair of Top, Bot and locations,
+and a write escapes its frame unless `OwnershipTree.runtime_inside` puts
+it in subtree(I). Only the tree knows what Top and Bot denote.
 
 A body declared in class C reads C's parameters as the object's arguments
 at C. At allocation an object gets one binding map per class on its
@@ -71,7 +72,7 @@ import hashlib
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Collection, Optional, Sequence, Union
+from typing import Any, Collection, Optional, Union
 
 from . import ast
 from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
@@ -330,20 +331,8 @@ class Machine:
 
     # -- heap / valid set ------------------------------------------------------
     def dom(self) -> list[int]:
-        return list(self.tree.chains)
-
-    def _meet(self, k1, k2) -> Sequence[int]:
-        """subtree(k1) ∩ subtree(k2), ascending. Two location subtrees meet
-        in the lower one (OwnershipTree.lower_of), so this is a stored
-        subtree, which callers must not change."""
-        if isinstance(k1, CtxBot) or isinstance(k2, CtxBot):
-            return ()
-        if isinstance(k2, CtxTop):
-            return self.tree.runtime_subtree(k1)
-        if isinstance(k1, CtxTop):
-            return self.tree.runtime_subtree(k2)
-        low = self.tree.lower_of(k1, k2)
-        return () if low is None else self.tree.runtime_subtree(low)
+        """The live locations, ascending."""
+        return list(self.tree.live)
 
     def eval_invariant(self, loc: int) -> bool:
         self.invariant_evals += 1
@@ -383,18 +372,17 @@ class Machine:
         """Write to the live object at loc, inside the active frame."""
         obj = self.heap[loc]
         frame = thread.frames[-1]
-        inv = frame.contract.invalidity
-        chain = self.tree.chain(loc)
-        if not (isinstance(inv, CtxTop)
-                or (isinstance(inv, CtxLoc) and inv.index in chain)):
+        if not self.tree.runtime_inside(loc, frame.contract.invalidity):
             raise OvError("E-EFFECT",
                           f"write to l{loc}.{fname} escapes the active frame")
         # the root frame never aborts, so its writes need no undo entry
         if frame.kind != "root" and loc not in frame.created:
             frame.log.append((loc, fname, obj.fields.get(fname)))
         obj.fields[fname] = value
-        for anc in chain:
-            self._mark_invalid(anc)
+        sigma = self.sigma
+        for anc in self.tree.chain(loc):
+            if anc in sigma:  # Top, which ends the chain, never is
+                self._mark_invalid(anc)
 
     # -- transactions -----------------------------------------------------------
     def _begin(self, thread: Thread, kind: str,
@@ -407,13 +395,9 @@ class Machine:
         # may not outlive the transaction
         mark = len(self.sigma_log)
         validity = contract.validity
-        if isinstance(validity, CtxBot):
-            # subtree(bot) is empty: nothing to check
-            start: Sequence[int] = ()
-        else:
-            start = self._meet(validity, parent.contract.invalidity)
-            if self.naive:
-                self.pre_checks += len(self.tree.runtime_subtree(validity))
+        start = self.tree.meet(validity, parent.contract.invalidity)
+        if self.naive:
+            self.pre_checks += len(self.tree.runtime_subtree(validity))
         for loc in start:
             if loc in self.sigma:
                 continue
@@ -432,19 +416,15 @@ class Machine:
         frame = thread.frames[-1]
         validity = frame.contract.validity
         created = frame.created
-        if isinstance(validity, CtxBot):
-            # V ∩ I = ∅: only what the frame created is revalidated
-            reval: Collection[int] = created
-            self.post_checks += len(reval)
+        reval: Collection[int] = self.tree.meet(
+            validity, frame.contract.invalidity)
+        if created:
+            reval = created.keys() | reval
+        if self.naive:
+            self.post_checks += len(
+                created.keys() | self.tree.runtime_subtree(validity))
         else:
-            reval = self._meet(validity, frame.contract.invalidity)
-            if created:
-                reval = created.keys() | reval
-            if self.naive:
-                self.post_checks += len(
-                    created.keys() | self.tree.runtime_subtree(validity))
-            else:
-                self.post_checks += len(reval)
+            self.post_checks += len(reval)
         # every check runs, in any order: a check changes nothing
         ok = True
         for loc in reval:

@@ -1254,6 +1254,33 @@ class TestWorkers:
             time.sleep(0.05)
         assert all(map(_exited, pids))
 
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_split_that_fails_says_so(self, fresh_pool, monkeypatch,
+                                        capsys, tmp_path, where):
+        # a shard that raises what one process never raises is a fault of
+        # the split, on a worker's shard as on the caller's: it reaches
+        # cli.main as it would from one process, and nothing is reported
+        two_cpus()
+        from ovlang import cli
+        fresh_pool.close()  # a worker forked from here inherits the patch
+        parent, run_shard = os.getpid(), regions._run_shard
+
+        def broken(*args):
+            if (os.getpid() == parent) == (where == "caller"):
+                raise RuntimeError(f"a fault on the {where}'s shard")
+            return run_shard(*args)
+
+        monkeypatch.setattr(regions, "_run_shard", broken)
+        n = blocksched.SHARD_MIN_WORK // 2
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({
+            "deploy": accounts(n),
+            "txns": bank_txns(random.Random(19), n)}), encoding="utf-8")
+        with pytest.raises(RuntimeError, match=f"on the {where}'s shard"):
+            cli.main(["simulate", str(CORPUS / "bank.ov"), str(path)])
+        assert capsys.readouterr().out == ""
+        assert fresh_pool.workers == []  # the failed split closed the pool
+
     def test_killed_worker_costs_one_block_its_parallelism(self, fresh_pool):
         two_cpus()
         b = block_of(accounts(150), bank_txns(random.Random(17), 150))

@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "ovlang"
 # qualified name -> its user outside src/ovlang
 ALLOWED = {
     "serial_execute": "the serial oracle of the block tests",
-    "OwnershipTree.runtime_inside": "bench/tracer.py's inside-calls hook",
+    "interferes": "the block tests' reference graph; bench/tracer.py's hook",
     "Diagnostics.errors": "the tests' view of a check's errors",
     "Diagnostics.codes": "the tests' view of a check's codes",
 }

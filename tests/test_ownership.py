@@ -145,10 +145,13 @@ def subtree_listed(tree: OwnershipTree, owners: dict, k) -> bool:
 
 
 def subtrees_stored(tree: OwnershipTree, owners: dict) -> bool:
-    """The tree stores a subtree for each live location, and only for those,
-    each ascending and equal to the enumeration."""
+    """The tree stores a subtree for Top, for Bot and for each live
+    location, and only for those, each ascending and equal to the
+    enumeration."""
     return tree.subtrees == {
-        loc: sorted(enumerate_subtree(owners, CtxLoc(loc))) for loc in owners}
+        CtxTop: sorted(owners), CtxBot: [],
+        **{loc: sorted(enumerate_subtree(owners, CtxLoc(loc)))
+           for loc in owners}}
 
 
 class TestTree:
@@ -156,8 +159,8 @@ class TestTree:
 
     def test_ancestors(self):
         tree = build_tree(self.OWNERS)
-        assert tree.chain(3) == (3, 1, 0)
-        assert tree.chain(4) == (4,)
+        assert tree.chain(3) == (3, 1, 0, CtxTop)
+        assert tree.chain(4) == (4, CtxTop)
 
     def test_runtime_inside(self):
         tree = build_tree(self.OWNERS)
@@ -172,6 +175,13 @@ class TestTree:
         tree = build_tree(self.OWNERS)
         for k in [CtxTop(), CtxBot()] + [CtxLoc(i) for i in self.OWNERS]:
             assert subtree_listed(tree, self.OWNERS, k)
+
+    def test_top_subtree_is_stored(self):
+        # Top's subtree is kept like any other, not copied from the heap
+        tree = build_tree(self.OWNERS)
+        assert tree.runtime_subtree(CtxTop()) is tree.runtime_subtree(TOP)
+        tree.add(5, 3)
+        assert tree.runtime_subtree(CtxTop()) == [0, 1, 2, 3, 4, 5]
 
     def test_dangling_owner_rejected(self):
         tree = OwnershipTree()
@@ -214,12 +224,12 @@ class TestTree:
 
 
 # a brute-force ancestor walk over a plain owner map, for the chains the
-# tree stores at allocation
+# tree stores at allocation; Top, the root, ends every chain
 def walk_up(owners: dict, loc: int) -> list:
     chain = [loc]
     while owners[chain[-1]] is not None:
         chain.append(owners[chain[-1]])
-    return chain
+    return chain + [CtxTop]
 
 
 def dangling(fn, *args) -> bool:
@@ -245,13 +255,13 @@ class TestAncestorChains:
                         removed.append(loc)
                     continue
                 shallow = [loc for loc in owners
-                           if len(walk_up(owners, loc)) < 6]
+                           if len(walk_up(owners, loc)) < 7]
                 owner = rng.choice([None] + sorted(shallow))
                 tree.add(fresh, owner)
                 owners[fresh] = owner
                 fresh += 1
             locs = sorted(owners)
-            assert all(len(walk_up(owners, loc)) <= 6 for loc in locs)
+            assert all(len(walk_up(owners, loc)) <= 7 for loc in locs)
             ctxs = [CtxTop(), CtxBot()] + [CtxLoc(i) for i in locs]
             for loc in locs:
                 assert list(tree.chain(loc)) == walk_up(owners, loc)
@@ -263,15 +273,12 @@ class TestAncestorChains:
             assert subtrees_stored(tree, owners)
             for k1 in ctxs:
                 for k2 in ctxs:
-                    if not locs and k1 == k2 == CtxTop():
-                        continue  # Top meets Top by definition
                     meet = (enumerate_subtree(owners, k1)
                             & enumerate_subtree(owners, k2))
+                    assert list(tree.meet(k1, k2)) == sorted(meet)
+                    if not locs and k1 == k2 == CtxTop():
+                        continue  # Top meets Top by definition
                     assert subtrees_intersect(tree, k1, k2) == bool(meet)
-                    if isinstance(k1, CtxLoc) and isinstance(k2, CtxLoc):
-                        low = tree.lower_of(k1, k2)
-                        assert (set() if low is None else
-                                enumerate_subtree(owners, low)) == meet
             # removed and never-allocated locations are dangling everywhere
             gone = [loc for loc in removed if loc not in owners] + [fresh]
             for loc in gone[-3:]:
@@ -284,15 +291,18 @@ class TestAncestorChains:
                     assert dangling(tree.runtime_inside, loc, k)
                     assert dangling(subtrees_intersect, tree, k, CtxLoc(loc))
                     assert dangling(subtrees_intersect, tree, CtxLoc(loc), k)
+                for k in ctxs[:3]:
+                    assert dangling(tree.meet, k, CtxLoc(loc))
+                    assert dangling(tree.meet, CtxLoc(loc), k)
 
     def test_chain_outlives_no_removal(self):
         # a removed leaf takes its chain with it; its owner's stays
         tree = build_tree({0: None, 1: 0, 2: 1})
         tree.remove(2)
-        assert tree.chain(1) == (1, 0)
+        assert tree.chain(1) == (1, 0, CtxTop)
         assert dangling(tree.chain, 2)
         tree.add(3, 1)
-        assert tree.chain(3) == (3, 1, 0)
+        assert tree.chain(3) == (3, 1, 0, CtxTop)
         assert tree.runtime_subtree(CtxLoc(0)) == [0, 1, 3]
 
 
@@ -311,6 +321,11 @@ class TestSubtreesIntersect:
         assert not subtrees_intersect(tree, CtxBot(), CtxTop())
         assert subtrees_intersect(tree, CtxTop(), CtxLoc(0))
         assert subtrees_intersect(tree, CtxTop(), CtxTop())
+        # Top's node is in a tree that holds no location, too
+        empty = OwnershipTree()
+        assert empty.meet(CtxTop(), CtxTop()) == []
+        assert subtrees_intersect(empty, CtxTop(), CtxTop())
+        assert not subtrees_intersect(empty, CtxTop(), CtxBot())
 
     def test_matches_enumeration_randomized(self):
         rng = random.Random(11)
