@@ -227,10 +227,17 @@ class OwnershipTree:
         node lies on the other's chain, and then in the lower one's stored
         subtree, which callers must not change. Bot's node lies on no
         chain, so it meets nothing."""
-        a, b = self.node(k1), self.node(k2)
-        if b in self.chains[a]:
+        # `node`, inlined: every transaction and every construction asks
+        # this, a construction for Bot's empty meet, twice
+        a = k1.index if type(k1) is CtxLoc else type(k1)
+        b = k2.index if type(k2) is CtxLoc else type(k2)
+        up_a, up_b = self.chains.get(a), self.chains.get(b)
+        if up_a is None or up_b is None:
+            raise OvError("E-DANGLING", f"location "
+                          f"{k1 if up_a is None else k2} is not in the heap")
+        if b in up_a:
             return self.runtime_subtree(k1)
-        if a in self.chains[b]:
+        if a in up_b:
             return self.runtime_subtree(k2)
         return ()
 

@@ -8,8 +8,8 @@ insertion-ordered dict), and a mark into the machine's undo log of
 valid-set changes, so aborts restore exactly the pre-transaction state.
 The root frame at the bottom of every thread never aborts and keeps none
 of these. Constructors run as implicit <bot,this> transactions: a bot
-validity needs no subtree at begin, and the commit revalidates exactly
-what the constructor created.
+validity needs no subtree at begin, and the commit checks what the
+constructor created and no inner construction's commit already validated.
 
 `Machine._reduce` is the one step function, behind both `Machine.step`
 (whole programs) and `Machine.run_expression` (deploys and block
@@ -40,6 +40,19 @@ subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the ownership
 tree stores in ascending order, for any pair of Top, Bot and locations,
 and a write escapes its frame unless `OwnershipTree.runtime_inside` puts
 it in subtree(I). Only the tree knows what Top and Bot denote.
+
+One rule spends every check: a location's invariant is evaluated only if
+the location is not in the valid set. A begin checks meet(V, I_parent), a
+commit meet(V, I) and what its transaction created, `valid x` subtree(x),
+each less the valid set. This is sound because the valid set only ever
+holds live objects whose invariants hold: a write drops the whole
+ownership chain of its location, a location enters only after its
+invariant is evaluated true, an abort restores the set exactly through
+`sigma_log`, and invariants read only owned state (`E-INV-ESCAPE`). So a
+commit re-checks exactly what its transaction invalidated or created.
+`--naive` keeps blanket rechecking at commit and in `valid`, and the end
+of a run (`_finish`) evaluates every live object, trusting nothing, to
+report Lemma 3.
 
 A body declared in class C reads C's parameters as the object's arguments
 at C. At allocation an object gets one binding map per class on its
@@ -358,8 +371,14 @@ class Machine:
             self.sigma_log.append((loc, False))
 
     def assert_valid(self, loc: int) -> bool:
+        """`valid loc`: does every invariant in subtree(loc) hold? A
+        member of the valid set is known to hold and is not evaluated
+        again, except under `--naive`."""
         result = True
+        sigma = self.sigma
         for m in self.tree.runtime_subtree(CtxLoc(loc)):
+            if m in sigma and not self.naive:
+                continue
             if self.eval_invariant(m):
                 self._mark_valid(m)
             else:
@@ -419,11 +438,15 @@ class Machine:
         reval: Collection[int] = self.tree.meet(
             validity, frame.contract.invalidity)
         if created:
-            reval = created.keys() | reval
+            reval = created.keys() | reval if reval else created
         if self.naive:
             self.post_checks += len(
                 created.keys() | self.tree.runtime_subtree(validity))
         else:
+            # the valid set vouches for its members: check only what the
+            # transaction invalidated or created and has not yet validated
+            sigma = self.sigma
+            reval = [loc for loc in reval if loc not in sigma]
             self.post_checks += len(reval)
         # every check runs, in any order: a check changes nothing
         ok = True

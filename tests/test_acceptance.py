@@ -4,10 +4,11 @@ carries one."""
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from ovlang import ast
+from ovlang import ast, regions, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxThis, CtxTop
 from ovlang.blocksched import (interferes, mine_block, parse_block,
                                serial_execute, validate_block)
@@ -18,8 +19,8 @@ from ovlang.runtime import FailureValue, Machine
 from ovlang.transpile import STYLE_PRE_POST, bundle_api, transpile_program
 
 from conftest import (CORPUS, GOLDENS, NEGATIVE_FILES, POSITIVE_FILES,
-                      RUNNABLE_FILES, check_clean, compile_source,
-                      expected_code, run_source)
+                      RUNNABLE_FILES, bench_module, check_clean,
+                      compile_source, expected_code, run_source)
 
 BOT, TOP, THIS = CtxBot(), CtxTop(), CtxThis()
 
@@ -457,6 +458,80 @@ def test_validators_accept_mined_blocks(block_program, fuzzed_blocks):
         mined = mine_block(block_program, b)
         report = validate_block(block_program, mined, b)
         assert report.accepted
+
+
+# -- the valid set's premise ---------------------------------------------------
+# A begin, a commit and `valid` evaluate no location in the valid set, so
+# the set must hold only live objects whose invariants hold: after every
+# begin and every commit, not only at the end of a run.
+
+def _holds(m: Machine, loc: int) -> bool:
+    """loc's invariant, through its class's compiled checks, counting no
+    evaluation."""
+    obj = m.heap[loc]
+    if obj is None:
+        return False
+    try:
+        return all(check(loc) is True
+                   for check in m._alloc(obj.class_name)[2])
+    except runtime._InvFail:
+        return False
+
+
+@pytest.fixture
+def premise_checked(monkeypatch):
+    """Wrap Machine._begin and Machine._commit to assert the premise after
+    each call; returns the count of checked calls. Blocks run in one
+    process, so that the wrappers see every transaction."""
+    calls = Counter()
+
+    def checked(name):
+        fn = getattr(Machine, name)
+
+        def wrapper(m, thread, *args):
+            out = fn(m, thread, *args)
+            counters = (m.pre_checks, m.post_checks, m.invariant_evals)
+            bad = sorted(loc for loc in m.sigma if not _holds(m, loc))
+            assert not bad, f"after {name}: {bad} valid but false"
+            assert (m.pre_checks, m.post_checks, m.invariant_evals) == \
+                counters
+            calls[name] += 1
+            return out
+        monkeypatch.setattr(Machine, name, wrapper)
+
+    checked("_begin")
+    checked("_commit")
+    monkeypatch.setattr(regions, "usable_cpus", lambda: 1)
+    return calls
+
+
+def test_valid_set_premise_on_fuzzed_blocks(block_program, fuzzed_blocks,
+                                            premise_checked):
+    for b in fuzzed_blocks:
+        mine_block(block_program, b)
+    assert premise_checked["_commit"] > 1000
+
+
+def test_valid_set_premise_on_custody_blocks(premise_checked):
+    program = check_clean((CORPUS / "bank.ov").read_text(encoding="utf-8"))
+    blocks = bench_module("workloads").custody_blocks(1)
+    assert len(blocks) == 48
+    for data in blocks:
+        mined = mine_block(program, parse_block(data))
+        assert "committed" in mined.status
+        assert any(s.startswith("aborted") for s in mined.status)
+    assert premise_checked["_commit"] > 48 * 40
+
+
+def test_valid_set_premise_on_programs(premise_checked):
+    sources = [p.read_text(encoding="utf-8") for p in RUNNABLE_FILES]
+    workloads = bench_module("workloads")
+    rng = random.Random("valid set premise")
+    sources += [workloads.small_program(rng, 4 + i % 7) for i in range(200)]
+    for src in sources:
+        for naive in (False, True):
+            run_source(src, naive=naive)
+    assert premise_checked["_commit"] > len(sources)
 
 
 # -- check-count optimization -------------------------------------------------

@@ -344,7 +344,9 @@ def _naive_replay(data: dict) -> tuple[int, int]:
 # (pre_checks, post_checks, invariant_evals, Machine.steps) after deploys
 # and transactions, and a naive replay's (pre_checks, post_checks). The
 # hash prefixes were re-recorded once, when objects came to be named by
-# their creator rather than their heap index; nothing else moved.
+# their creator rather than their heap index, and the custody post_checks
+# and invariant_evals once, when commits stopped re-checking what the
+# valid set holds; nothing else moved.
 PINNED_BLOCKS = {
     "blocks/conflict.json": (1, "cb1ed28b588a2b30", "c5873ed02038cd2e",
                              (0, 3, 3, 57), (4, 5)),
@@ -355,25 +357,60 @@ PINNED_BLOCKS = {
     "bank:1": (232, "43a0e38bd27ac495", "4a8f169c3b7e863e",
                (0, 834, 834, 16840), (1000, 1500)),
     "custody:0": (137, "fbb11685874ef5f6", "e8274cf3c79c8660",
-                  (7, 78, 85, 1584), (260, 284)),
+                  (7, 52, 59, 1584), (260, 284)),
     "custody:1": (140, "bdc9ffc7b6f572fc", "4089c22e505a5c20",
-                  (9, 78, 87, 1584), (260, 284)),
+                  (9, 52, 61, 1584), (260, 284)),
     "custody:2": (137, "e32ad7f40765b4eb", "61a6494e4d51340e",
-                  (6, 78, 84, 1584), (260, 284)),
+                  (6, 52, 58, 1584), (260, 284)),
     "custody:3": (119, "06e09148fae43bf7", "e65ad5e825eb6e84",
-                  (7, 78, 85, 1584), (260, 284)),
+                  (7, 52, 59, 1584), (260, 284)),
     "custody:4": (135, "1100843027f7c526", "e6ce1dcea3f37c57",
-                  (6, 78, 84, 1584), (260, 284)),
+                  (6, 52, 58, 1584), (260, 284)),
     "custody:5": (126, "505dc4f368355b5c", "511e9af48646f7dc",
-                  (7, 78, 85, 1584), (260, 284)),
+                  (7, 52, 59, 1584), (260, 284)),
     "custody:6": (141, "86ce3abf978b90e9", "6815460d5bc3ac0c",
-                  (7, 78, 85, 1584), (260, 284)),
+                  (7, 52, 59, 1584), (260, 284)),
     "custody:7": (128, "6b2b050d5be55fed", "adb4dfdd81cbb72a",
-                  (7, 78, 85, 1584), (260, 284)),
+                  (7, 52, 59, 1584), (260, 284)),
 }
 
 
 PINNED_INPUTS = _pinned_inputs()
+
+
+class TestChecksPerTransaction:
+    # What each transaction on one corpus/bank.ov Customer spends, as
+    # (pre_checks, post_checks, invariant_evals), with its status. A
+    # commit checks only what the valid set does not hold: the deploy
+    # checks the Customer but not the Account its inner construction
+    # validated, and each safeWithdraw the Customer, which verifyLogin's
+    # write invalidated, and the Account once, in its inner commit, but
+    # not again in the outer one.
+    STEPS = [
+        ("safeWithdraw", [5], "committed", (0, 2, 2)),
+        # the inner withdraw aborts alone and the outer call commits
+        ("safeWithdraw", [25], "committed", (0, 2, 2)),
+        # leaves 0, below the Customer's 10: the outer post-check fails
+        ("safeWithdraw", [15], "aborted:R-POST-FAIL", (0, 2, 2)),
+        ("audit", [], "committed", (0, 0, 0)),
+        ("verifyLogin", [], "committed", (0, 0, 0)),
+    ]
+
+    def test_bank_customer(self):
+        block = block_of([{"id": "c", "class": "Customer", "args": []}],
+                         [{"target": "c", "method": method, "args": args}
+                          for method, args, _status, _spent in self.STEPS])
+        machine, scts = _prepare(PROGRAM, block)
+
+        def counters():
+            return (machine.pre_checks, machine.post_checks,
+                    machine.invariant_evals)
+
+        assert counters() == (0, 2, 2)  # the deploy
+        for sct, (_method, _args, status, spent) in zip(scts, self.STEPS):
+            before = counters()
+            assert blocksched._execute_sct(machine, sct) == status
+            assert tuple(b - a for a, b in zip(before, counters())) == spent
 
 
 class TestPinnedCounters:

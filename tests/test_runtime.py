@@ -216,6 +216,28 @@ main {
         assert "R-REQUIRE" in [f["code"] for f in rep.failures]
         assert not rep.lemma3
 
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_valid_evaluates_only_what_the_valid_set_lacks(self, naive):
+        # a fresh account is in the valid set, which vouches for it: `valid`
+        # evaluates nothing; a write drops it, and `valid` evaluates it
+        # again and finds it broken. --naive evaluates it either way.
+        m = machine_for(ACCOUNT, naive=naive)
+        a = m.run_expression(ast.New(ast.ClassType("Account", [CtxTop()]),
+                                     [ast.Const(5)]))
+        env = {"a": a, "#ctx": {}}
+        valid = ast.Valid(ast.Var("a"))
+        assert a.index in m.sigma
+        before = m.invariant_evals
+        assert m.run_expression(valid, env) is True
+        assert m.invariant_evals - before == (1 if naive else 0)
+        m.run_expression(ast.FieldSet(ast.Var("a"), "amount",
+                                      ast.Const(-4)), env)
+        assert a.index not in m.sigma
+        before = m.invariant_evals
+        assert m.run_expression(valid, env) is False
+        assert m.invariant_evals - before == 1
+        assert a.index not in m.sigma
+
     def test_fuel_exhaustion(self):
         with pytest.raises(OvError) as exc:
             run_source(CELL + "main { Cell<top> c = new Cell<top>(); }",
@@ -556,21 +578,21 @@ def test_corpus_counter_dominance(path):
 PINNED_RUNS = {
     'auction.ov': {
         'state_hash': 'a4b7434ec94bf17928b81be12266eb70dd1ca56814e900ba809c43201b1b8431',
-        'checks': (0, 11, 11),
+        'checks': (0, 9, 9),
         'naive_checks': (12, 17),
         'events': [{'name': 'AuctionEnded', 'args': [9]}],
         'steps': 161,
     },
     'ballot.ov': {
         'state_hash': 'b785b271e17394187410a0c980d7fabaf8176a7cfcb0a8f3ffa6c4365bb55afe',
-        'checks': (0, 19, 19),
+        'checks': (0, 15, 15),
         'naive_checks': (20, 31),
         'events': [],
         'steps': 271,
     },
     'bank.ov': {
         'state_hash': '744b1c74037beea8f1bdc7359ffbcef3e0213f653ba5057713d34fa4199b9ea7',
-        'checks': (1, 9, 10),
+        'checks': (1, 7, 8),
         'naive_checks': (20, 25),
         'events': [],
         'steps': 153,
