@@ -229,13 +229,12 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
-    # class name -> (the deployed type, the constructor's parameters),
-    # worked out at the class's first deploy, which names itself in any
-    # fault
-    classes: dict[str, tuple[ast.ClassType, list]] = {}
     for d, creator in zip(deploys, creators):
         cname = d["class"]
-        hit = classes.get(cname)
+        # (the entry node, the constructor's parameters), made at the
+        # class's first deploy on this machine, which names itself in any
+        # fault; a deploy of another arity stops at _arg_fault
+        hit = machine.entries.get(cname)
         if hit is None:
             info = machine.table.info(cname)
             if info is None:
@@ -245,16 +244,16 @@ def _deploy(machine: Machine, deploys: list,
                 if not _deploy_keeps(c):
                     raise ValueError(f"deploy {d['id']}: {typ} violates the "
                                      f"constraint {c} of {cname}")
-            hit = classes[cname] = (
-                typ, info.ctor.params if info.ctor else [])
-        typ, params = hit
+            params = info.ctor.params if info.ctor else []
+            hit = machine.entries[cname] = (
+                ast.New(typ, _slots(len(params))), params)
+        expr, params = hit
         args = d.get("args", [])
         fault = _arg_fault(params, args)
         if fault is not None:
             raise ValueError(f"deploy {d['id']}: {cname} constructor {fault}")
-        expr = ast.New(typ, [ast.Const(a) for a in args])
         machine.set_creator(creator)
-        val = machine.run_expression(expr)
+        val = machine.run_expression(expr, _arg_env(expr.args, args, {}))
         if isinstance(val, FailureValue):
             raise ValueError(f"deploy {d['id']} failed: {val.msg}")
         assert isinstance(val, Loc)
@@ -308,24 +307,46 @@ def _prepare(program: ast.Program, block: Block,
     return machine, _bind_scts(machine, targets, block.txns, creators[n:])
 
 
-# the receiver of every block transaction's call, bound to its target
-_TARGET = ast.Var("__target")
+# The entry nodes read a block's arguments from `Var` slots of the env,
+# `__arg0`, `__arg1` and so on: a variable takes one step, as a constant
+# does. A transaction's env holds its target as `this`.
+def _slots(n: int) -> list[ast.Var]:
+    return [ast.Var(f"__arg{k}") for k in range(n)]
+
+
+def _arg_env(slots: list, args: list, ctx: dict) -> dict:
+    """The env of an entry node: args in its slots, ctx as its context
+    map."""
+    env = {"#ctx": ctx}
+    for slot, a in zip(slots, args):
+        env[slot.name] = a
+    return env
 
 
 def _execute_sct(machine: Machine, sct: Sct) -> str:
     """Run one transaction. Its status is whether its own top-level frame
     committed: a contained inner abort whose failure value the method
     returns still leaves the transaction committed. A transaction that
-    runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on."""
-    expr = ast.Atomic(sct.contract,
-                      ast.Call(_TARGET, sct.method,
-                               [ast.Const(a) for a in sct.args]))
+    runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on.
+    It runs an `atomic` call node made once per machine, method and
+    arity, whose contract the env's context map binds to the
+    transaction's. That contract depends only on the target and the
+    method, so the target keeps it, resolved once, as it keeps an
+    `atomic` block's (`Machine._kept_contract`)."""
+    key = (sct.method, len(sct.args))
+    expr = machine.entries.get(key)
+    if expr is None:
+        expr = machine.entries[key] = ast.Atomic(
+            Contract(CtxParam("__validity"), CtxParam("__invalidity")),
+            ast.Call(ast.This(), sct.method, _slots(len(sct.args))))
+    env = _arg_env(expr.body.args, sct.args,
+                   {"__validity": sct.contract.validity,
+                    "__invalidity": sct.contract.invalidity})
+    env["this"] = machine.locs[sct.loc]
     commits = machine.root_commits
     machine.set_creator(sct.creator)
     try:
-        val = machine.run_expression(
-            expr, {"__target": machine.locs[sct.loc], "#ctx": {}},
-            fuel=TXN_STEPS)
+        val = machine.run_expression(expr, env, fuel=TXN_STEPS)
     except OvError as err:
         if err.code != "E-FUEL":
             raise

@@ -212,10 +212,19 @@ class OwnershipTree:
             raise OvError("E-DANGLING", f"location {k} is not in the heap")
         return key
 
-    def runtime_inside(self, loc: int, k: Context) -> bool:
-        """Is loc within subtree(k)? Reflexive at locations, always true of
-        Top and never of Bot."""
-        return self.node(k) in self.chain(loc)
+    def runtime_inside(self, loc: int, k: Context) -> Optional[tuple]:
+        """loc's chain when loc lies within subtree(k), else None: within
+        is reflexive at locations, always so of Top and never of Bot. One
+        call serves a write's escape test and its invalidation."""
+        # `node` and `chain`, inlined: every field write asks this
+        key = k.index if type(k) is CtxLoc else type(k)
+        chains = self.chains
+        if key not in chains:
+            raise OvError("E-DANGLING", f"location {k} is not in the heap")
+        chain = chains.get(loc)
+        if chain is None:
+            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
+        return chain if key in chain else None
 
     def runtime_subtree(self, k: Context) -> Sequence[int]:
         """The live locations in subtree(k), ascending: the stored list

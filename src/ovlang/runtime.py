@@ -11,16 +11,25 @@ of these. Constructors run as implicit <bot,this> transactions: a bot
 validity needs no subtree at begin, and the commit checks what the
 constructor created and no inner construction's commit already validated.
 
-`Machine._reduce` is the one step function, behind both `Machine.step`
-(whole programs) and `Machine.run_expression` (deploys and block
-transactions). A thread's control holds an expression node or a value
-itself, untagged: a node with a rule in `_EXPR_RULES` (node class -> rule)
-is reduced by it, any other node is E-STUCK, and anything else is a value,
-which goes to the rule `_KONT_RULES` maps the innermost continuation's tag
-to. Both tables are built once, below the Machine class; a tag with no
-rule is E-STUCK too. One `args` continuation (`Machine._gather`) reduces
-the arguments of a call, a `new`, an `emit` and an operator other than
-`&&` and `||`, left to right; one `commit` continuation closes every
+There are two evaluators and one transaction machinery: `_begin`,
+`_commit`, `_abort`, `write_field` and allocation (`_construct`).
+`Machine.step` runs whole programs on the small-step machine, whose
+threads interleave step by step. `Machine.run_expression`, for deploys and
+block transactions, runs an expression whose effects lie inside one
+transaction as compiled closures (`closures`), which charge exactly the
+steps reduction takes. The small-step machine is their reference, and it
+runs what the closures hand back undone: a run that could pass its fuel,
+one nested past their depth limit, a node with no compile rule, an error.
+
+`Machine._reduce` is the small-step machine's one step function. A
+thread's control holds an expression node or a value itself, untagged: a
+node with a rule in `_EXPR_RULES` (node class -> rule) is reduced by it,
+any other node is E-STUCK, and anything else is a value, which goes to
+the rule `_KONT_RULES` maps the innermost continuation's tag to. Both
+tables are built once, below the Machine class; a tag with no rule is
+E-STUCK too. One `args` continuation (`Machine._gather`) reduces the
+arguments of a call, a `new`, an `emit` and an operator other than `&&`
+and `||`, left to right; one `commit` continuation closes every
 transaction, a construction's too, and is the one tag a failure unwinds
 to (`_signal`).
 
@@ -88,7 +97,7 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Optional, Union
 
 from . import ast
-from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
+from .ast import BOT, Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, substitute
 from .typecheck import ClassTable
@@ -134,6 +143,26 @@ class ObjectRec:
         # this object (Machine._method_contract, Machine._x_atomic); made on
         # first use. The nodes belong to Machine.program, which outlives it.
         self.contracts: Optional[dict] = None
+
+
+class _Plan:
+    """One class's construction and checks, worked out once per class and
+    machine (`Machine._alloc`): its default field values, for each
+    construction to copy; its construction as (class name, body) parts,
+    superclass first: each class's field initialisers, the class's own
+    followed by its constructor body; its constructor's parameter names;
+    its invariant clauses, compiled (`_compile`); and its parts compiled
+    to closures, made on its first compiled construction
+    (`closures.Compiled.parts`)."""
+    __slots__ = ("defaults", "parts", "params", "checks", "compiled")
+
+    def __init__(self, defaults: dict, parts: list, params: tuple,
+                 checks: tuple):
+        self.defaults = defaults
+        self.parts = parts
+        self.params = params
+        self.checks = checks
+        self.compiled: Optional[tuple] = None
 
 
 class Frame:
@@ -205,6 +234,17 @@ class _InvFail(Exception):
     """Internal: invariant evaluation hit null/dangling/division by zero."""
 
 
+def not_live(v: Value, use: str) -> Optional[FailureValue]:
+    """The failure a receiver v that is not a live object raises for the
+    given use ("read from", "write to", "call on", "valid on"): R-NULL for
+    null, E-DANGLING for a removed object; None for any other value."""
+    if v is None:
+        return FailureValue("R-NULL", "null dereference")
+    if type(v) is Loc:
+        return FailureValue("E-DANGLING", f"{use} a removed object l{v.index}")
+    return None
+
+
 def _serialize_value(v: Value) -> Any:
     if isinstance(v, Loc):
         return f"l{v.index}"
@@ -265,20 +305,21 @@ class Machine:
         self.events: list[dict] = []
         self.failures: list[dict] = []
         self.steps = 0
-        # class name -> (default field values, construction parts, compiled
-        # invariant clauses): see `_alloc`
-        self._allocs: dict[str, tuple[dict[str, Value], list, tuple]] = {}
+        # class name -> what its construction and checks need: see `_alloc`
+        self._allocs: dict[str, _Plan] = {}
+        # the entry nodes of deploys and block transactions, built by
+        # `blocksched` once per class or method and arity, and the closures
+        # compiled for this machine (`closures.Compiled`), made on the first
+        # `run_expression`
+        self.entries: dict = {}
+        self._compiled = None
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _alloc(self, class_name: str) -> tuple[dict[str, Value], list, tuple]:
+    def _alloc(self, class_name: str) -> "_Plan":
         """What allocating the class and checking its objects need, worked
-        out once per class: its default field values, for the caller to
-        copy; its construction as (class name, body) parts, superclass
-        first: each class's field initialisers, the class's own followed by
-        its constructor body; and its invariant clauses, compiled
-        (`_compile`)."""
+        out once per class (`_Plan`)."""
         hit = self._allocs.get(class_name)
         if hit is None:
             info = self.table.info(class_name)
@@ -294,8 +335,11 @@ class Machine:
                 if expr is not None:
                     parts.append((cls.name, expr))
                 expr = None  # a superclass's part: its initialisers alone
+            params = tuple(p.name for p in info.ctor.params) \
+                if info.ctor is not None else ()
             checks = tuple(_compile(self, c) for c in info.invariants)
-            hit = self._allocs[class_name] = (defaults, parts[::-1], checks)
+            hit = self._allocs[class_name] = _Plan(
+                defaults, parts[::-1], params, checks)
         return hit
 
     def _body_env(self, obj: ObjectRec, loc: int, cls: ast.ClassDecl) -> dict:
@@ -353,7 +397,7 @@ class Machine:
         if obj is None:
             return False
         try:
-            for check in self._alloc(obj.class_name)[2]:
+            for check in self._alloc(obj.class_name).checks:
                 if check(loc) is not True:
                     return False
         except _InvFail:
@@ -391,7 +435,8 @@ class Machine:
         """Write to the live object at loc, inside the active frame."""
         obj = self.heap[loc]
         frame = thread.frames[-1]
-        if not self.tree.runtime_inside(loc, frame.contract.invalidity):
+        chain = self.tree.runtime_inside(loc, frame.contract.invalidity)
+        if chain is None:
             raise OvError("E-EFFECT",
                           f"write to l{loc}.{fname} escapes the active frame")
         # the root frame never aborts, so its writes need no undo entry
@@ -399,7 +444,7 @@ class Machine:
             frame.log.append((loc, fname, obj.fields.get(fname)))
         obj.fields[fname] = value
         sigma = self.sigma
-        for anc in self.tree.chain(loc):
+        for anc in chain:
             if anc in sigma:  # Top, which ends the chain, never is
                 self._mark_invalid(anc)
 
@@ -576,11 +621,30 @@ class Machine:
 
     def run_expression(self, expr: ast.Expr, env: Optional[dict] = None,
                        fuel: int = DEFAULT_FUEL) -> Value:
-        """Reduce one expression on a private thread to completion. Used for
+        """Run one expression to completion on a private thread. Used for
         deployments and block transactions; the heap and counters are shared
         with the machine. Past `fuel` steps every transaction the expression
-        opened is aborted and E-FUEL raised."""
-        t = Thread(-1, expr, dict(env) if env else {"#ctx": {}})
+        opened is aborted and E-FUEL raised.
+
+        While no thread is inside a transaction, an expression whose every
+        effect lies inside one transaction (`closures.Compiled.run` says
+        which) runs as compiled closures, with the same outcome, counters
+        and steps; a run they cannot finish so is undone and reduced here,
+        step by step."""
+        if self.alpha is None:
+            if self._compiled is None:
+                from . import closures
+                self._compiled = closures.Compiled()
+            done, value = self._compiled.run(
+                self, expr, dict(env) if env else {"#ctx": {}}, fuel)
+            if done:
+                return value
+        return self._reduce_all(expr, dict(env) if env else {"#ctx": {}},
+                                fuel)
+
+    def _reduce_all(self, expr: ast.Expr, env: dict, fuel: int) -> Value:
+        """run_expression on the small-step machine, in env."""
+        t = Thread(-1, expr, env)
         reduce = self._reduce
         steps = 0
         try:
@@ -778,12 +842,31 @@ class Machine:
         t.control = m.body
 
     def _do_new(self, t: Thread, node: ast.New, args: list) -> None:
+        this, bindings, plan = self._construct(t, node, t.env, len(args))
+        # the construction's value is the new object, not its body's
+        t.konts.append(("commit", t.env, this))
+        for name, body in plan.parts[:0:-1]:
+            t.konts.append(("init", bindings.get(name), body))
+        name, body = plan.parts[0]
+        env = {"this": this, "#ctx": bindings.get(name)}
+        env.update(zip(plan.params, args))
+        t.env = env
+        t.control = body
+
+    def _construct(self, t: Thread, node: ast.New, env: dict,
+                   nargs: int) -> tuple[Loc, dict, _Plan]:
+        """Allocate the object of `node` with nargs constructor arguments,
+        its context arguments resolved in env, and begin its construction
+        frame on t: the allocation both evaluators make. Returns the new
+        object, its binding map per class and its class's plan. An unknown
+        class, a wrong number of context or constructor arguments and an
+        owner that is neither a location nor Top are E-STUCK."""
         typ = node.type
         info = self.table.info(typ.name)
         if info is None or len(typ.args) != len(info.decl.ctx_params):
             raise OvError("E-STUCK", f"cannot instantiate {typ}",
                           node.line, node.col)
-        resolved = [self._resolve_ctx(a, t.env) for a in typ.args]
+        resolved = [self._resolve_ctx(a, env) for a in typ.args]
         owner_ctx = resolved[0] if resolved else CtxTop()
         if isinstance(owner_ctx, CtxLoc):
             owner: Optional[int] = owner_ctx.index
@@ -794,34 +877,24 @@ class Machine:
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
-        defaults, parts, _checks = self._alloc(typ.name)
+        plan = self._alloc(typ.name)
         own = info.decl.ctx_params
         bindings = {typ.name: dict(zip(own, resolved))}
         for name, sup in info.supertypes.items():
             at = substitute(sup, own, resolved, CtxLoc(loc)).args
             bindings[name] = dict(zip(self.table.get(name).ctx_params, at))
-        self.heap.append(ObjectRec(typ.name, dict(defaults), bindings))
+        self.heap.append(ObjectRec(typ.name, dict(plan.defaults), bindings))
         self.locs.append(this)
         self.names.append(self.next_name)
         self.next_name += 1
         self.tree.add(loc, owner)
-        fv = self._begin(t, "ctor", Contract(CtxBot(), CtxLoc(loc)))
+        fv = self._begin(t, "ctor", Contract(BOT, CtxLoc(loc)))
         assert fv is None  # bot validity: the start set is empty
         t.frames[-1].created[loc] = None
-        params = info.ctor.params if info.ctor is not None else []
-        if len(args) != len(params):
+        if nargs != len(plan.params):
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
                           node.line, node.col)
-        # the construction's value is the new object, not its body's
-        t.konts.append(("commit", t.env, this))
-        for name, body in parts[:0:-1]:
-            t.konts.append(("init", bindings.get(name), body))
-        name, body = parts[0]
-        env = {"this": this, "#ctx": bindings.get(name)}
-        for p, v in zip(params, args):
-            env[p.name] = v
-        t.env = env
-        t.control = body
+        return this, bindings, plan
 
     def _do_op(self, t: Thread, node: ast.PrimOp, vals: list) -> None:
         op = node.op
@@ -856,14 +929,11 @@ class Machine:
         given use ("read from", "write to", "call on", "valid on"): R-NULL
         for null and E-DANGLING for a removed object, both delivered to t;
         E-STUCK, which typing rules out, for any other value."""
-        if v is None:
-            self._signal(t, FailureValue("R-NULL", "null dereference"))
-        elif type(v) is Loc:
-            self._signal(t, FailureValue(
-                "E-DANGLING", f"{use} a removed object l{v.index}"))
-        else:
+        fv = not_live(v, use)
+        if fv is None:
             raise OvError("E-STUCK", f"{use} a non-object",
                           node.line, node.col)
+        self._signal(t, fv)
 
     def _k_fget(self, t: Thread, v: Value, k: tuple) -> None:
         _, fname, node = k
@@ -973,7 +1043,7 @@ class Machine:
                               node.line, node.col)
             d = self._method_contract(obj, v.index, *hit)
         else:
-            d = Contract(CtxBot(), CtxLoc(v.index))
+            d = Contract(BOT, CtxLoc(v.index))
         if not self._enter(t, d):
             return
         if call:
@@ -1085,6 +1155,19 @@ def _c_prim(m: Machine, e: ast.PrimOp) -> Check:
             return b
         return andor
 
+    if len(args) == 2:
+        left, right = args
+        pair = pair_op(op)
+
+        def binary(this_loc: int) -> Value:
+            a = left(this_loc)
+            b = right(this_loc)
+            try:
+                return pair(a, b)
+            except (ZeroDivisionError, TypeError):
+                raise _InvFail from None
+        return binary
+
     def apply(this_loc: int) -> Value:
         vals = [a(this_loc) for a in args]
         try:
@@ -1123,6 +1206,23 @@ _INT_OPS = {
     "/": _div, "%": _mod,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+
+
+# the binary operators whose value on two integers is that of one function
+# call: the integer operators and equality
+_INT_PAIR_OPS = {**_INT_OPS, "==": operator.eq, "!=": operator.ne}
+
+
+def pair_op(op: str):
+    """Binary operator op as a function of its two operands: two integers
+    take one call, any other pair `_apply_op`, whose errors it raises."""
+    fn = _INT_PAIR_OPS.get(op)
+
+    def apply(a: Value, b: Value) -> Value:
+        if fn is not None and type(a) is int and type(b) is int:
+            return fn(a, b)
+        return _apply_op(op, [a, b])
+    return apply
 
 
 def _apply_op(op: str, vals: list) -> Value:

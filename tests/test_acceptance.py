@@ -473,7 +473,7 @@ def _holds(m: Machine, loc: int) -> bool:
         return False
     try:
         return all(check(loc) is True
-                   for check in m._alloc(obj.class_name)[2])
+                   for check in m._alloc(obj.class_name).checks)
     except runtime._InvFail:
         return False
 

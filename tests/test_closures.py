@@ -1,0 +1,558 @@
+"""Compiled bodies against the small-step machine, the reference: on every
+block, the same statuses, edges, state hash, counters and steps, with no
+run sent back to the small-step machine; and where a run is sent back
+(fuel, nesting, recursion), the same result still."""
+import contextlib
+import json
+from collections import Counter
+
+import pytest
+
+from ovlang import ast, blocksched, closures
+from ovlang.blocksched import (_execute, _prepare, build_conflict_graph,
+                               mine_block, parse_block)
+from ovlang.desugar import desugar
+from ovlang.diagnostics import OvError
+from ovlang.parser import parse_program
+from ovlang.runtime import Machine
+from ovlang.typecheck import check_program
+
+from conftest import CORPUS, bench_module, check_clean
+from test_acceptance import (ACCOUNT_SRC, block_program,  # noqa: F401
+                             fuzzed_blocks)
+from test_blocksched import (PROGRAM, _naive_replay, block_of, outputs,
+                             split_run)
+
+
+@contextlib.contextmanager
+def small_step_only():
+    """Every run_expression reduced step by step, as if each compiled run
+    had stopped at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closures.Compiled, "run",
+                   lambda self, m, expr, env, fuel: (False, None))
+        yield
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the runs the compiled evaluator hands back."""
+    count = Counter()
+    run = closures.Compiled.run
+
+    def counted(self, m, expr, env, fuel):
+        done, value = run(self, m, expr, env, fuel)
+        count["back" if not done else "done"] += 1
+        return done, value
+    monkeypatch.setattr(closures.Compiled, "run", counted)
+    return count
+
+
+def record(program, block) -> tuple:
+    """One process: statuses, edges, state hash, the counters, steps,
+    failures and events; or the error the block raises."""
+    try:
+        machine, scts = _prepare(program, block)
+        edges = build_conflict_graph(scts, machine.tree)
+        status = _execute(machine, scts, range(len(scts)))
+    except (ValueError, OvError) as err:
+        return type(err).__name__, str(err)
+    return (status, edges, machine.state_hash(), machine.pre_checks,
+            machine.post_checks, machine.invariant_evals, machine.steps,
+            machine.failures, machine.events)
+
+
+def mined(run, program, block):
+    """The outputs of run(program, block), a MinedBlock or None, or the
+    error it raises."""
+    try:
+        got = run(program, block)
+    except (ValueError, OvError) as err:
+        return type(err).__name__, str(err)
+    return None if got is None else outputs(got)
+
+
+def assert_same(program, blocks, split=False) -> None:
+    """Each block, compiled, gives the reference's record, and split into
+    regions, the reference's mined outputs."""
+    got = [record(program, b) for b in blocks]
+    splits = [mined(split_run, program, b) if split else None
+              for b in blocks]
+    with small_step_only():
+        want = [record(program, b) for b in blocks]
+        whole = [mined(mine_block, program, b) for b in blocks]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, k
+    for k, (s, w) in enumerate(zip(splits, whole)):
+        assert s is None or s == w, k
+
+
+def test_corpus_blocks(fallbacks):
+    blocks = [parse_block(json.loads(p.read_text(encoding="utf-8")))
+              for p in sorted((CORPUS / "blocks").glob("*.json"))]
+    assert_same(PROGRAM, blocks, split=True)
+    assert fallbacks["done"] > 0 and fallbacks["back"] == 0
+
+
+def test_acceptance_fuzz(block_program, fuzzed_blocks,  # noqa: F811
+                         fallbacks):
+    assert_same(block_program, fuzzed_blocks, split=True)
+    assert fallbacks["done"] > 4000 and fallbacks["back"] == 0
+
+
+@pytest.mark.parametrize("workload", ["custody_blocks", "bank_blocks"])
+def test_seed_one_workload_blocks(workload, fallbacks):
+    raw = getattr(bench_module("workloads"), workload)(1)
+    assert len(raw) in (48, 12)
+    assert_same(PROGRAM, [parse_block(b) for b in raw], split=True)
+    assert fallbacks["back"] == 0
+
+
+def test_deduced_replays_and_naive_counts(fallbacks):
+    # bench's naive_lead replays blocks as deduced atomics on a naive
+    # machine: the counts are the reference's
+    raw = bench_module("workloads").custody_blocks(1)[:8]
+    got = [_naive_replay(b) for b in raw]
+    with small_step_only():
+        want = [_naive_replay(b) for b in raw]
+    assert got == want
+    assert fallbacks["back"] == 0
+
+
+# every compile rule, and each way a strict position meets a failure, a
+# null receiver or an operator error, on a class built in two parts
+LAB_SRC = """\
+class Cell[o] {
+    int v = 0;
+    inv v >= 0;
+
+    void set(int x) <this,this> {
+        v = x;
+    }
+
+    int get() <this,bot> {
+        return v;
+    }
+}
+
+class Base[o] {
+    int b = 1;
+    Cell<this> bc = new Cell<this>();
+}
+
+class Lab[o] extends Base<o> {
+    int n = 0;
+    Cell<this> c = new Cell<this>();
+    Cell<this> none;
+    inv n >= 0;
+
+    Lab(int k) {
+        n = k;
+    }
+
+    void nullRead() <this,this> {
+        Cell<this> z = null;
+        n = z.v;
+    }
+
+    void nullWrite() <this,this> {
+        Cell<this> z = null;
+        z.v = 1;
+    }
+
+    void nullWriteField() <this,this> {
+        none.v = n;
+    }
+
+    void nullCall() <this,this> {
+        Cell<this> z = null;
+        z.set(1);
+    }
+
+    void nullCallField() <this,this> {
+        none.set(n);
+    }
+
+    void div(int x) <this,this> {
+        n = 10 / x;
+    }
+
+    void neg(int x) <this,this> {
+        n = -x;
+    }
+
+    bool logic(int x) <this,bot> {
+        return x > 1 && true;
+    }
+
+    bool logic2(int x) <this,bot> {
+        return !(x > 1) || false;
+    }
+
+    void inner(int x) <this,this> {
+        atomic c.set(x);
+        n = 5;
+    }
+
+    void innerWrite(int x) <this,this> {
+        atomic c.v = x;
+        n = n + 1;
+    }
+
+    int failing() <this,bot> {
+        atomic <this,bot> {
+            require(false);
+        }
+        return 1;
+    }
+
+    void bindFail() <this,this> {
+        int y = failing();
+        n = y;
+    }
+
+    void assignFail() <this,this> {
+        int y = 0;
+        y = failing();
+        n = y;
+    }
+
+    void passFail() <this,this> {
+        failing();
+        n = 3;
+    }
+
+    void emitIt(int x) <this,this> {
+        emit Ev(x, n);
+        n = n - x;
+    }
+
+    bool validNull() <this,bot> {
+        Cell<this> z = null;
+        return valid z;
+    }
+
+    bool validLive() <this,bot> {
+        return valid c;
+    }
+
+    void fresh(int x) <this,this> {
+        Cell<this> d = new Cell<this>();
+        d.set(x);
+    }
+
+    void dangling() <this,this> {
+        Cell<this> d = null;
+        atomic <this,this> {
+            d = new Cell<this>();
+            require(false);
+        }
+        d.set(1);
+    }
+
+    void danglingAtomic() <this,this> {
+        Cell<this> d = null;
+        atomic <this,this> {
+            d = new Cell<this>();
+            require(false);
+        }
+        atomic d.set(1);
+    }
+
+    void breakThenCall() <this,this> {
+        n = 0 - 1;
+        atomic touch();
+        n = 1;
+    }
+
+    void touch() <this,this> {
+        n = n + 1;
+    }
+
+    void nullAtomic() <this,this> {
+        Cell<this> z = null;
+        atomic z.set(1);
+    }
+
+    void nullAtomicWrite() <this,this> {
+        Cell<this> z = null;
+        atomic z.v = 1;
+    }
+
+    Cell<this> failingCell() <this,bot> {
+        atomic <this,bot> {
+            require(false);
+        }
+        return c;
+    }
+
+    bool failingBool() <this,bot> {
+        atomic <this,bot> {
+            require(false);
+        }
+        return true;
+    }
+
+    void opFail() <this,this> {
+        n = failing() + 1;
+    }
+
+    void unaryFail() <this,this> {
+        n = -failing();
+    }
+
+    void argFail() <this,this> {
+        c.set(failing());
+    }
+
+    void recvFail() <this,this> {
+        failingCell().set(1);
+    }
+
+    void fieldFail() <this,this> {
+        n = failingCell().v;
+    }
+
+    void writeFail() <this,this> {
+        failingCell().v = 1;
+    }
+
+    bool validFail() <this,bot> {
+        return valid failingCell();
+    }
+
+    void requireFail() <this,this> {
+        require(failingBool());
+    }
+
+    bool andFail() <this,bot> {
+        return failingBool() && true;
+    }
+
+    void emitFail() <this,this> {
+        emit Ev(failing());
+    }
+
+    void atomicFail() <this,this> {
+        atomic failingCell().set(1);
+    }
+
+    void wrap(int x) <this,this> {
+        atomic <this,this> {
+            fresh(x);
+            emit Wrapped(x);
+        }
+        n = n + 2;
+    }
+}
+"""
+
+LAB_CALLS = [
+    ("nullRead", []), ("nullWrite", []), ("nullWriteField", []),
+    ("nullCall", []), ("nullCallField", []), ("div", [0]), ("div", [3]),
+    ("neg", [2]), ("neg", [0]), ("logic", [3]), ("logic", [0]),
+    ("logic2", [3]), ("logic2", [0]), ("inner", [-1]), ("inner", [4]),
+    ("innerWrite", [-2]), ("innerWrite", [2]), ("bindFail", []),
+    ("assignFail", []), ("passFail", []), ("emitIt", [1]),
+    ("emitIt", [100]), ("validNull", []), ("validLive", []),
+    ("fresh", [1]), ("fresh", [-1]), ("dangling", []),
+    ("danglingAtomic", []), ("breakThenCall", []), ("touch", []),
+    ("nullAtomic", []), ("nullAtomicWrite", []), ("wrap", [1]),
+    ("wrap", [-1]), ("opFail", []), ("unaryFail", []), ("argFail", []),
+    ("recvFail", []), ("fieldFail", []), ("writeFail", []),
+    ("validFail", []), ("requireFail", []), ("andFail", []),
+    ("emitFail", []), ("atomicFail", []),
+]
+
+
+def test_every_rule_and_fault(fallbacks):
+    program = check_clean(LAB_SRC)
+    lab = block_of([{"id": "l", "class": "Lab", "args": [2]},
+                    {"id": "m", "class": "Lab", "args": [50]}],
+                   [{"target": t, "method": m, "args": a}
+                    for m, a in LAB_CALLS for t in ("l", "m")])
+    refused = block_of([{"id": "l", "class": "Lab", "args": [-1]}], [])
+    assert_same(program, [lab, refused], split=True)
+    assert fallbacks["back"] == 0
+    status = record(program, lab)[0]
+    assert {s.split(":")[-1] for s in status} == {
+        "committed", "R-NULL", "R-DIV0", "R-POST-FAIL", "R-REQUIRE"}
+    assert record(program, refused)[0] == "ValueError"
+
+
+# -- runs the compiled evaluator hands back -----------------------------------
+
+FUEL_SRC = ACCOUNT_SRC + """\
+class Spin[o] {
+    int n = 0;
+
+    bool spin() <this,bot> {
+        return spin();
+    }
+}
+
+class Deep[o] {
+    int n = 0;
+
+    bool down(int k) <this,bot> {
+        return k <= 0 || down(k - 1);
+    }
+}
+
+class Guard[o] {
+    int n = 0;
+    inv n >= 0;
+
+    void check(int x) <this,this> {
+        n += 1;
+        require(x > 5);
+    }
+}
+"""
+
+FUEL_BLOCK = {
+    "deploy": [{"id": "a", "class": "Account", "args": [10]},
+               {"id": "s", "class": "Spin"},
+               {"id": "d", "class": "Deep"},
+               {"id": "g", "class": "Guard"}],
+    "txns": [{"target": "a", "method": "deposit", "args": [5]},
+             {"target": "d", "method": "down", "args": [150]},
+             {"target": "s", "method": "spin", "args": []},
+             {"target": "a", "method": "withdraw", "args": [100]},
+             {"target": "g", "method": "check", "args": [1]},
+             {"target": "g", "method": "check", "args": [9]},
+             {"target": "a", "method": "balance", "args": []}],
+}
+
+
+def test_fuel_sweep(monkeypatch):
+    # every boundary a transaction can meet its fuel at: R-GAS at the
+    # reference's step, whatever the fuel
+    program = check_clean(FUEL_SRC)
+    block = parse_block(FUEL_BLOCK)
+    statuses = set()
+    for fuel in [*range(1, 300), 1_000, 5_000, 100_000]:
+        monkeypatch.setattr(blocksched, "TXN_STEPS", fuel)
+        got = record(program, block)
+        with small_step_only():
+            assert got == record(program, block), fuel
+        statuses.add(tuple(got[0]))
+    assert ("committed", "committed", "aborted:R-GAS", "aborted:R-POST-FAIL",
+            "aborted:R-REQUIRE", "committed", "committed") in statuses
+    assert all(s[2] == "aborted:R-GAS" for s in statuses)
+
+
+def test_recursion_past_the_nesting_limit(fallbacks):
+    program = check_clean(FUEL_SRC)
+    block = parse_block({"deploy": [{"id": "d", "class": "Deep"}],
+                         "txns": [{"target": "d", "method": "down",
+                                   "args": [closures.MAX_NESTING * 2]}]})
+    got = record(program, block)
+    assert got[0] == ["committed"]
+    assert fallbacks["back"] == 1  # the call went to the small-step machine
+    with small_step_only():
+        assert record(program, block) == got
+
+
+def _nested_program(depth: int):
+    """A class whose method body nests `depth` parenthesised sums, or
+    None when the front end refuses it."""
+    expr = "1"
+    for _ in range(depth):
+        expr = f"(1 + {expr})"
+    src = ("class Nest[o] {\n    int v;\n\n    int f() <this,bot> {\n"
+           f"        return {expr};\n    }}\n}}\n")
+    try:
+        surface, diags = parse_program(src)
+        core = desugar(surface)
+        diags.extend(check_program(core))
+    except (RecursionError, OvError):
+        return None
+    return None if diags.has_errors() else core
+
+
+def test_body_nested_as_deep_as_the_front_end_accepts(fallbacks):
+    lo, hi = 1, 4000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _nested_program(mid) is None:
+            hi = mid - 1
+        else:
+            lo = mid
+    assert lo > closures.MAX_NESTING // 2
+    block = parse_block({"deploy": [{"id": "n", "class": "Nest"}],
+                         "txns": [{"target": "n", "method": "f",
+                                   "args": []}]})
+    # the deepest, and one whose closures fit under the nesting limit
+    for depth in sorted({lo, min(lo, closures.MAX_NESTING - 8)}):
+        program = _nested_program(depth)
+        got = record(program, block)
+        assert got[0] == ["committed"]
+        with small_step_only():
+            assert record(program, block) == got
+
+
+def test_same_class_name_in_another_program():
+    # a compiled body is kept per machine: a class of one program that
+    # shares its name, not its arity, with one of a block run earlier
+    first = check_clean("""\
+class Box[o] {
+    int v;
+
+    Box(int x) {
+        v = x;
+    }
+
+    void put(int x) <this,this> {
+        v = x;
+    }
+}
+""")
+    second = check_clean("""\
+class Box[o] {
+    int v;
+
+    Box() {
+        v = 7;
+    }
+
+    void put(int x, int y) <this,this> {
+        v = x + y;
+    }
+}
+""")
+    one = block_of([{"id": "b", "class": "Box", "args": [3]}],
+                   [{"target": "b", "method": "put", "args": [4]}])
+    two = block_of([{"id": "b", "class": "Box", "args": []}],
+                   [{"target": "b", "method": "put", "args": [1, 2]}])
+    got = [record(first, one), record(second, two)]
+    with small_step_only():
+        assert got == [record(first, one), record(second, two)]
+    assert got[1][0] == ["committed"]
+
+
+def test_failure_outside_every_transaction(fallbacks):
+    # a deduced atomic call on null fails before its transaction begins:
+    # the thread ends in that step, as on the small-step machine
+    call = ast.Atomic(None, ast.Call(ast.Var("x"), "deposit",
+                                     [ast.Const(1)]), deduced=True)
+    runs = []
+    for reference in (False, True):
+        with small_step_only() if reference else contextlib.nullcontext():
+            m = Machine(PROGRAM)
+            out = m.run_expression(call, {"x": None, "#ctx": {}})
+            runs.append((out, m.steps, m.failures, m.pre_checks))
+    assert runs[0] == runs[1]
+    assert runs[0][0].code == "R-NULL" and runs[0][2][0]["thread"] == -1
+    assert fallbacks == {"done": 1}
+
+
+def test_non_entries_run_step_by_step(fallbacks):
+    # a `new` of a non-plain argument may commit outside one transaction:
+    # the small-step machine runs it
+    m = Machine(PROGRAM)
+    loc = m.run_expression(ast.New(
+        ast.ClassType("Account", [ast.CtxTop()]),
+        [ast.PrimOp("+", [ast.Const(1), ast.Const(2)])]))
+    assert m.heap[loc.index].fields["amount"] == 3
+    assert fallbacks == {"back": 1}

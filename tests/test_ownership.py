@@ -266,8 +266,10 @@ class TestAncestorChains:
             for loc in locs:
                 assert list(tree.chain(loc)) == walk_up(owners, loc)
                 for k in ctxs:
-                    assert tree.runtime_inside(loc, k) == \
+                    inside = tree.runtime_inside(loc, k)
+                    assert (inside is not None) == \
                         (loc in enumerate_subtree(owners, k))
+                    assert inside in (None, tree.chain(loc))
             for k in ctxs:
                 assert subtree_listed(tree, owners, k)
             assert subtrees_stored(tree, owners)

@@ -18,6 +18,9 @@ def load():
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", sys.argv[1]]) == 0
         assert cli.main(["run", sys.argv[1]]) == 0
+        # a block runs compiled bodies, whose module loads on first use
+        assert cli.main(["simulate", sys.argv[1], sys.argv[2]]) == 0
+    assert "ovlang.closures" in sys.modules
     return weakref.ref(sys.modules["ovlang.ast"].Node)
 
 first = load()
@@ -31,7 +34,8 @@ print(first() is None, second() is not None)
 
 def test_a_fresh_import_frees_the_previous_one():
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(CORPUS / "bank.ov")],
+        [sys.executable, "-c", SCRIPT, str(CORPUS / "bank.ov"),
+         str(CORPUS / "blocks" / "transfers.json")],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(ROOT / "src"), "OV_COLOR": "0"})
     assert out.stdout.split() == ["True", "True"], out.stderr

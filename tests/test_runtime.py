@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ovlang import ast, blocksched, runtime
+from ovlang import ast, blocksched, closures, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
@@ -714,7 +714,8 @@ class TestRuleTables:
 
     # what the corpus mains and blocks do not do: assign a declared
     # variable, test validity, write through a deduced atomic, construct
-    # a class whose superclass has a field initialiser
+    # a class whose superclass has a field initialiser; and Probe, mined
+    # as a block, does the first three and emits in compiled bodies
     REST = CELL + """\
 class Tally[o] {
     Cell<o> c = new Cell<o>();
@@ -722,6 +723,18 @@ class Tally[o] {
 
 class Counted[p] extends Tally<p> {
     int n = 1;
+}
+
+class Probe[o] {
+    Cell<this> c = new Cell<this>();
+
+    void poke(int x) <this,this> {
+        int y = -x;
+        y = y + 1;
+        emit Poked(y);
+        require(valid c && !(y > 100));
+        atomic c.v = x;
+    }
 }
 
 main {
@@ -735,10 +748,11 @@ main {
 """
 
     def test_every_rule_is_reached(self, monkeypatch):
-        # a rule that no input reaches is dead: every rule of the three
+        # a rule that no input reaches is dead: every rule of the four
         # tables must be reached by the corpus mains, the corpus blocks
-        # and REST. A compile rule is reached when a clause is compiled,
-        # once per class and machine, not at each evaluation.
+        # and REST, its main and a block of its Probe. A compile rule is
+        # reached when a clause or a body is compiled, once per class and
+        # machine, not at each evaluation.
         reached = set()
 
         def counted(key, rule):
@@ -748,7 +762,7 @@ main {
             return wrapper
 
         tables = {"expr": runtime._EXPR_RULES, "kont": runtime._KONT_RULES,
-                  "pure": runtime._PURE_RULES}
+                  "pure": runtime._PURE_RULES, "body": closures._BODY_RULES}
         for name, table in tables.items():
             for key, rule in list(table.items()):
                 monkeypatch.setitem(table, key, counted((name, key), rule))
@@ -758,8 +772,13 @@ main {
         for path in sorted((CORPUS / "blocks").glob("*.json")):
             blocksched.mine_block(bank, blocksched.parse_block(
                 json.loads(path.read_text(encoding="utf-8"))))
-        rest = Machine(check_clean(self.REST)).run()
+        rest_program = check_clean(self.REST)
+        rest = Machine(rest_program).run()
         assert not rest.failures
+        probed = blocksched.mine_block(rest_program, blocksched.parse_block(
+            {"deploy": [{"id": "p", "class": "Probe"}],
+             "txns": [{"target": "p", "method": "poke", "args": [3]}]}))
+        assert probed.status == ["committed"]
         every = {(name, key) for name, table in tables.items()
                  for key in table}
         assert every - reached == set()
