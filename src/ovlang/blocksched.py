@@ -13,6 +13,9 @@ then `_execute`), which makes the observable results (statuses, hash,
 counters) a pure function of the block and the order. The validator
 re-mines the block in index order, rejects a miner's graph that omits a
 real edge (E-BG-MISMATCH), and compares the state hash and the statuses.
+Each runs on a fresh machine, but all of them, and every later block of the
+same program, share the program's one `runtime.Code` (`_code`): the class
+table, the plans, the entry nodes and the compiled bodies are made once.
 
 Each deploy and each transaction is a creator (`_creators`) that names
 the heap slots it allocates (`Machine.set_creator`), so slot names do not
@@ -34,7 +37,7 @@ from . import ast
 from .ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, subtrees_intersect
-from .runtime import DEFAULT_FUEL, FailureValue, Loc, Machine
+from .runtime import DEFAULT_FUEL, Code, FailureValue, Loc, Machine
 
 # interpreter steps one transaction may take before it aborts as R-GAS
 TXN_STEPS = DEFAULT_FUEL
@@ -229,12 +232,13 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed."""
     targets: dict[str, int] = {}
+    entries = machine.code.entries
     for d, creator in zip(deploys, creators):
         cname = d["class"]
         # (the entry node, the constructor's parameters), made at the
-        # class's first deploy on this machine, which names itself in any
+        # class's first deploy of this program, which names itself in any
         # fault; a deploy of another arity stops at _arg_fault
-        hit = machine.entries.get(cname)
+        hit = entries.get(cname)
         if hit is None:
             info = machine.table.info(cname)
             if info is None:
@@ -245,7 +249,7 @@ def _deploy(machine: Machine, deploys: list,
                     raise ValueError(f"deploy {d['id']}: {typ} violates the "
                                      f"constraint {c} of {cname}")
             params = info.ctor.params if info.ctor else []
-            hit = machine.entries[cname] = (
+            hit = entries[cname] = (
                 ast.New(typ, _slots(len(params))), params)
         expr, params = hit
         args = d.get("args", [])
@@ -294,15 +298,35 @@ def _creators(block: Block, deploys: Iterable[int],
     return [*deploys, *(first_txn + i for i in txns)]
 
 
+# (program, its code) of the last program `_prepare` was passed, kept by
+# the program's identity: every block of one program shares one `Code`,
+# compiled once. It is never pickled: a worker is sent the program only when
+# it changed (`regions._Worker.send`), makes its own code on its first shard
+# and keeps it while it keeps the program.
+_CODE: Optional[tuple] = None
+
+
+def _code(program: ast.Program) -> Code:
+    """The code of program's classes, run with no main; the last program's
+    is kept."""
+    global _CODE
+    hit = _CODE
+    if hit is None or hit[0] is not program:
+        hit = _CODE = (program, Code(ast.Program(program.classes, None)))
+    return hit[1]
+
+
 def _prepare(program: ast.Program, block: Block,
              creators: Optional[Sequence[int]] = None
              ) -> tuple[Machine, list[Sct]]:
-    """A fresh machine with the block's deploys run and its txns bound,
-    numbered as creators by `creators`, by default the block's own."""
+    """A fresh machine, on the program's shared code, with the block's
+    deploys run and its txns bound, numbered as creators by `creators`, by
+    default the block's own."""
     n = len(block.deploys)
     if creators is None:
         creators = _creators(block, range(n), range(len(block.txns)))
-    machine = Machine(ast.Program(program.classes, None))  # runs no main
+    code = _code(program)
+    machine = Machine(code.program, code=code)  # runs no main
     targets = _deploy(machine, block.deploys, creators[:n])
     return machine, _bind_scts(machine, targets, block.txns, creators[n:])
 
@@ -328,15 +352,16 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
     committed: a contained inner abort whose failure value the method
     returns still leaves the transaction committed. A transaction that
     runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on.
-    It runs an `atomic` call node made once per machine, method and
+    It runs an `atomic` call node made once per program, method and
     arity, whose contract the env's context map binds to the
     transaction's. That contract depends only on the target and the
     method, so the target keeps it, resolved once, as it keeps an
     `atomic` block's (`Machine._kept_contract`)."""
     key = (sct.method, len(sct.args))
-    expr = machine.entries.get(key)
+    entries = machine.code.entries
+    expr = entries.get(key)
     if expr is None:
-        expr = machine.entries[key] = ast.Atomic(
+        expr = entries[key] = ast.Atomic(
             Contract(CtxParam("__validity"), CtxParam("__invalidity")),
             ast.Call(ast.This(), sct.method, _slots(len(sct.args))))
     env = _arg_env(expr.body.args, sct.args,

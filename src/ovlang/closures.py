@@ -2,14 +2,19 @@
 transactions as Python closures.
 
 Each method body, each class's construction part (`_Plan.parts`) and each
-entry expression is compiled once per machine, by the rules of
+entry expression is compiled once per program, by the rules of
 `_BODY_RULES`, into a closure of the env (the small-step machine's own
-env dict) that returns the node's value. A closure charges exactly the
-steps the small-step machine takes on its node (`_Run.steps`), in one sum
-where no call or failure comes between them, so `Machine.steps`, every
-counter, every status and every hash are the small-step machine's. Both
-evaluators share one transaction machinery: `_begin`, `_commit`, `_abort`
-and `write_field`, here on one thread reused for every run.
+env dict) that returns the node's value. The closures belong to the
+program's `runtime.Code` and serve every machine that runs it, naive or
+not: they read the machine and its heap from `_Run`, which each run fills
+at its start, and through the machine its locations, its ownership tree
+and whether it is `--naive`; never from what they captured. A closure
+charges exactly the steps the small-step machine takes on its node
+(`_Run.steps`), in one sum where no call or failure comes between them,
+so `Machine.steps`, every counter, every status and every hash are the
+small-step machine's. Both evaluators share one transaction machinery:
+`_begin`, `_commit`, `_abort` and `write_field`, here on one thread
+reused for every run.
 
 A failure value flows as a value, as on the small-step machine, until a
 strict position meets it; there it unwinds as `_Signal` to the innermost
@@ -32,6 +37,7 @@ end at the same step.
 from __future__ import annotations
 
 import operator
+import threading
 
 from . import ast
 from .ast import BOT, Contract, CtxLoc
@@ -77,27 +83,31 @@ def _stop(env: dict) -> Value:
 
 
 class _Run:
-    """The state of a machine's compiled runs, which every closure reads:
-    the machine, during a run only, and its compiled code; the thread the
-    runs reuse; the steps the current run has taken, its fuel and the
-    closure frames it nests."""
-    __slots__ = ("m", "code", "thread", "steps", "fuel", "depth")
+    """The state of the compiled runs of one program, which every closure
+    reads: during a run only, the machine it runs on and its heap, and the
+    compiled code; the thread the runs reuse; the steps the current run
+    has taken, its fuel and the closure frames it nests."""
+    __slots__ = ("m", "heap", "code", "thread", "steps", "fuel", "depth")
 
     def __init__(self) -> None:
-        self.m = self.code = None
+        self.m = self.heap = self.code = None
         self.thread = Thread(-1, None, {})
         self.steps = self.fuel = self.depth = 0
 
 
 class Compiled:
-    """One machine's compiled entries and method bodies, by node; each
-    memo holds the node it keys, so no id is reused while the machine
-    lives. The machine holds it, and nothing it holds refers back to the
-    machine between runs, so a dropped machine is freed at once, not at
-    the next collection of reference cycles."""
+    """One program's compiled entries and method bodies, by node, kept in
+    its `runtime.Code`; each memo holds the node it keys, so no id is
+    reused while the code lives. Nothing it holds refers to a machine
+    between runs, so a dropped machine is freed at once, not at the next
+    collection of reference cycles. One run at a time holds `_Run`: a run
+    that finds it held, by a machine on another host thread, goes to the
+    small-step machine, which shares nothing between machines."""
 
-    def __init__(self) -> None:
+    def __init__(self, table) -> None:
+        self.table = table  # the program's `typecheck.ClassTable`
         self.cx = _Run()
+        self.busy = threading.Lock()
         self.entries: dict[int, tuple] = {}  # id -> (node, closure)
         self.bodies: dict[int, tuple] = {}
 
@@ -108,8 +118,10 @@ class Compiled:
         entry this evaluator takes or its run stopped. An entry is an
         expression whose every effect lies inside one transaction: an
         `atomic`, or a `new` of plain arguments."""
+        if not self.busy.acquire(blocking=False):
+            return False, None
         cx = self.cx
-        cx.m, cx.code = m, self
+        cx.m, cx.heap, cx.code = m, m.heap, self
         try:
             hit = self.entries.get(id(expr))
             if hit is None:
@@ -139,13 +151,19 @@ class Compiled:
                                    "thread": -1})
             m.steps += cx.steps
             return True, v
+        except BaseException:
+            # the thread serves the next machine: a run cut short by an
+            # exception not caught above leaves it no frame of this one
+            del cx.thread.frames[1:]
+            raise
         finally:
-            cx.m = cx.code = None
+            cx.m = cx.heap = cx.code = None
+            self.busy.release()
 
     def method(self, class_name: str, name: str) -> tuple:
         """(declaring class name, parameter names, compiled body) of the
         method a call of name on an object of class_name runs."""
-        hit = self.cx.m.table.find_method(class_name, name)
+        hit = self.table.find_method(class_name, name)
         if hit is None:
             raise _Bail
         owner, decl = hit
@@ -329,7 +347,6 @@ def _b_bind(cx: _Run, e, rec: _Body) -> tuple:
 
 def _b_field_get(cx: _Run, e: ast.FieldGet, rec: _Body) -> tuple:
     recv, leaf = _compile(cx, e.receiver, rec)
-    heap = cx.m.heap
     name = e.field_name
     pre, post = (3, 0) if leaf else (1, 1)
 
@@ -339,7 +356,7 @@ def _b_field_get(cx: _Run, e: ast.FieldGet, rec: _Body) -> tuple:
         if post:
             cx.steps += post
         if type(r) is Loc:
-            obj = heap[r.index]
+            obj = cx.heap[r.index]
             if obj is not None:
                 return obj.fields[name]  # a KeyError: stuck
         raise _fault(r, "read from")
@@ -349,7 +366,7 @@ def _b_field_get(cx: _Run, e: ast.FieldGet, rec: _Body) -> tuple:
 def _b_field_set(cx: _Run, e: ast.FieldSet, rec: _Body) -> tuple:
     recv, rleaf = _compile(cx, e.receiver, rec)
     value, vleaf = _compile(cx, e.value, rec)
-    heap, thread, name = cx.m.heap, cx.thread, e.field_name
+    thread, name = cx.thread, e.field_name
     pre, mid, early, post = _two_operands(rleaf, vleaf)
 
     def field_set(env: dict) -> Value:
@@ -365,7 +382,7 @@ def _b_field_set(cx: _Run, e: ast.FieldSet, rec: _Body) -> tuple:
             cx.steps += post
         if type(v) is FailureValue:
             raise _Signal(v)
-        if heap[r.index] is None:
+        if cx.heap[r.index] is None:
             raise _fault(r, "write to")
         cx.m.write_field(thread, r.index, name, v)
         return None
@@ -412,28 +429,29 @@ def _invoker(cx: _Run, name: str, rec: _Body):
     vals, as `Machine._invoke` and the `ret` continuation do, `--naive`
     counts included; then test the fuel left for the rest of the calling
     body."""
-    heap, locs, tree, naive = cx.m.heap, cx.m.locs, cx.m.tree, cx.m.naive
     targets: dict[str, tuple] = {}  # class name -> `Compiled.method`
 
     def invoke(loc: int, vals: list) -> Value:
+        m, heap = cx.m, cx.heap
         obj = heap[loc]
         if obj is None:
-            raise _fault(locs[loc], "call on")
+            raise _fault(m.locs[loc], "call on")
         hit = targets.get(obj.class_name)
         if hit is None:
             hit = targets[obj.class_name] = cx.code.method(obj.class_name,
                                                            name)
         owner, params, body = hit
+        naive = m.naive
         if naive:
-            cx.m.pre_checks += len(tree.runtime_subtree(CtxLoc(loc)))
+            m.pre_checks += len(m.tree.runtime_subtree(CtxLoc(loc)))
         if len(vals) != len(params):
             raise _Bail
-        env = {"this": locs[loc], "#ctx": obj.bindings.get(owner)}
+        env = {"this": m.locs[loc], "#ctx": obj.bindings.get(owner)}
         env.update(zip(params, vals))
         v = body(env)
         cx.steps += 1  # `ret`
         if naive and heap[loc] is not None:
-            cx.m.post_checks += len(tree.runtime_subtree(CtxLoc(loc)))
+            m.post_checks += len(m.tree.runtime_subtree(CtxLoc(loc)))
         if cx.steps + rec.bound > cx.fuel:
             raise _Bail
         return v
@@ -497,14 +515,14 @@ def _b_atomic(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
     if e.contract is None:
         return _stop, False
     body, leaf = _compile(cx, e.body, rec)
-    heap, thread, contract = cx.m.heap, cx.thread, e.contract
+    thread, contract = cx.thread, e.contract
     post = 1 + leaf
 
     def atomic(env: dict) -> Value:
         cx.steps += 1
         m = cx.m
         this = env.get("this")
-        obj = heap[this.index] if type(this) is Loc else None
+        obj = cx.heap[this.index] if type(this) is Loc else None
         d = m._resolve_contract(contract, env) if obj is None \
             else m._kept_contract(obj, e, env)
         fv = m._begin(thread, "txn", d)
@@ -535,8 +553,8 @@ def _deduced_call(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
     recv, rleaf = _compile(cx, call.receiver, rec)
     collect, flat = _args(cx, call.args, rec)
     invoke = _invoker(cx, call.method, rec)
-    heap, thread, name = cx.m.heap, cx.thread, call.method
-    find = cx.m.table.find_method
+    thread, name = cx.thread, call.method
+    find = cx.code.table.find_method
     pre, mid = (3, 0) if rleaf else (1, 1)
 
     def atomic_call(env: dict) -> Value:
@@ -544,7 +562,7 @@ def _deduced_call(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         r = recv(env)
         if mid:
             cx.steps += mid
-        obj = heap[r.index] if type(r) is Loc else None
+        obj = cx.heap[r.index] if type(r) is Loc else None
         if obj is None:
             raise _fault(r, "call on")
         hit = find(obj.class_name, name)
@@ -571,7 +589,7 @@ def _deduced_write(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
     rec.nodes += 1  # the write, whose parts compile alone
     recv, rleaf = _compile(cx, fset.receiver, rec)
     value, vleaf = _compile(cx, fset.value, rec)
-    heap, thread, name = cx.m.heap, cx.thread, fset.field_name
+    thread, name = cx.thread, fset.field_name
     pre, mid = (3, 0) if rleaf else (1, 1)
     post = 1 + vleaf
 
@@ -580,6 +598,7 @@ def _deduced_write(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         r = recv(env)
         if mid:
             cx.steps += mid
+        heap = cx.heap
         if type(r) is not Loc or heap[r.index] is None:
             raise _fault(r, "write to")
         loc = r.index
@@ -675,7 +694,6 @@ def _andor(cx: _Run, op: str, code: list) -> tuple:
 
 def _b_valid(cx: _Run, e: ast.Valid, rec: _Body) -> tuple:
     arg, leaf = _compile(cx, e.value, rec)
-    heap = cx.m.heap
     pre, post = (3, 0) if leaf else (1, 1)
 
     def valid(env: dict) -> Value:
@@ -683,7 +701,7 @@ def _b_valid(cx: _Run, e: ast.Valid, rec: _Body) -> tuple:
         v = arg(env)
         if post:
             cx.steps += post
-        if type(v) is Loc and heap[v.index] is not None:
+        if type(v) is Loc and cx.heap[v.index] is not None:
             return cx.m.assert_valid(v.index)
         if v is None:
             return False

@@ -33,16 +33,21 @@ and `||`, left to right; one `commit` continuation closes every
 transaction, a construction's too, and is the one tag a failure unwinds
 to (`_signal`).
 
+What depends on the program alone is one `Code`, made once and shared by
+every machine that runs the program: the class table, each class's plan,
+`blocksched`'s entry nodes and the compiled bodies. Nothing compiled holds
+a machine; each check and closure reads the machine it runs on.
+
 Invariant clauses are not interpreted: each class's clauses are compiled
-once per machine, when the class is first allocated, into closures
-(`_compile`, by the compile rules of `_PURE_RULES`), and
-`Machine.eval_invariant` calls them. A null, removed or fieldless
-receiver, a non-bool `&&` or `||` operand, an operator error such as
-division by zero, or a node class with no compile rule makes the
+once per program, when the class is first allocated, into closures of the
+machine and the location (`_compile`, by the compile rules of
+`_PURE_RULES`), and `Machine.eval_invariant` calls them. A null, removed
+or fieldless receiver, a non-bool `&&` or `||` operand, an operator error
+such as division by zero, or a node class with no compile rule makes the
 invariant false. What the runtime reads of a class (fields, method
 lookups, constructor, invariant clauses) comes from the class table's one
-record per class, `ClassTable.info`; the machine keeps only what
-allocation and the checks need, once per class (`_alloc`).
+record per class, `ClassTable.info`; the code keeps only what allocation
+and the checks need, once per class (`Code.plan`).
 
 A transaction's pre-check and post-check sets are read, not computed:
 subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the ownership
@@ -141,13 +146,14 @@ class ObjectRec:
         self.bindings = bindings
         # id of a MethodDecl or Atomic node -> its contract resolved against
         # this object (Machine._method_contract, Machine._x_atomic); made on
-        # first use. The nodes belong to Machine.program, which outlives it.
+        # first use. The nodes belong to the machine's code, which outlives
+        # it.
         self.contracts: Optional[dict] = None
 
 
 class _Plan:
     """One class's construction and checks, worked out once per class and
-    machine (`Machine._alloc`): its default field values, for each
+    program (`Code.plan`): its default field values, for each
     construction to copy; its construction as (class name, body) parts,
     superclass first: each class's field initialisers, the class's own
     followed by its constructor body; its constructor's parameter names;
@@ -163,6 +169,49 @@ class _Plan:
         self.params = params
         self.checks = checks
         self.compiled: Optional[tuple] = None
+
+
+class Code:
+    """What running a program needs that depends on the program alone,
+    made once and shared by every machine that runs it: the class table,
+    each class's `_Plan`, made on the class's first allocation (`plan`),
+    the entry nodes of deploys and block transactions, which `blocksched`
+    builds once per class or method and arity, and the compiled bodies
+    (`closures.Compiled`), made on the first `Machine.run_expression`.
+    Nothing here holds a machine: a compiled check or body is given the
+    machine it runs on, so a dropped machine is freed at once."""
+    __slots__ = ("program", "table", "plans", "entries", "compiled")
+
+    def __init__(self, program: ast.Program):
+        self.program = program
+        self.table = ClassTable(program)
+        self.plans: dict[str, _Plan] = {}
+        self.entries: dict = {}
+        self.compiled = None
+
+    def plan(self, class_name: str) -> _Plan:
+        """What allocating the class and checking its objects need."""
+        hit = self.plans.get(class_name)
+        if hit is None:
+            info = self.table.info(class_name)
+            defaults = {f.name: ast.default_init(f.type).value
+                        for f in info.fields}
+            parts = []
+            expr = info.ctor.body if info.ctor is not None else ast.Const(None)
+            for cls in info.chain:
+                for f in reversed(cls.fields):
+                    if f.init is not None:
+                        init = ast.FieldSet(ast.This(), f.name, f.init)
+                        expr = init if expr is None else ast.Seq(init, expr)
+                if expr is not None:
+                    parts.append((cls.name, expr))
+                expr = None  # a superclass's part: its initialisers alone
+            params = tuple(p.name for p in info.ctor.params) \
+                if info.ctor is not None else ()
+            checks = tuple(_compile(c) for c in info.invariants)
+            hit = self.plans[class_name] = _Plan(
+                defaults, parts[::-1], params, checks)
+        return hit
 
 
 class Frame:
@@ -277,9 +326,12 @@ class Machine:
     never run on host threads."""
 
     def __init__(self, program: ast.Program, seed: int = 0,
-                 naive: bool = False):
+                 naive: bool = False, code: Optional[Code] = None):
         self.program = program
-        self.table = ClassTable(program)
+        # what depends on the program alone: the given code, which must be
+        # the program's, or the program's own
+        self.code = Code(program) if code is None else code
+        self.table = self.code.table
         self.heap: list[Optional[ObjectRec]] = []
         # the one Loc of each heap slot, made at allocation
         self.locs: list[Loc] = []
@@ -305,43 +357,10 @@ class Machine:
         self.events: list[dict] = []
         self.failures: list[dict] = []
         self.steps = 0
-        # class name -> what its construction and checks need: see `_alloc`
-        self._allocs: dict[str, _Plan] = {}
-        # the entry nodes of deploys and block transactions, built by
-        # `blocksched` once per class or method and arity, and the closures
-        # compiled for this machine (`closures.Compiled`), made on the first
-        # `run_expression`
-        self.entries: dict = {}
-        self._compiled = None
         if program.main is not None:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _alloc(self, class_name: str) -> "_Plan":
-        """What allocating the class and checking its objects need, worked
-        out once per class (`_Plan`)."""
-        hit = self._allocs.get(class_name)
-        if hit is None:
-            info = self.table.info(class_name)
-            defaults = {f.name: ast.default_init(f.type).value
-                        for f in info.fields}
-            parts = []
-            expr = info.ctor.body if info.ctor is not None else ast.Const(None)
-            for cls in info.chain:
-                for f in reversed(cls.fields):
-                    if f.init is not None:
-                        init = ast.FieldSet(ast.This(), f.name, f.init)
-                        expr = init if expr is None else ast.Seq(init, expr)
-                if expr is not None:
-                    parts.append((cls.name, expr))
-                expr = None  # a superclass's part: its initialisers alone
-            params = tuple(p.name for p in info.ctor.params) \
-                if info.ctor is not None else ()
-            checks = tuple(_compile(self, c) for c in info.invariants)
-            hit = self._allocs[class_name] = _Plan(
-                defaults, parts[::-1], params, checks)
-        return hit
-
     def _body_env(self, obj: ObjectRec, loc: int, cls: ast.ClassDecl) -> dict:
         """A fresh env for a body declared in cls, run on obj at loc."""
         return {"this": self.locs[loc], "#ctx": obj.bindings.get(cls.name)}
@@ -397,8 +416,8 @@ class Machine:
         if obj is None:
             return False
         try:
-            for check in self._alloc(obj.class_name).checks:
-                if check(loc) is not True:
+            for check in self.code.plan(obj.class_name).checks:
+                if check(self, loc) is not True:
                     return False
         except _InvFail:
             return False
@@ -632,10 +651,11 @@ class Machine:
         and steps; a run they cannot finish so is undone and reduced here,
         step by step."""
         if self.alpha is None:
-            if self._compiled is None:
+            compiled = self.code.compiled
+            if compiled is None:
                 from . import closures
-                self._compiled = closures.Compiled()
-            done, value = self._compiled.run(
+                compiled = self.code.compiled = closures.Compiled(self.table)
+            done, value = compiled.run(
                 self, expr, dict(env) if env else {"#ctx": {}}, fuel)
             if done:
                 return value
@@ -877,7 +897,7 @@ class Machine:
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
-        plan = self._alloc(typ.name)
+        plan = self.code.plan(typ.name)
         own = info.decl.ctx_params
         bindings = {typ.name: dict(zip(own, resolved))}
         for name, sup in info.supertypes.items():
@@ -1019,7 +1039,7 @@ class Machine:
         t.control = fv if fv is not None else k[2] if len(k) > 2 else v
 
     def _k_init(self, t: Thread, v: Value, k: tuple) -> None:
-        """The next class's part of a construction (`_alloc`), under its
+        """The next class's part of a construction (`Code.plan`), under its
         bindings; v is None, from the previous part's last field write."""
         t.env["#ctx"] = k[1]
         t.control = k[2]
@@ -1092,43 +1112,43 @@ _KONT_RULES = {
 
 
 # -- invariant compilation ---------------------------------------------------
-# A clause part compiles to a check: a function of the location of the object
-# whose invariant is evaluated, returning the part's value there, or raising
-# _InvFail where the whole invariant is false: a null, removed or fieldless
-# receiver, a non-bool && or || operand, an _apply_op error, or a node with no
-# compile rule.
-Check = "Callable[[int], Value]"
+# A clause part compiles to a check: a function of the machine and the
+# location of the object whose invariant is evaluated, returning the part's
+# value there, or raising _InvFail where the whole invariant is false: a
+# null, removed or fieldless receiver, a non-bool && or || operand, an
+# _apply_op error, or a node with no compile rule. A check reads the heap of
+# the machine it is given, so one compiled check serves every machine.
+Check = "Callable[[Machine, int], Value]"
 
 
-def _compile(m: Machine, e: ast.Expr) -> Check:
-    """e compiled for machine m by the rule _PURE_RULES holds for its node
-    class."""
+def _compile(e: ast.Expr) -> Check:
+    """e compiled by the rule _PURE_RULES holds for its node class."""
     rule = _PURE_RULES.get(type(e))
-    return _no_rule if rule is None else rule(m, e)
+    return _no_rule if rule is None else rule(e)
 
 
-def _no_rule(this_loc: int) -> Value:
+def _no_rule(m: Machine, this_loc: int) -> Value:
     raise _InvFail
 
 
-def _c_const(m: Machine, e: ast.Const) -> Check:
+def _c_const(e: ast.Const) -> Check:
     value = e.value
-    return lambda this_loc: value
+    return lambda m, this_loc: value
 
 
-def _c_this(m: Machine, e: ast.This) -> Check:
-    return m.locs.__getitem__
+def _c_this(e: ast.This) -> Check:
+    return lambda m, this_loc: m.locs[this_loc]
 
 
-def _c_field_get(m: Machine, e: ast.FieldGet) -> Check:
-    receiver = _compile(m, e.receiver)
-    heap = m.heap
+def _c_field_get(e: ast.FieldGet) -> Check:
+    receiver = _compile(e.receiver)
     name = e.field_name
 
-    def field_get(this_loc: int) -> Value:
-        recv = receiver(this_loc)
+    def field_get(m: Machine, this_loc: int) -> Value:
+        recv = receiver(m, this_loc)
         if type(recv) is not Loc:
             raise _InvFail
+        heap = m.heap
         obj = heap[recv.index] if recv.index < len(heap) else None
         if obj is None or name not in obj.fields:
             raise _InvFail
@@ -1136,20 +1156,20 @@ def _c_field_get(m: Machine, e: ast.FieldGet) -> Check:
     return field_get
 
 
-def _c_prim(m: Machine, e: ast.PrimOp) -> Check:
+def _c_prim(e: ast.PrimOp) -> Check:
     op = e.op
-    args = [_compile(m, a) for a in e.args]
+    args = [_compile(a) for a in e.args]
     if op in ("&&", "||"):
         left, right = args
         decides = op == "||"  # the left value that is the result
 
-        def andor(this_loc: int) -> Value:
-            a = left(this_loc)
+        def andor(m: Machine, this_loc: int) -> Value:
+            a = left(m, this_loc)
             if type(a) is not bool:
                 raise _InvFail
             if a is decides:
                 return a
-            b = right(this_loc)
+            b = right(m, this_loc)
             if type(b) is not bool:
                 raise _InvFail
             return b
@@ -1159,17 +1179,17 @@ def _c_prim(m: Machine, e: ast.PrimOp) -> Check:
         left, right = args
         pair = pair_op(op)
 
-        def binary(this_loc: int) -> Value:
-            a = left(this_loc)
-            b = right(this_loc)
+        def binary(m: Machine, this_loc: int) -> Value:
+            a = left(m, this_loc)
+            b = right(m, this_loc)
             try:
                 return pair(a, b)
             except (ZeroDivisionError, TypeError):
                 raise _InvFail from None
         return binary
 
-    def apply(this_loc: int) -> Value:
-        vals = [a(this_loc) for a in args]
+    def apply(m: Machine, this_loc: int) -> Value:
+        vals = [a(m, this_loc) for a in args]
         try:
             return _apply_op(op, vals)
         except (ZeroDivisionError, TypeError):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ovlang import ast
+from ovlang import ast, blocksched
 from ovlang.desugar import desugar
 from ovlang.diagnostics import Diagnostics, OvError
 from ovlang.parser import parse_program
@@ -71,3 +71,10 @@ def corpus_cores():
     for p in POSITIVE_FILES:
         out[p.name] = check_clean(p.read_text(encoding="utf-8"))
     return out
+
+
+@pytest.fixture
+def fresh_code(monkeypatch):
+    """No program's code kept from an earlier test: the first block of a
+    program in the test compiles it, as in a fresh process."""
+    monkeypatch.setattr(blocksched, "_CODE", None)

@@ -472,8 +472,8 @@ def _holds(m: Machine, loc: int) -> bool:
     if obj is None:
         return False
     try:
-        return all(check(loc) is True
-                   for check in m._alloc(obj.class_name).checks)
+        return all(check(m, loc) is True
+                   for check in m.code.plan(obj.class_name).checks)
     except runtime._InvFail:
         return False
 

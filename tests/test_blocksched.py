@@ -218,10 +218,10 @@ class TestLinearWork:
         assert calls["interferes"] == 0
 
 
-    def test_superclass_walks_once_per_class(self, monkeypatch):
+    def test_superclass_walks_once_per_class(self, monkeypatch, fresh_code):
         # a 500-account block evaluates thousands of invariants, looks up
         # a method per call and lists fields per hash; each class's record,
-        # and so its superclass walk, must still be built once per machine
+        # and so its superclass walk, must still be built once per program
         walks = Counter()
         build = ClassInfo.__init__
 
@@ -466,25 +466,25 @@ class TestPinnedCounters:
 
     @pytest.mark.parametrize("name", sorted(
         n for n in PINNED_INPUTS if n.startswith("custody:")))
-    def test_invariants_compiled_once_per_class(self, name, monkeypatch):
+    def test_invariants_compiled_once_per_class(self, name, monkeypatch,
+                                                fresh_code):
         # custody blocks evaluate the invariants of two classes dozens of
         # times; each clause, and each part of it, is compiled once per
-        # machine, when its class is first allocated
+        # program, when its class is first allocated
         compiles = Counter()
         compile_ = runtime._compile
 
-        def counted(machine, e):
-            key = (id(machine), id(e))
-            compiles[key] += 1
-            assert compiles[key] == 1, f"{e} compiled twice"
-            return compile_(machine, e)
+        def counted(e):
+            compiles[id(e)] += 1
+            assert compiles[id(e)] == 1, f"{e} compiled twice"
+            return compile_(e)
 
         monkeypatch.setattr(runtime, "_compile", counted)
         machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
         _execute(machine, scts, range(len(scts)))
         clauses = {id(c) for cls in ("Account", "Customer")
                    for c in machine.table.info(cls).invariants}
-        assert clauses <= {e for _m, e in compiles}
+        assert clauses <= set(compiles)
         assert machine.invariant_evals > 10 * len(clauses)
 
 

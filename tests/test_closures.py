@@ -3,19 +3,24 @@ block, the same statuses, edges, state hash, counters and steps, with no
 run sent back to the small-step machine; and where a run is sent back
 (fuel, nesting, recursion), the same result still."""
 import contextlib
+import gc
 import json
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import pytest
 
 from ovlang import ast, blocksched, closures
-from ovlang.blocksched import (_execute, _prepare, build_conflict_graph,
-                               mine_block, parse_block)
+from ovlang.blocksched import (_bind_scts, _creators, _deploy, _execute,
+                               _execute_sct, _prepare, build_conflict_graph,
+                               mine_block, parse_block, validate_block)
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
 from ovlang.parser import parse_program
-from ovlang.runtime import Machine
-from ovlang.typecheck import check_program
+from ovlang.runtime import Code, Machine
+from ovlang.typecheck import ClassInfo, check_program
 
 from conftest import CORPUS, bench_module, check_clean
 from test_acceptance import (ACCOUNT_SRC, block_program,  # noqa: F401
@@ -492,8 +497,8 @@ def test_body_nested_as_deep_as_the_front_end_accepts(fallbacks):
             assert record(program, block) == got
 
 
-def test_same_class_name_in_another_program():
-    # a compiled body is kept per machine: a class of one program that
+def test_same_class_name_in_another_program(monkeypatch):
+    # a compiled body is kept per program: a class of one program that
     # shares its name, not its arity, with one of a block run earlier
     first = check_clean("""\
 class Box[o] {
@@ -525,10 +530,18 @@ class Box[o] {
                    [{"target": "b", "method": "put", "args": [4]}])
     two = block_of([{"id": "b", "class": "Box", "args": []}],
                    [{"target": "b", "method": "put", "args": [1, 2]}])
-    got = [record(first, one), record(second, two)]
+    runs = [(first, one), (second, two), (first, one)]
+    got = [record(*run) for run in runs]
     with small_step_only():
-        assert got == [record(first, one), record(second, two)]
+        assert got == [record(*run) for run in runs]
     assert got[1][0] == ["committed"]
+    # the programs in turn, each block as a fresh process runs it: with
+    # no code kept from the block before
+    fresh = []
+    for run in runs:
+        monkeypatch.setattr(blocksched, "_CODE", None)
+        fresh.append(record(*run))
+    assert got == fresh
 
 
 def test_failure_outside_every_transaction(fallbacks):
@@ -556,3 +569,135 @@ def test_non_entries_run_step_by_step(fallbacks):
         [ast.PrimOp("+", [ast.Const(1), ast.Const(2)])]))
     assert m.heap[loc.index].fields["amount"] == 3
     assert fallbacks == {"back": 1}
+
+
+class TestSharedCode:
+    """One program's code is compiled once and shared by every machine
+    that runs it: the miner, the validator, each shard and each block."""
+
+    @pytest.fixture
+    def custody(self):
+        raw = bench_module("workloads").custody_blocks(1)
+        assert len(raw) == 48
+        return [parse_block(b) for b in raw]
+
+    def test_custody_blocks_compile_once(self, custody, fresh_code,
+                                         monkeypatch):
+        bodies, walks = Counter(), Counter()
+        body, build = closures._body, ClassInfo.__init__
+
+        def counted_body(cx, e):
+            bodies[(id(cx), id(e))] += 1
+            return body(cx, e)
+
+        def counted_build(info, table, decl):
+            walks[(id(table), decl.name)] += 1
+            build(info, table, decl)
+
+        monkeypatch.setattr(closures, "_body", counted_body)
+        monkeypatch.setattr(ClassInfo, "__init__", counted_build)
+        # blocks run in this process alone, and split into regions
+        monkeypatch.setattr(blocksched, "SHARD_MIN_WORK", 10 ** 9)
+
+        def sizes() -> tuple:
+            code = blocksched._CODE[1]
+            return (len(code.entries), len(code.plans),
+                    len(code.compiled.entries), len(code.compiled.bodies))
+
+        seen = []
+        for _round in range(3):
+            for block in custody:
+                mined = mine_block(PROGRAM, block)
+                assert validate_block(PROGRAM, mined, block).accepted
+                assert outputs(split_run(PROGRAM, block)) == outputs(mined)
+            seen.append((sizes(), sum(bodies.values()),
+                         sum(walks.values())))
+        assert max(bodies.values()) == 1
+        assert max(walks.values()) == 1
+        assert len({cx for cx, _e in bodies}) == 1
+        assert len({table for table, _name in walks}) == 1
+        # round 2 on compiles nothing and builds no entry
+        assert seen[0] == seen[1] == seen[2]
+
+    @staticmethod
+    def _bound(machine: Machine, block) -> list:
+        """The block's deploys run on machine and its txns bound."""
+        n = len(block.deploys)
+        creators = _creators(block, range(n), range(len(block.txns)))
+        targets = _deploy(machine, block.deploys, creators[:n])
+        return _bind_scts(machine, targets, block.txns, creators[n:])
+
+    @staticmethod
+    def _outcome(machine: Machine, statuses: list) -> tuple:
+        return (statuses, machine.state_hash(), machine.pre_checks,
+                machine.post_checks, machine.invariant_evals, machine.steps,
+                machine.failures, machine.events)
+
+    def test_naive_and_directed_machines_on_one_code(self, custody):
+        # the two run turn about on one code: each gets the counters it
+        # gets on code of its own
+        block = custody[0]
+        code = Code(ast.Program(PROGRAM.classes, None))
+        pair = [Machine(code.program, naive=naive, code=code)
+                for naive in (True, False)]
+        scts = [self._bound(m, block) for m in pair]
+        statuses: list = [[], []]
+        for i in range(len(block.txns)):
+            for k, m in enumerate(pair):
+                statuses[k].append(_execute_sct(m, scts[k][i]))
+        got = [self._outcome(m, st) for m, st in zip(pair, statuses)]
+        want = []
+        for naive in (True, False):
+            m = Machine(ast.Program(PROGRAM.classes, None), naive=naive)
+            want.append(self._outcome(m, _execute(
+                m, self._bound(m, block), range(len(block.txns)))))
+        assert got == want
+        assert got[0][2] > got[1][2]  # naive checks more
+
+    def test_a_dropped_machine_is_freed_at_once(self, custody):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for block in custody[:4]:
+                machine, scts = _prepare(PROGRAM, block)
+                _execute(machine, scts, range(len(scts)))
+                ref = weakref.ref(machine)
+                del machine, scts
+                # neither the kept code nor its compiled bodies hold it
+                assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_blocks_on_host_threads(self, custody):
+        # four threads on two CPUs run blocks of two programs at once,
+        # switching every microsecond: each block gives what it gives
+        # alone, though the threads share each program's code
+        lab = block_of([{"id": "l", "class": "Lab", "args": [2]}],
+                       [{"target": "l", "method": m, "args": a}
+                        for m, a in LAB_CALLS])
+        jobs = [(PROGRAM, b) for b in custody[:4]] + \
+            [(check_clean(LAB_SRC), lab)] * 2
+        want = [record(*job) for job in jobs]
+        got: dict = {}
+
+        def work(k: int) -> None:
+            order = [(k + i) % len(jobs) for i in range(len(jobs))]
+            got[k] = [(i, record(*jobs[i])) for i in order]
+
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for runs in got.values():
+            for i, out in runs:
+                assert out == want[i], i

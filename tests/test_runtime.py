@@ -1407,10 +1407,10 @@ class Bare[o] {
             live = [i for i, obj in enumerate(m.heap) if obj is not None]
             for _ in range(60):
                 clause = self._clause(rng, 4)
-                check = runtime._compile(m, clause)
+                check = runtime._compile(clause)
                 for loc in live:
                     want = self._outcome(_reference_pure, m, clause, loc)
-                    assert self._outcome(check, loc) == want, (clause, loc)
+                    assert self._outcome(check, m, loc) == want, (clause, loc)
                     outcomes.add(want if want == "false" else want[0])
         # every kind of result was met, failure included
         assert outcomes >= {"false", int, bool, Loc, type(None)}
@@ -1418,6 +1418,6 @@ class Bare[o] {
     def test_a_node_without_a_rule_fails_only_where_evaluated(self):
         m = self._heap(random.Random(3))
         stray = ast.Var("x")
-        assert self._outcome(runtime._compile(m, stray), 0) == "false"
+        assert self._outcome(runtime._compile(stray), m, 0) == "false"
         decided = ast.PrimOp("||", [ast.Const(True), stray])
-        assert self._outcome(runtime._compile(m, decided), 0) == (bool, True)
+        assert self._outcome(runtime._compile(decided), m, 0) == (bool, True)

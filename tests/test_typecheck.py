@@ -104,6 +104,23 @@ class C[o] {
 """
         assert error_codes(src) == {"E-EFFECT"}
 
+    def test_write_through_a_parameter_owned_object(self):
+        # b lives in o, outside subtree(this): the write escapes the frame
+        # invalidity this, and only the checker can tell before it runs
+        src = """\
+class Acc[o] {
+    int v = 0;
+    inv v >= 0;
+
+    void poke(Acc<o> b) <this,this> {
+        b.v = -1;
+    }
+}
+"""
+        _, diags = compile_source(src)
+        assert [(d.code, d.line, d.col) for d in diags.errors()] == [
+            ("E-EFFECT", 6, 13)]
+
     def test_owned_write_inside_this_frame(self):
         src = BOX + """\
 class C[o] {
