@@ -104,13 +104,26 @@ class ValidationReport(_Report):
     statuses_match: bool
 
 
+# the fields a block, a deploy and a transaction may have; any other is a
+# schema error, never ignored
+_BLOCK_FIELDS = {"deploy", "txns"}
+_DEPLOY_FIELDS = {"id", "class", "args"}
+_TXN_FIELDS = {"target", "method", "args"}
+
+
+def _unknown(entry: dict, known: set) -> str:
+    """The fields of entry outside known, named in sorted order."""
+    return ", ".join(sorted(set(entry) - known))
+
+
 def parse_block(data: dict) -> Block:
-    """Validate the block JSON shape. Schema problems raise ValueError."""
+    """Validate the block JSON shape. Schema problems, an unknown field
+    among them, raise ValueError."""
     if not isinstance(data, dict):
         raise ValueError("block must be a JSON object")
-    unknown = sorted(set(data) - {"deploy", "txns"})
-    if unknown:
-        raise ValueError("unknown block fields: " + ", ".join(unknown))
+    if not _BLOCK_FIELDS.issuperset(data):
+        raise ValueError("unknown block fields: " +
+                         _unknown(data, _BLOCK_FIELDS))
     deploys = data.get("deploy", [])
     txns = data.get("txns", [])
     if not isinstance(deploys, list) or not isinstance(txns, list):
@@ -124,12 +137,18 @@ def parse_block(data: dict) -> Block:
         if d["id"] in seen:
             raise ValueError(f"duplicate deploy id {d['id']}")
         seen.add(d["id"])
+        if not _DEPLOY_FIELDS.issuperset(d):
+            raise ValueError(f"deploy {d['id']}: unknown fields: " +
+                             _unknown(d, _DEPLOY_FIELDS))
         _check_args(d.get("args", []))
-    for t in txns:
+    for i, t in enumerate(txns):
         if not isinstance(t, dict) or not {"target", "method"} <= set(t):
             raise ValueError("each txn needs target and method")
         if not isinstance(t["target"], str) or not isinstance(t["method"], str):
             raise ValueError("txn target and method must be strings")
+        if not _TXN_FIELDS.issuperset(t):
+            raise ValueError(f"txn {i}: unknown fields: " +
+                             _unknown(t, _TXN_FIELDS))
         _check_args(t.get("args", []))
     return Block(deploys=list(deploys), txns=list(txns))
 
@@ -230,9 +249,16 @@ def _deploy(machine: Machine, deploys: list,
     """Run the deploy list serially, each as the creator `creators` numbers
     it; returns id -> location. A deploy binds every context parameter of
     its class to top, so a class with a `where` constraint that this
-    binding breaks cannot be deployed."""
+    binding breaks cannot be deployed.
+
+    The compiled evaluator is handed the class's entry node, a `new` with
+    its context arguments resolved, and the arguments themselves
+    (`closures.Compiled.deploy`); the entry node, its `Var` slots holding
+    the arguments, is the small-step reference that runs what it hands
+    back."""
     targets: dict[str, int] = {}
     entries = machine.code.entries
+    compiled = machine.compiled()
     for d, creator in zip(deploys, creators):
         cname = d["class"]
         # (the entry node, the constructor's parameters), made at the
@@ -257,7 +283,9 @@ def _deploy(machine: Machine, deploys: list,
         if fault is not None:
             raise ValueError(f"deploy {d['id']}: {cname} constructor {fault}")
         machine.set_creator(creator)
-        val = machine.run_expression(expr, _arg_env(expr.args, args, {}))
+        done, val = compiled.deploy(machine, expr, args, DEFAULT_FUEL)
+        if not done:
+            val = machine.run_expression(expr, _arg_env(expr.args, args, {}))
         if isinstance(val, FailureValue):
             raise ValueError(f"deploy {d['id']} failed: {val.msg}")
         assert isinstance(val, Loc)
@@ -352,11 +380,13 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
     committed: a contained inner abort whose failure value the method
     returns still leaves the transaction committed. A transaction that
     runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on.
-    It runs an `atomic` call node made once per program, method and
-    arity, whose contract the env's context map binds to the
-    transaction's. That contract depends only on the target and the
-    method, so the target keeps it, resolved once, as it keeps an
-    `atomic` block's (`Machine._kept_contract`)."""
+
+    The compiled evaluator is handed the bound transaction itself, whose
+    contract `_bind_scts` resolved, with the `atomic` call node made once
+    per program, method and arity (`closures.Compiled.transact`). That
+    node is the small-step reference, which runs what the compiled
+    evaluator hands back: its env binds its slots to the arguments, `this`
+    to the target and its context parameters to the contract's contexts."""
     key = (sct.method, len(sct.args))
     entries = machine.code.entries
     expr = entries.get(key)
@@ -364,14 +394,17 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
         expr = entries[key] = ast.Atomic(
             Contract(CtxParam("__validity"), CtxParam("__invalidity")),
             ast.Call(ast.This(), sct.method, _slots(len(sct.args))))
-    env = _arg_env(expr.body.args, sct.args,
-                   {"__validity": sct.contract.validity,
-                    "__invalidity": sct.contract.invalidity})
-    env["this"] = machine.locs[sct.loc]
     commits = machine.root_commits
     machine.set_creator(sct.creator)
     try:
-        val = machine.run_expression(expr, env, fuel=TXN_STEPS)
+        done, val = machine.compiled().transact(machine, expr, sct,
+                                                TXN_STEPS)
+        if not done:
+            env = _arg_env(expr.body.args, sct.args,
+                           {"__validity": sct.contract.validity,
+                            "__invalidity": sct.contract.invalidity})
+            env["this"] = machine.locs[sct.loc]
+            val = machine.run_expression(expr, env, TXN_STEPS)
     except OvError as err:
         if err.code != "E-FUEL":
             raise

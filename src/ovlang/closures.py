@@ -1,24 +1,37 @@
 """Compiled bodies: the second evaluator, which runs deploys and block
 transactions as Python closures.
 
-Each method body, each class's construction part (`_Plan.parts`) and each
-entry expression is compiled once per program, by the rules of
-`_BODY_RULES`, into a closure of the env (the small-step machine's own
-env dict) that returns the node's value. The closures belong to the
-program's `runtime.Code` and serve every machine that runs it, naive or
-not: they read the machine and its heap from `_Run`, which each run fills
-at its start, and through the machine its locations, its ownership tree
-and whether it is `--naive`; never from what they captured. A closure
-charges exactly the steps the small-step machine takes on its node
-(`_Run.steps`), in one sum where no call or failure comes between them,
-so `Machine.steps`, every counter, every status and every hash are the
-small-step machine's. Both evaluators share one transaction machinery:
-`_begin`, `_commit`, `_abort` and `write_field`, here on one thread
-reused for every run.
+Each method body and each class's construction part (`_Plan.parts`) is
+compiled once per program, by the rules of `_BODY_RULES`, into a closure
+of the env (the small-step machine's own env dict) that returns the
+node's value. A deploy and a block transaction are handed over bound, not
+as an expression in an env: a deploy as its class's entry node and its
+arguments (`Compiled.deploy`), which allocates through
+`Machine._allocate` with its context arguments already resolved, and a
+transaction as a `blocksched.Sct`, whose contract binding resolved
+(`Compiled.transact`), which begins its frame under that contract and
+calls the method body on the target. Each charges the steps, and keeps
+the bounds, that its entry node takes on the small-step machine.
+
+The closures belong to the program's `runtime.Code` and serve every
+machine that runs it, naive or not: they read the machine and its heap
+from `_Run`, which each run fills at its start, and through the machine
+its locations, its ownership tree and whether it is `--naive`; never
+from what they captured. A closure charges exactly the steps the
+small-step machine takes on its node (`_Run.steps`), in one sum where no
+call or failure comes between them, so `Machine.steps`, every counter,
+every status and every hash are the small-step machine's. Both
+evaluators share one transaction machinery: `_begin`, `_commit`,
+`_abort` and `write_field`, here on one thread reused for every run.
+Every run passes one guard, `Compiled.run`, which marks the machine,
+bounds the fuel, undoes a run that stops, records a failure and adds the
+steps; it is also the one switch that hands runs back to the small-step
+machine.
 
 A failure value flows as a value, as on the small-step machine, until a
 strict position meets it; there it unwinds as `_Signal` to the innermost
-compiled transaction, which aborts. Nothing tests the fuel at each node.
+compiled transaction, which aborts (a deploy's construction or a block
+transaction's frame is always one). Nothing tests the fuel at each node.
 A body is entered only if its steps outside the bodies it calls (at most
 `_Body.bound`, a count of its nodes) fit in the fuel left, and a body that
 gets control back from one it called, or from an aborted transaction,
@@ -27,12 +40,12 @@ stops (`_Bail`) there, past MAX_NESTING closure frames, at a node with no
 rule (such as `fork`), at an unbound variable or a missing field (a
 `KeyError`), on an error (`OvError`) and on a `RecursionError`. Then
 every frame it opened is aborted, the heap, the names, the counters, the
-events and the failures are put back, and `Machine.run_expression`
-reduces the expression on the small-step machine, which meets the same
-end at the same step.
+events and the failures are put back, and the caller reduces the entry
+node on the small-step machine (`Machine.run_expression`), which meets
+the same end at the same step.
 
-`Machine.run_expression` imports this module on its first call, as
-`blocksched` imports `regions` on the first large block.
+`Machine.compiled` imports this module on a program's first compiled
+run, as `blocksched` imports `regions` on the first large block.
 """
 from __future__ import annotations
 
@@ -40,7 +53,7 @@ import operator
 import threading
 
 from . import ast
-from .ast import BOT, Contract, CtxLoc
+from .ast import CtxBot
 from .diagnostics import OvError
 from .runtime import (FailureValue, Loc, Thread, Value, _apply_op,
                       not_live, pair_op)
@@ -96,13 +109,14 @@ class _Run:
 
 
 class Compiled:
-    """One program's compiled entries and method bodies, by node, kept in
-    its `runtime.Code`; each memo holds the node it keys, so no id is
-    reused while the code lives. Nothing it holds refers to a machine
-    between runs, so a dropped machine is freed at once, not at the next
-    collection of reference cycles. One run at a time holds `_Run`: a run
-    that finds it held, by a machine on another host thread, goes to the
-    small-step machine, which shares nothing between machines."""
+    """One program's compiled entries (of deploys and transactions) and
+    method bodies, by node, kept in its `runtime.Code`; each memo holds the
+    node it keys, so no id is reused while the code lives. Nothing it holds
+    refers to a machine between runs, so a dropped machine is freed at
+    once, not at the next collection of reference cycles. One run at a time
+    holds `_Run`: a run that finds it held, by a machine on another host
+    thread, goes to the small-step machine, which shares nothing between
+    machines."""
 
     def __init__(self, table) -> None:
         self.table = table  # the program's `typecheck.ClassTable`
@@ -111,24 +125,38 @@ class Compiled:
         self.entries: dict[int, tuple] = {}  # id -> (node, closure)
         self.bodies: dict[int, tuple] = {}
 
-    def run(self, m, expr: ast.Expr, env: dict,
-            fuel: int) -> tuple[bool, Value]:
-        """(True, value) when expr ran to its end on machine m, in env,
-        within fuel; (False, None), with m as it was, when expr is not an
-        entry this evaluator takes or its run stopped. An entry is an
-        expression whose every effect lies inside one transaction: an
-        `atomic`, or a `new` of plain arguments."""
-        if not self.busy.acquire(blocking=False):
+    def deploy(self, m, node: ast.New, args: list,
+               fuel: int) -> tuple[bool, Value]:
+        """A deploy (`run`): an object of node's class, whose context
+        arguments are resolved, constructed with the values args, as node
+        runs with args in its `Var` slots."""
+        return self.run(m, _deployment, node, args, fuel)
+
+    def transact(self, m, node: ast.Atomic, sct,
+                 fuel: int) -> tuple[bool, Value]:
+        """A bound block transaction sct, a `blocksched.Sct` (`run`): its
+        method called on its target with its arguments, in a frame under
+        the contract binding resolved, as node, the `atomic` call entry of
+        its method and arity, runs with them in its slots and parameters."""
+        return self.run(m, _transaction, node, sct, fuel)
+
+    def run(self, m, make, work, arg, fuel: int) -> tuple[bool, Value]:
+        """The one guard of every compiled run, and so the one switch that
+        hands runs back to the small-step machine: (True, value) when the
+        entry `make` compiles from work, called on arg, ran to its end on
+        machine m within fuel; (False, None), with m as it was, when a
+        thread of m is inside a transaction, another host thread's run
+        holds `_Run`, or its run stopped. Each work's entry is compiled
+        here, on its first run, and kept."""
+        if m.alpha is not None or not self.busy.acquire(blocking=False):
             return False, None
         cx = self.cx
         cx.m, cx.heap, cx.code = m, m.heap, self
         try:
-            hit = self.entries.get(id(expr))
+            hit = self.entries.get(id(work))
             if hit is None:
-                hit = self.entries[id(expr)] = (expr, _entry(cx, expr))
+                hit = self.entries[id(work)] = (work, make(cx, work))
             entry = hit[1]
-            if entry is None:
-                return False, None
             marks = (len(m.heap), m.next_name, m.pre_checks, m.post_checks,
                      m.invariant_evals, m.root_commits, len(m.events),
                      len(m.failures))
@@ -139,10 +167,8 @@ class Compiled:
             cx.steps = cx.depth = 0
             cx.fuel = fuel
             try:
-                v = entry(env)
+                v = entry(arg)
                 cx.steps += 1  # the step that finds no continuation left
-            except _Signal as s:  # outside every transaction: the thread ends
-                v = s.fv
             except (_Bail, KeyError, OvError, RecursionError):
                 _undo(m, cx.thread, *marks)
                 return False, None
@@ -184,16 +210,65 @@ class Compiled:
         return plan.compiled
 
 
-def _entry(cx: _Run, expr: ast.Expr):
-    """The compiled entry expr, or None when it is not one."""
-    kind = type(expr)
-    if kind is ast.New:
-        plain = all(type(a) in _LEAVES for a in expr.args)
-    elif kind is ast.Atomic:
-        plain = not expr.deduced or type(expr.body.receiver) in _LEAVES
-    else:
-        plain = False
-    return _body(cx, expr) if plain else None
+def _deployment(cx: _Run, node: ast.New):
+    """The compiled deploy of node, a `new` whose context arguments are
+    resolved and whose arguments are `Var` slots: a closure of the values
+    in the slots, which charges the steps node takes on the small-step
+    machine and keeps the bounds `_body` sets a body of its nodes."""
+    info = cx.code.table.info(node.type.name)
+    resolved = list(node.type.args)
+    n = len(node.args)
+    rec = _Body()
+    rec.seal(1 + n)  # node and its slots
+    height = (2 if n else 1) + 3
+    thread = cx.thread
+
+    def deploy(args: list) -> Value:
+        if rec.bound > cx.fuel:
+            raise _Bail
+        cx.depth = height
+        cx.steps += 1 + 2 * n  # node, and a slot and `args` an argument
+        this, bindings, plan = cx.m._allocate(thread, node, info, resolved,
+                                              n)
+        return _built(cx, this, bindings, plan, args, rec)
+    return deploy
+
+
+def _transaction(cx: _Run, node: ast.Atomic):
+    """The compiled block transaction of node, the `atomic` call of `this`
+    a method and arity run (`blocksched._execute_sct`): a closure of the
+    bound transaction (`blocksched.Sct`), which begins its frame under the
+    transaction's resolved contract and calls its method on its target
+    with its arguments, charging the steps node takes on the small-step
+    machine and keeping the bounds `_body` sets a body of its nodes."""
+    call = node.body
+    n = len(call.args)
+    rec = _Body()
+    rec.seal(3 + n)  # node, the call, `this` and the slots
+    invoke = _invoker(cx, call.method, rec)
+    thread = cx.thread
+    height = 3 + 3
+    # the call, `this`, `call_recv`, and a slot and `args` an argument
+    pre = 3 + 2 * n
+
+    def transaction(sct) -> Value:
+        if rec.bound > cx.fuel:
+            raise _Bail
+        cx.depth = height
+        m = cx.m
+        cx.steps += 1  # node's own step
+        fv = m._begin(thread, "txn", *m._nodes(sct.contract))
+        if fv is not None:
+            return fv
+        cx.steps += pre
+        try:
+            v = invoke(sct.loc, sct.args)
+        except _Signal as s:
+            return _aborted(cx, s, rec)
+        cx.steps += 1  # `commit`
+        fv = m._commit(thread)
+        return v if fv is None else fv
+    return transaction
 
 
 def _undo(m, t: Thread, heap: int, next_name: int, pre: int, post: int,
@@ -229,7 +304,7 @@ def _body(cx: _Run, e: ast.Expr):
         fn, leaf = _compile(cx, e, rec)
     except _Bail:  # nested too deep
         return _stop
-    bound = rec.bound = 5 * rec.nodes + 3
+    bound = rec.seal(rec.nodes)
     height = rec.height + 3  # and a call's frames around it
 
     def body(env: dict) -> Value:
@@ -258,6 +333,11 @@ class _Body:
 
     def __init__(self) -> None:
         self.nodes = self.depth = self.height = self.bound = 0
+
+    def seal(self, nodes: int) -> int:
+        """The bound of a body of this many nodes, kept."""
+        self.bound = 5 * nodes + 3
+        return self.bound
 
 
 def _compile(cx: _Run, e: ast.Expr, rec: _Body) -> tuple:
@@ -293,9 +373,6 @@ def _b_this(cx: _Run, e: ast.This, rec: _Body) -> tuple:
 
 
 _THIS = operator.methodcaller("get", "this")
-
-
-_LEAVES = (ast.Const, ast.Var, ast.This)
 
 
 def _b_seq(cx: _Run, e: ast.Seq, rec: _Body) -> tuple:
@@ -443,7 +520,7 @@ def _invoker(cx: _Run, name: str, rec: _Body):
         owner, params, body = hit
         naive = m.naive
         if naive:
-            m.pre_checks += len(m.tree.runtime_subtree(CtxLoc(loc)))
+            m.pre_checks += len(m.tree.runtime_subtree(loc))
         if len(vals) != len(params):
             raise _Bail
         env = {"this": m.locs[loc], "#ctx": obj.bindings.get(owner)}
@@ -451,7 +528,7 @@ def _invoker(cx: _Run, name: str, rec: _Body):
         v = body(env)
         cx.steps += 1  # `ret`
         if naive and heap[loc] is not None:
-            m.post_checks += len(m.tree.runtime_subtree(CtxLoc(loc)))
+            m.post_checks += len(m.tree.runtime_subtree(loc))
         if cx.steps + rec.bound > cx.fuel:
             raise _Bail
         return v
@@ -485,26 +562,36 @@ def _b_new(cx: _Run, e: ast.New, rec: _Body) -> tuple:
     def new(env: dict) -> Value:
         cx.steps += 1 + flat
         vals = collect(env)
-        m = cx.m
-        this, bindings, plan = m._construct(thread, e, env, len(vals))
-        penv = {"this": this, "#ctx": None}
-        penv.update(zip(plan.params, vals))
-        try:
-            for name, part, init in cx.code.parts(plan):
-                cx.steps += init
-                penv["#ctx"] = bindings.get(name)
-                part(penv)
-        except _Signal as s:
-            m._abort(thread)
-            v = s.fv
-        else:
-            cx.steps += 1  # `commit`
-            fv = m._commit(thread)
-            v = this if fv is None else fv
-        if cx.steps + rec.bound > cx.fuel:
-            raise _Bail
-        return v
+        this, bindings, plan = cx.m._construct(thread, e, env, len(vals))
+        return _built(cx, this, bindings, plan, vals, rec)
     return new, False
+
+
+def _built(cx: _Run, this: Loc, bindings: dict, plan, vals: list,
+           rec: _Body) -> Value:
+    """The construction `Machine._allocate` began of the object this, its
+    binding map per class bindings and its class's plan, run on with the
+    constructor arguments vals: each part of the plan, then the commit.
+    Its value is the object, or the failure that aborted it; the body rec
+    counts, in which it is, goes on if the fuel left allows."""
+    m = cx.m
+    penv = {"this": this, "#ctx": None}
+    penv.update(zip(plan.params, vals))
+    try:
+        for name, part, init in cx.code.parts(plan):
+            cx.steps += init
+            penv["#ctx"] = bindings.get(name)
+            part(penv)
+    except _Signal as s:
+        m._abort(cx.thread)
+        v = s.fv
+    else:
+        cx.steps += 1  # `commit`
+        fv = m._commit(cx.thread)
+        v = this if fv is None else fv
+    if cx.steps + rec.bound > cx.fuel:
+        raise _Bail
+    return v
 
 
 def _b_atomic(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
@@ -524,8 +611,8 @@ def _b_atomic(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         this = env.get("this")
         obj = cx.heap[this.index] if type(this) is Loc else None
         d = m._resolve_contract(contract, env) if obj is None \
-            else m._kept_contract(obj, e, env)
-        fv = m._begin(thread, "txn", d)
+            else m._kept_contract(obj, e, this, env.get("#ctx"))
+        fv = m._begin(thread, "txn", *m._nodes(d))
         if fv is not None:
             return fv
         try:
@@ -569,7 +656,8 @@ def _deduced_call(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         if hit is None:
             raise _Bail
         m = cx.m
-        fv = m._begin(thread, "txn", m._method_contract(obj, r.index, *hit))
+        fv = m._begin(thread, "txn",
+                      *m._nodes(m._method_contract(obj, r.index, *hit)))
         if fv is not None:
             return fv
         try:
@@ -603,7 +691,7 @@ def _deduced_write(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
             raise _fault(r, "write to")
         loc = r.index
         m = cx.m
-        fv = m._begin(thread, "txn", Contract(BOT, CtxLoc(loc)))
+        fv = m._begin(thread, "txn", CtxBot, loc)  # <bot, l>
         if fv is not None:
             return fv
         try:

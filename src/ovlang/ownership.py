@@ -8,10 +8,11 @@ it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
 The runtime tree (`OwnershipTree`) is the one place that knows what a
 resolved context denotes. Top is its root, a node above every top-owned
 location, so Top, Bot and locations are all nodes with an ancestor chain
-and a subtree kept as an ascending list. "subtree(k1) meets subtree(k2)"
-is a membership test on a stored chain, their meet (`OwnershipTree.meet`)
-is a stored subtree, read, not walked, and the live set is Top's subtree
-rather than a scan of the heap.
+and a subtree kept as an ascending list. A context is resolved to its
+node once (`OwnershipTree.node`), and every query takes nodes: "subtree(k1)
+meets subtree(k2)" is a membership test on a stored chain, their meet
+(`OwnershipTree.meet`) is a stored subtree, read, not walked, and the live
+set is Top's subtree rather than a scan of the heap.
 """
 from __future__ import annotations
 
@@ -206,48 +207,45 @@ class OwnershipTree:
     def node(self, k: Context):
         """The node whose subtree the resolved context k denotes: a
         location's index, or the class of Top or Bot. A location not in the
-        tree is E-DANGLING."""
+        tree is E-DANGLING. The queries below take nodes: a frame resolves
+        its contexts here once, at begin."""
         key = k.index if type(k) is CtxLoc else type(k)
         if key not in self.chains:
             raise OvError("E-DANGLING", f"location {k} is not in the heap")
         return key
 
-    def runtime_inside(self, loc: int, k: Context) -> Optional[tuple]:
-        """loc's chain when loc lies within subtree(k), else None: within
-        is reflexive at locations, always so of Top and never of Bot. One
-        call serves a write's escape test and its invalidation."""
-        # `node` and `chain`, inlined: every field write asks this
-        key = k.index if type(k) is CtxLoc else type(k)
-        chains = self.chains
-        if key not in chains:
-            raise OvError("E-DANGLING", f"location {k} is not in the heap")
-        chain = chains.get(loc)
+    def runtime_inside(self, loc: int, node) -> Optional[tuple]:
+        """loc's chain when loc lies within subtree(node), else None:
+        within is reflexive at locations, always so of Top and never of
+        Bot, which lies on no chain. One call serves a write's escape test
+        and its invalidation."""
+        chain = self.chains.get(loc)
         if chain is None:
             raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
-        return chain if key in chain else None
+        return chain if node in chain else None
 
-    def runtime_subtree(self, k: Context) -> Sequence[int]:
-        """The live locations in subtree(k), ascending: the stored list
+    def runtime_subtree(self, node) -> Sequence[int]:
+        """The live locations in subtree(node), ascending: the stored list
         itself, which callers must not change."""
-        return self.subtrees[self.node(k)]
+        sub = self.subtrees.get(node)
+        if sub is None:
+            raise OvError("E-DANGLING", f"location l{node} is not in the heap")
+        return sub
 
-    def meet(self, k1: Context, k2: Context) -> Sequence[int]:
-        """subtree(k1) ∩ subtree(k2), ascending. Two subtrees meet iff one
-        node lies on the other's chain, and then in the lower one's stored
-        subtree, which callers must not change. Bot's node lies on no
-        chain, so it meets nothing."""
-        # `node`, inlined: every transaction and every construction asks
-        # this, a construction for Bot's empty meet, twice
-        a = k1.index if type(k1) is CtxLoc else type(k1)
-        b = k2.index if type(k2) is CtxLoc else type(k2)
-        up_a, up_b = self.chains.get(a), self.chains.get(b)
+    def meet(self, a, b) -> Sequence[int]:
+        """subtree(a) ∩ subtree(b) for nodes a and b, ascending. Two
+        subtrees meet iff one node lies on the other's chain, and then in
+        the lower one's stored subtree, which callers must not change.
+        Bot's node lies on no chain, so it meets nothing."""
+        chains = self.chains
+        up_a, up_b = chains.get(a), chains.get(b)
         if up_a is None or up_b is None:
             raise OvError("E-DANGLING", f"location "
-                          f"{k1 if up_a is None else k2} is not in the heap")
+                          f"l{a if up_a is None else b} is not in the heap")
         if b in up_a:
-            return self.runtime_subtree(k1)
+            return self.runtime_subtree(a)
         if a in up_b:
-            return self.runtime_subtree(k2)
+            return self.runtime_subtree(b)
         return ()
 
 
@@ -255,4 +253,4 @@ def subtrees_intersect(tree: OwnershipTree, k1: Context, k2: Context) -> bool:
     """Symbolic subtree(k1) ∩ subtree(k2) != ∅ over resolved contexts:
     their meet is non-empty. Top's node is in every tree, however few
     locations it holds, so Top meets Top."""
-    return bool(tree.meet(k1, k2)) or k1 == k2 == TOP
+    return bool(tree.meet(tree.node(k1), tree.node(k2))) or k1 == k2 == TOP

@@ -12,14 +12,15 @@ validity needs no subtree at begin, and the commit checks what the
 constructor created and no inner construction's commit already validated.
 
 There are two evaluators and one transaction machinery: `_begin`,
-`_commit`, `_abort`, `write_field` and allocation (`_construct`).
+`_commit`, `_abort`, `write_field` and allocation (`_allocate`).
 `Machine.step` runs whole programs on the small-step machine, whose
-threads interleave step by step. `Machine.run_expression`, for deploys and
-block transactions, runs an expression whose effects lie inside one
-transaction as compiled closures (`closures`), which charge exactly the
-steps reduction takes. The small-step machine is their reference, and it
-runs what the closures hand back undone: a run that could pass its fuel,
-one nested past their depth limit, a node with no compile rule, an error.
+threads interleave step by step. Deploys and block transactions run as
+compiled closures (`closures.Compiled`), which charge exactly the steps
+reduction takes: `blocksched` hands them the bound work itself. The
+small-step machine is their reference, and it runs the entry node of
+what the closures hand back undone (`Machine.run_expression`): a run that
+could pass its fuel, one nested past their depth limit, a node with no
+compile rule, an error.
 
 `Machine._reduce` is the small-step machine's one step function. A
 thread's control holds an expression node or a value itself, untagged: a
@@ -49,11 +50,14 @@ lookups, constructor, invariant clauses) comes from the class table's one
 record per class, `ClassTable.info`; the code keeps only what allocation
 and the checks need, once per class (`Code.plan`).
 
-A transaction's pre-check and post-check sets are read, not computed:
-subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the ownership
-tree stores in ascending order, for any pair of Top, Bot and locations,
-and a write escapes its frame unless `OwnershipTree.runtime_inside` puts
-it in subtree(I). Only the tree knows what Top and Bot denote.
+A frame holds its contract's V and I as ownership-tree nodes, resolved
+once, before it begins (`Machine._nodes`); a construction's frame is
+<bot, l>, made from the new location alone. Its pre-check and post-check
+sets are read, not computed: subtree(V) ∩ subtree(I) is
+`OwnershipTree.meet`, a subtree the ownership tree stores in ascending
+order, for any pair of nodes, and Bot, whose subtree is empty, is not
+asked; a write escapes its frame unless `OwnershipTree.runtime_inside`
+puts it in subtree(I). Only the tree knows what Top and Bot denote.
 
 One rule spends every check: a location's invariant is evaluated only if
 the location is not in the valid set. A begin checks meet(V, I_parent), a
@@ -97,17 +101,24 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Collection, Optional, Union
 
 from . import ast
-from .ast import BOT, Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
+from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, substitute
 from .typecheck import ClassTable
 
 DEFAULT_FUEL = 1_000_000
+
+# Held while a code's compiled bodies are made (`Machine.compiled`): machines
+# on other host threads that share the code must get the same ones, since a
+# plan's compiled parts read the state of the `closures.Compiled` that made
+# them
+_COMPILING = threading.Lock()
 
 # A heap slot's name is its creator's number shifted left by NAME_BITS,
 # plus the count of slots that creator allocated before it
@@ -145,9 +156,8 @@ class ObjectRec:
         # class name -> {parameter: runtime context}, per class on the chain
         self.bindings = bindings
         # id of a MethodDecl or Atomic node -> its contract resolved against
-        # this object (Machine._method_contract, Machine._x_atomic); made on
-        # first use. The nodes belong to the machine's code, which outlives
-        # it.
+        # this object (Machine._kept_contract); made on first use. The
+        # nodes belong to the machine's code, which outlives it.
         self.contracts: Optional[dict] = None
 
 
@@ -177,9 +187,10 @@ class Code:
     each class's `_Plan`, made on the class's first allocation (`plan`),
     the entry nodes of deploys and block transactions, which `blocksched`
     builds once per class or method and arity, and the compiled bodies
-    (`closures.Compiled`), made on the first `Machine.run_expression`.
-    Nothing here holds a machine: a compiled check or body is given the
-    machine it runs on, so a dropped machine is freed at once."""
+    (`closures.Compiled`), made on the first compiled run
+    (`Machine.compiled`). Nothing here holds a machine: a compiled check
+    or body is given the machine it runs on, so a dropped machine is freed
+    at once."""
     __slots__ = ("program", "table", "plans", "entries", "compiled")
 
     def __init__(self, program: ast.Program):
@@ -215,11 +226,15 @@ class Code:
 
 
 class Frame:
-    __slots__ = ("kind", "contract", "log", "created", "sigma_mark", "events")
+    __slots__ = ("kind", "validity", "invalidity", "log", "created",
+                 "sigma_mark", "events")
 
-    def __init__(self, kind: str, contract: Contract, sigma_mark: int):
+    def __init__(self, kind: str, validity, invalidity, sigma_mark: int):
         self.kind = kind  # "root" | "txn" | "ctor"
-        self.contract = contract
+        # the contract's V and I as ownership-tree nodes
+        # (`OwnershipTree.node`), resolved once, before the frame begins
+        self.validity = validity
+        self.invalidity = invalidity
         self.log: list[tuple[int, str, Value]] = []
         # the locations the frame allocated, oldest first, as dict keys
         self.created: dict[int, None] = {}
@@ -227,11 +242,10 @@ class Frame:
         self.events: list[dict] = []
 
 
-ROOT_CONTRACT = Contract(CtxTop(), CtxTop())
-# The bottom frame of every thread, shared. It never aborts, so it keeps no
-# undo state: its containers are empty and immutable, and the events of a
-# frame committed into it go straight to Machine.events.
-ROOT_FRAME = Frame("root", ROOT_CONTRACT, 0)
+# The bottom frame of every thread, shared: <top,top>. It never aborts, so
+# it keeps no undo state: its containers are empty and immutable, and the
+# events of a frame committed into it go straight to Machine.events.
+ROOT_FRAME = Frame("root", CtxTop, CtxTop, 0)
 ROOT_FRAME.log = ROOT_FRAME.created = ROOT_FRAME.events = ()
 # contexts that already denote a runtime subtree
 _RESOLVED = (CtxTop, CtxBot, CtxLoc)
@@ -361,26 +375,27 @@ class Machine:
             self._spawn(program.main, {"#ctx": {}})
 
     # -- static helpers -------------------------------------------------------
-    def _body_env(self, obj: ObjectRec, loc: int, cls: ast.ClassDecl) -> dict:
-        """A fresh env for a body declared in cls, run on obj at loc."""
-        return {"this": self.locs[loc], "#ctx": obj.bindings.get(cls.name)}
-
     def _method_contract(self, obj: ObjectRec, loc: int,
                          owner_cls: ast.ClassDecl,
                          m: ast.MethodDecl) -> Contract:
         """m's contract as m's body reads it on obj at loc."""
-        return self._kept_contract(obj, m, self._body_env(obj, loc, owner_cls))
+        return self._kept_contract(obj, m, self.locs[loc],
+                                   obj.bindings.get(owner_cls.name))
 
-    def _kept_contract(self, obj: ObjectRec, node, env: dict) -> Contract:
-        """node's contract (a method's or an atomic block's) in env, that of
-        a body on obj declaring node: its bindings are fixed at allocation,
-        so this is resolved once per (object, node) and kept on obj."""
+    def _kept_contract(self, obj: ObjectRec, node, this: Loc,
+                       ctx: Optional[dict]) -> Contract:
+        """node's contract (a method's or an atomic block's) as a body on
+        obj declaring node reads it, with `this` and ctx, its context
+        parameters' bindings. Those are fixed at allocation, so this is
+        resolved once per (object, node), in an env built only then, and
+        kept on obj."""
         cache = obj.contracts
         if cache is None:
             cache = obj.contracts = {}
         d = cache.get(id(node))
         if d is None:
-            d = cache[id(node)] = self._resolve_contract(node.contract, env)
+            d = cache[id(node)] = self._resolve_contract(
+                node.contract, {"this": this, "#ctx": ctx})
         return d
 
     def _resolve_ctx(self, k, env: dict):
@@ -404,6 +419,12 @@ class Machine:
             return d
         return Contract(self._resolve_ctx(d.validity, env),
                         self._resolve_ctx(d.invalidity, env))
+
+    def _nodes(self, d: Contract) -> tuple:
+        """The resolved contract d's V and I as ownership-tree nodes, as a
+        frame holds them."""
+        node = self.tree.node
+        return node(d.validity), node(d.invalidity)
 
     # -- heap / valid set ------------------------------------------------------
     def dom(self) -> list[int]:
@@ -439,7 +460,7 @@ class Machine:
         again, except under `--naive`."""
         result = True
         sigma = self.sigma
-        for m in self.tree.runtime_subtree(CtxLoc(loc)):
+        for m in self.tree.runtime_subtree(loc):
             if m in sigma and not self.naive:
                 continue
             if self.eval_invariant(m):
@@ -454,7 +475,7 @@ class Machine:
         """Write to the live object at loc, inside the active frame."""
         obj = self.heap[loc]
         frame = thread.frames[-1]
-        chain = self.tree.runtime_inside(loc, frame.contract.invalidity)
+        chain = self.tree.runtime_inside(loc, frame.invalidity)
         if chain is None:
             raise OvError("E-EFFECT",
                           f"write to l{loc}.{fname} escapes the active frame")
@@ -468,8 +489,12 @@ class Machine:
                 self._mark_invalid(anc)
 
     # -- transactions -----------------------------------------------------------
-    def _begin(self, thread: Thread, kind: str,
-               contract: Contract) -> Optional[FailureValue]:
+    def _begin(self, thread: Thread, kind: str, validity,
+               invalidity) -> Optional[FailureValue]:
+        """Begin a frame whose contract's V and I are the ownership-tree
+        nodes validity and invalidity: check meet(V, I_parent) less the
+        valid set, or fail with R-PRE-FAIL. A bot validity, a
+        construction's among them, checks nothing and cannot fail."""
         parent = thread.frames[-1]
         if parent.kind == "root":
             self.sigma_log.clear()
@@ -477,30 +502,33 @@ class Machine:
         # pre-begin state hash, so validity knowledge recovered at begin
         # may not outlive the transaction
         mark = len(self.sigma_log)
-        validity = contract.validity
-        start = self.tree.meet(validity, parent.contract.invalidity)
-        if self.naive:
-            self.pre_checks += len(self.tree.runtime_subtree(validity))
-        for loc in start:
-            if loc in self.sigma:
-                continue
-            if not self.naive:
-                self.pre_checks += 1
-            if self.eval_invariant(loc):
-                self._mark_valid(loc)
-            else:
-                return FailureValue("R-PRE-FAIL", "Validity fails pre-check")
-        thread.frames.append(Frame(kind, contract, mark))
+        if validity is not CtxBot:
+            start = self.tree.meet(validity, parent.invalidity)
+            if self.naive:
+                self.pre_checks += len(self.tree.runtime_subtree(validity))
+            for loc in start:
+                if loc in self.sigma:
+                    continue
+                if not self.naive:
+                    self.pre_checks += 1
+                if self.eval_invariant(loc):
+                    self._mark_valid(loc)
+                else:
+                    return FailureValue("R-PRE-FAIL",
+                                        "Validity fails pre-check")
+        thread.frames.append(Frame(kind, validity, invalidity, mark))
         if len(thread.frames) == 2:
             self.alpha = thread.tid
         return None
 
     def _commit(self, thread: Thread) -> Optional[FailureValue]:
+        """Commit the innermost frame: check meet(V, I) and what it
+        created, less the valid set, or abort it with R-POST-FAIL."""
         frame = thread.frames[-1]
-        validity = frame.contract.validity
+        validity = frame.validity
         created = frame.created
-        reval: Collection[int] = self.tree.meet(
-            validity, frame.contract.invalidity)
+        reval: Collection[int] = () if validity is CtxBot else \
+            self.tree.meet(validity, frame.invalidity)
         if created:
             reval = created.keys() | reval if reval else created
         if self.naive:
@@ -638,32 +666,28 @@ class Machine:
             failures=list(self.failures),
         )
 
+    def compiled(self):
+        """The program's compiled bodies (`closures.Compiled`), kept in its
+        code and made on the first compiled run of any of its machines."""
+        compiled = self.code.compiled
+        if compiled is None:
+            with _COMPILING:
+                compiled = self.code.compiled
+                if compiled is None:
+                    from . import closures
+                    compiled = self.code.compiled = closures.Compiled(
+                        self.table)
+        return compiled
+
     def run_expression(self, expr: ast.Expr, env: Optional[dict] = None,
                        fuel: int = DEFAULT_FUEL) -> Value:
-        """Run one expression to completion on a private thread. Used for
-        deployments and block transactions; the heap and counters are shared
-        with the machine. Past `fuel` steps every transaction the expression
-        opened is aborted and E-FUEL raised.
-
-        While no thread is inside a transaction, an expression whose every
-        effect lies inside one transaction (`closures.Compiled.run` says
-        which) runs as compiled closures, with the same outcome, counters
-        and steps; a run they cannot finish so is undone and reduced here,
-        step by step."""
-        if self.alpha is None:
-            compiled = self.code.compiled
-            if compiled is None:
-                from . import closures
-                compiled = self.code.compiled = closures.Compiled(self.table)
-            done, value = compiled.run(
-                self, expr, dict(env) if env else {"#ctx": {}}, fuel)
-            if done:
-                return value
-        return self._reduce_all(expr, dict(env) if env else {"#ctx": {}},
-                                fuel)
-
-    def _reduce_all(self, expr: ast.Expr, env: dict, fuel: int) -> Value:
-        """run_expression on the small-step machine, in env."""
+        """Run one expression to completion on a private thread of the
+        small-step machine; the heap and counters are shared with the
+        machine. Past `fuel` steps every transaction the expression opened
+        is aborted and E-FUEL raised. It is the reference of every compiled
+        run, and it runs the entry node of whatever deploy or transaction
+        the compiled evaluator hands back."""
+        env = dict(env) if env else {"#ctx": {}}
         t = Thread(-1, expr, env)
         reduce = self._reduce
         steps = 0
@@ -797,8 +821,8 @@ class Machine:
         this = env.get("this")
         obj = self.heap[this.index] if isinstance(this, Loc) else None
         d = self._resolve_contract(e.contract, env) if obj is None \
-            else self._kept_contract(obj, e, env)
-        if self._enter(t, d):
+            else self._kept_contract(obj, e, this, env.get("#ctx"))
+        if self._enter(t, *self._nodes(d)):
             t.control = e.body
 
     def _x_fork(self, t: Thread, e: ast.Fork) -> None:
@@ -825,10 +849,11 @@ class Machine:
         else:
             finish(self, t, head, [])
 
-    def _enter(self, t: Thread, d: Contract) -> bool:
-        """Begin a transaction under d and mark its commit; False, with the
-        failure as t's control, when the pre-check fails."""
-        fv = self._begin(t, "txn", d)
+    def _enter(self, t: Thread, validity, invalidity) -> bool:
+        """Begin a transaction whose contract's V and I are these
+        ownership-tree nodes and mark its commit; False, with the failure
+        as t's control, when the pre-check fails."""
+        fv = self._begin(t, "txn", validity, invalidity)
         if fv is not None:
             t.control = fv
             return False
@@ -850,12 +875,14 @@ class Machine:
                           node.line, node.col)
         owner_cls, m = hit
         if self.naive:
-            self.pre_checks += len(self.tree.runtime_subtree(CtxLoc(loc)))
+            self.pre_checks += len(self.tree.runtime_subtree(loc))
         if len(args) != len(m.params):
             raise OvError("E-STUCK", f"arity mismatch calling {method}",
                           node.line, node.col)
         t.konts.append(("ret", t.env, loc))
-        env = self._body_env(obj, loc, owner_cls)
+        # the env of a body declared in owner_cls, run on obj at loc
+        env = {"this": self.locs[loc],
+               "#ctx": obj.bindings.get(owner_cls.name)}
         for p, v in zip(m.params, args):
             env[p.name] = v
         t.env = env
@@ -877,16 +904,28 @@ class Machine:
                    nargs: int) -> tuple[Loc, dict, _Plan]:
         """Allocate the object of `node` with nargs constructor arguments,
         its context arguments resolved in env, and begin its construction
-        frame on t: the allocation both evaluators make. Returns the new
-        object, its binding map per class and its class's plan. An unknown
-        class, a wrong number of context or constructor arguments and an
-        owner that is neither a location nor Top are E-STUCK."""
+        frame on t (`_allocate`). An unknown class and a wrong number of
+        context arguments are E-STUCK."""
         typ = node.type
         info = self.table.info(typ.name)
         if info is None or len(typ.args) != len(info.decl.ctx_params):
             raise OvError("E-STUCK", f"cannot instantiate {typ}",
                           node.line, node.col)
-        resolved = [self._resolve_ctx(a, env) for a in typ.args]
+        return self._allocate(t, node, info,
+                              [self._resolve_ctx(a, env) for a in typ.args],
+                              nargs)
+
+    def _allocate(self, t: Thread, node: ast.New, info, resolved: list,
+                  nargs: int) -> tuple[Loc, dict, _Plan]:
+        """Allocate an object of node's class, whose record is info, with
+        the resolved context arguments and nargs constructor arguments,
+        and begin its construction frame on t, <bot, l>, which checks
+        nothing: the allocation both evaluators make, and a deploy's
+        (`closures.Compiled.deploy`). Returns the new object, its binding
+        map per class and its class's plan. A wrong number of constructor
+        arguments and an owner that is neither a location nor Top are
+        E-STUCK."""
+        typ = node.type
         owner_ctx = resolved[0] if resolved else CtxTop()
         if isinstance(owner_ctx, CtxLoc):
             owner: Optional[int] = owner_ctx.index
@@ -908,8 +947,7 @@ class Machine:
         self.names.append(self.next_name)
         self.next_name += 1
         self.tree.add(loc, owner)
-        fv = self._begin(t, "ctor", Contract(BOT, CtxLoc(loc)))
-        assert fv is None  # bot validity: the start set is empty
+        self._begin(t, "ctor", CtxBot, loc)
         t.frames[-1].created[loc] = None
         if nargs != len(plan.params):
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",
@@ -1026,8 +1064,7 @@ class Machine:
     def _k_ret(self, t: Thread, v: Value, k: tuple) -> None:
         _, saved_env, recv_loc = k
         if self.naive and self.heap[recv_loc] is not None:
-            self.post_checks += len(
-                self.tree.runtime_subtree(CtxLoc(recv_loc)))
+            self.post_checks += len(self.tree.runtime_subtree(recv_loc))
         t.env = saved_env
         t.control = v
 
@@ -1061,10 +1098,10 @@ class Machine:
             if hit is None:
                 raise OvError("E-STUCK", f"no method {body.method}",
                               node.line, node.col)
-            d = self._method_contract(obj, v.index, *hit)
+            nodes = self._nodes(self._method_contract(obj, v.index, *hit))
         else:
-            d = Contract(BOT, CtxLoc(v.index))
-        if not self._enter(t, d):
+            nodes = (CtxBot, v.index)  # <bot, l_v>
+        if not self._enter(t, *nodes):
             return
         if call:
             self._gather(t, body.args, Machine._invoke, (v.index, body))

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched, regions, runtime
+from ovlang import ast, blocksched, closures, regions, runtime
 from ovlang.ast import Contract, CtxBot, CtxLoc, CtxTop
 from ovlang.blocksched import (Block, MinedBlock, Sct, _execute, _prepare,
                                build_conflict_graph, interferes, mine_block,
@@ -575,10 +575,11 @@ class TestMine:
             assert exc.value.code == "E-TARGET"
 
     def test_deploy_argument_of_another_type(self, monkeypatch):
-        # refused before its constructor runs, as an arity mismatch is
+        # refused before its constructor runs, as an arity mismatch is:
+        # every deploy passes the compiled evaluator's one guard
         ran = []
-        run = Machine.run_expression
-        monkeypatch.setattr(Machine, "run_expression",
+        run = closures.Compiled.run
+        monkeypatch.setattr(closures.Compiled, "run",
                             lambda self, *a, **kw: ran.append(1)
                             or run(self, *a, **kw))
         b = block_of(accounts(1) + [{"id": "bad", "class": "Account",
@@ -866,10 +867,30 @@ class TestParseBlock:
         {"deploy": [{"id": "a", "class": "C", "args": ["str"]}], "txns": []},
         {"deploy": [], "txns": [], "workers": 2},
         {"deploy": [], "txns": [], "gas": 1},
+        {"deploy": [{"id": "a0", "class": "Account", "args": [5],
+                     "owner": "x"}], "txns": []},
+        {"deploy": [{"id": "a0", "class": "Account", "args": [5]}],
+         "txns": [{"target": "a0", "method": "balance", "argz": [1],
+                   "gas": 7}]},
+        {"deploy": [], "txns": [{"target": "a0", "method": "deposit",
+                                 "args": [1], "seed": 3}]},
     ])
     def test_schema_violations(self, data):
         with pytest.raises(ValueError):
             parse_block(data)
+
+    @pytest.mark.parametrize("data, msg", [
+        ({"deploy": [{"id": "a0", "class": "Account", "owner": "x"}]},
+         "deploy a0: unknown fields: owner"),
+        ({"txns": [{"target": "a0", "method": "balance", "argz": [1],
+                    "gas": 7}]},
+         "txn 0: unknown fields: argz, gas"),
+    ])
+    def test_unknown_entry_fields_are_named(self, data, msg):
+        # a field is accepted and used, or refused: never ignored
+        with pytest.raises(ValueError) as exc:
+            parse_block(data)
+        assert str(exc.value) == msg
 
 
 # -- regions run in parallel ---------------------------------------------------

@@ -384,6 +384,25 @@ class TestSimulate:
         assert main(["simulate", BANK, str(blk)]) == 2
         assert "unknown block fields: workers" in capsys.readouterr().err
 
+    def test_unknown_entry_fields(self, capsys, tmp_path):
+        # a deploy's or a transaction's field is used or refused, never
+        # accepted and ignored
+        blk = tmp_path / "b.json"
+        blk.write_text(json.dumps({
+            "deploy": [{"id": "a0", "class": "Account", "args": [5],
+                        "owner": "x"}],
+            "txns": [{"target": "a0", "method": "balance", "args": []}]}))
+        assert main(["simulate", BANK, str(blk)]) == 2
+        assert "deploy a0: unknown fields: owner" in capsys.readouterr().err
+        blk.write_text(json.dumps({
+            "deploy": [{"id": "a0", "class": "Account", "args": [5]}],
+            "txns": [{"target": "a0", "method": "balance", "argz": [1],
+                      "gas": 7}]}))
+        assert main(["simulate", BANK, str(blk)]) == 2
+        captured = capsys.readouterr()
+        assert "txn 0: unknown fields: argz, gas" in captured.err
+        assert captured.out == ""
+
     def test_deploy_that_breaks_a_where_constraint(self, capsys, tmp_path):
         # a deploy binds p to top, as `new Cell<top,top>` would, which the
         # checker rejects too

@@ -7,6 +7,7 @@ import gc
 import json
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 
@@ -31,23 +32,30 @@ from test_blocksched import (PROGRAM, _naive_replay, block_of, outputs,
 
 @contextlib.contextmanager
 def small_step_only():
-    """Every run_expression reduced step by step, as if each compiled run
-    had stopped at once."""
+    """Every deploy and transaction reduced step by step, as if each
+    compiled run had stopped at once: each passes the compiled evaluator's
+    one guard, `Compiled.run`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closures.Compiled, "run",
-                   lambda self, m, expr, env, fuel: (False, None))
+                   lambda self, m, make, work, arg, fuel: (False, None))
         yield
+
+
+# the kind of each compiled run, by the entry it is compiled to
+KINDS = {closures._deployment: "deploy", closures._transaction: "txn"}
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the runs the compiled evaluator hands back."""
+    """Counts the runs the compiled evaluator finishes ("done") and hands
+    back ("back"), and the runs of each kind: deploys and transactions."""
     count = Counter()
     run = closures.Compiled.run
 
-    def counted(self, m, expr, env, fuel):
-        done, value = run(self, m, expr, env, fuel)
+    def counted(self, m, make, work, arg, fuel):
+        done, value = run(self, m, make, work, arg, fuel)
         count["back" if not done else "done"] += 1
+        count[KINDS[make]] += 1
         return done, value
     monkeypatch.setattr(closures.Compiled, "run", counted)
     return count
@@ -97,6 +105,9 @@ def test_corpus_blocks(fallbacks):
               for p in sorted((CORPUS / "blocks").glob("*.json"))]
     assert_same(PROGRAM, blocks, split=True)
     assert fallbacks["done"] > 0 and fallbacks["back"] == 0
+    # every deploy and transaction of the compiled record passed the guard
+    assert fallbacks["deploy"] >= sum(len(b.deploys) for b in blocks)
+    assert fallbacks["txn"] >= sum(len(b.txns) for b in blocks)
 
 
 def test_acceptance_fuzz(block_program, fuzzed_blocks,  # noqa: F811
@@ -111,6 +122,35 @@ def test_seed_one_workload_blocks(workload, fallbacks):
     assert len(raw) in (48, 12)
     assert_same(PROGRAM, [parse_block(b) for b in raw], split=True)
     assert fallbacks["back"] == 0
+    assert fallbacks["deploy"] >= sum(len(b["deploy"]) for b in raw)
+    assert fallbacks["txn"] >= sum(len(b["txns"]) for b in raw)
+
+
+def test_bound_work_builds_no_contract(monkeypatch):
+    # the compiled evaluator is handed a deploy's class and arguments and a
+    # bound transaction, and frames hold tree nodes: on the first seed-1
+    # bank block, deploying and executing build no Contract and no CtxLoc.
+    # Binding still resolves one contract per target and method.
+    block = parse_block(bench_module("workloads").bank_blocks(1)[0])
+    record(PROGRAM, block)  # makes the program's code and entry nodes
+    made = Counter()
+    for cls in (ast.Contract, ast.CtxLoc):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    code = blocksched._code(PROGRAM)
+    machine = Machine(code.program, code=code)
+    n = len(block.deploys)
+    creators = _creators(block, range(n), range(len(block.txns)))
+    targets = _deploy(machine, block.deploys, creators[:n])
+    assert made == {} and len(targets) == n == 500
+    scts = _bind_scts(machine, targets, block.txns, creators[n:])
+    assert made["Contract"] > 0  # the counter counts
+    made.clear()
+    status = _execute(machine, scts, range(len(scts)))
+    assert made == {} and "committed" in status
 
 
 def test_deduced_replays_and_naive_counts(fallbacks):
@@ -454,7 +494,8 @@ def test_recursion_past_the_nesting_limit(fallbacks):
                                    "args": [closures.MAX_NESTING * 2]}]})
     got = record(program, block)
     assert got[0] == ["committed"]
-    assert fallbacks["back"] == 1  # the call went to the small-step machine
+    # the call went to the small-step machine, the deploy did not
+    assert fallbacks["back"] == 1 and fallbacks["txn"] == 1
     with small_step_only():
         assert record(program, block) == got
 
@@ -546,29 +587,27 @@ class Box[o] {
 
 def test_failure_outside_every_transaction(fallbacks):
     # a deduced atomic call on null fails before its transaction begins:
-    # the thread ends in that step, as on the small-step machine
+    # the thread ends in that step. `run_expression` is the small-step
+    # machine alone, so no compiled run is made
     call = ast.Atomic(None, ast.Call(ast.Var("x"), "deposit",
                                      [ast.Const(1)]), deduced=True)
-    runs = []
-    for reference in (False, True):
-        with small_step_only() if reference else contextlib.nullcontext():
-            m = Machine(PROGRAM)
-            out = m.run_expression(call, {"x": None, "#ctx": {}})
-            runs.append((out, m.steps, m.failures, m.pre_checks))
-    assert runs[0] == runs[1]
-    assert runs[0][0].code == "R-NULL" and runs[0][2][0]["thread"] == -1
-    assert fallbacks == {"done": 1}
+    m = Machine(PROGRAM)
+    out = m.run_expression(call, {"x": None, "#ctx": {}})
+    assert out.code == "R-NULL" and m.failures[0]["thread"] == -1
+    assert (m.steps, m.pre_checks) == (3, 0)
+    assert fallbacks == {}
 
 
 def test_non_entries_run_step_by_step(fallbacks):
-    # a `new` of a non-plain argument may commit outside one transaction:
-    # the small-step machine runs it
+    # a `new` of a non-plain argument, which may commit outside one
+    # transaction, runs on the small-step machine, as every
+    # `run_expression` does
     m = Machine(PROGRAM)
     loc = m.run_expression(ast.New(
         ast.ClassType("Account", [ast.CtxTop()]),
         [ast.PrimOp("+", [ast.Const(1), ast.Const(2)])]))
     assert m.heap[loc.index].fields["amount"] == 3
-    assert fallbacks == {"back": 1}
+    assert fallbacks == {}
 
 
 class TestSharedCode:
@@ -668,6 +707,34 @@ class TestSharedCode:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_one_compiled_code_for_machines_on_host_threads(
+            self, monkeypatch):
+        # two machines on one code, on two host threads, ask for its
+        # compiled bodies at once: both get the one the first made, since
+        # a plan's compiled parts read the state of the maker's run
+        code = Code(ast.Program(PROGRAM.classes, None))
+        pair = [Machine(code.program, code=code) for _ in range(2)]
+        made, got = [], [None, None]
+        making = threading.Event()
+        init = closures.Compiled.__init__
+
+        def slow(self, table):
+            made.append(self)
+            making.set()
+            time.sleep(0.05)  # the other thread asks meanwhile
+            init(self, table)
+        monkeypatch.setattr(closures.Compiled, "__init__", slow)
+
+        def ask(k: int) -> None:
+            got[k] = pair[k].compiled()
+        first = threading.Thread(target=ask, args=(0,))
+        first.start()
+        assert making.wait(10)
+        ask(1)
+        first.join(10)
+        assert len(made) == 1
+        assert got[0] is got[1] is code.compiled is made[0]
 
     def test_blocks_on_host_threads(self, custody):
         # four threads on two CPUs run blocks of two programs at once,

@@ -138,10 +138,23 @@ def enumerate_subtree(owners: dict, k) -> set:
     return out
 
 
+# the tree's queries take nodes; these ask them of a resolved context, as
+# a frame does at begin (`OwnershipTree.node`)
+def inside(tree: OwnershipTree, loc: int, k):
+    return tree.runtime_inside(loc, tree.node(k))
+
+
+def subtree(tree: OwnershipTree, k):
+    return tree.runtime_subtree(tree.node(k))
+
+
+def meet(tree: OwnershipTree, k1, k2):
+    return tree.meet(tree.node(k1), tree.node(k2))
+
+
 def subtree_listed(tree: OwnershipTree, owners: dict, k) -> bool:
-    """runtime_subtree(k) lists the enumerated subtree in ascending order."""
-    return list(tree.runtime_subtree(k)) == sorted(
-        enumerate_subtree(owners, k))
+    """subtree(k) lists the enumerated subtree in ascending order."""
+    return list(subtree(tree, k)) == sorted(enumerate_subtree(owners, k))
 
 
 def subtrees_stored(tree: OwnershipTree, owners: dict) -> bool:
@@ -164,12 +177,12 @@ class TestTree:
 
     def test_runtime_inside(self):
         tree = build_tree(self.OWNERS)
-        assert tree.runtime_inside(3, CtxLoc(0))
-        assert tree.runtime_inside(3, CtxLoc(3))
-        assert not tree.runtime_inside(0, CtxLoc(1))
-        assert not tree.runtime_inside(4, CtxLoc(0))
-        assert tree.runtime_inside(4, CtxTop())
-        assert not tree.runtime_inside(4, CtxBot())
+        assert inside(tree, 3, CtxLoc(0))
+        assert inside(tree, 3, CtxLoc(3))
+        assert not inside(tree, 0, CtxLoc(1))
+        assert not inside(tree, 4, CtxLoc(0))
+        assert inside(tree, 4, CtxTop())
+        assert not inside(tree, 4, CtxBot())
 
     def test_runtime_subtree_matches_enumeration(self):
         tree = build_tree(self.OWNERS)
@@ -179,9 +192,10 @@ class TestTree:
     def test_top_subtree_is_stored(self):
         # Top's subtree is kept like any other, not copied from the heap
         tree = build_tree(self.OWNERS)
-        assert tree.runtime_subtree(CtxTop()) is tree.runtime_subtree(TOP)
+        assert subtree(tree, CtxTop()) is subtree(tree, TOP)
+        assert subtree(tree, TOP) is tree.live
         tree.add(5, 3)
-        assert tree.runtime_subtree(CtxTop()) == [0, 1, 2, 3, 4, 5]
+        assert subtree(tree, CtxTop()) == [0, 1, 2, 3, 4, 5]
 
     def test_dangling_owner_rejected(self):
         tree = OwnershipTree()
@@ -192,13 +206,16 @@ class TestTree:
     def test_remove(self):
         tree = build_tree({0: None, 1: 0})
         tree.remove(1)
-        assert tree.runtime_subtree(CtxLoc(0)) == [0]
+        assert subtree(tree, CtxLoc(0)) == [0]
 
     def test_removed_root_is_dangling(self):
         tree = build_tree({0: None, 1: None})
         tree.remove(1)
         with pytest.raises(OvError) as exc:
-            tree.runtime_subtree(CtxLoc(1))
+            subtree(tree, CtxLoc(1))
+        assert exc.value.code == "E-DANGLING"
+        with pytest.raises(OvError) as exc:
+            tree.runtime_subtree(1)
         assert exc.value.code == "E-DANGLING"
 
     def test_random_add_remove_matches_enumeration(self):
@@ -266,36 +283,40 @@ class TestAncestorChains:
             for loc in locs:
                 assert list(tree.chain(loc)) == walk_up(owners, loc)
                 for k in ctxs:
-                    inside = tree.runtime_inside(loc, k)
-                    assert (inside is not None) == \
+                    chain = inside(tree, loc, k)
+                    assert (chain is not None) == \
                         (loc in enumerate_subtree(owners, k))
-                    assert inside in (None, tree.chain(loc))
+                    assert chain in (None, tree.chain(loc))
             for k in ctxs:
                 assert subtree_listed(tree, owners, k)
             assert subtrees_stored(tree, owners)
             for k1 in ctxs:
                 for k2 in ctxs:
-                    meet = (enumerate_subtree(owners, k1)
+                    both = (enumerate_subtree(owners, k1)
                             & enumerate_subtree(owners, k2))
-                    assert list(tree.meet(k1, k2)) == sorted(meet)
+                    assert list(meet(tree, k1, k2)) == sorted(both)
                     if not locs and k1 == k2 == CtxTop():
                         continue  # Top meets Top by definition
-                    assert subtrees_intersect(tree, k1, k2) == bool(meet)
+                    assert subtrees_intersect(tree, k1, k2) == bool(both)
             # removed and never-allocated locations are dangling everywhere
             gone = [loc for loc in removed if loc not in owners] + [fresh]
             for loc in gone[-3:]:
                 assert dangling(tree.chain, loc)
-                assert dangling(tree.runtime_inside, loc, CtxTop())
-                assert dangling(tree.runtime_subtree, CtxLoc(loc))
+                assert dangling(tree.node, CtxLoc(loc))
+                assert dangling(tree.runtime_inside, loc, CtxTop)
+                assert dangling(tree.runtime_subtree, loc)
+                assert dangling(subtree, tree, CtxLoc(loc))
                 assert dangling(tree.add, fresh + 1, loc)
                 for k in ctxs[2:3]:
-                    assert dangling(tree.runtime_inside, k.index, CtxLoc(loc))
-                    assert dangling(tree.runtime_inside, loc, k)
+                    assert dangling(inside, tree, k.index, CtxLoc(loc))
+                    assert dangling(inside, tree, loc, k)
                     assert dangling(subtrees_intersect, tree, k, CtxLoc(loc))
                     assert dangling(subtrees_intersect, tree, CtxLoc(loc), k)
                 for k in ctxs[:3]:
-                    assert dangling(tree.meet, k, CtxLoc(loc))
-                    assert dangling(tree.meet, CtxLoc(loc), k)
+                    assert dangling(meet, tree, k, CtxLoc(loc))
+                    assert dangling(meet, tree, CtxLoc(loc), k)
+                    assert dangling(tree.meet, tree.node(k), loc)
+                    assert dangling(tree.meet, loc, tree.node(k))
 
     def test_chain_outlives_no_removal(self):
         # a removed leaf takes its chain with it; its owner's stays
@@ -305,7 +326,7 @@ class TestAncestorChains:
         assert dangling(tree.chain, 2)
         tree.add(3, 1)
         assert tree.chain(3) == (3, 1, 0, CtxTop)
-        assert tree.runtime_subtree(CtxLoc(0)) == [0, 1, 3]
+        assert subtree(tree, CtxLoc(0)) == [0, 1, 3]
 
 
 class TestSubtreesIntersect:
@@ -325,7 +346,7 @@ class TestSubtreesIntersect:
         assert subtrees_intersect(tree, CtxTop(), CtxTop())
         # Top's node is in a tree that holds no location, too
         empty = OwnershipTree()
-        assert empty.meet(CtxTop(), CtxTop()) == []
+        assert meet(empty, CtxTop(), CtxTop()) == []
         assert subtrees_intersect(empty, CtxTop(), CtxTop())
         assert not subtrees_intersect(empty, CtxTop(), CtxBot())
 

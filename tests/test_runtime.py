@@ -715,7 +715,8 @@ class TestRuleTables:
     # what the corpus mains and blocks do not do: assign a declared
     # variable, test validity, write through a deduced atomic, construct
     # a class whose superclass has a field initialiser; and Probe, mined
-    # as a block, does the first three and emits in compiled bodies
+    # as a block, does the first three, emits and calls a method in
+    # compiled bodies
     REST = CELL + """\
 class Tally[o] {
     Cell<o> c = new Cell<o>();
@@ -730,7 +731,7 @@ class Probe[o] {
 
     void poke(int x) <this,this> {
         int y = -x;
-        y = y + 1;
+        y = y + 1 + c.get();
         emit Poked(y);
         require(valid c && !(y > 100));
         atomic c.v = x;
@@ -890,15 +891,21 @@ class Probe[o, p] {
 """
 
     @staticmethod
+    def _frame(m: Machine, d: Contract) -> tuple:
+        """The resolved contract d as a begun frame holds it: its V and I
+        as ownership-tree nodes."""
+        return m.tree.node(d.validity), m.tree.node(d.invalidity)
+
+    @staticmethod
     def _spy(monkeypatch, m: Machine) -> tuple[list, list]:
-        """Record the contract of every begun transaction and every fresh
-        resolution of a contract."""
+        """Record the contract of every begun frame, as the frame holds
+        it, and every fresh resolution of a contract."""
         begun, fresh = [], []
         begin, resolve = Machine._begin, Machine._resolve_contract
 
-        def spy_begin(self, thread, kind, contract):
-            begun.append((kind, contract))
-            return begin(self, thread, kind, contract)
+        def spy_begin(self, thread, kind, validity, invalidity):
+            begun.append((kind, (validity, invalidity)))
+            return begin(self, thread, kind, validity, invalidity)
 
         def spy_resolve(self, d, env):
             out = resolve(self, d, env)
@@ -940,8 +947,10 @@ class Probe[o, p] {
                                        [{"target": "h", "method": "poke"}],
                                        [1])
         assert blocksched._execute_sct(m, poke) == "committed"
-        assert begun == [("txn", Contract(CtxLoc(h.index), CtxLoc(h.index))),
-                         ("txn", want_s)]
+        assert begun == [
+            ("txn", self._frame(m, Contract(CtxLoc(h.index),
+                                            CtxLoc(h.index)))),
+            ("txn", self._frame(m, want_s))]
         assert m.heap[s.index].contracts[id(touch)] == fresh(s.index, s_args)
         # block transactions call it directly, on both objects
         scts = blocksched._bind_scts(
@@ -953,6 +962,32 @@ class Probe[o, p] {
         assert m.heap[t.index].contracts[id(touch)] == fresh(t.index, t_args)
         assert blocksched._execute(m, scts, range(2)) == ["committed"] * 2
         assert [m.heap[x.index].fields["v"] for x in (s, t)] == [2, 1]
+
+    def test_method_contract_env_built_on_a_miss_only(self, monkeypatch):
+        # a bind and a deduced atomic call read the method's contract kept
+        # on the target: it is resolved, in an env built for it, on a miss
+        # only
+        m = Machine(ast.Program(check_clean(self.HIERARCHY).classes, None))
+        h = _new(m, "Holder", CtxTop())
+        envs = []
+        resolve = Machine._resolve_contract
+        monkeypatch.setattr(Machine, "_resolve_contract",
+                            lambda self, d, env: envs.append((d, env)) or
+                            resolve(self, d, env))
+        txns = [{"target": "h", "method": "poke"}] * 3
+        scts = blocksched._bind_scts(m, {"h": h.index}, txns, [1, 2, 3])
+        assert len(envs) == 1  # the first bind's miss
+        assert blocksched._execute(m, scts, range(3)) == ["committed"] * 3
+        # each poke runs `atomic s.touch()`, whose contract is resolved on
+        # s at the first only, under the declaring class Base's bindings
+        s = m.heap[h.index].fields["s"]
+        poke = m.table.find_method("Holder", "poke")[1]
+        touch = m.table.find_method("Sub", "touch")[1]
+        assert envs == [
+            (poke.contract,
+             {"this": h, "#ctx": m.heap[h.index].bindings["Holder"]}),
+            (touch.contract,
+             {"this": s, "#ctx": m.heap[s.index].bindings["Base"]})]
 
     def test_atomic_in_a_method_resolves_per_object(self, monkeypatch):
         m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
@@ -979,8 +1014,8 @@ class Probe[o, p] {
                          (run.contract, want[b.index]),
                          (node.contract, want[b.index])]
         # run's own contract is <p,this> as well: each run begins it twice
-        assert begun == 3 * ([("txn", want[a.index])] * 2
-                             + [("txn", want[b.index])] * 2)
+        assert begun == 3 * ([("txn", self._frame(m, want[a.index]))] * 2
+                             + [("txn", self._frame(m, want[b.index]))] * 2)
 
     def test_atomic_in_a_constructor_resolves_once_per_object(
             self, monkeypatch):
@@ -993,7 +1028,8 @@ class Probe[o, p] {
         # method does: each object resolves the block once and keeps it
         want = [Contract(CtxBot(), CtxLoc(loc)) for loc in locs]
         assert fresh == [(node.contract, d) for d in want]
-        assert [d for kind, d in begun if kind == "txn"] == want
+        assert [d for kind, d in begun if kind == "txn"] == [
+            self._frame(m, d) for d in want]
         for loc, d in zip(locs, want):
             obj = m.heap[loc]
             assert obj.contracts == {id(node): d}
