@@ -2,73 +2,133 @@
 
 Source positions ride along on every node but are excluded from equality so
 that desugared/pretty-printed round trips compare structurally.
+
+Nodes, and the package's other records, are plain classes with `__slots__`
+and a written-out `__init__`; `Record` gives them one `__eq__` and one
+`__repr__`, which behave as `@dataclass` would generate them. Do not bring
+`@dataclass` back: every `ov` call is a fresh process, and generating and
+compiling the methods of 56 record classes at import, and loading the
+`dataclasses` and `inspect` modules that do it, was most of importing
+`ovlang.cli` from a current bytecode cache (45.5 ms with them, 10.4 ms
+without, on a 2-vCPU host), while checking `corpus/bank.ov` takes 1 ms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from operator import attrgetter
 
 
-@dataclass
-class Node:
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+class Record:
+    """A record's fields are its slots, base class first. Two records are
+    equal when they are of one class and agree on every field except those
+    in `_loose` and the private ones (a leading underscore); repr shows the
+    public fields as `Name(field=value, ...)`. A record is unhashable
+    unless its class says otherwise."""
+
+    __slots__ = ()
+    _fields = _shown = _loose = ()
+    _key = None  # the compared fields' getter; None when there are none
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._shown = tuple(f for f in cls._fields if f[0] != "_")
+        keyed = [f for f in cls._shown if f not in cls._loose]
+        cls._key = attrgetter(*keyed) if keyed else None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key is None or key(self) == key(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Node(Record):
+    """A tree node. Its position is keyword-only and never compared. A node
+    or list field left out of a constructor call, or passed None, holds a
+    new default node of its type (a bare `Expr()` for an expression) or a
+    new empty list; an optional field holds None."""
+
+    __slots__ = ("line", "col")
+    _loose = ("line", "col")
+
+    def __init__(self, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
 
 
 # ---------------------------------------------------------------------------
 # Contexts
 
-@dataclass
 class Context(Node):
+    __slots__ = ()
+
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
-@dataclass
 class CtxThis(Context):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "this"
 
 
-@dataclass
 class CtxTop(Context):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "top"
 
 
-@dataclass
 class CtxBot(Context):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "bot"
 
 
-@dataclass
 class CtxAny(Context):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "*"
 
 
-@dataclass
 class CtxExist(Context):
     """Unknown owner produced by lookup through a non-this receiver."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "?"
 
 
-@dataclass
 class CtxParam(Context):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass
 class CtxLoc(Context):
     """A runtime location used as a context (resolved contracts only)."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.index = index
 
     def __str__(self) -> str:
         return f"l{self.index}"
@@ -84,10 +144,15 @@ EXIST = CtxExist()
 # ---------------------------------------------------------------------------
 # Contracts
 
-@dataclass
 class Contract(Node):
-    validity: Context = field(default_factory=CtxBot)
-    invalidity: Context = field(default_factory=CtxBot)
+    __slots__ = ("validity", "invalidity")
+
+    def __init__(self, validity: Context = None, invalidity: Context = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.validity = CtxBot() if validity is None else validity
+        self.invalidity = CtxBot() if invalidity is None else invalidity
 
     def __str__(self) -> str:
         return f"<{self.validity},{self.invalidity}>"
@@ -96,46 +161,60 @@ class Contract(Node):
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass
 class TypeExpr(Node):
+    __slots__ = ()
+
     def __str__(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
 
-@dataclass
 class IntType(TypeExpr):
     # Surface spelling (int/uint/uint256) is kept for emission but does not
     # affect typing: the dialect has one arbitrary-precision integer type.
-    alias: str = field(default="int", compare=False)
+    __slots__ = ("alias",)
+    _loose = ("line", "col", "alias")
+
+    def __init__(self, alias: str = "int", *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.alias = alias
 
     def __str__(self) -> str:
         return self.alias
 
 
-@dataclass
 class BoolType(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "bool"
 
 
-@dataclass
 class VoidType(TypeExpr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "void"
 
 
-@dataclass
 class NullType(TypeExpr):
     """Type of the null literal; bindable to any class type."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "null"
 
 
-@dataclass
 class ClassType(TypeExpr):
-    name: str = ""
-    args: list[Context] = field(default_factory=list)
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str = "", args: list[Context] = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.args = [] if args is None else args
 
     def __str__(self) -> str:
         if not self.args:
@@ -143,10 +222,11 @@ class ClassType(TypeExpr):
         return f"{self.name}<{','.join(str(a) for a in self.args)}>"
 
 
-@dataclass
 class ErrorType(TypeExpr):
     """Type of an expression whose fault is already reported, such as an
     unknown name. It binds anywhere, so each fault is reported once."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "<error>"
@@ -162,15 +242,20 @@ ERROR_T = ErrorType()
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Const(Expr):
-    value: Union[int, bool, None] = None
-    lexeme: Optional[str] = field(default=None)  # preserves 1e30-style spellings
+    __slots__ = ("value", "lexeme")
+
+    def __init__(self, value: int | bool | None = None,
+                 lexeme: str | None = None,  # preserves 1e30-style spellings
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.value = value
+        self.lexeme = lexeme
 
     def __str__(self) -> str:
         if self.lexeme is not None:
@@ -191,62 +276,100 @@ def default_init(ty: TypeExpr) -> Const:
     return Const(None)
 
 
-@dataclass
 class Var(Expr):
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str = "", *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
 
 
-@dataclass
 class This(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class New(Expr):
-    type: ClassType = field(default_factory=ClassType)
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("type", "args")
+
+    def __init__(self, type: ClassType = None, args: list[Expr] = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.type = ClassType() if type is None else type
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Assign(Expr):
-    name: str = ""
-    value: Expr = field(default_factory=Expr)
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str = "", value: Expr = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.value = Expr() if value is None else value
 
 
-@dataclass
 class FieldGet(Expr):
-    receiver: Expr = field(default_factory=Expr)
-    field_name: str = ""
+    __slots__ = ("receiver", "field_name")
+
+    def __init__(self, receiver: Expr = None, field_name: str = "",
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.receiver = Expr() if receiver is None else receiver
+        self.field_name = field_name
 
 
-@dataclass
 class FieldSet(Expr):
-    receiver: Expr = field(default_factory=Expr)
-    field_name: str = ""
-    value: Expr = field(default_factory=Expr)
+    __slots__ = ("receiver", "field_name", "value")
+
+    def __init__(self, receiver: Expr = None, field_name: str = "",
+                 value: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.receiver = Expr() if receiver is None else receiver
+        self.field_name = field_name
+        self.value = Expr() if value is None else value
 
 
-@dataclass
 class OpAssign(Expr):
     """Surface `target op= value` (target is a Var or FieldGet); desugars to
     Assign/FieldSet with a PrimOp, but survives parsing for faithful emission."""
 
-    target: Expr = field(default_factory=Expr)
-    op: str = "+"
-    value: Expr = field(default_factory=Expr)
+    __slots__ = ("target", "op", "value")
+
+    def __init__(self, target: Expr = None, op: str = "+", value: Expr = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.target = Expr() if target is None else target
+        self.op = op
+        self.value = Expr() if value is None else value
 
 
-@dataclass
 class Call(Expr):
-    receiver: Expr = field(default_factory=Expr)
-    method: str = ""
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("receiver", "method", "args")
+
+    def __init__(self, receiver: Expr = None, method: str = "",
+                 args: list[Expr] = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.receiver = Expr() if receiver is None else receiver
+        self.method = method
+        self.args = [] if args is None else args
 
 
-@dataclass
 class PrimOp(Expr):
-    op: str = "+"
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str = "+", args: list[Expr] = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.op = op
+        self.args = [] if args is None else args
 
 
 # Binary operator precedence, loosest to tightest; every level is
@@ -261,67 +384,110 @@ BINARY_PREC = {
 }
 
 
-@dataclass
 class Seq(Expr):
-    first: Expr = field(default_factory=Expr)
-    second: Expr = field(default_factory=Expr)
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Expr = None, second: Expr = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.first = Expr() if first is None else first
+        self.second = Expr() if second is None else second
 
 
-@dataclass
 class Let(Expr):
     """Local declaration; scopes over the rest of the enclosing Seq chain.
     type is None for compiler-introduced temporaries (inferred)."""
 
-    name: str = ""
-    type: Optional[TypeExpr] = None
-    init: Expr = field(default_factory=Expr)
+    __slots__ = ("name", "type", "init")
+
+    def __init__(self, name: str = "", type: TypeExpr | None = None,
+                 init: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.type = type
+        self.init = Expr() if init is None else init
 
 
-@dataclass
 class Atomic(Expr):
-    contract: Optional[Contract] = None
-    body: Expr = field(default_factory=Expr)
-    deduced: bool = field(default=False, compare=False)
+    __slots__ = ("contract", "body", "deduced")
+    _loose = ("line", "col", "deduced")
+
+    def __init__(self, contract: Contract | None = None, body: Expr = None,
+                 deduced: bool = False, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.contract = contract
+        self.body = Expr() if body is None else body
+        self.deduced = deduced
 
 
-@dataclass
 class Fork(Expr):
-    body: Expr = field(default_factory=Expr)
+    __slots__ = ("body",)
+
+    def __init__(self, body: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.body = Expr() if body is None else body
 
 
-@dataclass
 class Valid(Expr):
-    value: Expr = field(default_factory=Expr)
+    __slots__ = ("value",)
+
+    def __init__(self, value: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.value = Expr() if value is None else value
 
 
-@dataclass
 class Require(Expr):
-    cond: Expr = field(default_factory=Expr)
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.cond = Expr() if cond is None else cond
 
 
-@dataclass
 class EmitEvent(Expr):
-    name: str = ""
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str = "", args: list[Expr] = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Throw(Expr):
     """Surface `throw;` -- desugars to require(false)."""
 
+    __slots__ = ()
 
-@dataclass
+
 class Return(Expr):
     """Surface `return e;` (tail position only); desugar strips it."""
 
-    value: Expr = field(default_factory=Expr)
+    __slots__ = ("value",)
+
+    def __init__(self, value: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.value = Expr() if value is None else value
 
 
-@dataclass
 class Block(Expr):
     """Surface statement block; desugars to a Seq/Let chain."""
 
-    stmts: list[Expr] = field(default_factory=list)
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: list[Expr] = None, *, line: int = 0,
+                 col: int = 0):
+        self.line = line
+        self.col = col
+        self.stmts = [] if stmts is None else stmts
 
 
 def is_value(e: Expr) -> bool:
@@ -361,59 +527,103 @@ def children(e: Expr):
 # ---------------------------------------------------------------------------
 # Declarations
 
-@dataclass
 class FieldDecl(Node):
-    type: TypeExpr = field(default_factory=TypeExpr)
-    name: str = ""
-    init: Optional[Expr] = None
-    final: bool = False
+    __slots__ = ("type", "name", "init", "final")
+
+    def __init__(self, type: TypeExpr = None, name: str = "",
+                 init: Expr | None = None, final: bool = False,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.type = TypeExpr() if type is None else type
+        self.name = name
+        self.init = init
+        self.final = final
 
 
-@dataclass
 class Param(Node):
-    type: TypeExpr = field(default_factory=TypeExpr)
-    name: str = ""
+    __slots__ = ("type", "name")
+
+    def __init__(self, type: TypeExpr = None, name: str = "",
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.type = TypeExpr() if type is None else type
+        self.name = name
 
 
-@dataclass
 class MethodDecl(Node):
-    name: str = ""
-    return_type: TypeExpr = field(default_factory=VoidType)
-    params: list[Param] = field(default_factory=list)
-    contract: Contract = field(default_factory=Contract)
-    body: Expr = field(default_factory=Expr)
+    __slots__ = ("name", "return_type", "params", "contract", "body")
+
+    def __init__(self, name: str = "", return_type: TypeExpr = None,
+                 params: list[Param] = None, contract: Contract = None,
+                 body: Expr = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.return_type = VoidType() if return_type is None else return_type
+        self.params = [] if params is None else params
+        self.contract = Contract() if contract is None else contract
+        self.body = Expr() if body is None else body
 
 
-@dataclass
 class CtorDecl(Node):
-    params: list[Param] = field(default_factory=list)
-    body: Expr = field(default_factory=Expr)
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: list[Param] = None, body: Expr = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.params = [] if params is None else params
+        self.body = Expr() if body is None else body
 
 
-@dataclass
 class Constraint(Node):
-    lhs: Context = field(default_factory=CtxBot)
-    strict: bool = False  # True for <<, False for <=
-    rhs: Context = field(default_factory=CtxBot)
+    __slots__ = ("lhs", "strict", "rhs")
+
+    def __init__(self, lhs: Context = None,
+                 strict: bool = False,  # True for <<, False for <=
+                 rhs: Context = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.lhs = CtxBot() if lhs is None else lhs
+        self.strict = strict
+        self.rhs = CtxBot() if rhs is None else rhs
 
     def __str__(self) -> str:
         rel = "<<" if self.strict else "<="
         return f"{self.lhs} {rel} {self.rhs}"
 
 
-@dataclass
 class ClassDecl(Node):
-    name: str = ""
-    ctx_params: list[str] = field(default_factory=list)
-    superclass: Optional[ClassType] = None
-    constraints: list[Constraint] = field(default_factory=list)
-    invariants: list[Expr] = field(default_factory=list)
-    fields: list[FieldDecl] = field(default_factory=list)
-    ctors: list[CtorDecl] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)
+    __slots__ = ("name", "ctx_params", "superclass", "constraints",
+                 "invariants", "fields", "ctors", "methods")
+
+    def __init__(self, name: str = "", ctx_params: list[str] = None,
+                 superclass: ClassType | None = None,
+                 constraints: list[Constraint] = None,
+                 invariants: list[Expr] = None,
+                 fields: list[FieldDecl] = None, ctors: list[CtorDecl] = None,
+                 methods: list[MethodDecl] = None,
+                 *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.ctx_params = [] if ctx_params is None else ctx_params
+        self.superclass = superclass
+        self.constraints = [] if constraints is None else constraints
+        self.invariants = [] if invariants is None else invariants
+        self.fields = [] if fields is None else fields
+        self.ctors = [] if ctors is None else ctors
+        self.methods = [] if methods is None else methods
 
 
-@dataclass
 class Program(Node):
-    classes: list[ClassDecl] = field(default_factory=list)
-    main: Optional[Expr] = None
+    __slots__ = ("classes", "main")
+
+    def __init__(self, classes: list[ClassDecl] = None,
+                 main: Expr | None = None, *, line: int = 0, col: int = 0):
+        self.line = line
+        self.col = col
+        self.classes = [] if classes is None else classes
+        self.main = main

@@ -30,7 +30,6 @@ always runs in one process: it is the oracle the split is tested against.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import ast
@@ -62,46 +61,63 @@ TXN_STEPS = DEFAULT_FUEL
 SHARD_MIN_WORK = 40
 
 
-@dataclass
-class Sct:
-    method: str
-    args: list
-    loc: int = -1
-    contract: Optional[Contract] = None
-    creator: int = 0  # names the heap slots its execution allocates
+class Sct(ast.Record):
+    __slots__ = ("method", "args", "loc", "contract", "creator")
+
+    def __init__(self, method: str, args: list, loc: int = -1,
+                 contract: Optional[Contract] = None,
+                 creator: int = 0):  # names the heap slots its run allocates
+        self.method = method
+        self.args = args
+        self.loc = loc
+        self.contract = contract
+        self.creator = creator
 
 
-@dataclass
-class Block:
-    deploys: list  # of {"id","class","args"}
-    txns: list     # of {"target","method","args"}
+class Block(ast.Record):
+    __slots__ = ("deploys",  # of {"id","class","args"}
+                 "txns")     # of {"target","method","args"}
+
+    def __init__(self, deploys: list, txns: list):
+        self.deploys = deploys
+        self.txns = txns
 
 
-class _Report:
+class _Report(ast.Record):
+    __slots__ = ()
+
     def to_json(self) -> dict:
         """The fields in declaration order, each edge as a list."""
-        out = asdict(self)
+        out = {f: getattr(self, f) for f in self._fields}
         out["edges"] = [list(e) for e in self.edges]
         return out
 
 
-@dataclass
 class MinedBlock(_Report):
-    edges: list
-    status: list
-    final_state_hash: str
-    pre_checks: int
-    post_checks: int
+    __slots__ = ("edges", "status", "final_state_hash", "pre_checks",
+                 "post_checks")
+
+    def __init__(self, edges: list, status: list, final_state_hash: str,
+                 pre_checks: int, post_checks: int):
+        self.edges = edges
+        self.status = status
+        self.final_state_hash = final_state_hash
+        self.pre_checks = pre_checks
+        self.post_checks = post_checks
 
 
-@dataclass
 class ValidationReport(_Report):
-    accepted: bool
-    final_state_hash: str
-    status: list
-    edges: list
-    hash_matches: bool
-    statuses_match: bool
+    __slots__ = ("accepted", "final_state_hash", "status", "edges",
+                 "hash_matches", "statuses_match")
+
+    def __init__(self, accepted: bool, final_state_hash: str, status: list,
+                 edges: list, hash_matches: bool, statuses_match: bool):
+        self.accepted = accepted
+        self.final_state_hash = final_state_hash
+        self.status = status
+        self.edges = edges
+        self.hash_matches = hash_matches
+        self.statuses_match = statuses_match
 
 
 # the fields a block, a deploy and a transaction may have; any other is a

@@ -8,8 +8,6 @@ Core form guarantees:
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import ast
 from .typecheck import ClassTable
 
@@ -287,7 +285,9 @@ def desugar(p: ast.Program) -> ast.Program:
                            line=m.line, col=m.col)
             for m in cls.methods
         ]
-        classes.append(replace(cls, invariants=new_invs, fields=new_fields,
-                               ctors=new_ctors, methods=new_methods))
+        classes.append(ast.ClassDecl(
+            cls.name, cls.ctx_params, cls.superclass, cls.constraints,
+            new_invs, new_fields, new_ctors, new_methods,
+            line=cls.line, col=cls.col))
     main = _lower_body(p.main, set(), []) if p.main is not None else None
     return ast.Program(classes, main, line=p.line, col=p.col)

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .ast import Record
 
 # Registry of every diagnostic code the toolchain can emit, with its severity.
 ERROR_CODES = {
@@ -34,15 +35,15 @@ WARNING_CODES = {
 ALL_CODES = {**ERROR_CODES, **WARNING_CODES}
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    msg: str
-    line: int = 0
-    col: int = 0
+class Diagnostic(Record):
+    __slots__ = ("code", "msg", "line", "col")
 
-    def __post_init__(self) -> None:
-        assert self.code in ALL_CODES, f"unknown diagnostic code {self.code}"
+    def __init__(self, code: str, msg: str, line: int = 0, col: int = 0):
+        assert code in ALL_CODES, f"unknown diagnostic code {code}"
+        self.code = code
+        self.msg = msg
+        self.line = line
+        self.col = col
 
     @property
     def severity(self) -> str:
@@ -70,16 +71,18 @@ class Diagnostic:
         return f"{self.line}:{self.col}: {tag} {self.code}: {self.msg}"
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(Record):
     """Accumulator passed through the checker stages. `add` drops a
     diagnostic identical in code, message and position to one already
     added: a fault reached twice, such as the read and the write of a
     compound assignment, is reported once."""
 
-    items: list[Diagnostic] = field(default_factory=list)
-    _added: set[tuple[str, str, int, int]] = field(
-        default_factory=set, repr=False, compare=False)
+    __slots__ = ("items", "_added")
+
+    def __init__(self, items: list[Diagnostic] = None,
+                 _added: set[tuple[str, str, int, int]] = None):
+        self.items = [] if items is None else items
+        self._added = set() if _added is None else _added
 
     def add(self, code: str, msg: str, line: int = 0, col: int = 0) -> None:
         key = (code, msg, line, col)

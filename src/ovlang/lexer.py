@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 
+from .ast import Record
 from .diagnostics import OvError
 
 KEYWORDS = {
@@ -42,14 +42,18 @@ _FIRST = {c: "id" for c in string.ascii_letters + "_"}
 _FIRST.update((c, "num") for c in string.digits)
 
 
-@dataclass(slots=True)
-class Tokens:
+class Tokens(Record):
     """The tokens of one source text as parallel lists, eof last. A kind is
     'num', 'id', 'eof', a keyword or an operator's text."""
-    kinds: list[str]
-    texts: list[str]
-    lines: list[int]
-    cols: list[int]
+
+    __slots__ = ("kinds", "texts", "lines", "cols")
+
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int],
+                 cols: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.lines = lines
+        self.cols = cols
 
     def __len__(self) -> int:
         return len(self.kinds)

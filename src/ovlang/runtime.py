@@ -99,11 +99,9 @@ its names are its heap indices.
 """
 from __future__ import annotations
 
-import hashlib
 import operator
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Any, Collection, Optional, Union
 
 from . import ast
@@ -125,18 +123,40 @@ _COMPILING = threading.Lock()
 NAME_BITS = 32
 
 
-@dataclass(frozen=True)
-class Loc:
-    index: int
+class _Frozen(ast.Record):
+    """A record that never changes once made: hashable, equal by value, and
+    pickled through its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, f) for f in self._fields]))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+
+class Loc(_Frozen):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
     def __repr__(self) -> str:
         return f"l{self.index}"
 
 
-@dataclass(frozen=True)
-class FailureValue:
-    code: str
-    msg: str
+class FailureValue(_Frozen):
+    __slots__ = ("code", "msg")
+
+    def __init__(self, code: str, msg: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "msg", msg)
 
     def __repr__(self) -> str:
         return f"failure({self.code})"
@@ -268,17 +288,23 @@ class Thread:
         self.done = False
 
 
-@dataclass
-class FinalReport:
-    lemma3: bool
-    objects: int
-    valid: int
-    pre_checks: int
-    post_checks: int
-    invariant_evals: int
-    events: list
-    state_hash: str
-    failures: list = field(default_factory=list)  # not part of the schema
+class FinalReport(ast.Record):
+    __slots__ = ("lemma3", "objects", "valid", "pre_checks", "post_checks",
+                 "invariant_evals", "events", "state_hash", "failures")
+
+    def __init__(self, lemma3: bool, objects: int, valid: int,
+                 pre_checks: int, post_checks: int, invariant_evals: int,
+                 events: list, state_hash: str,
+                 failures: list = None):  # not part of the schema
+        self.lemma3 = lemma3
+        self.objects = objects
+        self.valid = valid
+        self.pre_checks = pre_checks
+        self.post_checks = post_checks
+        self.invariant_evals = invariant_evals
+        self.events = events
+        self.state_hash = state_hash
+        self.failures = [] if failures is None else failures
 
     def to_json(self) -> dict:
         return {
@@ -329,6 +355,7 @@ def state_digest(texts: list, valid: list) -> str:
     (`Machine.object_texts`) in name order, then the names of the valid
     set in ascending order. Both come in any order. `Machine.state_hash`
     and the merge of a block run in regions both hash through here."""
+    import hashlib  # here, not at the top: `ov check` never hashes
     texts = sorted(texts, key=operator.itemgetter(0))
     blob = "".join([text for _name, text in texts]) + "|valid=" + \
         ",".join(map(str, sorted(valid)))

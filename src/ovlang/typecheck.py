@@ -16,7 +16,6 @@ it is reported once, as E-NEED-CONTRACT, and nothing is checked against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import ast
@@ -139,14 +138,19 @@ class ClassTable:
         return self.info(name).method_of.get(mname)
 
 
-@dataclass
-class TypeEnv:
-    table: ClassTable
-    ctx: ContextEnv
-    this_type: Optional[ast.ClassType]  # None in main
-    frame: Contract
-    vars: dict[str, ast.TypeExpr] = field(default_factory=dict)
-    fork_ok: bool = False
+class TypeEnv(ast.Record):
+    __slots__ = ("table", "ctx", "this_type", "frame", "vars", "fork_ok")
+
+    def __init__(self, table: ClassTable, ctx: ContextEnv,
+                 this_type: Optional[ast.ClassType],  # None in main
+                 frame: Contract, vars: dict[str, ast.TypeExpr] = None,
+                 fork_ok: bool = False):
+        self.table = table
+        self.ctx = ctx
+        self.this_type = this_type
+        self.frame = frame
+        self.vars = {} if vars is None else vars
+        self.fork_ok = fork_ok
 
     def child(self, *, frame: Optional[Contract] = None,
               fork_ok: Optional[bool] = None,

@@ -282,12 +282,16 @@ class C[o, r, s] extends B<s, r> {
             build(info, table, decl)
             building.pop()
 
+        slot = ast.ClassDecl.superclass  # the field's slot descriptor
+
         class Watched(ast.ClassDecl):
+            __slots__ = ()  # ClassDecl's layout, so __class__ can move
+
             @property
             def superclass(self):
                 if not building:
                     stray.append(self.name)
-                return self.__dict__["superclass"]
+                return slot.__get__(self)
 
         monkeypatch.setattr(ClassInfo, "__init__", counted)
         for decl in program.classes:

@@ -679,7 +679,7 @@ class TestRuleTables:
         def walk(x):
             if isinstance(x, ast.Node):
                 seen.add(type(x))
-                for v in vars(x).values():
+                for v in (getattr(x, f) for f in x._fields):
                     walk(v)
             elif isinstance(x, list):
                 for v in x:
@@ -832,7 +832,8 @@ def _atomics(x) -> list:
     if not isinstance(x, ast.Node):
         return []
     found = [x] if isinstance(x, ast.Atomic) else []
-    return found + [a for v in vars(x).values() for a in _atomics(v)]
+    return found + [a for v in (getattr(x, f) for f in x._fields)
+                   for a in _atomics(v)]
 
 
 def _new(m: Machine, name: str, *ctxs) -> Loc:
@@ -1044,7 +1045,7 @@ def _ctx_params(x, found: dict) -> dict:
     if isinstance(x, ast.CtxParam):
         found[id(x)] = x
     elif isinstance(x, ast.Node):
-        for v in vars(x).values():
+        for v in (getattr(x, f) for f in x._fields):
             _ctx_params(v, found)
     elif isinstance(x, (list, tuple)):
         for v in x:
