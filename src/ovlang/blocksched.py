@@ -29,7 +29,6 @@ always runs in one process: it is the oracle the split is tested against.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional, Sequence
 
 from . import ast
@@ -62,15 +61,18 @@ SHARD_MIN_WORK = 40
 
 
 class Sct(ast.Record):
-    __slots__ = ("method", "args", "loc", "contract", "creator")
+    """A bound transaction: its contract's V and I as tree nodes."""
+    __slots__ = ("method", "args", "loc", "validity", "invalidity",
+                 "creator")
 
     def __init__(self, method: str, args: list, loc: int = -1,
-                 contract: Optional[Contract] = None,
+                 validity=None, invalidity=None,
                  creator: int = 0):  # names the heap slots its run allocates
         self.method = method
         self.args = args
         self.loc = loc
-        self.contract = contract
+        self.validity = validity
+        self.invalidity = invalidity
         self.creator = creator
 
 
@@ -188,10 +190,10 @@ def interferes(d1: Contract, d2: Contract, tree: OwnershipTree) -> bool:
 def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
     """The interfering pairs (i, j), i < j, in sorted order.
 
-    Each context denotes the subtree of one node of the tree
-    (`OwnershipTree.node`): a location, Top, the root above every
-    top-owned location, or Bot, which lies on no chain. Two subtrees meet
-    iff one node lies on the other's ancestor chain, so the pairs come
+    Each transaction's V and I are nodes of the tree (`_bind_scts`): a
+    location, Top, the root above every top-owned location, or Bot, which
+    lies on no chain. Two subtrees meet iff one node lies on the other's
+    ancestor chain, so the pairs come
     from buckets over the tree: `writers[a]` holds the transactions whose
     invalidity is node a, `under[a]` those whose invalidity lies in
     subtree(a), and `_writers_meeting` reads from them the transactions
@@ -203,8 +205,8 @@ def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
     under: dict = {}
     nodes = []  # each transaction's contexts' nodes
     for i, sct in enumerate(scts):
-        w = tree.node(sct.contract.invalidity)
-        nodes.append({tree.node(sct.contract.validity), w})
+        w = sct.invalidity
+        nodes.append({sct.validity, w})
         writers.setdefault(w, []).append(i)
         for a in tree.chain(w):
             under.setdefault(a, []).append(i)
@@ -256,6 +258,7 @@ def _arg_fault(params: list, args: list) -> Optional[str]:
         return f"takes {len(params)} arguments, got {len(args)}"
     for p, a in zip(params, args):
         if type(a) is not _ARG_TYPES.get(type(p.type), type(None)):
+            import json
             return f"parameter {p.name} is {p.type}, got {json.dumps(a)}"
     return None
 
@@ -311,6 +314,7 @@ def _deploy(machine: Machine, deploys: list,
 
 def _bind_scts(machine: Machine, targets: dict, txns: list,
                creators: Iterable[int]) -> list[Sct]:
+    """The txns bound to their targets and their methods' V and I nodes."""
     scts = []
     for (i, t), creator in zip(enumerate(txns), creators):
         if t["target"] not in targets:
@@ -327,10 +331,10 @@ def _bind_scts(machine: Machine, targets: dict, txns: list,
         fault = _arg_fault(m.params, args)
         if fault is not None:
             raise OvError("E-TARGET", f"txn {i}: {t['method']} {fault}")
-        scts.append(Sct(method=t["method"], args=list(args), loc=loc,
-                        creator=creator,
-                        contract=machine._method_contract(obj, loc,
-                                                          owner_cls, m)))
+        validity, invalidity = machine._method_contract(obj, loc,
+                                                        owner_cls, m)
+        scts.append(Sct(t["method"], list(args), loc, validity, invalidity,
+                        creator))
     return scts
 
 
@@ -398,11 +402,11 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
     runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on.
 
     The compiled evaluator is handed the bound transaction itself, whose
-    contract `_bind_scts` resolved, with the `atomic` call node made once
-    per program, method and arity (`closures.Compiled.transact`). That
-    node is the small-step reference, which runs what the compiled
+    V and I nodes `_bind_scts` resolved, with the `atomic` call node made
+    once per program, method and arity (`closures.Compiled.transact`).
+    That node is the small-step reference, which runs what the compiled
     evaluator hands back: its env binds its slots to the arguments, `this`
-    to the target and its context parameters to the contract's contexts."""
+    to the target and its context parameters to the V and I nodes."""
     key = (sct.method, len(sct.args))
     entries = machine.code.entries
     expr = entries.get(key)
@@ -417,8 +421,8 @@ def _execute_sct(machine: Machine, sct: Sct) -> str:
                                                 TXN_STEPS)
         if not done:
             env = _arg_env(expr.body.args, sct.args,
-                           {"__validity": sct.contract.validity,
-                            "__invalidity": sct.contract.invalidity})
+                           {"__validity": sct.validity,
+                            "__invalidity": sct.invalidity})
             env["this"] = machine.locs[sct.loc]
             val = machine.run_expression(expr, env, TXN_STEPS)
     except OvError as err:

@@ -8,7 +8,6 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -97,6 +96,7 @@ def cmd_run(args) -> int:
             return EXIT_FUEL
         raise
     if args.json:
+        import json
         print(json.dumps(report.to_json()))
     else:
         for key, value in report.to_json().items():
@@ -124,6 +124,7 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import json
     try:
         loaded = _load_checked(args.program, False)
         raw = json.loads(_read(args.block))

@@ -7,9 +7,9 @@ of the env (the small-step machine's own env dict) that returns the
 node's value. A deploy and a block transaction are handed over bound, not
 as an expression in an env: a deploy as its class's entry node and its
 arguments (`Compiled.deploy`), which allocates through
-`Machine._allocate` with its context arguments already resolved, and a
-transaction as a `blocksched.Sct`, whose contract binding resolved
-(`Compiled.transact`), which begins its frame under that contract and
+`Machine._allocate` with its context arguments resolved to tree nodes,
+and a transaction as a `blocksched.Sct`, whose V and I nodes binding
+resolved (`Compiled.transact`), which begins its frame on those nodes and
 calls the method body on the target. Each charges the steps, and keeps
 the bounds, that its entry node takes on the small-step machine.
 
@@ -56,7 +56,7 @@ from . import ast
 from .ast import CtxBot
 from .diagnostics import OvError
 from .runtime import (FailureValue, Loc, Thread, Value, _apply_op,
-                      not_live, pair_op)
+                      not_live, pair_op, resolve)
 
 # Closure frames a compiled run may nest, counting each entered body's
 # height (`_Body.height`): past it the run stops and goes to the
@@ -135,8 +135,8 @@ class Compiled:
     def transact(self, m, node: ast.Atomic, sct,
                  fuel: int) -> tuple[bool, Value]:
         """A bound block transaction sct, a `blocksched.Sct` (`run`): its
-        method called on its target with its arguments, in a frame under
-        the contract binding resolved, as node, the `atomic` call entry of
+        method called on its target with its arguments, in a frame on the
+        V and I nodes binding resolved, as node, the `atomic` call entry of
         its method and arity, runs with them in its slots and parameters."""
         return self.run(m, _transaction, node, sct, fuel)
 
@@ -211,12 +211,12 @@ class Compiled:
 
 
 def _deployment(cx: _Run, node: ast.New):
-    """The compiled deploy of node, a `new` whose context arguments are
-    resolved and whose arguments are `Var` slots: a closure of the values
+    """The compiled deploy of node, a `new` whose context arguments need
+    no env and whose arguments are `Var` slots: a closure of the values
     in the slots, which charges the steps node takes on the small-step
     machine and keeps the bounds `_body` sets a body of its nodes."""
     info = cx.code.table.info(node.type.name)
-    resolved = list(node.type.args)
+    resolved = [resolve(k, None, None) for k in node.type.args]
     n = len(node.args)
     rec = _Body()
     rec.seal(1 + n)  # node and its slots
@@ -237,8 +237,8 @@ def _deployment(cx: _Run, node: ast.New):
 def _transaction(cx: _Run, node: ast.Atomic):
     """The compiled block transaction of node, the `atomic` call of `this`
     a method and arity run (`blocksched._execute_sct`): a closure of the
-    bound transaction (`blocksched.Sct`), which begins its frame under the
-    transaction's resolved contract and calls its method on its target
+    bound transaction (`blocksched.Sct`), which begins its frame on the
+    transaction's V and I nodes and calls its method on its target
     with its arguments, charging the steps node takes on the small-step
     machine and keeping the bounds `_body` sets a body of its nodes."""
     call = node.body
@@ -257,7 +257,7 @@ def _transaction(cx: _Run, node: ast.Atomic):
         cx.depth = height
         m = cx.m
         cx.steps += 1  # node's own step
-        fv = m._begin(thread, "txn", *m._nodes(sct.contract))
+        fv = m._begin(thread, "txn", sct.validity, sct.invalidity)
         if fv is not None:
             return fv
         cx.steps += pre
@@ -608,11 +608,8 @@ def _b_atomic(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
     def atomic(env: dict) -> Value:
         cx.steps += 1
         m = cx.m
-        this = env.get("this")
-        obj = cx.heap[this.index] if type(this) is Loc else None
-        d = m._resolve_contract(contract, env) if obj is None \
-            else m._kept_contract(obj, e, this, env.get("#ctx"))
-        fv = m._begin(thread, "txn", *m._nodes(d))
+        fv = m._begin(thread, "txn", *m._contract_nodes(
+            contract, env.get("this"), env.get("#ctx")))
         if fv is not None:
             return fv
         try:
@@ -656,8 +653,7 @@ def _deduced_call(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         if hit is None:
             raise _Bail
         m = cx.m
-        fv = m._begin(thread, "txn",
-                      *m._nodes(m._method_contract(obj, r.index, *hit)))
+        fv = m._begin(thread, "txn", *m._method_contract(obj, r.index, *hit))
         if fv is not None:
             return fv
         try:

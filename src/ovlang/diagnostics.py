@@ -1,8 +1,6 @@
 """Diagnostic records shared by every pipeline stage."""
 from __future__ import annotations
 
-import json
-
 from .ast import Record
 
 # Registry of every diagnostic code the toolchain can emit, with its severity.
@@ -53,6 +51,7 @@ class Diagnostic(Record):
         return self.severity == "error"
 
     def to_json(self) -> str:
+        import json
         return json.dumps(
             {
                 "code": self.code,

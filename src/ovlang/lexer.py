@@ -10,7 +10,6 @@ skipped text moves the line.
 from __future__ import annotations
 
 import re
-import string
 
 from .ast import Record
 from .diagnostics import OvError
@@ -38,8 +37,9 @@ _TOKEN_RE = re.compile(
 # A keyword or operator is its own kind; any other token's kind follows
 # from its first character.
 _KIND = {text: text for text in (*KEYWORDS, *OPERATORS)}
-_FIRST = {c: "id" for c in string.ascii_letters + "_"}
-_FIRST.update((c, "num") for c in string.digits)
+_FIRST = {c: "id" for c in
+          "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"}
+_FIRST.update((c, "num") for c in "0123456789")
 
 
 class Tokens(Record):

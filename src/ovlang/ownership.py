@@ -8,8 +8,9 @@ it was bound to. inside(k1,k2) means subtree(k1) is contained in subtree(k2).
 The runtime tree (`OwnershipTree`) is the one place that knows what a
 resolved context denotes. Top is its root, a node above every top-owned
 location, so Top, Bot and locations are all nodes with an ancestor chain
-and a subtree kept as an ascending list. A context is resolved to its
-node once (`OwnershipTree.node`), and every query takes nodes: "subtree(k1)
+and a subtree kept as an ascending list. The runtime resolves each
+context straight to its node (`runtime.resolve`): a location's index, or
+the class CtxTop or CtxBot. Every query takes nodes: "subtree(k1)
 meets subtree(k2)" is a membership test on a stored chain, their meet
 (`OwnershipTree.meet`) is a stored subtree, read, not walked, and the live
 set is Top's subtree rather than a scan of the heap.
@@ -147,7 +148,7 @@ def owner_bound(t: ast.TypeExpr) -> Context:
 
 class OwnershipTree:
     """which-owns-which at runtime. Each resolved context denotes the
-    subtree of one node (`node`): a live location, or Top, the root, whose
+    subtree of one node: a live location, or Top, the root, whose
     node is the class CtxTop and which owns every top-owned location. Bot
     denotes no subtree, so its node, the class CtxBot, has an empty chain
     and an empty subtree and lies on no chain.
@@ -201,14 +202,16 @@ class OwnershipTree:
         """The ownership chain from the node loc (inclusive) up to Top."""
         chain = self.chains.get(loc)
         if chain is None:
-            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
+            name = f"l{loc}" if type(loc) is int else loc
+            raise OvError("E-DANGLING", f"location {name} is not in the heap")
         return chain
 
     def node(self, k: Context):
-        """The node whose subtree the resolved context k denotes: a
-        location's index, or the class of Top or Bot. A location not in the
-        tree is E-DANGLING. The queries below take nodes: a frame resolves
-        its contexts here once, at begin."""
+        """The node whose subtree the context record k, Top, Bot or a
+        `CtxLoc`, denotes: a location's index, or the class of Top or Bot.
+        A location not in the tree is E-DANGLING. The runtime holds nodes
+        and never calls this; it serves `subtrees_intersect` and
+        `blocksched.interferes`, the definitions the tests check against."""
         key = k.index if type(k) is CtxLoc else type(k)
         if key not in self.chains:
             raise OvError("E-DANGLING", f"location {k} is not in the heap")
@@ -221,7 +224,8 @@ class OwnershipTree:
         and its invalidation."""
         chain = self.chains.get(loc)
         if chain is None:
-            raise OvError("E-DANGLING", f"location l{loc} is not in the heap")
+            name = f"l{loc}" if type(loc) is int else loc
+            raise OvError("E-DANGLING", f"location {name} is not in the heap")
         return chain if node in chain else None
 
     def runtime_subtree(self, node) -> Sequence[int]:

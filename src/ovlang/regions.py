@@ -6,8 +6,8 @@ to it. Block arguments are scalars and every deploy is top-owned, binding
 every context parameter to top (`_deploy` refuses a class whose `where`
 constraints that breaks), so an object is reachable only from the region
 whose constructor or transactions allocated it; and while no transaction's
-contract binds a context to top, each binds its contexts to bot or to a
-location of its own region, so no edge, read or write crosses regions.
+V or I is Top's node, each is Bot's or a location of its own region, so no
+edge, read or write crosses regions.
 `run` balances the regions into one shard per usable CPU and runs each
 shard through blocksched's one-process path (`_prepare`,
 `build_conflict_graph`, `_execute`), on a heap of its own and with the
@@ -15,7 +15,7 @@ block's own creator numbers: the heaviest shard in this process, the
 others in worker processes (`_Pool`), which start on theirs a wake-up
 later. Each shard thus names its heap slots as one process does and spells
 its own objects; `merge` only concatenates the shards' outputs and sorts
-them. A block whose regions may meet (a contract binds a context to top,
+them. A block whose regions may meet (a transaction's V or I is Top,
 whose subtree holds every region), a shard that raises an error one
 process raises too (`OvError`, `ValueError`), a dead worker, a platform
 without fork, a process with other threads and a host with one usable CPU
@@ -95,11 +95,10 @@ def _run_shard(program: ast.Program, block: Block,
                creators: list) -> Optional[_ShardRun]:
     """A shard through the one-process path, on a heap of its own, its
     deploys and transactions numbered as creators in the whole block. None
-    when a transaction's contract binds a context to top, whose subtree
-    holds the other regions too."""
+    when a transaction's V or I is Top, whose subtree holds the other
+    regions too."""
     machine, scts = blocksched._prepare(program, block, creators)
-    if any(isinstance(k, CtxTop) for s in scts
-           for k in (s.contract.validity, s.contract.invalidity)):
+    if any(CtxTop in (s.validity, s.invalidity) for s in scts):
         return None
     edges = blocksched.build_conflict_graph(scts, machine.tree)
     status = blocksched._execute(machine, scts, range(len(scts)))

@@ -50,14 +50,16 @@ lookups, constructor, invariant clauses) comes from the class table's one
 record per class, `ClassTable.info`; the code keeps only what allocation
 and the checks need, once per class (`Code.plan`).
 
-A frame holds its contract's V and I as ownership-tree nodes, resolved
-once, before it begins (`Machine._nodes`); a construction's frame is
-<bot, l>, made from the new location alone. Its pre-check and post-check
-sets are read, not computed: subtree(V) ∩ subtree(I) is
-`OwnershipTree.meet`, a subtree the ownership tree stores in ascending
-order, for any pair of nodes, and Bot, whose subtree is empty, is not
-asked; a write escapes its frame unless `OwnershipTree.runtime_inside`
-puts it in subtree(I). Only the tree knows what Top and Bot denote.
+Every runtime context is an ownership-tree node: a location's index, or
+the class CtxTop or CtxBot (`resolve`). Binding maps, the `#ctx` env map
+and a frame's V and I hold nodes, so resolving a contract is two look-ups
+that build nothing (but see `_superclass_node`); a construction's frame is <bot, l>, made from the new
+location alone. A frame's pre-check and post-check sets are read, not
+computed: subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the
+ownership tree stores in ascending order, for any pair of nodes, and Bot,
+whose subtree is empty, is not asked; a write escapes its frame unless
+`OwnershipTree.runtime_inside` puts it in subtree(I). Only the tree knows
+what Top and Bot denote.
 
 One rule spends every check: a location's invariant is evaluated only if
 the location is not in the valid set. A begin checks meet(V, I_parent), a
@@ -80,8 +82,8 @@ with the arguments put in and the object itself for `this`, so
 allocation walks no chain. A method, a constructor and each class's
 field initialisers run with `#ctx` set to their own class's map. So what
 depends only on an object is fixed at its allocation and kept on it: its
-`Loc`, those maps, and each method and `atomic` contract resolved
-against it.
+`Loc` and those maps, from which each method and `atomic` contract is
+read at its begin.
 
 Every use of a receiver (field read, field write, call, `valid`, deduced
 `atomic`) meets a null or removed receiver through one helper,
@@ -105,9 +107,10 @@ from bisect import bisect_left
 from typing import Any, Collection, Optional, Union
 
 from . import ast
-from .ast import Contract, CtxBot, CtxLoc, CtxParam, CtxThis, CtxTop
+from .ast import (BOT, Contract, CtxAny, CtxBot, CtxLoc, CtxParam, CtxThis,
+                  CtxTop)
 from .diagnostics import OvError
-from .ownership import OwnershipTree, substitute
+from .ownership import OwnershipTree
 from .typecheck import ClassTable
 
 DEFAULT_FUEL = 1_000_000
@@ -168,17 +171,14 @@ Value = "Union[int, bool, None, Loc, FailureValue]"
 
 
 class ObjectRec:
-    __slots__ = ("class_name", "fields", "bindings", "contracts")
+    __slots__ = ("class_name", "fields", "bindings")
 
     def __init__(self, class_name: str, fields: dict, bindings: dict):
         self.class_name = class_name
         self.fields = fields
-        # class name -> {parameter: runtime context}, per class on the chain
+        # class name -> {parameter: ownership-tree node}, per class on the
+        # chain: what a body declared in that class reads as `#ctx`
         self.bindings = bindings
-        # id of a MethodDecl or Atomic node -> its contract resolved against
-        # this object (Machine._kept_contract); made on first use. The
-        # nodes belong to the machine's code, which outlives it.
-        self.contracts: Optional[dict] = None
 
 
 class _Plan:
@@ -251,8 +251,7 @@ class Frame:
 
     def __init__(self, kind: str, validity, invalidity, sigma_mark: int):
         self.kind = kind  # "root" | "txn" | "ctor"
-        # the contract's V and I as ownership-tree nodes
-        # (`OwnershipTree.node`), resolved once, before the frame begins
+        # the contract's V and I as ownership-tree nodes (`resolve`)
         self.validity = validity
         self.invalidity = invalidity
         self.log: list[tuple[int, str, Value]] = []
@@ -267,8 +266,6 @@ class Frame:
 # events of a frame committed into it go straight to Machine.events.
 ROOT_FRAME = Frame("root", CtxTop, CtxTop, 0)
 ROOT_FRAME.log = ROOT_FRAME.created = ROOT_FRAME.events = ()
-# contexts that already denote a runtime subtree
-_RESOLVED = (CtxTop, CtxBot, CtxLoc)
 
 # continuation tags that consume their incoming value: a failure value
 # arriving here aborts the enclosing transaction (or kills the thread)
@@ -321,6 +318,33 @@ class FinalReport(ast.Record):
 
 class _InvFail(Exception):
     """Internal: invariant evaluation hit null/dangling/division by zero."""
+
+
+def resolve(k: ast.Context, this: Value, ctx: Optional[dict]):
+    """The ownership-tree node the context k denotes in a body run on
+    `this` whose context parameters ctx binds: `this`'s index, a
+    parameter's node, the class CtxTop or CtxBot, or a location's index.
+    Anything else is E-STUCK."""
+    kind = type(k)
+    if kind is CtxThis:
+        if type(this) is not Loc:
+            raise OvError("E-STUCK", "this-context outside an object")
+        return this.index
+    if kind is CtxParam:
+        if not ctx or k.name not in ctx:
+            raise OvError("E-STUCK", f"unbound context parameter {k.name}")
+        return ctx[k.name]
+    if kind is CtxTop or kind is CtxBot:
+        return kind
+    if kind is CtxLoc:
+        return k.index
+    raise OvError("E-STUCK", f"context {k} cannot be resolved at runtime")
+
+
+def _superclass_node(k: ast.Context, this: Loc, own: dict):
+    """The node the superclass argument k denotes on `this`, whose class's
+    parameters own binds; `*`, which denotes none, is kept as its text."""
+    return str(k) if type(k) is CtxAny else resolve(k, this, own)
 
 
 def not_live(v: Value, use: str) -> Optional[FailureValue]:
@@ -404,54 +428,18 @@ class Machine:
     # -- static helpers -------------------------------------------------------
     def _method_contract(self, obj: ObjectRec, loc: int,
                          owner_cls: ast.ClassDecl,
-                         m: ast.MethodDecl) -> Contract:
-        """m's contract as m's body reads it on obj at loc."""
-        return self._kept_contract(obj, m, self.locs[loc],
-                                   obj.bindings.get(owner_cls.name))
+                         m: ast.MethodDecl) -> tuple:
+        """m's V and I as nodes, as m's body reads them on obj at loc:
+        under obj's binding map at m's declaring class."""
+        return self._contract_nodes(m.contract, self.locs[loc],
+                                    obj.bindings.get(owner_cls.name))
 
-    def _kept_contract(self, obj: ObjectRec, node, this: Loc,
-                       ctx: Optional[dict]) -> Contract:
-        """node's contract (a method's or an atomic block's) as a body on
-        obj declaring node reads it, with `this` and ctx, its context
-        parameters' bindings. Those are fixed at allocation, so this is
-        resolved once per (object, node), in an env built only then, and
-        kept on obj."""
-        cache = obj.contracts
-        if cache is None:
-            cache = obj.contracts = {}
-        d = cache.get(id(node))
-        if d is None:
-            d = cache[id(node)] = self._resolve_contract(
-                node.contract, {"this": this, "#ctx": ctx})
-        return d
-
-    def _resolve_ctx(self, k, env: dict):
-        if isinstance(k, CtxThis):
-            this = env.get("this")
-            if not isinstance(this, Loc):
-                raise OvError("E-STUCK", "this-context outside an object")
-            return CtxLoc(this.index)
-        if isinstance(k, CtxParam):
-            bindings = env.get("#ctx") or {}
-            if k.name not in bindings:
-                raise OvError("E-STUCK", f"unbound context parameter {k.name}")
-            return bindings[k.name]
-        if isinstance(k, _RESOLVED):
-            return k
-        raise OvError("E-STUCK", f"context {k} cannot be resolved at runtime")
-
-    def _resolve_contract(self, d: Contract, env: dict) -> Contract:
-        if isinstance(d.validity, _RESOLVED) and \
-                isinstance(d.invalidity, _RESOLVED):
-            return d
-        return Contract(self._resolve_ctx(d.validity, env),
-                        self._resolve_ctx(d.invalidity, env))
-
-    def _nodes(self, d: Contract) -> tuple:
-        """The resolved contract d's V and I as ownership-tree nodes, as a
-        frame holds them."""
-        node = self.tree.node
-        return node(d.validity), node(d.invalidity)
+    def _contract_nodes(self, d: Contract, this: Value,
+                        ctx: Optional[dict]) -> tuple:
+        """d's V and I as the nodes they denote in a body run on `this`
+        whose context parameters ctx binds (`resolve`), as a frame holds
+        them."""
+        return resolve(d.validity, this, ctx), resolve(d.invalidity, this, ctx)
 
     # -- heap / valid set ------------------------------------------------------
     def dom(self) -> list[int]:
@@ -521,7 +509,12 @@ class Machine:
         """Begin a frame whose contract's V and I are the ownership-tree
         nodes validity and invalidity: check meet(V, I_parent) less the
         valid set, or fail with R-PRE-FAIL. A bot validity, a
-        construction's among them, checks nothing and cannot fail."""
+        construction's among them, checks nothing and cannot fail. A
+        location not in the tree is E-DANGLING, V's first."""
+        chains = self.tree.chains
+        if validity not in chains or invalidity not in chains:
+            self.tree.chain(validity)
+            self.tree.chain(invalidity)
         parent = thread.frames[-1]
         if parent.kind == "root":
             self.sigma_log.clear()
@@ -845,11 +838,8 @@ class Machine:
         if e.contract is None:
             raise OvError("E-STUCK", "atomic without a contract", e.line, e.col)
         env = t.env
-        this = env.get("this")
-        obj = self.heap[this.index] if isinstance(this, Loc) else None
-        d = self._resolve_contract(e.contract, env) if obj is None \
-            else self._kept_contract(obj, e, this, env.get("#ctx"))
-        if self._enter(t, *self._nodes(d)):
+        if self._enter(t, *self._contract_nodes(e.contract, env.get("this"),
+                                                env.get("#ctx"))):
             t.control = e.body
 
     def _x_fork(self, t: Thread, e: ast.Fork) -> None:
@@ -938,37 +928,38 @@ class Machine:
         if info is None or len(typ.args) != len(info.decl.ctx_params):
             raise OvError("E-STUCK", f"cannot instantiate {typ}",
                           node.line, node.col)
+        this, ctx = env.get("this"), env.get("#ctx")
         return self._allocate(t, node, info,
-                              [self._resolve_ctx(a, env) for a in typ.args],
+                              [resolve(a, this, ctx) for a in typ.args],
                               nargs)
 
     def _allocate(self, t: Thread, node: ast.New, info, resolved: list,
                   nargs: int) -> tuple[Loc, dict, _Plan]:
         """Allocate an object of node's class, whose record is info, with
-        the resolved context arguments and nargs constructor arguments,
-        and begin its construction frame on t, <bot, l>, which checks
-        nothing: the allocation both evaluators make, and a deploy's
-        (`closures.Compiled.deploy`). Returns the new object, its binding
-        map per class and its class's plan. A wrong number of constructor
-        arguments and an owner that is neither a location nor Top are
-        E-STUCK."""
+        the context arguments resolved to the nodes `resolved` and nargs
+        constructor arguments, and begin its construction frame on t,
+        <bot, l>, which checks nothing: the allocation both evaluators
+        make, and a deploy's (`closures.Compiled.deploy`). Returns the new
+        object, its binding map per class and its class's plan. A wrong
+        number of constructor arguments and an owner that is neither a
+        location nor Top are E-STUCK."""
         typ = node.type
-        owner_ctx = resolved[0] if resolved else CtxTop()
-        if isinstance(owner_ctx, CtxLoc):
-            owner: Optional[int] = owner_ctx.index
-        elif isinstance(owner_ctx, CtxTop):
+        owner = resolved[0] if resolved else CtxTop
+        if owner is CtxTop:
             owner = None
-        else:
-            raise OvError("E-STUCK", f"object owner resolved to {owner_ctx}",
+        elif type(owner) is not int:  # Bot, or a name kept for `*`
+            raise OvError("E-STUCK", "object owner resolved to "
+                          f"{BOT if owner is CtxBot else owner}",
                           node.line, node.col)
         loc = len(self.heap)
         this = Loc(loc)
         plan = self.code.plan(typ.name)
-        own = info.decl.ctx_params
-        bindings = {typ.name: dict(zip(own, resolved))}
+        own = dict(zip(info.decl.ctx_params, resolved))
+        bindings = {typ.name: own}
         for name, sup in info.supertypes.items():
-            at = substitute(sup, own, resolved, CtxLoc(loc)).args
-            bindings[name] = dict(zip(self.table.get(name).ctx_params, at))
+            bindings[name] = dict(zip(self.table.get(name).ctx_params,
+                                      [_superclass_node(a, this, own)
+                                       for a in sup.args]))
         self.heap.append(ObjectRec(typ.name, dict(plan.defaults), bindings))
         self.locs.append(this)
         self.names.append(self.next_name)
@@ -1111,7 +1102,7 @@ class Machine:
     def _k_atom_recv(self, t: Thread, v: Value, k: tuple) -> None:
         """The receiver v of a deduced `atomic` call or field write. The
         transaction begins only on a live receiver, with the called
-        method's contract resolved against it, or <bot, l_v> for a write;
+        method's contract read on it, or <bot, l_v> for a write;
         the body then goes on as a plain call or write on v."""
         node: ast.Atomic = k[1]
         body = node.body
@@ -1125,7 +1116,7 @@ class Machine:
             if hit is None:
                 raise OvError("E-STUCK", f"no method {body.method}",
                               node.line, node.col)
-            nodes = self._nodes(self._method_contract(obj, v.index, *hit))
+            nodes = self._method_contract(obj, v.index, *hit)
         else:
             nodes = (CtxBot, v.index)  # <bot, l_v>
         if not self._enter(t, *nodes):

@@ -122,10 +122,18 @@ class TestGraph:
         assert mined.edges == [] and mined.status == []
 
 
-def all_pairs(scts, tree):
+def all_pairs(contracts, tree):
     """The reference graph: every pair, in index order, through interferes."""
-    return [(i, j) for i in range(len(scts)) for j in range(i + 1, len(scts))
-            if interferes(scts[i].contract, scts[j].contract, tree)]
+    n = len(contracts)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if interferes(contracts[i], contracts[j], tree)]
+
+
+def bound(contracts, tree):
+    """Transactions whose V and I are the nodes the contracts' contexts
+    denote, as `_bind_scts` leaves them."""
+    return [Sct(method="", args=[], validity=tree.node(d.validity),
+                invalidity=tree.node(d.invalidity)) for d in contracts]
 
 
 def random_forest(rng):
@@ -149,22 +157,21 @@ class TestConflictGraphOracle:
             hot = rng.sample(locs, rng.randrange(1, min(len(locs), 6) + 1))
             pool = ([TOP, BOT] * rng.randrange(0, 2)
                     + [BOT] + [CtxLoc(i) for i in hot] * 3)
-            scts = [Sct(method="", args=[],
-                        contract=Contract(rng.choice(pool), rng.choice(pool)))
-                    for _ in range(rng.randrange(0, 25))]
-            want = all_pairs(scts, tree)
-            assert build_conflict_graph(scts, tree) == want
+            contracts = [Contract(rng.choice(pool), rng.choice(pool))
+                         for _ in range(rng.randrange(0, 25))]
+            want = all_pairs(contracts, tree)
+            assert build_conflict_graph(bound(contracts, tree), tree) == want
             checked += len(want)
         assert checked > 1000  # the forests really produced edges
 
     def test_top_context_pairs_with_everyone(self):
         tree, _ = random_forest(random.Random(2))
-        scts = [Sct(method="", args=[], contract=d)
-                for d in [Contract(CtxLoc(2), CtxLoc(2)), Contract(TOP, BOT),
-                          Contract(BOT, CtxLoc(0)), Contract(CtxLoc(1), BOT)]]
+        contracts = [Contract(CtxLoc(2), CtxLoc(2)), Contract(TOP, BOT),
+                     Contract(BOT, CtxLoc(0)), Contract(CtxLoc(1), BOT)]
         # the Top reader meets both writers but not the other reader
-        assert build_conflict_graph(scts, tree) == all_pairs(scts, tree) == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert build_conflict_graph(bound(contracts, tree), tree) == \
+            all_pairs(contracts, tree) == [
+                (0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
 
 
 def bank_txns(rng, n):
@@ -306,10 +313,23 @@ class C[o, r, s] extends B<s, r> {
         assert builds == {"A": 1, "B": 1, "C": 1}
         assert stray == []
         c = locs["C"]
+        # the maps hold tree nodes: the class of Top or Bot, or a location
         assert m.heap[c].bindings == {
-            "C": {"o": TOP, "r": BOT, "s": TOP},
-            "B": {"o": TOP, "q": BOT},
-            "A": {"o": TOP, "p": CtxLoc(c)}}
+            "C": {"o": CtxTop, "r": CtxBot, "s": CtxTop},
+            "B": {"o": CtxTop, "q": CtxBot},
+            "A": {"o": CtxTop, "p": c}}
+
+
+def count_inits(monkeypatch, *classes) -> Counter:
+    """The instances of classes made from now on, counted by class name."""
+    made = Counter()
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
 
 
 def _pinned_inputs() -> dict:
@@ -446,27 +466,32 @@ class TestPinnedCounters:
 
     @pytest.mark.parametrize("name", sorted(
         n for n in PINNED_INPUTS if n.startswith("custody:")))
-    def test_contracts_substituted_once_per_object_method(self, name,
-                                                          monkeypatch):
-        # a transaction's contract and a deduced atomic's depend only on
-        # the target object and the method: custody blocks call the same
-        # few targets again and again, yet each (object, method) pair is
-        # resolved once per machine
-        calls = Counter()
-        resolve = Machine._resolve_contract
+    def test_contracts_resolved_to_nodes(self, name, monkeypatch):
+        # custody blocks call the same few targets again and again, with
+        # explicit and deduced atomics in their methods: binding and every
+        # begin read a contract on its object straight to tree nodes, and
+        # build no Contract and no CtxLoc
+        block = parse_block(PINNED_INPUTS[name])
+        machine, scts = _prepare(PROGRAM, block)
+        _execute(machine, scts, range(len(scts)))  # the code's entry nodes
+        made = count_inits(monkeypatch, ast.Contract, ast.CtxLoc)
+        begun = []
+        begin = Machine._begin
 
-        def counted(machine, x, env):
-            out = resolve(machine, x, env)
-            if out is not x:  # a fresh resolution, not an already resolved x
-                key = (id(x), env.get("this"))
-                calls[key] += 1
-                assert calls[key] == 1, f"{x} resolved twice on {key[1]}"
-            return out
+        def spy_begin(self, thread, kind, validity, invalidity):
+            if kind == "txn":
+                begun.append((validity, invalidity))
+            return begin(self, thread, kind, validity, invalidity)
 
-        monkeypatch.setattr(Machine, "_resolve_contract", counted)
-        machine, scts = _prepare(PROGRAM, parse_block(PINNED_INPUTS[name]))
-        _execute(machine, scts, range(len(scts)))
-        assert sum(calls.values()) >= len({s.loc for s in scts})
+        monkeypatch.setattr(Machine, "_begin", spy_begin)
+        machine, scts = _prepare(PROGRAM, block)
+        status = _execute(machine, scts, range(len(scts)))
+        assert made == {} and "committed" in status
+        assert len(begun) > len(scts)  # nested atomics began too
+        assert all(x in (CtxTop, CtxBot) or type(x) is int
+                   for pair in begun for x in pair)
+        # each transaction's own frame is begun on the nodes it was bound to
+        assert {(s.validity, s.invalidity) for s in scts} <= set(begun)
 
     @pytest.mark.parametrize("name", sorted(
         n for n in PINNED_INPUTS if n.startswith("custody:")))

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from ovlang import ast, blocksched, closures
+from ovlang import ast, blocksched, closures, runtime
 from ovlang.blocksched import (_bind_scts, _creators, _deploy, _execute,
                                _execute_sct, _prepare, build_conflict_graph,
                                mine_block, parse_block, validate_block)
@@ -26,8 +26,8 @@ from ovlang.typecheck import ClassInfo, check_program
 from conftest import CORPUS, bench_module, check_clean
 from test_acceptance import (ACCOUNT_SRC, block_program,  # noqa: F401
                              fuzzed_blocks)
-from test_blocksched import (PROGRAM, _naive_replay, block_of, outputs,
-                             split_run)
+from test_blocksched import (PROGRAM, _naive_replay, block_of,
+                             count_inits, outputs, split_run)
 
 
 @contextlib.contextmanager
@@ -128,29 +128,23 @@ def test_seed_one_workload_blocks(workload, fallbacks):
 
 def test_bound_work_builds_no_contract(monkeypatch):
     # the compiled evaluator is handed a deploy's class and arguments and a
-    # bound transaction, and frames hold tree nodes: on the first seed-1
-    # bank block, deploying and executing build no Contract and no CtxLoc.
-    # Binding still resolves one contract per target and method.
+    # bound transaction, binding reads each method's contract straight to
+    # tree nodes, and frames and the conflict graph hold nodes: on the
+    # first seed-1 bank block, deploying, binding, the graph and executing
+    # build no Contract and no CtxLoc, and no object keeps a contract
+    assert "contracts" not in runtime.ObjectRec.__slots__
     block = parse_block(bench_module("workloads").bank_blocks(1)[0])
     record(PROGRAM, block)  # makes the program's code and entry nodes
-    made = Counter()
-    for cls in (ast.Contract, ast.CtxLoc):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
-                    **kwargs):
-            made[_name] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    code = blocksched._code(PROGRAM)
-    machine = Machine(code.program, code=code)
-    n = len(block.deploys)
-    creators = _creators(block, range(n), range(len(block.txns)))
-    targets = _deploy(machine, block.deploys, creators[:n])
-    assert made == {} and len(targets) == n == 500
-    scts = _bind_scts(machine, targets, block.txns, creators[n:])
-    assert made["Contract"] > 0  # the counter counts
+    made = count_inits(monkeypatch, ast.Contract, ast.CtxLoc)
+    ast.Contract(ast.CtxLoc(0))
+    assert made == {"Contract": 1, "CtxLoc": 1}  # the counter counts
     made.clear()
+    machine, scts = _prepare(PROGRAM, block)
+    assert len(machine.heap) == len(scts) == 500
+    edges = build_conflict_graph(scts, machine.tree)
     status = _execute(machine, scts, range(len(scts)))
-    assert made == {} and "committed" in status
+    assert made == {} and edges and "committed" in status
+    assert not hasattr(machine.heap[0], "contracts")
 
 
 def test_deduced_replays_and_naive_counts(fallbacks):

@@ -1,6 +1,7 @@
 """Records are hand-written slotted classes (`ast.Record`): they must keep
 what `@dataclass` gave them (repr, equality, hashability, pickling), and
-a fresh `ov` must load no module that only generated code needs."""
+a fresh `ov` must load no module that only generated code, hashing or
+JSON output needs."""
 import json
 import os
 import pickle
@@ -25,7 +26,8 @@ IMPORT_CHECK = """
 import sys
 before = set(sys.modules)
 import ovlang.cli, ovlang.closures, ovlang.regions
-added = {"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - before)
+added = ({"dataclasses", "inspect", "hashlib", "json", "string"}
+         & (set(sys.modules) - before))
 sys.exit(f"importing ovlang loads {sorted(added)}" if added else None)
 """
 
@@ -178,6 +180,6 @@ def test_blocks_and_shard_runs_pickle():
     for value in (Loc(7), FailureValue("R-NULL", "null dereference"),
                   lexer.tokenize("class A {}"),
                   MinedBlock([(0, 1)], ["committed"], "ab", 2, 1),
-                  blocksched.Sct("m", [1], 3, ast.Contract(ast.TOP))):
+                  blocksched.Sct("m", [1], 3, ast.CtxTop, 7, 2)):
         _round_trip(value)
 

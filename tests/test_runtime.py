@@ -256,6 +256,131 @@ main {
         assert isinstance(out, FailureValue)
         assert out.code == "E-DANGLING"
 
+    def test_contract_naming_a_removed_location_is_dangling(self):
+        # a begin whose V or I is a location no longer in the tree is
+        # E-DANGLING, naming V's location first, a bot V's I included,
+        # before it checks anything
+        m = machine_for(CELL)
+        live = m.run_expression(ast.New(ast.ClassType("Cell", [CtxTop()]),
+                                        [])).index
+        gone = len(m.heap)
+        m.run_expression(ast.Atomic(Contract(CtxTop(), CtxTop()), ast.Seq(
+            ast.New(ast.ClassType("Cell", [CtxTop()]), []),
+            ast.Require(ast.Const(False)))))
+        assert m.heap[gone] is None
+        evals = m.invariant_evals
+        for v, i in [(CtxLoc(gone), CtxLoc(live)), (CtxLoc(live), CtxLoc(gone)),
+                     (CtxBot(), CtxLoc(gone)), (CtxTop(), CtxLoc(gone)),
+                     (CtxLoc(gone), CtxLoc(gone + 5))]:
+            with pytest.raises(OvError) as exc:
+                m.run_expression(ast.Atomic(Contract(v, i), ast.Const(1)))
+            assert (exc.value.code, exc.value.msg) == (
+                "E-DANGLING", f"location l{gone} is not in the heap")
+            assert m.alpha is None and m.invariant_evals == evals
+
+    # C binds B's p to `*`, which denotes no subtree: what of B reads p
+    # fails where it is used, and the rest of B runs on a C as it would
+    STAR_SUPER = CELL + """\
+class Pair[o, q] {
+    int v = 0;
+}
+
+class B[o, p] {
+    int v = 0;
+    inv v >= 0;
+
+    int get() <this,bot> {
+        return v;
+    }
+
+    void set(int x) <this,this> {
+        v = x;
+    }
+
+    int peek() <p,bot> {
+        return 7;
+    }
+
+    void own() <this,this> {
+        Cell<p> c = new Cell<p>();
+    }
+
+    void pair() <this,this> {
+        Pair<this, p> q = new Pair<this, p>();
+        v = 5;
+    }
+}
+
+class C[o] extends B<o, *> {
+    int w = 0;
+}
+"""
+
+    @pytest.mark.parametrize("naive, counts", [
+        (False, (1, 0, 4, 4, 0, 4, 4)), (True, (1, 5, 7, 5, 1, 6, 4))])
+    def test_star_in_extends_fails_only_where_used(self, naive, counts):
+        def run(main: str):
+            return run_source(self.STAR_SUPER + main, naive=naive)
+
+        rep = run("""\
+main {
+    C<top> c = new C<top>();
+    atomic c.set(3);
+    int r = c.get();
+    atomic c.set(r + 1);
+    require(valid c);
+}
+""")
+        paired = run("""\
+main {
+    C<top> c = new C<top>();
+    c.pair();
+}
+""")
+        assert not rep.failures and not paired.failures
+        assert rep.lemma3 and paired.lemma3
+        assert (rep.objects, rep.pre_checks, rep.post_checks,
+                rep.invariant_evals, paired.pre_checks, paired.post_checks,
+                paired.invariant_evals) == counts
+        assert paired.objects == 2
+        # an object owned by `*`
+        with pytest.raises(OvError) as exc:
+            run("main {\n    C<top> c = new C<top>();\n    c.own();\n}\n")
+        assert (exc.value.code, exc.value.msg) == (
+            "E-STUCK", "object owner resolved to *")
+
+    def test_star_in_extends_begins_no_frame(self):
+        m = machine_for(self.STAR_SUPER)
+        c = m.run_expression(ast.New(ast.ClassType("C", [CtxTop()]), []))
+        env = {"this": c, "#ctx": m.heap[c.index].bindings["B"]}
+        evals = m.invariant_evals
+        for v, i in [(ast.CtxParam("p"), CtxBot()),
+                     (CtxTop(), ast.CtxParam("p"))]:
+            with pytest.raises(OvError) as exc:
+                m.run_expression(ast.Atomic(Contract(v, i), ast.Const(1)),
+                                 env)
+            assert (exc.value.code, exc.value.msg) == (
+                "E-DANGLING", "location * is not in the heap")
+            assert m.alpha is None and m.invariant_evals == evals
+        # a block transaction on a method whose contract reads p; one that
+        # does not commits
+        program = check_clean(self.STAR_SUPER)
+
+        def block(*methods):
+            return blocksched.parse_block({
+                "deploy": [{"id": "c", "class": "C", "args": []}],
+                "txns": [{"target": "c", "method": name, "args": args}
+                         for name, args in methods]})
+
+        with pytest.raises(OvError) as exc:
+            blocksched.mine_block(program, block(("set", [4]), ("peek", [])))
+        assert (exc.value.code, exc.value.msg) == (
+            "E-DANGLING", "location * is not in the heap")
+        mined = blocksched.mine_block(program, block(("set", [4]),
+                                                     ("pair", [])))
+        assert mined.status == ["committed", "committed"]
+        assert mined.edges == [(0, 1)]
+
 
 class TestReceiverFaults:
     """A null or removed receiver, for each use of a receiver, inside an
@@ -842,8 +967,10 @@ def _new(m: Machine, name: str, *ctxs) -> Loc:
 
 class TestResolvedOnce:
     """Method contracts and the contracts of `atomic` blocks in method
-    bodies are resolved once per object and kept on it; what is kept
-    equals a fresh resolution."""
+    bodies are resolved once per bind or begin, straight to ownership-tree
+    nodes, from the object's binding maps; nothing is kept on the object,
+    and every begun frame holds what that resolution gave, which equals a
+    fresh resolution."""
 
     # Sub renames its context parameters on the way up: Base's p is Sub's
     # r, so resolving touch against q instead would give another contract
@@ -900,22 +1027,21 @@ class Probe[o, p] {
     @staticmethod
     def _spy(monkeypatch, m: Machine) -> tuple[list, list]:
         """Record the contract of every begun frame, as the frame holds
-        it, and every fresh resolution of a contract."""
+        it, and every resolution of a contract, as (contract, nodes)."""
         begun, fresh = [], []
-        begin, resolve = Machine._begin, Machine._resolve_contract
+        begin, resolve = Machine._begin, Machine._contract_nodes
 
         def spy_begin(self, thread, kind, validity, invalidity):
             begun.append((kind, (validity, invalidity)))
             return begin(self, thread, kind, validity, invalidity)
 
-        def spy_resolve(self, d, env):
-            out = resolve(self, d, env)
-            if out is not d:
-                fresh.append((d, out))
+        def spy_resolve(self, d, this, ctx):
+            out = resolve(self, d, this, ctx)
+            fresh.append((d, out))
             return out
 
         monkeypatch.setattr(Machine, "_begin", spy_begin)
-        monkeypatch.setattr(Machine, "_resolve_contract", spy_resolve)
+        monkeypatch.setattr(Machine, "_contract_nodes", spy_resolve)
         return begun, fresh
 
     def test_inherited_method_with_renamed_parameters(self, monkeypatch):
@@ -943,52 +1069,60 @@ class Probe[o, p] {
         assert (fresh(s.index, s_args), fresh(t.index, t_args)) == (
             want_s, want_t)
         # a deduced atomic in a block transaction calls the inherited method
-        begun, _ = self._spy(monkeypatch, m)
+        begun, resolved = self._spy(monkeypatch, m)
         [poke] = blocksched._bind_scts(m, {"h": h.index},
                                        [{"target": "h", "method": "poke"}],
                                        [1])
         assert blocksched._execute_sct(m, poke) == "committed"
-        assert begun == [
-            ("txn", self._frame(m, Contract(CtxLoc(h.index),
-                                            CtxLoc(h.index)))),
-            ("txn", self._frame(m, want_s))]
-        assert m.heap[s.index].contracts[id(touch)] == fresh(s.index, s_args)
-        # block transactions call it directly, on both objects
+        poke_h = self._frame(m, Contract(CtxLoc(h.index), CtxLoc(h.index)))
+        assert begun == [("txn", poke_h), ("txn", self._frame(m, want_s))]
+        poke_decl = m.table.find_method("Holder", "poke")[1]
+        assert resolved == [(poke_decl.contract, poke_h),
+                            (touch.contract, self._frame(m, want_s))]
+        # block transactions call it directly, on both objects, each
+        # beginning on the nodes its binding resolved
         scts = blocksched._bind_scts(
             m, {"s": s.index, "t": t.index},
             [{"target": "s", "method": "touch"},
              {"target": "t", "method": "touch"}], [2, 3])
-        assert [x.contract for x in scts] == [want_s, want_t]
-        assert scts[0].contract is m.heap[s.index].contracts[id(touch)]
-        assert m.heap[t.index].contracts[id(touch)] == fresh(t.index, t_args)
+        assert [(x.validity, x.invalidity) for x in scts] == [
+            self._frame(m, want_s), self._frame(m, want_t)]
+        del begun[:]
         assert blocksched._execute(m, scts, range(2)) == ["committed"] * 2
+        assert begun == [("txn", (x.validity, x.invalidity)) for x in scts]
         assert [m.heap[x.index].fields["v"] for x in (s, t)] == [2, 1]
 
-    def test_method_contract_env_built_on_a_miss_only(self, monkeypatch):
-        # a bind and a deduced atomic call read the method's contract kept
-        # on the target: it is resolved, in an env built for it, on a miss
-        # only
+    def test_method_contract_read_under_the_declaring_class(
+            self, monkeypatch):
+        # a bind and a deduced atomic call read the method's contract on
+        # the target, under the binding map of the class that declares
+        # the method, each time: two look-ups, with nothing kept
         m = Machine(ast.Program(check_clean(self.HIERARCHY).classes, None))
         h = _new(m, "Holder", CtxTop())
-        envs = []
-        resolve = Machine._resolve_contract
-        monkeypatch.setattr(Machine, "_resolve_contract",
-                            lambda self, d, env: envs.append((d, env)) or
-                            resolve(self, d, env))
+        reads = []
+        resolve = Machine._contract_nodes
+        monkeypatch.setattr(Machine, "_contract_nodes",
+                            lambda self, d, this, ctx:
+                            reads.append((d, this, ctx)) or
+                            resolve(self, d, this, ctx))
         txns = [{"target": "h", "method": "poke"}] * 3
         scts = blocksched._bind_scts(m, {"h": h.index}, txns, [1, 2, 3])
-        assert len(envs) == 1  # the first bind's miss
-        assert blocksched._execute(m, scts, range(3)) == ["committed"] * 3
-        # each poke runs `atomic s.touch()`, whose contract is resolved on
-        # s at the first only, under the declaring class Base's bindings
-        s = m.heap[h.index].fields["s"]
         poke = m.table.find_method("Holder", "poke")[1]
         touch = m.table.find_method("Sub", "touch")[1]
-        assert envs == [
-            (poke.contract,
-             {"this": h, "#ctx": m.heap[h.index].bindings["Holder"]}),
-            (touch.contract,
-             {"this": s, "#ctx": m.heap[s.index].bindings["Base"]})]
+        holder = m.heap[h.index].bindings["Holder"]
+        assert reads == [(poke.contract, h, holder)] * 3
+        assert all(x is holder for _d, _this, x in reads)
+        del reads[:]
+        assert blocksched._execute(m, scts, range(3)) == ["committed"] * 3
+        # each poke runs `atomic s.touch()`, whose contract is read on s
+        # under the declaring class Base's bindings, Sub's r as Base's p
+        s = m.heap[h.index].fields["s"]
+        base = m.heap[s.index].bindings["Base"]
+        assert base == {"o": h.index, "p": h.index}
+        assert m.heap[s.index].bindings["Sub"] == {
+            "o": h.index, "q": CtxTop, "r": h.index}
+        assert reads == [(touch.contract, s, base)] * 3
+        assert all(x is base for _d, _this, x in reads)
 
     def test_atomic_in_a_method_resolves_per_object(self, monkeypatch):
         m = Machine(ast.Program(check_clean(self.PROBE).classes, None))
@@ -1002,21 +1136,21 @@ class Probe[o, p] {
         for _ in range(3):
             for x in (a, b):
                 m.run_expression(call, {"x": x, "#ctx": {}})
-        want = {a.index: Contract(CtxTop(), CtxLoc(a.index)),
-                b.index: Contract(CtxBot(), CtxLoc(b.index))}
-        for loc, d in want.items():
-            assert m.heap[loc].contracts[id(node)] == d
-            assert m.heap[loc].contracts[id(run)] == d
+        want = {a.index: self._frame(m, Contract(CtxTop(), CtxLoc(a.index))),
+                b.index: self._frame(m, Contract(CtxBot(), CtxLoc(b.index)))}
+        for loc in want:
             assert m.heap[loc].fields["n"] == 4
-        # the block resolves once per object, not once per run, and so
-        # does run's own contract, through the same resolution, first
-        assert fresh == [(run.contract, want[a.index]),
-                         (node.contract, want[a.index]),
-                         (run.contract, want[b.index]),
-                         (node.contract, want[b.index])]
-        # run's own contract is <p,this> as well: each run begins it twice
-        assert begun == 3 * ([("txn", self._frame(m, want[a.index]))] * 2
-                             + [("txn", self._frame(m, want[b.index]))] * 2)
+        # each run resolves run's own contract, then the block's, on its
+        # object, which gives its object's nodes
+        assert fresh == 3 * [(run.contract, want[a.index]),
+                             (node.contract, want[a.index]),
+                             (run.contract, want[b.index]),
+                             (node.contract, want[b.index])]
+        # run's own contract is <p,this> as well: each run begins it twice,
+        # each time on the nodes just resolved
+        assert begun == [("txn", nodes) for _d, nodes in fresh]
+        assert begun == 3 * ([("txn", want[a.index])] * 2
+                             + [("txn", want[b.index])] * 2)
 
     def test_atomic_in_a_constructor_resolves_once_per_object(
             self, monkeypatch):
@@ -1026,17 +1160,17 @@ class Probe[o, p] {
         locs = [_new(m, "Probe", CtxTop(), p).index
                 for p in (CtxTop(), CtxBot(), CtxTop())]
         # a constructor reads its class's bindings on its object, as a
-        # method does: each object resolves the block once and keeps it
-        want = [Contract(CtxBot(), CtxLoc(loc)) for loc in locs]
+        # method does: each object's one construction resolves the block
+        # once, and its frame holds what that gave
+        want = [self._frame(m, Contract(CtxBot(), CtxLoc(loc)))
+                for loc in locs]
         assert fresh == [(node.contract, d) for d in want]
-        assert [d for kind, d in begun if kind == "txn"] == [
-            self._frame(m, d) for d in want]
+        assert [d for kind, d in begun if kind == "txn"] == want
         for loc, d in zip(locs, want):
             obj = m.heap[loc]
-            assert obj.contracts == {id(node): d}
-            # what is kept equals a fresh resolution
-            assert m._resolve_contract(node.contract, {
-                "this": m.locs[loc], "#ctx": obj.bindings["Probe"]}) == d
+            # a fresh resolution on the object gives the same nodes
+            assert m._contract_nodes(node.contract, m.locs[loc],
+                                     obj.bindings["Probe"]) == d
             assert obj.fields["n"] == 1
 
 
