@@ -29,13 +29,13 @@ always runs in one process: it is the oracle the split is tested against.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ast
 from .ast import Contract, CtxBot, CtxParam, CtxThis, CtxTop
 from .diagnostics import OvError
 from .ownership import OwnershipTree, subtrees_intersect
-from .runtime import DEFAULT_FUEL, Code, FailureValue, Loc, Machine
+from .runtime import DEFAULT_FUEL, Code, FailureValue, Loc, Machine, Value
 
 # interpreter steps one transaction may take before it aborts as R-GAS
 TXN_STEPS = DEFAULT_FUEL
@@ -191,43 +191,45 @@ def build_conflict_graph(scts: list[Sct], tree: OwnershipTree) -> list[tuple]:
     """The interfering pairs (i, j), i < j, in sorted order.
 
     Each transaction's V and I are nodes of the tree (`_bind_scts`): a
-    location, Top, the root above every top-owned location, or Bot, which
-    lies on no chain. Two subtrees meet iff one node lies on the other's
-    ancestor chain, so the pairs come
-    from buckets over the tree: `writers[a]` holds the transactions whose
-    invalidity is node a, `under[a]` those whose invalidity lies in
-    subtree(a), and `_writers_meeting` reads from them the transactions
-    whose invalidity meets a given node's subtree. Each transaction i
-    found that way from a context of j has I_i meeting V_j or I_j, which
-    is interference by definition (`interferes`), so no pair needs
-    confirming."""
+    location, Top, the root above every top-owned location, or Bot, whose
+    chain is empty. Two subtrees meet iff one node lies on the other's
+    ancestor chain, so the pairs come from buckets over `tree.chains`:
+    `writers[a]` holds the transactions whose invalidity is node a, and
+    `under[a]` those whose invalidity lies in subtree(a). So for a context
+    x of j, each i in under[x] or among the writers at x's strict
+    ancestors has I_i meeting V_j or I_j, which is interference by
+    definition (`interferes`): no pair needs confirming. A V or I outside
+    the tree is E-DANGLING, the invalidities' first."""
+    chains = tree.chains
     writers: dict = {}
     under: dict = {}
-    nodes = []  # each transaction's contexts' nodes
     for i, sct in enumerate(scts):
         w = sct.invalidity
-        nodes.append({sct.validity, w})
-        writers.setdefault(w, []).append(i)
-        for a in tree.chain(w):
-            under.setdefault(a, []).append(i)
+        chain = chains.get(w)
+        if chain is None:
+            tree.chain(w)  # E-DANGLING
+        if chain:
+            writers.setdefault(w, []).append(i)
+            for a in chain:
+                under.setdefault(a, []).append(i)
     pairs: set[tuple[int, int]] = set()
-    for j, xs in enumerate(nodes):
-        for x in xs:
-            pairs.update((min(i, j), max(i, j))
-                         for i in _writers_meeting(x, writers, under, tree)
-                         if i != j)
+    add = pairs.add
+    for j, sct in enumerate(scts):
+        v, w = sct.validity, sct.invalidity
+        for x in (v, w) if v != w else (w,):
+            chain = chains.get(x)
+            if chain is None:
+                tree.chain(x)  # E-DANGLING
+            if not chain:
+                continue
+            for i in under.get(x, ()):
+                if i != j:
+                    add((i, j) if i < j else (j, i))
+            for a in chain[1:]:
+                for i in writers.get(a, ()):
+                    if i != j:
+                        add((i, j) if i < j else (j, i))
     return sorted(pairs)
-
-
-def _writers_meeting(x, writers: dict, under: dict,
-                     tree: OwnershipTree) -> list[int]:
-    """The transactions whose invalidity meets subtree(x), for a node x:
-    those whose invalidity lies in subtree(x), and those whose invalidity
-    is a strict ancestor of x."""
-    hits = list(under.get(x, ()))
-    for a in tree.chain(x)[1:]:
-        hits.extend(writers.get(a, ()))
-    return hits
 
 
 # A context's place under the binding `_deploy` gives a deployed object:
@@ -270,46 +272,53 @@ def _deploy(machine: Machine, deploys: list,
     its class to top, so a class with a `where` constraint that this
     binding breaks cannot be deployed.
 
-    The compiled evaluator is handed the class's entry node, a `new` with
-    its context arguments resolved, and the arguments themselves
-    (`closures.Compiled.deploy`); the entry node, its `Var` slots holding
-    the arguments, is the small-step reference that runs what it hands
-    back."""
+    The deploys before the first that cannot start (`_deploy_unit`) run
+    as one list (`_run`); the first of them to fail, else that one, is the
+    block's fault."""
+    units, fault = [], None
+    try:
+        for d, creator in zip(deploys, creators):
+            units.append(_deploy_unit(machine, d, creator))
+    except ValueError as err:
+        fault = err
     targets: dict[str, int] = {}
-    entries = machine.code.entries
-    compiled = machine.compiled()
-    for d, creator in zip(deploys, creators):
-        cname = d["class"]
-        # (the entry node, the constructor's parameters), made at the
-        # class's first deploy of this program, which names itself in any
-        # fault; a deploy of another arity stops at _arg_fault
-        hit = entries.get(cname)
-        if hit is None:
-            info = machine.table.info(cname)
-            if info is None:
-                raise ValueError(f"deploy {d['id']}: unknown class {cname}")
-            typ = ast.ClassType(cname, [CtxTop()] * len(info.decl.ctx_params))
-            for c in info.decl.constraints:
-                if not _deploy_keeps(c):
-                    raise ValueError(f"deploy {d['id']}: {typ} violates the "
-                                     f"constraint {c} of {cname}")
-            params = info.ctor.params if info.ctor else []
-            hit = entries[cname] = (
-                ast.New(typ, _slots(len(params))), params)
-        expr, params = hit
-        args = d.get("args", [])
-        fault = _arg_fault(params, args)
-        if fault is not None:
-            raise ValueError(f"deploy {d['id']}: {cname} constructor {fault}")
-        machine.set_creator(creator)
-        done, val = compiled.deploy(machine, expr, args, DEFAULT_FUEL)
-        if not done:
-            val = machine.run_expression(expr, _arg_env(expr.args, args, {}))
+    for d, (val, _) in zip(deploys, _run(machine, units, DEFAULT_FUEL)):
         if isinstance(val, FailureValue):
             raise ValueError(f"deploy {d['id']} failed: {val.msg}")
         assert isinstance(val, Loc)
         targets[d["id"]] = val.index
+    if fault is not None:
+        raise fault
     return targets
+
+
+def _deploy_unit(machine: Machine, d: dict, creator: int) -> tuple:
+    """The deploy d as a unit (`closures.Compiled.run`): its class's entry
+    node, a `new` with its context arguments resolved whose `Var` slots
+    read the arguments, the arguments and its creator; or ValueError."""
+    cname = d["class"]
+    # (the entry node, the constructor's parameters), made at the class's
+    # first deploy of this program, which names itself in any fault; a
+    # deploy of another arity stops at _arg_fault
+    entries = machine.code.entries
+    hit = entries.get(cname)
+    if hit is None:
+        info = machine.table.info(cname)
+        if info is None:
+            raise ValueError(f"deploy {d['id']}: unknown class {cname}")
+        typ = ast.ClassType(cname, [CtxTop()] * len(info.decl.ctx_params))
+        for c in info.decl.constraints:
+            if not _deploy_keeps(c):
+                raise ValueError(f"deploy {d['id']}: {typ} violates the "
+                                 f"constraint {c} of {cname}")
+        params = info.ctor.params if info.ctor else []
+        hit = entries[cname] = (ast.New(typ, _slots(len(params))), params)
+    expr, params = hit
+    args = d.get("args", [])
+    fault = _arg_fault(params, args)
+    if fault is not None:
+        raise ValueError(f"deploy {d['id']}: {cname} constructor {fault}")
+    return expr, args, creator
 
 
 def _bind_scts(machine: Machine, targets: dict, txns: list,
@@ -395,52 +404,66 @@ def _arg_env(slots: list, args: list, ctx: dict) -> dict:
     return env
 
 
-def _execute_sct(machine: Machine, sct: Sct) -> str:
-    """Run one transaction. Its status is whether its own top-level frame
-    committed: a contained inner abort whose failure value the method
-    returns still leaves the transaction committed. A transaction that
-    runs past TXN_STEPS steps is aborted, as R-GAS, and the block goes on.
+def _run(machine: Machine, units: list, fuel: int) -> Iterator:
+    """(value, whether it committed a root frame) of each unit, in order,
+    through the compiled evaluator's one guard (`closures.Compiled.run`);
+    each unit it hands back is reduced (`_reduce`) only when asked for, so
+    a caller that stops at a fault reduces nothing after it."""
+    compiled = machine.compiled()
+    k = 0
+    while k < len(units):
+        done = compiled.run(machine, units, fuel, k)
+        yield from done
+        k += len(done)
+        if k < len(units):
+            expr, arg, creator = units[k]
+            machine.set_creator(creator)
+            commits = machine.root_commits
+            yield _reduce(machine, expr, arg), machine.root_commits > commits
+            k += 1
 
-    The compiled evaluator is handed the bound transaction itself, whose
-    V and I nodes `_bind_scts` resolved, with the `atomic` call node made
-    once per program, method and arity (`closures.Compiled.transact`).
-    That node is the small-step reference, which runs what the compiled
-    evaluator hands back: its env binds its slots to the arguments, `this`
-    to the target and its context parameters to the V and I nodes."""
-    key = (sct.method, len(sct.args))
-    entries = machine.code.entries
-    expr = entries.get(key)
-    if expr is None:
-        expr = entries[key] = ast.Atomic(
-            Contract(CtxParam("__validity"), CtxParam("__invalidity")),
-            ast.Call(ast.This(), sct.method, _slots(len(sct.args))))
-    commits = machine.root_commits
-    machine.set_creator(sct.creator)
+
+def _reduce(machine: Machine, expr: ast.Expr, arg) -> Value:
+    """A unit on the small-step machine: its entry node, in an env that
+    binds its slots to a deploy's arguments arg, or to a bound
+    transaction's, with `this` the target and its context parameters the
+    V and I nodes; a transaction past TXN_STEPS steps fails as R-GAS."""
+    if type(expr) is ast.New:
+        return machine.run_expression(expr, _arg_env(expr.args, arg, {}))
+    env = _arg_env(expr.body.args, arg.args, {"__validity": arg.validity,
+                                              "__invalidity": arg.invalidity})
+    env["this"] = machine.locs[arg.loc]
     try:
-        done, val = machine.compiled().transact(machine, expr, sct,
-                                                TXN_STEPS)
-        if not done:
-            env = _arg_env(expr.body.args, sct.args,
-                           {"__validity": sct.validity,
-                            "__invalidity": sct.invalidity})
-            env["this"] = machine.locs[sct.loc]
-            val = machine.run_expression(expr, env, TXN_STEPS)
+        return machine.run_expression(expr, env, TXN_STEPS)
     except OvError as err:
         if err.code != "E-FUEL":
             raise
-        return "aborted:R-GAS"
-    if machine.root_commits > commits:
-        return "committed"
-    assert isinstance(val, FailureValue)
-    return f"aborted:{val.code}"
+        return FailureValue("R-GAS", err.msg)
 
 
 def _execute(machine: Machine, scts: list[Sct],
              order: Iterable[int]) -> list[str]:
-    """Run the transactions one at a time in `order`; statuses by index."""
-    status = [""] * len(scts)
+    """Run the transactions in `order` as one list (`_run`), each unit the
+    bound transaction with its method's and arity's `atomic` call node,
+    made once per program; statuses by index. A status is whether its own
+    top-level frame committed: a contained inner abort whose failure value
+    the method returns leaves it committed. A transaction that runs past
+    TXN_STEPS steps is aborted, as R-GAS, and the block goes on."""
+    entries = machine.code.entries
+    order = list(order)
+    units = []
     for i in order:
-        status[i] = _execute_sct(machine, scts[i])
+        sct = scts[i]
+        key = (sct.method, len(sct.args))
+        expr = entries.get(key)
+        if expr is None:
+            expr = entries[key] = ast.Atomic(
+                Contract(CtxParam("__validity"), CtxParam("__invalidity")),
+                ast.Call(ast.This(), sct.method, _slots(len(sct.args))))
+        units.append((expr, sct, sct.creator))
+    status = [""] * len(scts)
+    for i, (val, committed) in zip(order, _run(machine, units, TXN_STEPS)):
+        status[i] = "committed" if committed else f"aborted:{val.code}"
     return status
 
 

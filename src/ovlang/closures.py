@@ -6,12 +6,12 @@ compiled once per program, by the rules of `_BODY_RULES`, into a closure
 of the env (the small-step machine's own env dict) that returns the
 node's value. A deploy and a block transaction are handed over bound, not
 as an expression in an env: a deploy as its class's entry node and its
-arguments (`Compiled.deploy`), which allocates through
-`Machine._allocate` with its context arguments resolved to tree nodes,
-and a transaction as a `blocksched.Sct`, whose V and I nodes binding
-resolved (`Compiled.transact`), which begins its frame on those nodes and
-calls the method body on the target. Each charges the steps, and keeps
-the bounds, that its entry node takes on the small-step machine.
+arguments (`_deployment`), which allocates through `Machine._allocate`
+with its context arguments resolved to tree nodes, and a transaction as
+a `blocksched.Sct`, whose V and I nodes binding resolved
+(`_transaction`), which begins its frame on those nodes and calls the
+method body on the target. Each charges the steps, and keeps the bounds,
+that its entry node takes on the small-step machine.
 
 The closures belong to the program's `runtime.Code` and serve every
 machine that runs it, naive or not: they read the machine and its heap
@@ -23,10 +23,10 @@ call or failure comes between them, so `Machine.steps`, every counter,
 every status and every hash are the small-step machine's. Both
 evaluators share one transaction machinery: `_begin`, `_commit`,
 `_abort` and `write_field`, here on one thread reused for every run.
-Every run passes one guard, `Compiled.run`, which marks the machine,
-bounds the fuel, undoes a run that stops, records a failure and adds the
-steps; it is also the one switch that hands runs back to the small-step
-machine.
+Every run passes one guard, `Compiled.run`, which runs a block's deploys,
+or its transactions, as one list, and for each names its slots, marks
+the machine, bounds the fuel, undoes a run that stops, records a failure
+and adds the steps; it is also the one switch that hands units back.
 
 A failure value flows as a value, as on the small-step machine, until a
 strict position meets it; there it unwinds as `_Signal` to the innermost
@@ -42,7 +42,7 @@ rule (such as `fork`), at an unbound variable or a missing field (a
 every frame it opened is aborted, the heap, the names, the counters, the
 events and the failures are put back, and the caller reduces the entry
 node on the small-step machine (`Machine.run_expression`), which meets
-the same end at the same step.
+the same end at the same step, and goes on with the rest of the list.
 
 `Machine.compiled` imports this module on a program's first compiled
 run, as `blocksched` imports `regions` on the first large block.
@@ -97,9 +97,10 @@ def _stop(env: dict) -> Value:
 
 class _Run:
     """The state of the compiled runs of one program, which every closure
-    reads: during a run only, the machine it runs on and its heap, and the
-    compiled code; the thread the runs reuse; the steps the current run
-    has taken, its fuel and the closure frames it nests."""
+    reads: while the guard holds it for a list, the machine the list runs
+    on and its heap, and the compiled code; the thread the runs reuse; the
+    steps the current unit has taken, its fuel and the closure frames it
+    nests."""
     __slots__ = ("m", "heap", "code", "thread", "steps", "fuel", "depth")
 
     def __init__(self) -> None:
@@ -112,11 +113,11 @@ class Compiled:
     """One program's compiled entries (of deploys and transactions) and
     method bodies, by node, kept in its `runtime.Code`; each memo holds the
     node it keys, so no id is reused while the code lives. Nothing it holds
-    refers to a machine between runs, so a dropped machine is freed at
-    once, not at the next collection of reference cycles. One run at a time
-    holds `_Run`: a run that finds it held, by a machine on another host
-    thread, goes to the small-step machine, which shares nothing between
-    machines."""
+    refers to a machine between lists, so a dropped machine is freed at
+    once, not at the next collection of reference cycles. One list at a
+    time holds `_Run`: a unit that finds it held, by a machine on another
+    host thread, goes to the small-step machine, which shares nothing
+    between machines, and the next unit tries again."""
 
     def __init__(self, table) -> None:
         self.table = table  # the program's `typecheck.ClassTable`
@@ -125,62 +126,55 @@ class Compiled:
         self.entries: dict[int, tuple] = {}  # id -> (node, closure)
         self.bodies: dict[int, tuple] = {}
 
-    def deploy(self, m, node: ast.New, args: list,
-               fuel: int) -> tuple[bool, Value]:
-        """A deploy (`run`): an object of node's class, whose context
-        arguments are resolved, constructed with the values args, as node
-        runs with args in its `Var` slots."""
-        return self.run(m, _deployment, node, args, fuel)
-
-    def transact(self, m, node: ast.Atomic, sct,
-                 fuel: int) -> tuple[bool, Value]:
-        """A bound block transaction sct, a `blocksched.Sct` (`run`): its
-        method called on its target with its arguments, in a frame on the
-        V and I nodes binding resolved, as node, the `atomic` call entry of
-        its method and arity, runs with them in its slots and parameters."""
-        return self.run(m, _transaction, node, sct, fuel)
-
-    def run(self, m, make, work, arg, fuel: int) -> tuple[bool, Value]:
+    def run(self, m, units: list, fuel: int, start: int) -> list:
         """The one guard of every compiled run, and so the one switch that
-        hands runs back to the small-step machine: (True, value) when the
-        entry `make` compiles from work, called on arg, ran to its end on
-        machine m within fuel; (False, None), with m as it was, when a
-        thread of m is inside a transaction, another host thread's run
-        holds `_Run`, or its run stopped. Each work's entry is compiled
-        here, on its first run, and kept."""
+        hands work back to the small-step machine: the units from start,
+        each (entry node, argument, creator), run in order on machine m,
+        each within fuel, in one hold of `_Run`. Returns (value, whether it
+        committed a root frame) of each up to the first that stops, which
+        is undone and handed back; the first is at once when a thread of m
+        is inside a transaction or another host thread holds `_Run`. A
+        node's entry is compiled on its first run and kept."""
+        done: list = []
         if m.alpha is not None or not self.busy.acquire(blocking=False):
-            return False, None
+            return done
         cx = self.cx
         cx.m, cx.heap, cx.code = m, m.heap, self
+        entries, thread = self.entries, cx.thread
         try:
-            hit = self.entries.get(id(work))
-            if hit is None:
-                hit = self.entries[id(work)] = (work, make(cx, work))
-            entry = hit[1]
-            marks = (len(m.heap), m.next_name, m.pre_checks, m.post_checks,
-                     m.invariant_evals, m.root_commits, len(m.events),
-                     len(m.failures))
-            # no thread is inside a transaction, so the log is not read
-            # again before the next begin clears it: from here it logs
-            # this run only
-            m.sigma_log.clear()
-            cx.steps = cx.depth = 0
-            cx.fuel = fuel
-            try:
-                v = entry(arg)
-                cx.steps += 1  # the step that finds no continuation left
-            except (_Bail, KeyError, OvError, RecursionError):
-                _undo(m, cx.thread, *marks)
-                return False, None
-            if type(v) is FailureValue:
-                m.failures.append({"code": v.code, "msg": v.msg,
-                                   "thread": -1})
-            m.steps += cx.steps
-            return True, v
+            for k in range(start, len(units)):
+                node, arg, creator = units[k]
+                hit = entries.get(id(node))
+                if hit is None:  # a `new` is a deploy, an `atomic` a txn
+                    make = _deployment if type(node) is ast.New else \
+                        _transaction
+                    hit = entries[id(node)] = (node, make(cx, node))
+                m.set_creator(creator)
+                marks = (len(m.heap), m.next_name, m.pre_checks,
+                         m.post_checks, m.invariant_evals, m.root_commits,
+                         len(m.events), len(m.failures))
+                # no thread is inside a transaction, so the log is not read
+                # again before the next begin clears it: from here it logs
+                # this unit only
+                m.sigma_log.clear()
+                cx.steps = cx.depth = 0
+                cx.fuel = fuel
+                try:
+                    v = hit[1](arg)
+                    cx.steps += 1  # the step that finds no continuation left
+                except (_Bail, KeyError, OvError, RecursionError):
+                    _undo(m, thread, *marks)
+                    break
+                if type(v) is FailureValue:
+                    m.failures.append({"code": v.code, "msg": v.msg,
+                                       "thread": -1})
+                m.steps += cx.steps
+                done.append((v, m.root_commits > marks[5]))
+            return done
         except BaseException:
             # the thread serves the next machine: a run cut short by an
             # exception not caught above leaves it no frame of this one
-            del cx.thread.frames[1:]
+            del thread.frames[1:]
             raise
         finally:
             cx.m = cx.heap = cx.code = None
@@ -236,7 +230,7 @@ def _deployment(cx: _Run, node: ast.New):
 
 def _transaction(cx: _Run, node: ast.Atomic):
     """The compiled block transaction of node, the `atomic` call of `this`
-    a method and arity run (`blocksched._execute_sct`): a closure of the
+    a method and arity run (`blocksched._execute`): a closure of the
     bound transaction (`blocksched.Sct`), which begins its frame on the
     transaction's V and I nodes and calls its method on its target
     with its arguments, charging the steps node takes on the small-step
@@ -257,7 +251,7 @@ def _transaction(cx: _Run, node: ast.Atomic):
         cx.depth = height
         m = cx.m
         cx.steps += 1  # node's own step
-        fv = m._begin(thread, "txn", sct.validity, sct.invalidity)
+        fv = m._begin(thread, sct.validity, sct.invalidity)
         if fv is not None:
             return fv
         cx.steps += pre
@@ -608,7 +602,7 @@ def _b_atomic(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
     def atomic(env: dict) -> Value:
         cx.steps += 1
         m = cx.m
-        fv = m._begin(thread, "txn", *m._contract_nodes(
+        fv = m._begin(thread, *m._contract_nodes(
             contract, env.get("this"), env.get("#ctx")))
         if fv is not None:
             return fv
@@ -653,7 +647,7 @@ def _deduced_call(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
         if hit is None:
             raise _Bail
         m = cx.m
-        fv = m._begin(thread, "txn", *m._method_contract(obj, r.index, *hit))
+        fv = m._begin(thread, *m._method_contract(obj, r.index, *hit))
         if fv is not None:
             return fv
         try:
@@ -687,7 +681,7 @@ def _deduced_write(cx: _Run, e: ast.Atomic, rec: _Body) -> tuple:
             raise _fault(r, "write to")
         loc = r.index
         m = cx.m
-        fv = m._begin(thread, "txn", CtxBot, loc)  # <bot, l>
+        fv = m._begin(thread, CtxBot, loc)  # <bot, l>
         if fv is not None:
             return fv
         try:

@@ -8,8 +8,9 @@ insertion-ordered dict), and a mark into the machine's undo log of
 valid-set changes, so aborts restore exactly the pre-transaction state.
 The root frame at the bottom of every thread never aborts and keeps none
 of these. Constructors run as implicit <bot,this> transactions: a bot
-validity needs no subtree at begin, and the commit checks what the
-constructor created and no inner construction's commit already validated.
+validity needs no subtree at begin, so the allocation pushes the frame
+itself (`_allocate`), and the commit checks what the constructor created
+and no inner construction's commit already validated.
 
 There are two evaluators and one transaction machinery: `_begin`,
 `_commit`, `_abort`, `write_field` and allocation (`_allocate`).
@@ -53,13 +54,13 @@ and the checks need, once per class (`Code.plan`).
 Every runtime context is an ownership-tree node: a location's index, or
 the class CtxTop or CtxBot (`resolve`). Binding maps, the `#ctx` env map
 and a frame's V and I hold nodes, so resolving a contract is two look-ups
-that build nothing (but see `_superclass_node`); a construction's frame is <bot, l>, made from the new
-location alone. A frame's pre-check and post-check sets are read, not
-computed: subtree(V) ∩ subtree(I) is `OwnershipTree.meet`, a subtree the
-ownership tree stores in ascending order, for any pair of nodes, and Bot,
-whose subtree is empty, is not asked; a write escapes its frame unless
-`OwnershipTree.runtime_inside` puts it in subtree(I). Only the tree knows
-what Top and Bot denote.
+that build nothing (but see `_superclass_node`); a construction's frame
+is <bot, l>, made from the new location alone. A frame's pre-check and
+post-check sets are read, not computed: subtree(V) ∩ subtree(I) is
+`OwnershipTree.meet`, a subtree the ownership tree stores in ascending
+order, for any pair of nodes, and Bot, whose subtree is empty, is not
+asked; a write escapes its frame unless `OwnershipTree.runtime_inside`
+puts it in subtree(I). Only the tree knows what Top and Bot denote.
 
 One rule spends every check: a location's invariant is evaluated only if
 the location is not in the valid set. A begin checks meet(V, I_parent), a
@@ -83,7 +84,8 @@ allocation walks no chain. A method, a constructor and each class's
 field initialisers run with `#ctx` set to their own class's map. So what
 depends only on an object is fixed at its allocation and kept on it: its
 `Loc` and those maps, from which each method and `atomic` contract is
-read at its begin.
+read at its begin. Objects whose context arguments are all Top, as a
+deployed object's are, share their class's maps (`_Plan.shared`).
 
 Every use of a receiver (field read, field write, call, `valid`, deduced
 `atomic`) meets a null or removed receiver through one helper,
@@ -187,18 +189,22 @@ class _Plan:
     construction to copy; its construction as (class name, body) parts,
     superclass first: each class's field initialisers, the class's own
     followed by its constructor body; its constructor's parameter names;
-    its invariant clauses, compiled (`_compile`); and its parts compiled
-    to closures, made on its first compiled construction
-    (`closures.Compiled.parts`)."""
-    __slots__ = ("defaults", "parts", "params", "checks", "compiled")
+    its invariant clauses, compiled (`_compile`); its parts compiled to
+    closures, made on its first compiled construction
+    (`closures.Compiled.parts`); and `shared`, the binding maps, never
+    written, of every object allocated with only Top context arguments:
+    None until the first, False if a superclass argument is `this`."""
+    __slots__ = ("defaults", "parts", "params", "checks", "compiled",
+                 "shared")
 
     def __init__(self, defaults: dict, parts: list, params: tuple,
-                 checks: tuple):
+                 checks: tuple, per_object: bool):
         self.defaults = defaults
         self.parts = parts
         self.params = params
         self.checks = checks
         self.compiled: Optional[tuple] = None
+        self.shared = False if per_object else None
 
 
 class Code:
@@ -210,7 +216,7 @@ class Code:
     (`closures.Compiled`), made on the first compiled run
     (`Machine.compiled`). Nothing here holds a machine: a compiled check
     or body is given the machine it runs on, so a dropped machine is freed
-    at once."""
+    at once, and nothing here grows with the heap."""
     __slots__ = ("program", "table", "plans", "entries", "compiled")
 
     def __init__(self, program: ast.Program):
@@ -240,8 +246,11 @@ class Code:
             params = tuple(p.name for p in info.ctor.params) \
                 if info.ctor is not None else ()
             checks = tuple(_compile(c) for c in info.invariants)
+            per_object = any(type(a) is CtxThis
+                             for sup in info.supertypes.values()
+                             for a in sup.args)
             hit = self.plans[class_name] = _Plan(
-                defaults, parts[::-1], params, checks)
+                defaults, parts[::-1], params, checks, per_object)
         return hit
 
 
@@ -504,13 +513,13 @@ class Machine:
                 self._mark_invalid(anc)
 
     # -- transactions -----------------------------------------------------------
-    def _begin(self, thread: Thread, kind: str, validity,
+    def _begin(self, thread: Thread, validity,
                invalidity) -> Optional[FailureValue]:
-        """Begin a frame whose contract's V and I are the ownership-tree
-        nodes validity and invalidity: check meet(V, I_parent) less the
-        valid set, or fail with R-PRE-FAIL. A bot validity, a
-        construction's among them, checks nothing and cannot fail. A
-        location not in the tree is E-DANGLING, V's first."""
+        """Begin a transaction frame whose contract's V and I are the
+        ownership-tree nodes validity and invalidity: check meet(V,
+        I_parent) less the valid set, or fail with R-PRE-FAIL. A bot
+        validity checks nothing and cannot fail. A location not in the
+        tree is E-DANGLING, V's first."""
         chains = self.tree.chains
         if validity not in chains or invalidity not in chains:
             self.tree.chain(validity)
@@ -536,7 +545,7 @@ class Machine:
                 else:
                     return FailureValue("R-PRE-FAIL",
                                         "Validity fails pre-check")
-        thread.frames.append(Frame(kind, validity, invalidity, mark))
+        thread.frames.append(Frame("txn", validity, invalidity, mark))
         if len(thread.frames) == 2:
             self.alpha = thread.tid
         return None
@@ -870,7 +879,7 @@ class Machine:
         """Begin a transaction whose contract's V and I are these
         ownership-tree nodes and mark its commit; False, with the failure
         as t's control, when the pre-check fails."""
-        fv = self._begin(t, "txn", validity, invalidity)
+        fv = self._begin(t, validity, invalidity)
         if fv is not None:
             t.control = fv
             return False
@@ -937,12 +946,12 @@ class Machine:
                   nargs: int) -> tuple[Loc, dict, _Plan]:
         """Allocate an object of node's class, whose record is info, with
         the context arguments resolved to the nodes `resolved` and nargs
-        constructor arguments, and begin its construction frame on t,
+        constructor arguments, and push its construction frame on t,
         <bot, l>, which checks nothing: the allocation both evaluators
-        make, and a deploy's (`closures.Compiled.deploy`). Returns the new
-        object, its binding map per class and its class's plan. A wrong
-        number of constructor arguments and an owner that is neither a
-        location nor Top are E-STUCK."""
+        make, a deploy's too. Returns the new object, its binding map per
+        class, shared if it can be (`_Plan.shared`), and its class's plan.
+        A wrong number of constructor arguments and an owner that is
+        neither a location nor Top are E-STUCK."""
         typ = node.type
         owner = resolved[0] if resolved else CtxTop
         if owner is CtxTop:
@@ -954,18 +963,27 @@ class Machine:
         loc = len(self.heap)
         this = Loc(loc)
         plan = self.code.plan(typ.name)
-        own = dict(zip(info.decl.ctx_params, resolved))
-        bindings = {typ.name: own}
-        for name, sup in info.supertypes.items():
-            bindings[name] = dict(zip(self.table.get(name).ctx_params,
-                                      [_superclass_node(a, this, own)
-                                       for a in sup.args]))
+        shared = plan.shared is not False and \
+            resolved.count(CtxTop) == len(resolved)
+        bindings = plan.shared if shared else None
+        if bindings is None:
+            own = dict(zip(info.decl.ctx_params, resolved))
+            bindings = {typ.name: own}
+            for name, sup in info.supertypes.items():
+                bindings[name] = dict(zip(self.table.get(name).ctx_params,
+                                          [_superclass_node(a, this, own)
+                                           for a in sup.args]))
+            if shared:
+                plan.shared = bindings
         self.heap.append(ObjectRec(typ.name, dict(plan.defaults), bindings))
         self.locs.append(this)
         self.names.append(self.next_name)
         self.next_name += 1
         self.tree.add(loc, owner)
-        self._begin(t, "ctor", CtxBot, loc)
+        if len(t.frames) == 1:  # the log starts at an outermost frame
+            self.sigma_log.clear()
+            self.alpha = t.tid
+        t.frames.append(Frame("ctor", CtxBot, loc, len(self.sigma_log)))
         t.frames[-1].created[loc] = None
         if nargs != len(plan.params):
             raise OvError("E-STUCK", f"constructor arity mismatch for {typ.name}",

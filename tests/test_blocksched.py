@@ -198,19 +198,29 @@ class TestLinearWork:
         edges = sum(w * (w - 1) // 2 + w * reads[a] for a, w in writes.items())
         calls = Counter()
 
-        def counted(name, fn, bound, size=lambda out: 1):
+        def counted(name, fn, bound):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                calls[name] += size(out)
+                calls[name] += 1
                 # fail at once rather than after a quadratic run
                 assert calls[name] <= bound, f"{name}: over {bound}"
                 return out
             return wrapper
 
-        # every candidate pair is one transaction the bucket query returns
-        monkeypatch.setattr(blocksched, "_writers_meeting",
-                            counted("candidates", blocksched._writers_meeting,
-                                    2 * (n + edges), len))
+        block = block_of(accounts(n), txns)  # before the graph's set counts
+        bound = 2 * (n + edges)
+
+        class Candidates(set):
+            """The graph's pair set: every candidate pair, a transaction
+            a bucket gives for another's context, is one `add`."""
+
+            def add(self, pair):
+                super().add(pair)
+                calls["candidates"] += 1
+                assert calls["candidates"] <= bound, f"over {bound}"
+
+        # build_conflict_graph's `set()` finds this one before the builtin
+        monkeypatch.setattr(blocksched, "set", Candidates, raising=False)
         monkeypatch.setattr(blocksched, "interferes",
                             counted("interferes", interferes, 0))
         monkeypatch.setattr(OwnershipTree, "runtime_inside",
@@ -218,7 +228,7 @@ class TestLinearWork:
                                     OwnershipTree.runtime_inside, 4 * n))
         # the hooks count in this process only: mine in one process
         monkeypatch.setattr(regions, "usable_cpus", lambda: 1)
-        mined = mine_block(PROGRAM, block_of(accounts(n), txns))
+        mined = mine_block(PROGRAM, block)
         assert len(mined.edges) == edges
         assert calls["candidates"] >= edges  # the counter really counted
         # every contract is located: no pair needs confirming
@@ -431,9 +441,9 @@ class TestChecksPerTransaction:
                     machine.invariant_evals)
 
         assert counters() == (0, 2, 2)  # the deploy
-        for sct, (_method, _args, status, spent) in zip(scts, self.STEPS):
+        for i, (_method, _args, status, spent) in enumerate(self.STEPS):
             before = counters()
-            assert blocksched._execute_sct(machine, sct) == status
+            assert blocksched._execute(machine, scts, [i])[i] == status
             assert tuple(b - a for a, b in zip(before, counters())) == spent
 
 
@@ -478,10 +488,9 @@ class TestPinnedCounters:
         begun = []
         begin = Machine._begin
 
-        def spy_begin(self, thread, kind, validity, invalidity):
-            if kind == "txn":
-                begun.append((validity, invalidity))
-            return begin(self, thread, kind, validity, invalidity)
+        def spy_begin(self, thread, validity, invalidity):
+            begun.append((validity, invalidity))
+            return begin(self, thread, validity, invalidity)
 
         monkeypatch.setattr(Machine, "_begin", spy_begin)
         machine, scts = _prepare(PROGRAM, block)
@@ -605,19 +614,24 @@ class TestMine:
 
     def test_deploy_argument_of_another_type(self, monkeypatch):
         # refused before its constructor runs, as an arity mismatch is:
-        # every deploy passes the compiled evaluator's one guard
+        # every deploy passes the compiled evaluator's one guard, which
+        # is given the deploys before it
         ran = []
         run = closures.Compiled.run
-        monkeypatch.setattr(closures.Compiled, "run",
-                            lambda self, *a, **kw: ran.append(1)
-                            or run(self, *a, **kw))
+
+        def spy(self, m, units, fuel, start):
+            done = run(self, m, units, fuel, start)
+            ran.extend(arg for _node, arg, _creator in
+                       units[start:start + len(done)])
+            return done
+        monkeypatch.setattr(closures.Compiled, "run", spy)
         b = block_of(accounts(1) + [{"id": "bad", "class": "Account",
                                      "args": [None]}], [])
         with pytest.raises(ValueError) as exc:
             mine_block(PROGRAM, b)
         assert str(exc.value) == ("deploy bad: Account constructor "
                                   "parameter amt is int, got null")
-        assert ran == [1]  # a0's constructor alone
+        assert ran == [[100]]  # a0's constructor alone
 
     TYPED = check_clean("""\
 class Flag[o] {
@@ -877,6 +891,62 @@ class TestOnePath:
         assert (sharded.final_state_hash, sharded.status, sharded.edges) == (
             mined.final_state_hash, mined.status, mined.edges)
 
+
+
+class TestSharedBindings:
+    """An object whose every context argument is Top, as every deployed
+    object's is, shares its class's binding maps, made once per program,
+    unless a superclass argument of the class is `this`; every other
+    object has maps of its own."""
+
+    def test_this_in_extends_keeps_maps_per_object(self, fresh_code):
+        b = block_of([{"id": t, "class": "Sub"} for t in ("s", "t")],
+                     [{"target": t, "method": "touch"} for t in ("s", "t")])
+        machine, scts = _prepare(check_clean(THIS_IN_EXTENDS), b)
+        s, t = machine.heap
+        assert s.bindings["Base"] == {"o": CtxTop, "p": 0}
+        assert t.bindings["Base"] == {"o": CtxTop, "p": 1}
+        assert s.bindings["Sub"] == t.bindings["Sub"] == {"o": CtxTop}
+        assert [(x.validity, x.invalidity) for x in scts] == [(0, 0), (1, 1)]
+        assert machine.code.plan("Sub").shared is False
+        assert _execute(machine, scts, range(2)) == ["committed"] * 2
+
+    def test_deployed_accounts_share_one_map(self, fresh_code):
+        block = parse_block(bench_module("workloads").bank_blocks(1)[0])
+        machine, _scts = _prepare(PROGRAM, block)
+        assert len(machine.heap) == 500
+        shared = machine.code.plan("Account").shared
+        assert shared == {"Account": {"o": CtxTop}}
+        assert all(obj.bindings is shared for obj in machine.heap)
+
+    def test_custody_children_keep_their_own_maps(self, fresh_code,
+                                                  monkeypatch):
+        # each Customer is deployed, so Top-owned: the Customers of every
+        # block share one map. Each owns an Account<this>, whose map names
+        # its owner. After all 48 blocks the code keeps that one map and
+        # no other
+        monkeypatch.setattr(regions, "usable_cpus", lambda: 1)
+        raw = bench_module("workloads").custody_blocks(1)
+        assert len(raw) == 48
+        for data in raw[:4]:
+            machine, scts = _prepare(PROGRAM, parse_block(data))
+            _execute(machine, scts, range(len(scts)))
+            shared = machine.code.plan("Customer").shared
+            assert shared == {"Customer": {"o": CtxTop}}
+            owned = []
+            for loc, obj in enumerate(machine.heap):
+                if obj.class_name == "Customer":
+                    assert obj.bindings is shared
+                else:
+                    owner = machine.tree.chains[loc][1]
+                    assert obj.bindings == {"Account": {"o": owner}}
+                    owned.append(obj.bindings)
+            assert len(owned) == 8 and len({id(x) for x in owned}) == 8
+        for data in raw:
+            mine_block(PROGRAM, parse_block(data))
+        code = blocksched._CODE[1]
+        assert {name: plan.shared for name, plan in code.plans.items()} == {
+            "Customer": {"Customer": {"o": CtxTop}}, "Account": None}
 
 class TestParseBlock:
     def test_defaults(self):

@@ -15,8 +15,8 @@ import pytest
 
 from ovlang import ast, blocksched, closures, runtime
 from ovlang.blocksched import (_bind_scts, _creators, _deploy, _execute,
-                               _execute_sct, _prepare, build_conflict_graph,
-                               mine_block, parse_block, validate_block)
+                               _prepare, build_conflict_graph, mine_block,
+                               parse_block, validate_block)
 from ovlang.desugar import desugar
 from ovlang.diagnostics import OvError
 from ovlang.parser import parse_program
@@ -33,30 +33,35 @@ from test_blocksched import (PROGRAM, _naive_replay, block_of,
 @contextlib.contextmanager
 def small_step_only():
     """Every deploy and transaction reduced step by step, as if each
-    compiled run had stopped at once: each passes the compiled evaluator's
-    one guard, `Compiled.run`."""
+    compiled run had stopped at once: every list passes the compiled
+    evaluator's one guard, `Compiled.run`, which hands back each unit it
+    is given at once."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closures.Compiled, "run",
-                   lambda self, m, make, work, arg, fuel: (False, None))
+                   lambda self, m, units, fuel, start: [])
         yield
 
 
-# the kind of each compiled run, by the entry it is compiled to
-KINDS = {closures._deployment: "deploy", closures._transaction: "txn"}
+# the kind of each unit of a list, by its entry node
+KINDS = {ast.New: "deploy", ast.Atomic: "txn"}
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the runs the compiled evaluator finishes ("done") and hands
-    back ("back"), and the runs of each kind: deploys and transactions."""
+    """Counts the units of the guard's lists that the compiled evaluator
+    finishes ("done") and hands back ("back"), and those of each kind:
+    deploys and transactions."""
     count = Counter()
     run = closures.Compiled.run
 
-    def counted(self, m, make, work, arg, fuel):
-        done, value = run(self, m, make, work, arg, fuel)
-        count["back" if not done else "done"] += 1
-        count[KINDS[make]] += 1
-        return done, value
+    def counted(self, m, units, fuel, start):
+        done = run(self, m, units, fuel, start)
+        ran = units[start:start + len(done) + 1]  # and the one handed back
+        count["done"] += len(done)
+        count["back"] += len(ran) - len(done)
+        for node, _arg, _creator in ran:
+            count[KINDS[type(node)]] += 1
+        return done
     monkeypatch.setattr(closures.Compiled, "run", counted)
     return count
 
@@ -494,6 +499,90 @@ def test_recursion_past_the_nesting_limit(fallbacks):
         assert record(program, block) == got
 
 
+# a constructor that recurses as deep as it is told
+TALL_SRC = FUEL_SRC + """\
+class Tall[o] {
+    bool ok = false;
+
+    Tall(int k) {
+        ok = down(k);
+    }
+
+    bool down(int k) <bot,bot> {
+        return k <= 0 || down(k - 1);
+    }
+}
+"""
+
+
+def _units_seen(monkeypatch) -> list:
+    """(kind, creator, whether it ran compiled) of each unit the guard
+    runs or hands back, in order."""
+    seen = []
+    run = closures.Compiled.run
+
+    def spy(self, m, units, fuel, start):
+        done = run(self, m, units, fuel, start)
+        for k, (node, _arg, creator) in enumerate(
+                units[start:start + len(done) + 1]):
+            seen.append((KINDS[type(node)], creator, k < len(done)))
+        return done
+    monkeypatch.setattr(closures.Compiled, "run", spy)
+    return seen
+
+
+def test_hand_back_in_the_middle_of_a_list(monkeypatch):
+    # the middle deploy and the middle transaction recurse past the
+    # nesting limit: each goes to the small-step machine alone, and the
+    # list goes on compiled from the unit after it
+    program = check_clean(TALL_SRC)
+    deep = closures.MAX_NESTING * 2
+    block = parse_block({
+        "deploy": [{"id": "a", "class": "Account", "args": [10]},
+                   {"id": "t", "class": "Tall", "args": [deep]},
+                   {"id": "d", "class": "Deep"},
+                   {"id": "b", "class": "Account", "args": [20]}],
+        "txns": [{"target": "a", "method": "deposit", "args": [5]},
+                 {"target": "d", "method": "down", "args": [deep]},
+                 {"target": "b", "method": "withdraw", "args": [5]},
+                 {"target": "a", "method": "balance", "args": []}]})
+    assert_same(program, [block], split=True)
+    seen = _units_seen(monkeypatch)
+    got = record(program, block)
+    assert got[0] == ["committed"] * 4
+    assert seen == [("deploy", 0, True), ("deploy", 1, False),
+                    ("deploy", 2, True), ("deploy", 3, True),
+                    ("txn", 4, True), ("txn", 5, False),
+                    ("txn", 6, True), ("txn", 7, True)]
+
+
+def test_first_deploy_fault_in_index_order(monkeypatch):
+    # deploy a1 fails as it runs and a2's argument is of another type:
+    # a1's fault is the block's, on both evaluators
+    program = check_clean(TALL_SRC)
+
+    def account(i: int, amount) -> dict:
+        return {"id": f"a{i}", "class": "Account", "args": [amount]}
+    block = parse_block({"deploy": [account(0, 5), account(1, -1),
+                                    account(2, None)], "txns": []})
+    assert record(program, block) == (
+        "ValueError", "deploy a1 failed: Validity fails post-check")
+    assert_same(program, [block], split=True)
+    # a deploy handed back after one that failed is never reduced
+    block = parse_block({"deploy": [account(0, -1), {
+        "id": "t", "class": "Tall", "args": [closures.MAX_NESTING * 2]}],
+        "txns": []})
+    seen = _units_seen(monkeypatch)
+    reduced = []
+    reduce = Machine.run_expression
+    monkeypatch.setattr(Machine, "run_expression",
+                        lambda self, *a: reduced.append(1) or reduce(self, *a))
+    assert record(program, block) == (
+        "ValueError", "deploy a0 failed: Validity fails post-check")
+    assert seen == [("deploy", 0, True), ("deploy", 1, False)]
+    assert reduced == []
+
+
 def _nested_program(depth: int):
     """A class whose method body nests `depth` parenthesised sums, or
     None when the front end refuses it."""
@@ -667,8 +756,8 @@ class TestSharedCode:
                 machine.failures, machine.events)
 
     def test_naive_and_directed_machines_on_one_code(self, custody):
-        # the two run turn about on one code: each gets the counters it
-        # gets on code of its own
+        # the two run turn about on one code, a list of one transaction
+        # each: each gets the counters it gets on code of its own
         block = custody[0]
         code = Code(ast.Program(PROGRAM.classes, None))
         pair = [Machine(code.program, naive=naive, code=code)
@@ -677,7 +766,7 @@ class TestSharedCode:
         statuses: list = [[], []]
         for i in range(len(block.txns)):
             for k, m in enumerate(pair):
-                statuses[k].append(_execute_sct(m, scts[k][i]))
+                statuses[k].append(_execute(m, scts[k], [i])[i])
         got = [self._outcome(m, st) for m, st in zip(pair, statuses)]
         want = []
         for naive in (True, False):

@@ -1026,14 +1026,16 @@ class Probe[o, p] {
 
     @staticmethod
     def _spy(monkeypatch, m: Machine) -> tuple[list, list]:
-        """Record the contract of every begun frame, as the frame holds
-        it, and every resolution of a contract, as (contract, nodes)."""
+        """Record the contract of every begun transaction frame, as the
+        frame holds it, and every resolution of a contract, as (contract,
+        nodes). A construction's frame does not begin here: `_allocate`
+        pushes it."""
         begun, fresh = [], []
         begin, resolve = Machine._begin, Machine._contract_nodes
 
-        def spy_begin(self, thread, kind, validity, invalidity):
-            begun.append((kind, (validity, invalidity)))
-            return begin(self, thread, kind, validity, invalidity)
+        def spy_begin(self, thread, validity, invalidity):
+            begun.append((validity, invalidity))
+            return begin(self, thread, validity, invalidity)
 
         def spy_resolve(self, d, this, ctx):
             out = resolve(self, d, this, ctx)
@@ -1073,9 +1075,9 @@ class Probe[o, p] {
         [poke] = blocksched._bind_scts(m, {"h": h.index},
                                        [{"target": "h", "method": "poke"}],
                                        [1])
-        assert blocksched._execute_sct(m, poke) == "committed"
+        assert blocksched._execute(m, [poke], [0]) == ["committed"]
         poke_h = self._frame(m, Contract(CtxLoc(h.index), CtxLoc(h.index)))
-        assert begun == [("txn", poke_h), ("txn", self._frame(m, want_s))]
+        assert begun == [poke_h, self._frame(m, want_s)]
         poke_decl = m.table.find_method("Holder", "poke")[1]
         assert resolved == [(poke_decl.contract, poke_h),
                             (touch.contract, self._frame(m, want_s))]
@@ -1089,7 +1091,7 @@ class Probe[o, p] {
             self._frame(m, want_s), self._frame(m, want_t)]
         del begun[:]
         assert blocksched._execute(m, scts, range(2)) == ["committed"] * 2
-        assert begun == [("txn", (x.validity, x.invalidity)) for x in scts]
+        assert begun == [(x.validity, x.invalidity) for x in scts]
         assert [m.heap[x.index].fields["v"] for x in (s, t)] == [2, 1]
 
     def test_method_contract_read_under_the_declaring_class(
@@ -1148,9 +1150,8 @@ class Probe[o, p] {
                              (node.contract, want[b.index])]
         # run's own contract is <p,this> as well: each run begins it twice,
         # each time on the nodes just resolved
-        assert begun == [("txn", nodes) for _d, nodes in fresh]
-        assert begun == 3 * ([("txn", want[a.index])] * 2
-                             + [("txn", want[b.index])] * 2)
+        assert begun == [nodes for _d, nodes in fresh]
+        assert begun == 3 * ([want[a.index]] * 2 + [want[b.index]] * 2)
 
     def test_atomic_in_a_constructor_resolves_once_per_object(
             self, monkeypatch):
@@ -1165,7 +1166,7 @@ class Probe[o, p] {
         want = [self._frame(m, Contract(CtxBot(), CtxLoc(loc)))
                 for loc in locs]
         assert fresh == [(node.contract, d) for d in want]
-        assert [d for kind, d in begun if kind == "txn"] == want
+        assert begun == want
         for loc, d in zip(locs, want):
             obj = m.heap[loc]
             # a fresh resolution on the object gives the same nodes
